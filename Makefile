@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race bench bench-smoke bench-gate bench-baseline fuzz-smoke chaos-matrix spgemm-accept serve-accept figures figures-paper ablations clean
+.PHONY: all build vet test test-short race bench bench-smoke bench-gate bench-baseline bench-e2e bench-e2e-test fuzz-smoke chaos-matrix spgemm-accept serve-accept figures figures-paper ablations clean
 
 all: build vet test
 
@@ -64,10 +64,25 @@ bench-gate: bench-smoke
 bench-baseline: bench-smoke
 	$(GO) run ./cmd/benchgate -write-baseline -baseline bench_baseline.json -bench BENCH_spmspv.json -alloc BENCH_alloc.json
 
+# The two-clock end-to-end benchmark (benchmark/README.md): host wall-clock
+# and CPU of the gb library and of gbserve over real HTTP, next to the modeled
+# clock. Arguments pass through:
+#   make bench-e2e ARGS="--workload lib-kernels --seed 3 --trace 1"
+ARGS ?=
+bench-e2e:
+	bash benchmark/run.sh $(ARGS)
+
+# The benchmark's own tests (it is a Go module of its own, so `go test ./...`
+# here does not reach them): metric registry == BENCHMARK.json, percentile and
+# schedule arithmetic, checker rejections, a 1-s smoke of every workload.
+bench-e2e-test:
+	$(GO) -C benchmark test .
+
 # The CI fuzz smoke: 30s each on the bucket SPA, the scratch arena, the
 # fault injector, the epoch delta merge, the fusion planner (random op
-# programs, fused vs eager bitwise identity) and the strategy dispatcher
-# (random strategies, auto vs forced bitwise identity).
+# programs, fused vs eager bitwise identity), the strategy dispatcher
+# (random strategies, auto vs forced bitwise identity) and the inlined
+# built-in-semiring row loops (vs the function-valued operators, bitwise).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBucketSPA -fuzztime 30s ./internal/sparse
 	$(GO) test -run '^$$' -fuzz FuzzScratchPool -fuzztime 30s ./internal/sparse
@@ -77,6 +92,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzStrategyDispatch -fuzztime 30s ./gb
 	$(GO) test -run '^$$' -fuzz FuzzDCSC -fuzztime 30s ./internal/sparse
 	$(GO) test -run '^$$' -fuzz FuzzSpGEMMLocal -fuzztime 30s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzSpmvRowKinds -fuzztime 30s ./internal/core
 
 # One cell of the CI chaos matrix locally: make chaos-matrix CHAOS_SEED=2 CHAOS_POLICY=failover
 # Runs both the BFS column and the SpGEMM column (crash mid-SUMMA-broadcast).

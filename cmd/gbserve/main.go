@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	gbserve -addr :8080 -graph web=rmat:12:8:1 -graph mesh=er:4096:0.002:7
+//	gbserve -addr :8080 -graph web=rmat:12:8:1 -graph mesh=er:4096:8:7
 //	curl -s -X POST localhost:8080/query -H 'X-Tenant: alice' \
 //	    -d '{"graph":"web","op":"bfs","source":0}'
 package main
@@ -31,7 +31,7 @@ import (
 )
 
 // graphSpecs collects repeated -graph flags: name=rmat:scale:ef:seed or
-// name=er:n:density:seed.
+// name=er:n:degree:seed (degree is the mean out-degree, not a density).
 type graphSpecs []string
 
 func (g *graphSpecs) String() string     { return strings.Join(*g, ",") }
@@ -59,7 +59,7 @@ func buildGraph(spec string) (name string, a *sparse.CSR[float64], err error) {
 		return name, a, err
 	case "er":
 		if len(parts) != 4 {
-			return "", nil, fmt.Errorf("want er:n:density:seed, got %q", kind)
+			return "", nil, fmt.Errorf("want er:n:degree:seed (degree = mean out-degree), got %q", kind)
 		}
 		n, err1 := strconv.Atoi(parts[1])
 		d, err2 := strconv.ParseFloat(parts[2], 64)
@@ -105,7 +105,7 @@ func main() {
 		budgetMS  = flag.Float64("budget-ms", 0, "default per-query modeled-time budget in ms (0 = none)")
 		drainWait = flag.Duration("drain-timeout", 30*time.Second, "longest to wait for in-flight queries on shutdown")
 	)
-	flag.Var(&graphs, "graph", "graph to load, name=rmat:scale:edgefactor:seed or name=er:n:density:seed (repeatable)")
+	flag.Var(&graphs, "graph", "graph to load, name=rmat:scale:edgefactor:seed or name=er:n:degree:seed with degree the mean out-degree (repeatable)")
 	flag.Parse()
 	fail := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "gbserve: "+format+"\n", args...)

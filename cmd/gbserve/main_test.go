@@ -14,12 +14,14 @@ func TestBuildGraphSpecs(t *testing.T) {
 	if name != "web" || a.NRows != 64 || a.NNZ() == 0 {
 		t.Fatalf("rmat spec: name=%q rows=%d nnz=%d", name, a.NRows, a.NNZ())
 	}
-	name, a, err = buildGraph("mesh=er:100:0.05:7")
+	// The third ER field is a mean degree: 100 vertices at degree 8 is about
+	// 800 edges.
+	name, a, err = buildGraph("mesh=er:100:8:7")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if name != "mesh" || a.NRows != 100 || a.NNZ() == 0 {
-		t.Fatalf("er spec: name=%q rows=%d nnz=%d", name, a.NRows, a.NNZ())
+	if name != "mesh" || a.NRows != 100 || a.NNZ() < 600 || a.NNZ() > 1000 {
+		t.Fatalf("er spec: name=%q rows=%d nnz=%d, want about 800 edges", name, a.NRows, a.NNZ())
 	}
 	for _, bad := range []string{
 		"noequals", "g=unknown:1:2:3", "g=rmat:6:8", "g=rmat:x:8:1", "g=er:100:x:7",

@@ -244,3 +244,41 @@ func TestDCSCConvertZeroAllocSteadyState(t *testing.T) {
 		t.Fatalf("DCSC.FromCSR allocates %.1f objects per steady-state call, want 0", avg)
 	}
 }
+
+// TestDistKernelAllocPins pins the steady-state allocation counts of the two
+// distributed kernels whose staging is sized up front: what is left is the
+// result (returned to the caller, so never pooled), the per-locale staging
+// vectors, and the collectives' buffers. A count may be lowered, never raised.
+func TestDistKernelAllocPins(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include race-runtime shadow allocations")
+	}
+	a0 := sparse.ErdosRenyi[float64](5000, 8, 41)
+	x0 := sparse.RandomVec[float64](5000, 400, 42)
+	xd0 := sparse.NewDenseFill[float64](5000, 1.5)
+	sr := semiring.PlusTimes[float64]()
+	for _, tc := range []struct {
+		locales      int
+		spmspv, spmv float64
+	}{
+		{locales: 1, spmspv: 15, spmv: 12},
+		{locales: 4, spmspv: 34, spmv: 26}, // 2x2 grid
+	} {
+		rt := newRT(t, tc.locales, 24)
+		a := dist.MatFromCSR(rt, a0)
+		x := dist.SpVecFromVec(rt, x0)
+		xd := dist.DenseVecFromDense(rt, xd0)
+		for i := 0; i < warmups; i++ {
+			SpMSpVDist(rt, a, x)
+			if _, err := SpMVDist(rt, a, xd, sr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := testing.AllocsPerRun(50, func() { SpMSpVDist(rt, a, x) }); got > tc.spmspv {
+			t.Errorf("%d locales: SpMSpVDist allocates %.0f objects per steady-state call, pinned at %.0f", tc.locales, got, tc.spmspv)
+		}
+		if got := testing.AllocsPerRun(50, func() { _, _ = SpMVDist(rt, a, xd, sr) }); got > tc.spmv {
+			t.Errorf("%d locales: SpMVDist allocates %.0f objects per steady-state call, pinned at %.0f", tc.locales, got, tc.spmv)
+		}
+	}
+}

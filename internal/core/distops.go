@@ -58,38 +58,7 @@ func SpMVDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.Den
 		return nil, err
 	}
 
-	// Local multiply: partial y over the locale's column band.
-	partials := make([][]T, g.P)
-	id := sr.AddIdentity()
-	for l := 0; l < g.P; l++ {
-		r, c := g.Coords(l)
-		blk := a.Blocks[l]
-		xb := xParts[l]
-		part := make([]T, a.ColBands[c+1]-a.ColBands[c])
-		for i := range part {
-			part[i] = id
-		}
-		var flops int64
-		for i := 0; i < blk.NRows; i++ {
-			xv := xb[i]
-			if xv == id {
-				continue
-			}
-			cols, vals := blk.Row(i)
-			flops += int64(len(cols))
-			for k, j := range cols {
-				part[j] = sr.Add.Op(part[j], sr.Mul(xv, vals[k]))
-			}
-		}
-		partials[l] = part
-		rt.S.Compute(l, rt.Threads, sim.Kernel{
-			Name:         "spmv-local",
-			Items:        flops + int64(blk.NRows),
-			CPUPerItem:   12,
-			BytesPerItem: 20,
-		})
-		_ = r
-	}
+	partials := spmvPartials(rt, a, xParts, sr)
 
 	// Column-team reduction of the partial results; the reduced slice of
 	// column band c lives on every locale of grid column c, and the final
@@ -99,16 +68,52 @@ func SpMVDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.Den
 		return nil, err
 	}
 	y := dist.NewDenseVec[T](rt, a.NCols)
-	for l := 0; l < g.P; l++ {
-		lo, hi := y.Bounds[l], y.Bounds[l+1]
-		for gi := lo; gi < hi; gi++ {
-			c := locale.OwnerOf(a.NCols, g.Pc, gi)
-			src := reduced[g.ID(0, c)]
-			y.Loc[l][gi-lo] = src[gi-a.ColBands[c]]
-		}
-	}
+	spmvAssemble(g, a.ColBands, y.Bounds, reduced, func(l, lo int, src []T) {
+		copy(y.Loc[l][lo-y.Bounds[l]:], src)
+	})
 	rt.S.Barrier()
 	return y, nil
+}
+
+// spmvPartials is the local-multiply stage of the distributed SpMV: every
+// locale folds its block's rows into a partial result over its column band,
+// skipping rows whose x entry is the additive identity.
+func spmvPartials[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], xParts [][]T, sr semiring.Semiring[T]) [][]T {
+	g := rt.G
+	partials := make([][]T, g.P)
+	rk := newRowKernel(sr)
+	for l := 0; l < g.P; l++ {
+		blk := a.Blocks[l]
+		var flops int64
+		partials[l], flops = rk.spmvBlock(blk, xParts[l], sr.AddIdentity())
+		rt.S.Compute(l, rt.Threads, sim.Kernel{
+			Name:         "spmv-local",
+			Items:        flops + int64(blk.NRows),
+			CPUPerItem:   12,
+			BytesPerItem: 20,
+		})
+	}
+	return partials
+}
+
+// spmvAssemble hands the column-reduced product over in the order of the
+// block-distributed result (bounds): for every locale l, ascending, emit(l,
+// lo, src) receives the reduced values src of global indices [lo,
+// lo+len(src)) — the piece of l's block that falls in one column band, taken
+// from that band's copy on grid row 0. Both distributions are block
+// distributions of the same index space, so walking the bands replaces an
+// owner lookup per element.
+func spmvAssemble[T semiring.Number](g *locale.Grid, colBands, bounds []int, reduced [][]T, emit func(l, lo int, src []T)) {
+	for l := 0; l < g.P; l++ {
+		lo, hi := bounds[l], bounds[l+1]
+		for c := 0; c < g.Pc && lo < hi; c++ {
+			if end := min(hi, colBands[c+1]); end > lo {
+				src := reduced[g.ID(0, c)]
+				emit(l, lo, src[lo-colBands[c]:end-colBands[c]])
+				lo = end
+			}
+		}
+	}
 }
 
 // EWiseAddDist adds two identically distributed sparse vectors elementwise

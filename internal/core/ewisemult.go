@@ -67,10 +67,12 @@ func EWiseMultSDInto[T semiring.Number](rt *locale.Runtime, x *dist.SpVec[T], y 
 		}
 		keepPos = keepPos[:kept] // keepInd.remove(k.read(), nnz-k.read())
 
-		// Restore index order (concurrent compaction scrambles it); with one
-		// worker the positions are already sorted. Then build the local block
-		// of z: lzDom.mySparseBlock += keepInd, plus the values.
-		sparse.RadixSortInts32(keepPos)
+		// Restore index order, which the concurrent compaction scrambles (the
+		// sequential scan emits positions in order). Then build the local
+		// block of z: lzDom.mySparseBlock += keepInd, plus the values.
+		if rt.RealWorkers > 1 {
+			sparse.RadixSortInts32(keepPos)
+		}
 		lz := z.Loc[l]
 		if cap(lz.Ind) < kept {
 			lz.Ind = make([]int, kept)

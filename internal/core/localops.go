@@ -145,7 +145,9 @@ func SpMV[T semiring.Number](a *sparse.CSR[T], x []T, sr semiring.Semiring[T]) (
 	if len(x) != a.NRows {
 		return nil, fmt.Errorf("core: SpMV: x has %d entries for %d rows", len(x), a.NRows)
 	}
-	return RefSpMV(a, x, sr), nil
+	rk := newRowKernel(sr)
+	y, _ := rk.spmvBlock(a, x, sr.AddIdentity())
+	return y, nil
 }
 
 // SpMSpVMasked runs the shared-memory SpMSpV and then removes every output

@@ -65,9 +65,13 @@ func spmspvBucket[T semiring.Number](a *sparse.CSR[T], x *sparse.Vec[T], cfg Shm
 		cfg.Sim.BeginPhase("Bucket Scatter")
 	}
 	spa := sparse.GetBucketSPA[int64](cfg.Scratch, a.NCols, workers, buckets)
+	claimed := 0
 	if workers <= 1 {
-		// Sequential fast path: direct method calls, no closure (a closure
-		// literal would escape and defeat the zero-allocation guarantee).
+		// One worker: append order is merge order, so claim straight into
+		// the dense scratch — first writer wins, as the merge would resolve
+		// it. No closure either (a closure literal would escape and defeat
+		// the zero-allocation guarantee).
+		val, there := spa.Dense()
 		var seen int64
 		for k := 0; k < nnzX; k++ {
 			rid := x.Ind[k]
@@ -77,7 +81,11 @@ func spmspvBucket[T semiring.Number](a *sparse.CSR[T], x *sparse.Vec[T], cfg Shm
 			cols, _ := a.Row(rid)
 			seen += int64(len(cols))
 			for _, colid := range cols {
-				spa.Append(0, colid, int64(rid))
+				if !there[colid] {
+					there[colid] = true
+					val[colid] = int64(rid)
+					claimed++
+				}
 			}
 		}
 		st.EntriesVisited = seen
@@ -106,7 +114,11 @@ func spmspvBucket[T semiring.Number](a *sparse.CSR[T], x *sparse.Vec[T], cfg Shm
 	}
 	y := sparse.GetVec[int64](cfg.Scratch, a.NCols)
 	var mst sparse.BucketMergeStats
-	y.Ind, y.Val, mst = spa.MergeInto(nil, cfg.Pool, workers, y.Ind, y.Val)
+	if workers <= 1 {
+		y.Ind, y.Val, mst = spa.EmitDense(st.EntriesVisited, claimed, y.Ind, y.Val)
+	} else {
+		y.Ind, y.Val, mst = spa.MergeInto(nil, cfg.Pool, workers, y.Ind, y.Val)
+	}
 	sparse.PutBucketSPA(cfg.Scratch, spa)
 	chargeBucketMerge(cfg, mst)
 
@@ -184,7 +196,12 @@ func spmspvBucketSemiring[T semiring.Number](a *sparse.CSR[T], x *sparse.Vec[T],
 		cfg.Sim.BeginPhase("Bucket Scatter")
 	}
 	spa := sparse.GetBucketSPA[T](cfg.Scratch, a.NCols, workers, buckets)
+	claimed := 0
 	if workers <= 1 {
+		// One worker: accumulate in append order straight into the dense
+		// scratch, as in spmspvBucket.
+		rk := newRowKernel(sr)
+		val, there := spa.Dense()
 		var seen int64
 		for k := 0; k < nnzX; k++ {
 			rid := x.Ind[k]
@@ -193,10 +210,7 @@ func spmspvBucketSemiring[T semiring.Number](a *sparse.CSR[T], x *sparse.Vec[T],
 			}
 			cols, vals := a.Row(rid)
 			seen += int64(len(cols))
-			xv := x.Val[k]
-			for c, colid := range cols {
-				spa.Append(0, colid, sr.Mul(xv, vals[c]))
-			}
+			claimed += rk.spaRow(val, there, cols, vals, x.Val[k])
 		}
 		st.EntriesVisited = seen
 	} else {
@@ -222,7 +236,11 @@ func spmspvBucketSemiring[T semiring.Number](a *sparse.CSR[T], x *sparse.Vec[T],
 	}
 	y := sparse.GetVec[T](cfg.Scratch, a.NCols)
 	var mst sparse.BucketMergeStats
-	y.Ind, y.Val, mst = spa.MergeInto(sr.Add.Op, cfg.Pool, workers, y.Ind, y.Val)
+	if workers <= 1 {
+		y.Ind, y.Val, mst = spa.EmitDense(st.EntriesVisited, claimed, y.Ind, y.Val)
+	} else {
+		y.Ind, y.Val, mst = spa.MergeInto(sr.Add.Op, cfg.Pool, workers, y.Ind, y.Val)
+	}
 	sparse.PutBucketSPA(cfg.Scratch, spa)
 	chargeBucketMerge(cfg, mst)
 

@@ -12,7 +12,8 @@ import (
 
 // bucketWorkloads builds the matrix/vector pairs the equivalence tests sweep:
 // an Erdős–Rényi graph and an R-MAT graph (skewed degrees stress the bucket
-// load balance), each with a moderately dense input vector.
+// load balance), each with a moderately dense input vector, and the ER graph
+// again under a vector with out-of-range indices.
 func bucketWorkloads(t *testing.T) []struct {
 	name string
 	a    *sparse.CSR[int64]
@@ -31,20 +32,42 @@ func bucketWorkloads(t *testing.T) []struct {
 	}{
 		{"er", er, sparse.RandomVec[int64](er.NRows, 400, 602)},
 		{"rmat", rmat, sparse.RandomVec[int64](rmat.NRows, 300, 603)},
+		{"er-out-of-range-x", er, outOfRangeVec(er.NRows)},
 	}
 }
 
+// outOfRangeVec is a frontier whose first and last indices select no row of
+// an n-row matrix: every engine must skip them, not fault on them.
+func outOfRangeVec(n int) *sparse.Vec[int64] {
+	x := sparse.RandomVec[int64](n, 200, 608)
+	x.Ind = append(append([]int{-3}, x.Ind...), n, n+17)
+	x.Val = append(append([]int64{1}, x.Val...), 1, 1)
+	return x
+}
+
+// TestSpMSpVBucketMatchesMergeSortEngine is the shape-invariance test of the
+// bucket engine: the one-worker direct claim, the multi-worker bucket merge
+// and the paper's one-worker merge-sort pipeline return the same (Ind, Val)
+// and ShmStats, and the bucket engine charges the same modeled time whatever
+// the worker count — the BucketMergeStats behind chargeBucketMerge do not
+// depend on which of its two paths ran.
 func TestSpMSpVBucketMatchesMergeSortEngine(t *testing.T) {
 	for _, w := range bucketWorkloads(t) {
-		want, wantSt := SpMSpVShm(w.a, w.x, ShmConfig{Threads: 24, Engine: EngineMergeSort})
-		for _, workers := range []int{1, 4, 9} {
-			got, gotSt := SpMSpVBucket(w.a, w.x, ShmConfig{Threads: 24, Workers: workers})
+		want, wantSt := SpMSpVShm(w.a, w.x, ShmConfig{Threads: 24, Engine: EngineMergeSort, Workers: 1})
+		var wantNS float64
+		for _, workers := range []int{1, 2, 4, 9} {
+			rt := newRT(t, 1, 24)
+			got, gotSt := SpMSpVBucket(w.a, w.x, ShmConfig{Threads: 24, Workers: workers, Sim: rt.S})
 			if !got.Equal(want) {
 				t.Fatalf("%s workers=%d: bucket result differs from merge-sort engine", w.name, workers)
 			}
-			if gotSt.EntriesVisited != wantSt.EntriesVisited {
-				t.Fatalf("%s workers=%d: EntriesVisited %d, want %d",
-					w.name, workers, gotSt.EntriesVisited, wantSt.EntriesVisited)
+			if gotSt != wantSt {
+				t.Fatalf("%s workers=%d: stats %+v, want %+v", w.name, workers, gotSt, wantSt)
+			}
+			if workers == 1 {
+				wantNS = rt.S.Elapsed()
+			} else if rt.S.Elapsed() != wantNS {
+				t.Fatalf("%s workers=%d: modeled %.0f ns, one worker charged %.0f", w.name, workers, rt.S.Elapsed(), wantNS)
 			}
 		}
 		// The Engine knob on the general entry point must reach the same code.
@@ -56,13 +79,28 @@ func TestSpMSpVBucketMatchesMergeSortEngine(t *testing.T) {
 }
 
 func TestSpMSpVBucketSemiringMatchesMergeSortEngine(t *testing.T) {
-	sr := semiring.PlusTimes[int64]()
+	// A built-in semiring (inlined arithmetic on the one-worker path) and a
+	// user's struct literal of the same operators (function-valued fallback).
+	builtin := semiring.PlusTimes[int64]()
+	literal := semiring.Semiring[int64]{Name: "mine", Add: builtin.Add, Mul: builtin.Mul}
 	for _, w := range bucketWorkloads(t) {
-		want, _ := SpMSpVShmSemiring(w.a, w.x, sr, ShmConfig{Threads: 24, Engine: EngineMergeSort})
-		for _, workers := range []int{1, 4, 9} {
-			got, _ := SpMSpVShmSemiring(w.a, w.x, sr, ShmConfig{Threads: 24, Engine: EngineBucket, Workers: workers})
-			if !got.Equal(want) {
-				t.Fatalf("%s workers=%d: bucket semiring result differs", w.name, workers)
+		want, wantSt := SpMSpVShmSemiring(w.a, w.x, builtin, ShmConfig{Threads: 24, Engine: EngineMergeSort, Workers: 1})
+		for _, sr := range []semiring.Semiring[int64]{builtin, literal} {
+			var wantNS float64
+			for _, workers := range []int{1, 2, 4, 9} {
+				rt := newRT(t, 1, 24)
+				got, gotSt := SpMSpVShmSemiring(w.a, w.x, sr, ShmConfig{Threads: 24, Engine: EngineBucket, Workers: workers, Sim: rt.S})
+				if !got.Equal(want) {
+					t.Fatalf("%s %s workers=%d: bucket semiring result differs", w.name, sr.Name, workers)
+				}
+				if gotSt != wantSt {
+					t.Fatalf("%s %s workers=%d: stats %+v, want %+v", w.name, sr.Name, workers, gotSt, wantSt)
+				}
+				if workers == 1 {
+					wantNS = rt.S.Elapsed()
+				} else if rt.S.Elapsed() != wantNS {
+					t.Fatalf("%s %s workers=%d: modeled %.0f ns, one worker charged %.0f", w.name, sr.Name, workers, rt.S.Elapsed(), wantNS)
+				}
 			}
 		}
 	}

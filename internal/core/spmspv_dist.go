@@ -42,47 +42,7 @@ func SpMSpVDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.S
 
 	// Step 1: gather x along the processor rows.
 	rt.S.BeginPhase("Gather Input")
-	lxs := make([]*sparse.Vec[T], g.P)
-	for l := 0; l < g.P; l++ {
-		r, _ := g.Coords(l)
-		rowBase := a.RowBands[r]
-		lx := sparse.NewVec[T](a.RowBands[r+1] - rowBase)
-		var remoteElems, msgs int64
-		srcCount := 0
-		for _, src := range g.RowLocales(r) {
-			sv := x.Loc[src]
-			if sv.NNZ() == 0 {
-				continue // an empty source moves nothing — and charges nothing
-			}
-			for k, gi := range sv.Ind {
-				// Indices arrive in per-source sorted order; sources are
-				// visited in increasing order and own increasing ranges, so
-				// the concatenation stays sorted. Store block-local row ids.
-				lx.Ind = append(lx.Ind, gi-rowBase)
-				lx.Val = append(lx.Val, sv.Val[k])
-			}
-			if src != l {
-				remoteElems += int64(sv.NNZ())
-				srcCount++
-			}
-		}
-		lxs[l] = lx
-		st.GatheredElems += int64(lx.NNZ())
-		if remoteElems > 0 {
-			// Element-wise remote index/value copies plus per-source
-			// remote-domain metadata accesses. The whole machine gathers at
-			// once: the active-message service capacity is shared, so the
-			// effective latency grows with the number of contenders (P).
-			msgs = remoteElems + int64(srcCount)*6
-			o := rt.FineLatencyOpts(l, pickRemote(l, g.P), msgs, bytesPerEntry, g.P)
-			// The listing's copy loop zipper-iterates a REMOTE sparse domain;
-			// that iteration is serial (no leader/follower support), so the
-			// blocking gets admit no overlap — which is why the gather, not
-			// the scatter, dominates in the paper's Figs 8 and 9.
-			o.Overlap = 1
-			rt.S.FineGrained(l, o)
-		}
-	}
+	lxs := gatherFine(rt, a, x, &st)
 
 	// Step 2: local multiply on every locale.
 	rt.S.BeginPhase("Local Multiply")
@@ -111,9 +71,83 @@ func SpMSpVDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.S
 	// Step 3: scatter the output across locales through the global SPA
 	// (a block-distributed atomic bitmap over the column index space).
 	rt.S.BeginPhase("Scatter Output")
-	bounds := locale.BlockBounds(n, g.P)
-	isthere := make([]bool, n)
-	value := make([]int64, n)
+	spa := sparse.GetBucketSPA[int64](rt.Scratch, n, 1, 1)
+	value, isthere := spa.Dense()
+	scatterFine(rt, a, lys, isthere, value, &st)
+	y := denseToSparse(rt, n, isthere, value, &st)
+	sparse.PutBucketSPA(rt.Scratch, spa)
+	rt.S.EndPhase()
+	rt.S.Barrier()
+	return y, st
+}
+
+// rowBandInput concatenates the pieces of x that team — the locales of
+// processor row r — own into one block-local input vector, allocated once at
+// its final size. Sources are visited in increasing order and own increasing
+// index ranges, so the concatenation of their sorted pieces stays sorted.
+func rowBandInput[T semiring.Number](a *dist.Mat[T], x *dist.SpVec[T], r int, team []int) *sparse.Vec[T] {
+	rowBase := a.RowBands[r]
+	total := 0
+	for _, src := range team {
+		total += x.Loc[src].NNZ()
+	}
+	lx := &sparse.Vec[T]{N: a.RowBands[r+1] - rowBase, Ind: make([]int, 0, total), Val: make([]T, 0, total)}
+	for _, src := range team {
+		sv := x.Loc[src]
+		for _, gi := range sv.Ind {
+			lx.Ind = append(lx.Ind, gi-rowBase) // block-local row ids
+		}
+		lx.Val = append(lx.Val, sv.Val...)
+	}
+	return lx
+}
+
+// gatherFine gives every locale the x pieces of its processor row, element by
+// element as the listing copies them (step 1 of SpMSpVDist), and charges the
+// fine-grained exchange.
+func gatherFine[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.SpVec[T], st *DistStats) []*sparse.Vec[T] {
+	g := rt.G
+	lxs := make([]*sparse.Vec[T], g.P)
+	for l := 0; l < g.P; l++ {
+		r, _ := g.Coords(l)
+		team := g.RowLocales(r)
+		lxs[l] = rowBandInput(a, x, r, team)
+		st.GatheredElems += int64(lxs[l].NNZ())
+		var remoteElems int64
+		srcCount := 0
+		for _, src := range team {
+			// An empty source moves nothing — and charges nothing.
+			if n := x.Loc[src].NNZ(); n > 0 && src != l {
+				remoteElems += int64(n)
+				srcCount++
+			}
+		}
+		if remoteElems > 0 {
+			// Element-wise remote index/value copies plus per-source
+			// remote-domain metadata accesses. The whole machine gathers at
+			// once: the active-message service capacity is shared, so the
+			// effective latency grows with the number of contenders (P).
+			msgs := remoteElems + int64(srcCount)*6
+			o := rt.FineLatencyOpts(l, pickRemote(l, g.P), msgs, bytesPerEntry, g.P)
+			// The listing's copy loop zipper-iterates a REMOTE sparse domain;
+			// that iteration is serial (no leader/follower support), so the
+			// blocking gets admit no overlap — which is why the gather, not
+			// the scatter, dominates in the paper's Figs 8 and 9.
+			o.Overlap = 1
+			rt.S.FineGrained(l, o)
+		}
+	}
+	return lxs
+}
+
+// scatterFine merges the local products through the global first-wins bitmap
+// (step 3 of SpMSpVDist), one fine-grained remote update per element, and
+// returns the number of claimed positions. The local products are recycled
+// into the scratch arena.
+func scatterFine[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], lys []*sparse.Vec[int64], isthere []bool, value []int64, st *DistStats) int {
+	g := rt.G
+	n := a.NCols
+	claimed := 0
 	for l := 0; l < g.P; l++ {
 		_, c := g.Coords(l)
 		colBase := a.ColBands[c]
@@ -121,12 +155,12 @@ func SpMSpVDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.S
 		var remoteMsgs int64
 		for k, lj := range ly.Ind {
 			gj := colBase + lj
-			owner := locale.OwnerOf(n, g.P, gj)
 			if !isthere[gj] {
 				isthere[gj] = true
 				value[gj] = ly.Val[k]
+				claimed++
 			}
-			if owner != l {
+			if locale.OwnerOf(n, g.P, gj) != l {
 				remoteMsgs++
 			}
 		}
@@ -139,28 +173,43 @@ func SpMSpVDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.S
 		sparse.PutVec(rt.Scratch, ly)
 		lys[l] = nil
 	}
-	// denseToSparse: each locale scans its owned range of the bitmap.
-	y := &dist.SpVec[int64]{G: g, N: n, Bounds: bounds, Loc: make([]*sparse.Vec[int64], g.P)}
+	return claimed
+}
+
+// denseToSparse converts the global SPA back to the block-distributed sparse
+// result (the listing's denseToSparse): each locale scans its owned range of
+// the bitmap, once to size its block and once to fill it, and clears the
+// flags behind it so the SPA goes back to the arena clean.
+func denseToSparse[V semiring.Number](rt *locale.Runtime, n int, isthere []bool, value []V, st *DistStats) *dist.SpVec[V] {
+	g := rt.G
+	bounds := locale.BlockBounds(n, g.P)
+	y := &dist.SpVec[V]{G: g, N: n, Bounds: bounds, Loc: make([]*sparse.Vec[V], g.P)}
 	for l := 0; l < g.P; l++ {
-		lv := sparse.NewVec[int64](n)
-		for gj := bounds[l]; gj < bounds[l+1]; gj++ {
+		lo, hi := bounds[l], bounds[l+1]
+		cnt := 0
+		for _, there := range isthere[lo:hi] {
+			if there {
+				cnt++
+			}
+		}
+		lv := &sparse.Vec[V]{N: n, Ind: make([]int, 0, cnt), Val: make([]V, 0, cnt)}
+		for gj := lo; gj < hi && len(lv.Ind) < cnt; gj++ {
 			if isthere[gj] {
+				isthere[gj] = false
 				lv.Ind = append(lv.Ind, gj)
 				lv.Val = append(lv.Val, value[gj])
 			}
 		}
 		y.Loc[l] = lv
-		st.NnzOut += lv.NNZ()
+		st.NnzOut += cnt
 		rt.S.Compute(l, rt.Threads, sim.Kernel{
 			Name:         "spmspv-densetosparse",
-			Items:        int64(bounds[l+1] - bounds[l]),
+			Items:        int64(hi - lo),
 			CPUPerItem:   costScanCPU,
 			BytesPerItem: 1,
 		})
 	}
-	rt.S.EndPhase()
-	rt.S.Barrier()
-	return y, st
+	return y
 }
 
 // SpMSpVDistSemiring is the distributed general-semiring product
@@ -175,35 +224,7 @@ func SpMSpVDistSemiring[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x
 	rt.S.CoforallSpawn()
 
 	rt.S.BeginPhase("Gather Input")
-	lxs := make([]*sparse.Vec[T], g.P)
-	for l := 0; l < g.P; l++ {
-		r, _ := g.Coords(l)
-		rowBase := a.RowBands[r]
-		lx := sparse.NewVec[T](a.RowBands[r+1] - rowBase)
-		var remoteElems int64
-		srcCount := 0
-		for _, src := range g.RowLocales(r) {
-			sv := x.Loc[src]
-			if sv.NNZ() == 0 {
-				continue // empty sources charge nothing
-			}
-			for k, gi := range sv.Ind {
-				lx.Ind = append(lx.Ind, gi-rowBase)
-				lx.Val = append(lx.Val, sv.Val[k])
-			}
-			if src != l {
-				remoteElems += int64(sv.NNZ())
-				srcCount++
-			}
-		}
-		lxs[l] = lx
-		st.GatheredElems += int64(lx.NNZ())
-		if remoteElems > 0 {
-			o := rt.FineLatencyOpts(l, pickRemote(l, g.P), remoteElems+int64(srcCount)*6, bytesPerEntry, g.P)
-			o.Overlap = 1 // serial remote-domain iteration, as in SpMSpVDist
-			rt.S.FineGrained(l, o)
-		}
-	}
+	lxs := gatherFine(rt, a, x, &st)
 
 	rt.S.BeginPhase("Local Multiply")
 	lys := make([]*sparse.Vec[T], g.P)
@@ -222,13 +243,12 @@ func SpMSpVDistSemiring[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x
 		st.LocalEntries += shmStats.EntriesVisited
 	}
 
+	// The accumulator starts at the additive identity everywhere; a position
+	// is initialised when the first contribution reaches it.
 	rt.S.BeginPhase("Scatter Output")
-	bounds := locale.BlockBounds(n, g.P)
-	acc := make([]T, n)
-	touched := make([]bool, n)
-	for i := range acc {
-		acc[i] = sr.AddIdentity()
-	}
+	spa := sparse.GetBucketSPA[T](rt.Scratch, n, 1, 1)
+	acc, touched := spa.Dense()
+	id, add := sr.AddIdentity(), sr.Add.Op
 	for l := 0; l < g.P; l++ {
 		_, c := g.Coords(l)
 		colBase := a.ColBands[c]
@@ -236,8 +256,11 @@ func SpMSpVDistSemiring[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x
 		var remoteMsgs int64
 		for k, lj := range ly.Ind {
 			gj := colBase + lj
-			acc[gj] = sr.Add.Op(acc[gj], ly.Val[k])
-			touched[gj] = true
+			if !touched[gj] {
+				touched[gj] = true
+				acc[gj] = id
+			}
+			acc[gj] = add(acc[gj], ly.Val[k])
 			if locale.OwnerOf(n, g.P, gj) != l {
 				remoteMsgs++
 			}
@@ -250,24 +273,8 @@ func SpMSpVDistSemiring[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x
 		sparse.PutVec(rt.Scratch, ly)
 		lys[l] = nil
 	}
-	y := &dist.SpVec[T]{G: g, N: n, Bounds: bounds, Loc: make([]*sparse.Vec[T], g.P)}
-	for l := 0; l < g.P; l++ {
-		lv := sparse.NewVec[T](n)
-		for gj := bounds[l]; gj < bounds[l+1]; gj++ {
-			if touched[gj] {
-				lv.Ind = append(lv.Ind, gj)
-				lv.Val = append(lv.Val, acc[gj])
-			}
-		}
-		y.Loc[l] = lv
-		st.NnzOut += lv.NNZ()
-		rt.S.Compute(l, rt.Threads, sim.Kernel{
-			Name:         "spmspv-densetosparse",
-			Items:        int64(bounds[l+1] - bounds[l]),
-			CPUPerItem:   costScanCPU,
-			BytesPerItem: 1,
-		})
-	}
+	y := denseToSparse(rt, n, touched, acc, &st)
+	sparse.PutBucketSPA(rt.Scratch, spa)
 	rt.S.EndPhase()
 	rt.S.Barrier()
 	return y, st

@@ -67,7 +67,9 @@ func FusedApplyEWiseMult[T semiring.Number](rt *locale.Runtime, x *dist.SpVec[T]
 			kept = fusedApplyScanPar(rt, lx, ly, base, op, pred, keepPos)
 		}
 		keepPos = keepPos[:kept]
-		sparse.RadixSortInts32(keepPos)
+		if rt.RealWorkers > 1 {
+			sparse.RadixSortInts32(keepPos) // concurrent compaction scrambles the order
+		}
 		lz := z.Loc[l]
 		if cap(lz.Ind) < kept {
 			lz.Ind = make([]int, kept)
@@ -119,17 +121,21 @@ func fusedApplyScanPar[T semiring.Number](rt *locale.Runtime, lx *sparse.Vec[T],
 	return ewiseScanPar(rt, lx, ly, base, pred, keepPos)
 }
 
-// fusedMaskBroadcast replicates the mask segments down the grid columns,
-// identically to SpMSpVDistMasked's step 0 (one tree broadcast per column
-// team, charged only when the column team spans more than one locale).
+// fusedMaskBroadcast replicates the mask segments down the grid columns —
+// SpMSpVDistMasked's step 0 (one tree broadcast per column team, charged only
+// when the column team spans more than one locale). The segments are arena
+// scratch: whoever filters with them hands them back with putBandMask.
 func fusedMaskBroadcast(rt *locale.Runtime, colBands []int, mask *dist.DenseVec[int64]) [][]int64 {
 	g := rt.G
 	bandMask := make([][]int64, g.Pc)
 	for c := 0; c < g.Pc; c++ {
 		lo, hi := colBands[c], colBands[c+1]
-		seg := make([]int64, hi-lo)
-		for gi := lo; gi < hi; gi++ {
-			seg[gi-lo] = mask.Get(gi)
+		seg := rt.Scratch.GetInt64s(hi - lo)
+		for l := 0; l < g.P; l++ {
+			// The piece of the band that locale l's block of the mask holds.
+			if from, to := max(lo, mask.Bounds[l]), min(hi, mask.Bounds[l+1]); from < to {
+				copy(seg[from-lo:], mask.Loc[l][from-mask.Bounds[l]:to-mask.Bounds[l]])
+			}
 		}
 		bandMask[c] = seg
 		if g.Pr > 1 {
@@ -142,43 +148,14 @@ func fusedMaskBroadcast(rt *locale.Runtime, colBands []int, mask *dist.DenseVec[
 	return bandMask
 }
 
-// fusedGather concatenates the row-band pieces of x on every locale — the
-// gather phase of SpMSpVDist, with identical fine-grained charging.
-func fusedGather[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.SpVec[T], st *DistStats) []*sparse.Vec[T] {
-	g := rt.G
-	lxs := make([]*sparse.Vec[T], g.P)
-	for l := 0; l < g.P; l++ {
-		r, _ := g.Coords(l)
-		rowBase := a.RowBands[r]
-		lx := sparse.NewVec[T](a.RowBands[r+1] - rowBase)
-		var remoteElems int64
-		srcCount := 0
-		for _, src := range g.RowLocales(r) {
-			sv := x.Loc[src]
-			if sv.NNZ() == 0 {
-				continue // empty sources charge nothing
-			}
-			for k, gi := range sv.Ind {
-				lx.Ind = append(lx.Ind, gi-rowBase)
-				lx.Val = append(lx.Val, sv.Val[k])
-			}
-			if src != l {
-				remoteElems += int64(sv.NNZ())
-				srcCount++
-			}
-		}
-		lxs[l] = lx
-		st.GatheredElems += int64(lx.NNZ())
-		if remoteElems > 0 {
-			o := rt.FineLatencyOpts(l, pickRemote(l, g.P), remoteElems+int64(srcCount)*6, bytesPerEntry, g.P)
-			o.Overlap = 1 // serial remote-domain iteration, as in SpMSpVDist
-			rt.S.FineGrained(l, o)
-		}
+// putBandMask returns fusedMaskBroadcast's segments to the arena.
+func putBandMask(rt *locale.Runtime, bandMask [][]int64) {
+	for _, seg := range bandMask {
+		rt.Scratch.PutInt64s(seg)
 	}
-	return lxs
 }
 
-// fusedGatherBulk is fusedGather with the bulk collective's charging: one
+// fusedGatherBulk is gatherFine with the bulk collective's charging: one
 // α+βn payload per (src, dst) team pair plus a per-destination sorted merge,
 // exactly as comm.SparseRowAllGather prices it. The gathered data is
 // identical (team order concatenates disjoint ascending ranges), so the
@@ -188,28 +165,18 @@ func fusedGatherBulk[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *d
 	lxs := make([]*sparse.Vec[T], g.P)
 	for l := 0; l < g.P; l++ {
 		r, _ := g.Coords(l)
-		rowBase := a.RowBands[r]
-		lx := sparse.NewVec[T](a.RowBands[r+1] - rowBase)
-		merged := 0
-		for _, src := range g.RowLocales(r) {
-			sv := x.Loc[src]
-			if sv.NNZ() == 0 {
-				continue // empty sources send nothing
-			}
-			for k, gi := range sv.Ind {
-				lx.Ind = append(lx.Ind, gi-rowBase)
-				lx.Val = append(lx.Val, sv.Val[k])
-			}
-			merged += sv.NNZ()
-			if src != l {
-				rt.S.Bulk(l, sparsePayloadBytes(sv.NNZ()), g.SameNode(src, l))
+		team := g.RowLocales(r)
+		lxs[l] = rowBandInput(a, x, r, team)
+		st.GatheredElems += int64(lxs[l].NNZ())
+		for _, src := range team {
+			// Empty sources send nothing.
+			if n := x.Loc[src].NNZ(); n > 0 && src != l {
+				rt.S.Bulk(l, sparsePayloadBytes(n), g.SameNode(src, l))
 			}
 		}
-		lxs[l] = lx
-		st.GatheredElems += int64(lx.NNZ())
 		rt.S.Compute(l, 1, sim.Kernel{
 			Name:       "sparse-allgather-merge",
-			Items:      int64(merged),
+			Items:      int64(lxs[l].NNZ()),
 			CPUPerItem: estSparseMergeCPU,
 		})
 	}
@@ -219,7 +186,7 @@ func fusedGatherBulk[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *d
 // fusedLocalMultiply runs the per-block shared-memory SpMSpV on every locale
 // and rewrites the discovered row ids to global vertex ids. When bandMask is
 // non-nil the replicated mask segment filters the local product before the
-// scatter: an entry at band-local position lj survives when
+// scatter (and is recycled afterwards): an entry at band-local position lj survives when
 // (seg[lj] != 0) == keepNonzero. The mask is position-only, so filtering
 // before the first-wins scatter claims exactly the positions the eager
 // multiply-then-filter chain keeps, with the same winning values.
@@ -247,7 +214,7 @@ func fusedLocalMultiply[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], l
 		} else {
 			seg := bandMask[c]
 			candidates := ly.NNZ()
-			filtered := sparse.NewVec[int64](ly.N)
+			filtered := sparse.GetVec[int64](rt.Scratch, ly.N) // recycled by the scatter
 			for k, lj := range ly.Ind {
 				if (seg[lj] != 0) != keepNonzero {
 					continue
@@ -266,48 +233,15 @@ func fusedLocalMultiply[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], l
 		}
 		st.LocalEntries += shmStats.EntriesVisited
 	}
+	putBandMask(rt, bandMask)
 	return lys
 }
 
-// fusedScatter merges the local products through the global first-wins bitmap
-// (SpMSpVDist's step 3) and returns the number of claimed positions. The
-// local products are recycled into the scratch arena.
-func fusedScatter[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], lys []*sparse.Vec[int64], isthere []bool, value []int64, st *DistStats) int {
-	g := rt.G
-	n := a.NCols
-	claimed := 0
-	for l := 0; l < g.P; l++ {
-		_, c := g.Coords(l)
-		colBase := a.ColBands[c]
-		ly := lys[l]
-		var remoteMsgs int64
-		for k, lj := range ly.Ind {
-			gj := colBase + lj
-			if !isthere[gj] {
-				isthere[gj] = true
-				value[gj] = ly.Val[k]
-				claimed++
-			}
-			if locale.OwnerOf(n, g.P, gj) != l {
-				remoteMsgs++
-			}
-		}
-		st.ScatteredMsgs += int64(ly.NNZ())
-		if remoteMsgs > 0 {
-			o := rt.FineLatencyOpts(l, pickRemote(l, g.P), remoteMsgs, bytesPerEntry, g.P)
-			rt.S.FineGrained(l, o)
-		}
-		sparse.PutVec(rt.Scratch, ly)
-		lys[l] = nil
-	}
-	return claimed
-}
-
-// fusedScatterBulk is fusedScatter with the bulk collective's charging: each
+// fusedScatterBulk is scatterFine with the bulk collective's charging: each
 // source's sorted output run splits into per-owner segments, one α+βn payload
 // per remote (src, owner) segment plus a per-owner merge, exactly as
 // comm.ColMergeScatter prices it. The bitmap mutation is identical to
-// fusedScatter (first-wins in locale order), so results are bitwise unchanged.
+// scatterFine (first-wins in locale order), so results are bitwise unchanged.
 func fusedScatterBulk[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], lys []*sparse.Vec[int64], isthere []bool, value []int64, st *DistStats) int {
 	g := rt.G
 	n := a.NCols
@@ -415,20 +349,21 @@ func FusedBFSRound[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], fronti
 	if choice == inspect.CommBulk {
 		lxs = fusedGatherBulk(rt, a, frontier, &st)
 	} else {
-		lxs = fusedGather(rt, a, frontier, &st)
+		lxs = gatherFine(rt, a, frontier, &st)
 	}
 
 	rt.S.BeginPhase("Local Multiply")
 	lys := fusedLocalMultiply(rt, a, lxs, bandMask, keepNonzero, &st)
 
 	rt.S.BeginPhase("Scatter Output")
-	isthere := make([]bool, n)
-	value := make([]int64, n)
+	spa := sparse.GetBucketSPA[int64](rt.Scratch, n, 1, 1)
+	defer sparse.PutBucketSPA(rt.Scratch, spa)
+	value, isthere := spa.Dense()
 	var claimed int
 	if choice == inspect.CommBulk {
 		claimed = fusedScatterBulk(rt, a, lys, isthere, value, &st)
 	} else {
-		claimed = fusedScatter(rt, a, lys, isthere, value, &st)
+		claimed = scatterFine(rt, a, lys, isthere, value, &st)
 	}
 	est.observe(rt.Insp, choice, st)
 	if claimed == 0 {
@@ -458,6 +393,7 @@ func FusedBFSRound[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], fronti
 			if !isthere[gj] {
 				continue
 			}
+			isthere[gj] = false
 			levels[gj] = level
 			parents[gj] = value[gj]
 			seg[gj-mbase] = newMask
@@ -509,7 +445,7 @@ func FusedSpMSpVMaskedAssign[T semiring.Number](rt *locale.Runtime, a *dist.Mat[
 	if choice == inspect.CommBulk {
 		lxs = fusedGatherBulk(rt, a, x, &st)
 	} else {
-		lxs = fusedGather(rt, a, x, &st)
+		lxs = gatherFine(rt, a, x, &st)
 	}
 
 	rt.S.BeginPhase("Local Multiply")
@@ -517,12 +453,13 @@ func FusedSpMSpVMaskedAssign[T semiring.Number](rt *locale.Runtime, a *dist.Mat[
 	lys := fusedLocalMultiply(rt, a, lxs, bandMask, false, &st)
 
 	rt.S.BeginPhase("Scatter Output")
-	isthere := make([]bool, n)
-	value := make([]int64, n)
+	spa := sparse.GetBucketSPA[int64](rt.Scratch, n, 1, 1)
+	defer sparse.PutBucketSPA(rt.Scratch, spa)
+	value, isthere := spa.Dense()
 	if choice == inspect.CommBulk {
 		fusedScatterBulk(rt, a, lys, isthere, value, &st)
 	} else {
-		fusedScatter(rt, a, lys, isthere, value, &st)
+		scatterFine(rt, a, lys, isthere, value, &st)
 	}
 	est.observe(rt.Insp, choice, st)
 
@@ -536,6 +473,7 @@ func FusedSpMSpVMaskedAssign[T semiring.Number](rt *locale.Runtime, a *dist.Mat[
 			if !isthere[gj] {
 				continue
 			}
+			isthere[gj] = false
 			ld.Ind = append(ld.Ind, gj)
 			ld.Val = append(ld.Val, value[gj])
 			installed++
@@ -584,19 +522,20 @@ func FusedSpMSpVFilterAssign[T semiring.Number](rt *locale.Runtime, a *dist.Mat[
 	if choice == inspect.CommBulk {
 		lxs = fusedGatherBulk(rt, a, x, &st)
 	} else {
-		lxs = fusedGather(rt, a, x, &st)
+		lxs = gatherFine(rt, a, x, &st)
 	}
 
 	rt.S.BeginPhase("Local Multiply")
 	lys := fusedLocalMultiply(rt, a, lxs, nil, false, &st)
 
 	rt.S.BeginPhase("Scatter Output")
-	isthere := make([]bool, n)
-	value := make([]int64, n)
+	spa := sparse.GetBucketSPA[int64](rt.Scratch, n, 1, 1)
+	defer sparse.PutBucketSPA(rt.Scratch, spa)
+	value, isthere := spa.Dense()
 	if choice == inspect.CommBulk {
 		fusedScatterBulk(rt, a, lys, isthere, value, &st)
 	} else {
-		fusedScatter(rt, a, lys, isthere, value, &st)
+		scatterFine(rt, a, lys, isthere, value, &st)
 	}
 	est.observe(rt.Insp, choice, st)
 
@@ -613,6 +552,7 @@ func FusedSpMSpVFilterAssign[T semiring.Number](rt *locale.Runtime, a *dist.Mat[
 			if !isthere[gj] {
 				continue
 			}
+			isthere[gj] = false
 			candidates++
 			if !pred(value[gj], lm[gj-mbase]) {
 				continue
@@ -671,50 +611,17 @@ func FusedSpMVUpdate[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *d
 		return err
 	}
 
-	partials := make([][]T, g.P)
-	id := sr.AddIdentity()
-	for l := 0; l < g.P; l++ {
-		_, c := g.Coords(l)
-		blk := a.Blocks[l]
-		xb := xParts[l]
-		part := make([]T, a.ColBands[c+1]-a.ColBands[c])
-		for i := range part {
-			part[i] = id
-		}
-		var flops int64
-		for i := 0; i < blk.NRows; i++ {
-			xv := xb[i]
-			if xv == id {
-				continue
-			}
-			cols, vals := blk.Row(i)
-			flops += int64(len(cols))
-			for k, j := range cols {
-				part[j] = sr.Add.Op(part[j], sr.Mul(xv, vals[k]))
-			}
-		}
-		partials[l] = part
-		rt.S.Compute(l, rt.Threads, sim.Kernel{
-			Name:         "spmv-local",
-			Items:        flops + int64(blk.NRows),
-			CPUPerItem:   12,
-			BytesPerItem: 20,
-		})
-	}
+	partials := spmvPartials(rt, a, xParts, sr)
 
 	reduced, err := comm.ColReduceScatter(rt, partials, sr.Add)
 	if err != nil {
 		return err
 	}
-	bounds := locale.BlockBounds(a.NCols, g.P)
-	for l := 0; l < g.P; l++ {
-		lo, hi := bounds[l], bounds[l+1]
-		for gi := lo; gi < hi; gi++ {
-			c := locale.OwnerOf(a.NCols, g.Pc, gi)
-			src := reduced[g.ID(0, c)]
-			update(l, gi, src[gi-a.ColBands[c]])
+	spmvAssemble(g, a.ColBands, locale.BlockBounds(a.NCols, g.P), reduced, func(l, lo int, src []T) {
+		for i, v := range src {
+			update(l, lo+i, v)
 		}
-	}
+	})
 	rt.S.Barrier()
 	return nil
 }

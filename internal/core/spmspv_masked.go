@@ -29,56 +29,14 @@ func SpMSpVDistMasked[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *
 	rt.S.CoforallSpawn()
 
 	// Step 0: replicate the mask along grid columns — each locale (r, c)
-	// needs the mask over its column band [ColBands[c], ColBands[c+1]).
+	// needs the mask over its column band [ColBands[c], ColBands[c+1]): one
+	// tree broadcast down each column team.
 	rt.S.BeginPhase("Mask Broadcast")
-	bandMask := make([][]int64, g.Pc)
-	for c := 0; c < g.Pc; c++ {
-		lo, hi := a.ColBands[c], a.ColBands[c+1]
-		seg := make([]int64, hi-lo)
-		for gi := lo; gi < hi; gi++ {
-			seg[gi-lo] = mask.Get(gi)
-		}
-		bandMask[c] = seg
-		// One tree broadcast down the column team.
-		if g.Pr > 1 {
-			per := rt.S.BulkTime(int64(len(seg)), false) * logDepth(g.Pr)
-			for _, l := range g.ColLocales(c) {
-				rt.S.Advance(l, per)
-			}
-		}
-	}
+	bandMask := fusedMaskBroadcast(rt, a.ColBands, mask)
 
 	// Step 1: gather x along the processor rows (identical to SpMSpVDist).
 	rt.S.BeginPhase("Gather Input")
-	lxs := make([]*sparse.Vec[T], g.P)
-	for l := 0; l < g.P; l++ {
-		r, _ := g.Coords(l)
-		rowBase := a.RowBands[r]
-		lx := sparse.NewVec[T](a.RowBands[r+1] - rowBase)
-		var remoteElems int64
-		srcCount := 0
-		for _, src := range g.RowLocales(r) {
-			sv := x.Loc[src]
-			if sv.NNZ() == 0 {
-				continue // empty sources charge nothing
-			}
-			for k, gi := range sv.Ind {
-				lx.Ind = append(lx.Ind, gi-rowBase)
-				lx.Val = append(lx.Val, sv.Val[k])
-			}
-			if src != l {
-				remoteElems += int64(sv.NNZ())
-				srcCount++
-			}
-		}
-		lxs[l] = lx
-		st.GatheredElems += int64(lx.NNZ())
-		if remoteElems > 0 {
-			o := rt.FineLatencyOpts(l, pickRemote(l, g.P), remoteElems+int64(srcCount)*6, bytesPerEntry, g.P)
-			o.Overlap = 1
-			rt.S.FineGrained(l, o)
-		}
-	}
+	lxs := gatherFine(rt, a, x, &st)
 
 	// Step 2: local multiply, filtering against the replicated mask segment.
 	rt.S.BeginPhase("Local Multiply")
@@ -97,7 +55,7 @@ func SpMSpVDistMasked[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *
 		})
 		rowBase := int64(a.RowBands[r])
 		seg := bandMask[c]
-		filtered := sparse.NewVec[int64](ly.N)
+		filtered := sparse.GetVec[int64](rt.Scratch, ly.N) // recycled by the scatter
 		for k, lj := range ly.Ind {
 			if seg[lj] != 0 {
 				continue // suppressed by the complemented mask
@@ -115,51 +73,15 @@ func SpMSpVDistMasked[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *
 		lys[l] = filtered
 		st.LocalEntries += shmStats.EntriesVisited
 	}
+	putBandMask(rt, bandMask)
 
 	// Step 3: scatter only the surviving elements.
 	rt.S.BeginPhase("Scatter Output")
-	bounds := locale.BlockBounds(n, g.P)
-	isthere := make([]bool, n)
-	value := make([]int64, n)
-	for l := 0; l < g.P; l++ {
-		_, c := g.Coords(l)
-		colBase := a.ColBands[c]
-		ly := lys[l]
-		var remoteMsgs int64
-		for k, lj := range ly.Ind {
-			gj := colBase + lj
-			if !isthere[gj] {
-				isthere[gj] = true
-				value[gj] = ly.Val[k]
-			}
-			if locale.OwnerOf(n, g.P, gj) != l {
-				remoteMsgs++
-			}
-		}
-		st.ScatteredMsgs += int64(ly.NNZ())
-		if remoteMsgs > 0 {
-			o := rt.FineLatencyOpts(l, pickRemote(l, g.P), remoteMsgs, bytesPerEntry, g.P)
-			rt.S.FineGrained(l, o)
-		}
-	}
-	y := &dist.SpVec[int64]{G: g, N: n, Bounds: bounds, Loc: make([]*sparse.Vec[int64], g.P)}
-	for l := 0; l < g.P; l++ {
-		lv := sparse.NewVec[int64](n)
-		for gj := bounds[l]; gj < bounds[l+1]; gj++ {
-			if isthere[gj] {
-				lv.Ind = append(lv.Ind, gj)
-				lv.Val = append(lv.Val, value[gj])
-			}
-		}
-		y.Loc[l] = lv
-		st.NnzOut += lv.NNZ()
-		rt.S.Compute(l, rt.Threads, sim.Kernel{
-			Name:         "spmspv-densetosparse",
-			Items:        int64(bounds[l+1] - bounds[l]),
-			CPUPerItem:   costScanCPU,
-			BytesPerItem: 1,
-		})
-	}
+	spa := sparse.GetBucketSPA[int64](rt.Scratch, n, 1, 1)
+	value, isthere := spa.Dense()
+	scatterFine(rt, a, lys, isthere, value, &st)
+	y := denseToSparse(rt, n, isthere, value, &st)
+	sparse.PutBucketSPA(rt.Scratch, spa)
 	rt.S.EndPhase()
 	rt.S.Barrier()
 	return y, st

@@ -13,7 +13,10 @@
 // shortest paths, and (min,select2nd) over int64 for BFS parent propagation.
 package semiring
 
-import "math"
+import (
+	"math"
+	"reflect"
+)
 
 // Signed is the constraint for signed integer element types.
 type Signed interface {
@@ -79,6 +82,50 @@ type Semiring[T any] struct {
 	Name string
 	Add  Monoid[T]
 	Mul  BinaryOp[T]
+
+	// kind and the code pointers of the operators the constructor installed;
+	// see Kind. A struct literal leaves them zero.
+	kind         Kind
+	addPC, mulPC uintptr
+}
+
+// Kind names a built-in semiring whose arithmetic the kernels may inline.
+type Kind uint8
+
+const (
+	// KindGeneric is every semiring the kernels must run through its
+	// function-valued operators: user struct literals, and copies of a
+	// built-in whose operators were reassigned.
+	KindGeneric Kind = iota
+	KindPlusTimes
+	KindMinPlus
+	KindMaxPlus
+	KindLOrLAnd
+	KindMinSecond
+	KindMinFirst
+)
+
+// Kind reports which built-in semiring s still is. Add.Op and Mul are
+// exported, so a copy of a built-in may carry other operators by now: the
+// tag is honoured only while both still have the code pointers the
+// constructor recorded. A false KindGeneric costs speed only; a false
+// built-in would compute with the wrong operator, and cannot happen —
+// another function cannot have the same code pointer, and a closure over the
+// same code would need the same element type, where it is the same operator.
+// Kernels call this once per call, never per nonzero.
+func (s Semiring[T]) Kind() Kind {
+	if s.kind == KindGeneric || funcPC(s.Add.Op) != s.addPC || funcPC(s.Mul) != s.mulPC {
+		return KindGeneric
+	}
+	return s.kind
+}
+
+func funcPC[T any](f BinaryOp[T]) uintptr { return reflect.ValueOf(f).Pointer() }
+
+// builtin tags s as the built-in semiring k.
+func builtin[T any](k Kind, s Semiring[T]) Semiring[T] {
+	s.kind, s.addPC, s.mulPC = k, funcPC(s.Add.Op), funcPC(s.Mul)
+	return s
 }
 
 // AddOp returns the additive binary operator of the semiring.
@@ -100,16 +147,15 @@ func MaxValue[T Number]() T {
 		// Unsigned: -1 converts (by truncation) to the all-ones maximum.
 		return T(minusOne)
 	}
-	// Signed: double 1 until it wraps; the last pre-wrap power of two is
-	// 2^(bits-2), and the maximum is 2*2^(bits-2) - 1.
-	x := T(1)
-	for {
-		y := x + x
-		if y <= x {
-			return x + (x - 1)
+	// Signed: probe the width — the maximum is the value whose successor
+	// wraps negative.
+	for _, m := range [...]int64{math.MaxInt8, math.MaxInt16, math.MaxInt32} {
+		if v := T(m); v+1 < v {
+			return v
 		}
-		x = y
 	}
+	m := int64(math.MaxInt64)
+	return T(m)
 }
 
 // MinValue returns the identity of the Max monoid: -Inf for floating-point
@@ -249,35 +295,35 @@ func LAndMonoid[T Number]() Monoid[T] {
 
 // PlusTimes is the arithmetic semiring (+, ×, 0).
 func PlusTimes[T Number]() Semiring[T] {
-	return Semiring[T]{Name: "plus-times", Add: PlusMonoid[T](), Mul: Times[T]}
+	return builtin(KindPlusTimes, Semiring[T]{Name: "plus-times", Add: PlusMonoid[T](), Mul: Times[T]})
 }
 
 // MinPlus is the tropical semiring (min, +, +∞) used for shortest paths.
 func MinPlus[T Number]() Semiring[T] {
-	return Semiring[T]{Name: "min-plus", Add: MinMonoid[T](), Mul: SaturatingPlus[T]}
+	return builtin(KindMinPlus, Semiring[T]{Name: "min-plus", Add: MinMonoid[T](), Mul: SaturatingPlus[T]})
 }
 
 // MaxPlus is the (max, +, -∞) semiring used for longest/critical paths.
 func MaxPlus[T Number]() Semiring[T] {
-	return Semiring[T]{Name: "max-plus", Add: MaxMonoid[T](), Mul: Plus[T]}
+	return builtin(KindMaxPlus, Semiring[T]{Name: "max-plus", Add: MaxMonoid[T](), Mul: Plus[T]})
 }
 
 // LOrLAnd is the Boolean semiring (∨, ∧, 0) used for reachability.
 func LOrLAnd[T Number]() Semiring[T] {
-	return Semiring[T]{Name: "lor-land", Add: LOrMonoid[T](), Mul: LAnd[T]}
+	return builtin(KindLOrLAnd, Semiring[T]{Name: "lor-land", Add: LOrMonoid[T](), Mul: LAnd[T]})
 }
 
 // MinSecond is the BFS semiring (min, second, +∞): multiplying a frontier
 // value with a matrix entry yields the frontier value, and collisions keep the
 // minimum, so SpMSpV over MinSecond propagates (for example) parent ids.
 func MinSecond[T Number]() Semiring[T] {
-	return Semiring[T]{Name: "min-second", Add: MinMonoid[T](), Mul: secondSaturating[T]}
+	return builtin(KindMinSecond, Semiring[T]{Name: "min-second", Add: MinMonoid[T](), Mul: secondSaturating[T]})
 }
 
 // MinFirst is the (min, first, +∞) semiring; symmetric counterpart of
 // MinSecond for column-major formulations.
 func MinFirst[T Number]() Semiring[T] {
-	return Semiring[T]{Name: "min-first", Add: MinMonoid[T](), Mul: firstSaturating[T]}
+	return builtin(KindMinFirst, Semiring[T]{Name: "min-first", Add: MinMonoid[T](), Mul: firstSaturating[T]})
 }
 
 // SaturatingPlus adds but keeps the Min identity ("+∞") absorbing, so that

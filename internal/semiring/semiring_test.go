@@ -290,3 +290,103 @@ func TestAnnihilatorMinPlus(t *testing.T) {
 		}
 	}
 }
+
+// extremes checks MaxValue/MinValue of one element type against the
+// constants of its underlying type.
+func extremes[T Number](t *testing.T, name string, wantMax, wantMin float64) {
+	t.Helper()
+	if got := float64(MaxValue[T]()); got != wantMax {
+		t.Errorf("MaxValue[%s] = %g, want %g", name, got, wantMax)
+	}
+	if got := float64(MinValue[T]()); got != wantMin {
+		t.Errorf("MinValue[%s] = %g, want %g", name, got, wantMin)
+	}
+}
+
+type (
+	namedInt16  int16
+	namedUint32 uint32
+	namedFloat  float64
+)
+
+// TestMaxMinValueEveryNumberType is the table for the constant-time
+// MaxValue/MinValue: every type of the Number constraint, and named types of
+// three of its shapes. The 64-bit maxima round to the same float64 on both
+// sides, and are compared exactly below.
+func TestMaxMinValueEveryNumberType(t *testing.T) {
+	inf := math.Inf(1)
+	extremes[int8](t, "int8", math.MaxInt8, math.MinInt8)
+	extremes[int16](t, "int16", math.MaxInt16, math.MinInt16)
+	extremes[int32](t, "int32", math.MaxInt32, math.MinInt32)
+	extremes[int64](t, "int64", math.MaxInt64, math.MinInt64)
+	extremes[int](t, "int", math.MaxInt, math.MinInt)
+	extremes[uint8](t, "uint8", math.MaxUint8, 0)
+	extremes[uint16](t, "uint16", math.MaxUint16, 0)
+	extremes[uint32](t, "uint32", math.MaxUint32, 0)
+	extremes[uint64](t, "uint64", math.MaxUint64, 0)
+	extremes[uint](t, "uint", math.MaxUint, 0)
+	extremes[float32](t, "float32", inf, -inf)
+	extremes[float64](t, "float64", inf, -inf)
+	extremes[namedInt16](t, "namedInt16", math.MaxInt16, math.MinInt16)
+	extremes[namedUint32](t, "namedUint32", math.MaxUint32, 0)
+	extremes[namedFloat](t, "namedFloat", inf, -inf)
+	if MaxValue[int64]() != math.MaxInt64 || MinValue[int64]() != math.MinInt64 || MaxValue[uint64]() != math.MaxUint64 {
+		t.Errorf("64-bit extremes: %d %d %d", MaxValue[int64](), MinValue[int64](), MaxValue[uint64]())
+	}
+}
+
+// TestKindTagCannotLie pins the contract of Semiring.Kind: only the built-in
+// constructors set it, and it is withdrawn the moment either operator of a
+// copy stops being the constructor's.
+func TestKindTagCannotLie(t *testing.T) {
+	for want, sr := range map[Kind]Semiring[float64]{
+		KindPlusTimes: PlusTimes[float64](),
+		KindMinPlus:   MinPlus[float64](),
+		KindMaxPlus:   MaxPlus[float64](),
+		KindLOrLAnd:   LOrLAnd[float64](),
+		KindMinSecond: MinSecond[float64](),
+		KindMinFirst:  MinFirst[float64](),
+	} {
+		if got := sr.Kind(); got != want {
+			t.Errorf("%s: Kind() = %d, want %d", sr.Name, got, want)
+		}
+		cp := sr // a copy keeps the tag while it keeps the operators
+		if cp.Kind() != want {
+			t.Errorf("%s: an untouched copy lost its kind", sr.Name)
+		}
+		cp.Add.Identity = 42 // not an operator: the kernels read it from the struct
+		if cp.Kind() != want {
+			t.Errorf("%s: changing the identity withdrew the kind", sr.Name)
+		}
+		mul := sr
+		mul.Mul = func(a, b float64) float64 { return a - b }
+		if mul.Kind() != KindGeneric {
+			t.Errorf("%s: Kind() = %d after Mul was reassigned", sr.Name, mul.Kind())
+		}
+		add := sr
+		add.Add.Op = func(a, b float64) float64 { return a * b }
+		if add.Kind() != KindGeneric {
+			t.Errorf("%s: Kind() = %d after Add.Op was reassigned", sr.Name, add.Kind())
+		}
+		none := sr
+		none.Mul = nil
+		if none.Kind() != KindGeneric {
+			t.Errorf("%s: Kind() = %d with a nil Mul", sr.Name, none.Kind())
+		}
+	}
+	// Another built-in's operator is still not this built-in's.
+	swapped := MinPlus[float64]()
+	swapped.Mul = MinSecond[float64]().Mul
+	if swapped.Kind() != KindGeneric {
+		t.Errorf("MinPlus with MinSecond's Mul: Kind() = %d", swapped.Kind())
+	}
+	// A struct literal of the very same operators is a user's semiring.
+	lit := Semiring[float64]{Name: "mine", Add: PlusMonoid[float64](), Mul: Times[float64]}
+	if lit.Kind() != KindGeneric {
+		t.Errorf("struct literal: Kind() = %d, want generic", lit.Kind())
+	}
+	// The tag is per element type.
+	if PlusTimes[int32]().Kind() != KindPlusTimes || MinFirst[int64]().Kind() != KindMinFirst {
+		t.Error("integer instantiations lost their kind")
+	}
+}

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"math"
 	"net/http"
 	"strconv"
@@ -68,13 +70,13 @@ type queryResponse struct {
 	Rounds int `json:"rounds,omitempty"`
 	Batch  int `json:"batch,omitempty"` // >1 when served from a coalesced MSBFS run
 
-	Levels     []int64   `json:"levels,omitempty"`
-	Parents    []int64   `json:"parents,omitempty"`
-	Dist       []float64 `json:"dist,omitempty"`
-	Ranks      []float64 `json:"ranks,omitempty"`
-	Labels     []int64   `json:"labels,omitempty"`
-	Components int       `json:"components,omitempty"`
-	Triangles  int64     `json:"triangles,omitempty"`
+	Levels     []int64    `json:"levels,omitempty"`
+	Parents    []int64    `json:"parents,omitempty"`
+	Dist       []*float64 `json:"dist,omitempty"` // null = unreachable
+	Ranks      []float64  `json:"ranks,omitempty"`
+	Labels     []int64    `json:"labels,omitempty"`
+	Components int        `json:"components,omitempty"`
+	Triangles  int64      `json:"triangles,omitempty"`
 
 	ModeledMS  float64 `json:"modeled_ms"`
 	Recoveries int     `json:"recoveries,omitempty"`
@@ -102,10 +104,33 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// writeJSON encodes v before committing the status line, so a value JSON
+// cannot represent (a NaN, say) becomes a logged 500 instead of a 200 with
+// an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		log.Printf("serve: encoding a %T response: %v", v, err)
+		status = http.StatusInternalServerError
+		buf.Reset()
+		// A map of strings always encodes.
+		_ = json.NewEncoder(&buf).Encode(map[string]string{"error": "encoding the response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(buf.Bytes()) // a failed write means the client has gone
+}
+
+// nullableDist prepares SSSP distances for JSON, which has no infinity: an
+// unreachable vertex (+Inf) becomes nil and encodes as null.
+func nullableDist(dist []float64) []*float64 {
+	out := make([]*float64, len(dist))
+	for i := range dist {
+		if !math.IsInf(dist[i], 1) {
+			out[i] = &dist[i]
+		}
+	}
+	return out
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -340,7 +365,7 @@ func runOp(qc *gb.Context, m *gb.Matrix[float64], req *queryRequest, resp *query
 		if err != nil {
 			return err
 		}
-		resp.Dist, resp.Rounds = dist, rounds
+		resp.Dist, resp.Rounds = nullableDist(dist), rounds
 	case "pagerank":
 		d, tol, iters := req.Damping, req.Tol, req.MaxIter
 		if d <= 0 || d >= 1 {

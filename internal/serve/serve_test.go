@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"repro/gb"
+	"repro/internal/algorithms"
 	"repro/internal/sparse"
 )
 
@@ -439,5 +441,60 @@ func TestCanceledClientTypedOutcome(t *testing.T) {
 	}
 	if s.limit.inFlight() != 0 {
 		t.Fatalf("%d admission slots leaked after canceled query", s.limit.inFlight())
+	}
+}
+
+// TestSSSPUnreachableIsNull is the regression test for the empty-200 defect:
+// every R-MAT graph has isolated vertices, their distance is +Inf, and JSON
+// cannot carry it. The reply must be a non-empty, decodable 200 with null
+// exactly where the reference distance is +Inf.
+func TestSSSPUnreachableIsNull(t *testing.T) {
+	a, err := sparse.RMAT[float64](8, 4, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := testServer(t, Config{BatchWindow: 0})
+	if err := s.LoadGraph("web", a); err != nil {
+		t.Fatal(err)
+	}
+	const src = 0
+	want := algorithms.RefSSSP(a, src)
+
+	// post fails the test on an empty or undecodable body.
+	status, _, body := post(t, ts, "/query", "", map[string]any{"graph": "web", "op": "sssp", "source": src})
+	if status != http.StatusOK {
+		t.Fatalf("sssp status %d: %v", status, body)
+	}
+	dist, _ := body["dist"].([]any)
+	if len(dist) != len(want) {
+		t.Fatalf("dist has %d entries, want %d", len(dist), len(want))
+	}
+	unreachable := 0
+	for i, d := range dist {
+		if math.IsInf(want[i], 1) {
+			unreachable++
+			if d != nil {
+				t.Fatalf("vertex %d is unreachable but dist = %v, want null", i, d)
+			}
+		} else if d != want[i] {
+			t.Fatalf("vertex %d: dist %v, want %g", i, d, want[i])
+		}
+	}
+	if unreachable == 0 {
+		t.Fatal("test graph has no vertex unreachable from the source; pick another seed")
+	}
+}
+
+// TestWriteJSONEncodeFailureIs500 pins the other half of the fix: a value
+// JSON cannot represent must not go out as a 200 with an empty body.
+func TestWriteJSONEncodeFailureIs500(t *testing.T) {
+	rr := httptest.NewRecorder()
+	writeJSON(rr, http.StatusOK, map[string]float64{"x": math.NaN()})
+	if rr.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rr.Code)
+	}
+	var body map[string]string
+	if err := json.Unmarshal(rr.Body.Bytes(), &body); err != nil || body["error"] == "" {
+		t.Fatalf("500 body %q is not a JSON error: %v", rr.Body.String(), err)
 	}
 }

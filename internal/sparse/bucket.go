@@ -21,15 +21,21 @@ import (
 // contiguous ascending chunks — the result is independent of both the worker
 // count and the bucket count.
 //
-// A BucketSPA is reusable: MergeInto leaves the dense scratch clean and the
-// runs truncated (capacity retained), so scatter → merge → scatter cycles on
-// one instance are allocation-free in steady state. ScratchPool pools
-// instances across kernel calls.
+// With a single writer there is no order to resolve: append order is merge
+// order. Such a caller skips the runs and accumulates straight into the dense
+// scratch (Dense), and EmitDense scans it once — same (ind, val), same
+// BucketMergeStats, without the run append and the second pass.
+//
+// A BucketSPA is reusable: MergeInto and EmitDense leave the dense scratch
+// clean and the runs truncated (capacity retained), so scatter → merge →
+// scatter cycles on one instance are allocation-free in steady state.
+// ScratchPool pools instances across kernel calls.
 type BucketSPA[T semiring.Number] struct {
 	N       int // output index domain [0, N)
 	Workers int // run owners (first Append dimension)
 	Buckets int // contiguous index ranges (second Append dimension)
 
+	shift   uint  // bucket width is 1<<shift, so BucketOf is a shift
 	bounds  []int // bucket b owns [bounds[b], bounds[b+1])
 	runs    [][]bucketEntry[T]
 	val     []T
@@ -52,8 +58,9 @@ type BucketMergeStats struct {
 }
 
 // NewBucketSPA returns a bucketed SPA over index domain [0, n) with the given
-// worker and bucket counts (both clamped to at least 1; buckets is capped at
-// n so no bucket range is empty by construction).
+// worker count and at most the given bucket count (both clamped to at least
+// 1): the bucket width is rounded up to a power of two, and Buckets is the
+// number of ranges of that width that cover [0, n), so none is empty.
 func NewBucketSPA[T semiring.Number](n, workers, buckets int) *BucketSPA[T] {
 	s := &BucketSPA[T]{}
 	s.Reconfigure(n, workers, buckets)
@@ -70,13 +77,17 @@ func (s *BucketSPA[T]) Reconfigure(n, workers, buckets int) {
 	if buckets < 1 {
 		buckets = 1
 	}
-	if buckets > n && n > 0 {
-		buckets = n
+	s.shift = 0
+	for buckets<<s.shift < n {
+		s.shift++
+	}
+	if n > 0 {
+		buckets = (n + 1<<s.shift - 1) >> s.shift
 	}
 	s.N, s.Workers, s.Buckets = n, workers, buckets
 	s.bounds = growInts(s.bounds, buckets+1)
 	for b := 0; b <= buckets; b++ {
-		s.bounds[b] = b * n / buckets
+		s.bounds[b] = min(b<<s.shift, n)
 	}
 	nr := workers * buckets
 	if cap(s.runs) < nr {
@@ -109,17 +120,7 @@ func growInts(xs []int, n int) []int {
 }
 
 // BucketOf returns the bucket owning index i.
-func (s *BucketSPA[T]) BucketOf(i int) int {
-	b := i * s.Buckets / s.N
-	// The floor-division guess can be off by one around the range edges.
-	for b+1 < len(s.bounds) && i >= s.bounds[b+1] {
-		b++
-	}
-	for b > 0 && i < s.bounds[b] {
-		b--
-	}
-	return b
-}
+func (s *BucketSPA[T]) BucketOf(i int) int { return i >> s.shift }
 
 // Append records (i, v) on worker w's private run for the bucket owning i.
 // Concurrent calls are safe as long as each worker id has one caller.
@@ -189,6 +190,32 @@ func (s *BucketSPA[T]) MergeInto(op semiring.BinaryOp[T], wp *workpool.Pool, par
 	st.Claimed = total
 	st.Scanned = int64(s.N)
 	return ind, val, st
+}
+
+// Dense exposes the dense scratch to a single writer that accumulates in
+// place instead of appending: position i holds a value iff isThere[i]. The
+// writer must finish with EmitDense.
+func (s *BucketSPA[T]) Dense() (val []T, isThere []bool) { return s.val, s.isThere }
+
+// EmitDense is MergeInto for a single writer that accumulated entries
+// products into claimed positions of the dense scratch: one ascending scan
+// appends them to ind and val and clears the claim flags. The stats are what
+// MergeInto reports for the same entries appended to runs.
+func (s *BucketSPA[T]) EmitDense(entries int64, claimed int, ind []int, val []T) ([]int, []T, BucketMergeStats) {
+	base := len(ind)
+	ind = growAppend(ind, claimed)
+	val = growAppendT(val, claimed)
+	out, outV := ind[base:], val[base:]
+	k := 0
+	for i, there := range s.isThere {
+		if there {
+			s.isThere[i] = false
+			out[k] = i
+			outV[k] = s.val[i]
+			k++
+		}
+	}
+	return ind, val, BucketMergeStats{Entries: entries, Claimed: claimed, Scanned: int64(s.N)}
 }
 
 // mergeBucket resolves bucket b's runs into the dense scratch and returns the

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -30,6 +31,21 @@ func appendChunked(s *BucketSPA[int64], inds []int, vals []int64) {
 			s.Append(w, inds[k], vals[k])
 		}
 	}
+}
+
+// emitDenseFirstWins resolves the entry stream the way a single writer does:
+// claim straight into the dense scratch, then one EmitDense scan.
+func emitDenseFirstWins(s *BucketSPA[int64], inds []int, vals []int64) ([]int, []int64, BucketMergeStats) {
+	val, there := s.Dense()
+	claimed := 0
+	for k, i := range inds {
+		if !there[i] {
+			there[i] = true
+			val[i] = vals[k]
+			claimed++
+		}
+	}
+	return s.EmitDense(int64(len(inds)), claimed, nil, nil)
 }
 
 func TestBucketSPAFirstWins(t *testing.T) {
@@ -99,6 +115,14 @@ func TestBucketSPAShapeInvariance(t *testing.T) {
 			}
 			if st.Entries != int64(len(inds)) {
 				t.Fatalf("w=%d b=%d: merged %d entries, want %d", workers, buckets, st.Entries, len(inds))
+			}
+			// The single-writer dense path on the same (now clean) instance:
+			// same entries, same stats, and it leaves the instance clean too.
+			for pass := 0; pass < 2; pass++ {
+				dInd, dVal, dSt := emitDenseFirstWins(s, inds, vals)
+				if dSt != st || !slices.Equal(dInd, ind) || !slices.Equal(dVal, val) {
+					t.Fatalf("w=%d b=%d pass %d: dense path %+v differs from the bucket merge %+v", workers, buckets, pass, dSt, st)
+				}
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package sparse
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -110,6 +111,11 @@ func FuzzBucketSPA(f *testing.F) {
 		}
 		if st.Entries != int64(nnz) || st.Claimed != len(ind) || st.Scanned != int64(n) {
 			t.Fatalf("stats %+v inconsistent (nnz=%d out=%d n=%d)", st, nnz, len(ind), n)
+		}
+		// The single-writer dense path must resolve the stream identically.
+		dInd, dVal, dSt := emitDenseFirstWins(s, inds, vals)
+		if dSt != st || !slices.Equal(dInd, ind) || !slices.Equal(dVal, val) {
+			t.Fatalf("dense path %+v differs from the bucket merge %+v (n=%d w=%d b=%d)", dSt, st, n, workers, buckets)
 		}
 	})
 }
