@@ -1,6 +1,8 @@
 # Convenience targets; everything is plain `go` underneath.
 
 GO ?= go
+# go test that fails when a -run pattern matches no test in a listed package.
+GOTEST_STRICT = GO="$(GO)" ./scripts/gotest_strict.sh
 
 .PHONY: all build vet test test-short race bench bench-smoke bench-gate bench-baseline bench-e2e bench-e2e-test fuzz-smoke chaos-matrix spgemm-accept serve-accept figures figures-paper ablations clean
 
@@ -18,8 +20,10 @@ test:
 test-short:
 	$(GO) test -short ./...
 
+# The whole module under the race detector: queries share resident block
+# storage by design (DESIGN.md §15), so no package is exempt.
 race:
-	$(GO) test -race ./internal/sparse/ ./internal/core/ ./internal/algorithms/ ./internal/workpool/ ./internal/comm/ ./internal/dist/ ./gb/
+	$(GO) test -race ./...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -107,9 +111,9 @@ chaos-matrix:
 # broadcasts, nnz-independent); the local heap/hash kernel cross-checks; and
 # the SpGEMM-powered workloads against their shared-memory references.
 spgemm-accept:
-	$(GO) test -run 'TestSpGEMMAccept|TestSUMMA|TestSpGEMMMasked|TestSpGEMMPlace|TestSpGEMMLocal|TestSpGEMMDist|TestDCSC' -v ./internal/core ./internal/sparse
-	$(GO) test -run 'TestTriangleCountDist|TestKTrussDist|TestMSBFS|TestChaosSpGEMM' -v ./internal/algorithms
-	$(GO) test -run 'TestMxM|TestKTrussAndMultiSourceBFSSurface|TestSUMMASpanTreeGolden' -v ./gb
+	$(GOTEST_STRICT) -run 'TestSpGEMMAccept|TestSUMMA|TestSpGEMMMasked|TestSpGEMMPlace|TestSpGEMMLocal|TestSpGEMMDist|TestDCSC' -v ./internal/core ./internal/sparse
+	$(GOTEST_STRICT) -run 'TestTriangleCountDist|TestKTrussDist|TestMSBFS|TestChaosSpGEMM' -v ./internal/algorithms
+	$(GOTEST_STRICT) -run 'TestMxM|TestKTrussAndMultiSourceBFSSurface|TestSUMMASpanTreeGolden' -v ./gb
 	$(GO) run ./cmd/gbbench -figure none -chaos-seed $(CHAOS_SEED) -chaos-policy $(CHAOS_POLICY) -mttr-out mttr_$(CHAOS_SEED)_$(CHAOS_POLICY).json -stream-out stream_$(CHAOS_SEED)_$(CHAOS_POLICY).json
 
 # The CI serve-accept job: the gbserve query-service acceptance suite —
@@ -119,11 +123,11 @@ spgemm-accept:
 # mutate/flush, concurrent snapshot readers racing recovery, and an
 # end-to-end boot -> concurrent-query -> SIGTERM-drain smoke of the binary.
 serve-accept:
-	$(GO) test -run 'TestQueryEndpoints|TestChaosQueries|TestDeadlineAndTimeout|TestAdmissionShedding|TestTenantRateLimit|TestBFSBatcher|TestMutateFlush|TestDrain|TestCanceledClient' -v ./internal/serve
-	$(GO) test -run 'TestBuildGraphSpecs|TestParsePolicy' -v ./cmd/gbserve
-	$(GO) test -run 'TestWithCancelContextTyped|TestModeledDeadlineTyped|TestCancelMidRunWithinOneRound|TestAbsorbCalibrationPersists' -v ./gb
-	$(GO) test -run 'TestRetryBudgetCappedByDeadline|TestCancelHookStopsCollectives' -v ./internal/comm
-	$(GO) test -run 'TestEpochChaosConcurrentReaders' -v ./internal/algorithms
+	$(GOTEST_STRICT) -run 'TestQueryEndpoints|TestChaosQueries|TestDeadlineAndTimeout|TestAdmissionShedding|TestTenantRateLimit|TestBFSBatcher|TestMutateFlush|TestDrain|TestCanceledClient' -v ./internal/serve
+	$(GOTEST_STRICT) -run 'TestBuildGraphSpecs|TestParsePolicy' -v ./cmd/gbserve
+	$(GOTEST_STRICT) -run 'TestWithCancelContextTyped|TestModeledDeadlineTyped|TestCancelMidRunWithinOneRound|TestAbsorbCalibrationPersists' -v ./gb
+	$(GOTEST_STRICT) -run 'TestRetryBudgetCappedByDeadline|TestCancelHookStopsCollectives' -v ./internal/comm
+	$(GOTEST_STRICT) -run 'TestEpochChaosConcurrentReaders' -v ./internal/algorithms
 	./scripts/serve_accept.sh
 
 clean:

@@ -19,6 +19,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"syscall"
@@ -104,6 +105,7 @@ func main() {
 		timeout   = flag.Duration("timeout", 10*time.Second, "default per-query wall-clock timeout")
 		budgetMS  = flag.Float64("budget-ms", 0, "default per-query modeled-time budget in ms (0 = none)")
 		drainWait = flag.Duration("drain-timeout", 30*time.Second, "longest to wait for in-flight queries on shutdown")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file, flushed when the drain completes")
 	)
 	flag.Var(&graphs, "graph", "graph to load, name=rmat:scale:edgefactor:seed or name=er:n:degree:seed with degree the mean out-degree (repeatable)")
 	flag.Parse()
@@ -117,6 +119,24 @@ func main() {
 	pol, err := parsePolicy(*policy)
 	if err != nil {
 		fail("%v", err)
+	}
+	// stopProfile flushes the CPU profile once the drain is over; it is called,
+	// not deferred, because the shutdown error path leaves through os.Exit.
+	stopProfile := func() {}
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err != nil {
+			fail("-cpuprofile: %v", err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fail("-cpuprofile: %v", err)
+		}
+		stopProfile = func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "gbserve: -cpuprofile: %v\n", err)
+			}
+		}
 	}
 
 	tracer := trace.New()
@@ -164,7 +184,9 @@ func main() {
 	if err := srv.Drain(dctx); err != nil {
 		fmt.Fprintf(os.Stderr, "gbserve: %v\n", err)
 	}
-	if err := hs.Shutdown(dctx); err != nil {
+	err = hs.Shutdown(dctx)
+	stopProfile()
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "gbserve: shutdown: %v\n", err)
 		os.Exit(1)
 	}

@@ -170,28 +170,16 @@ func prDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], d, tol fl
 	if n == 0 {
 		return nil, 0, nil
 	}
-	// Structural float copy, distributed.
+	// The iteration runs on a's pattern, taken block by block (and carrying
+	// a's replication, so failover still applies); out-degrees are the block
+	// row lengths summed across each grid row.
+	pm := distStructural[float64](rt, a)
 	outdeg := make([]float64, n)
-	pat := sparse.NewCOO[float64](n, n)
 	for l, blk := range a.Blocks {
-		r, c := a.G.Coords(l)
+		r, _ := a.G.Coords(l)
 		for i := 0; i < blk.NRows; i++ {
-			cols, _ := blk.Row(i)
-			outdeg[a.RowBands[r]+i] += float64(len(cols))
-			for _, j := range cols {
-				pat.Append(a.RowBands[r]+i, a.ColBands[c]+j, 1)
-			}
+			outdeg[a.RowBands[r]+i] += float64(blk.RowNNZ(i))
 		}
-	}
-	pcsr, err := pat.ToCSR(semiring.Second[float64])
-	if err != nil {
-		return nil, 0, err
-	}
-	pm := dist.MatFromCSR(rt, pcsr)
-	if a.Replicated() {
-		// The iteration runs on the structural copy, so the input's
-		// replication choice must carry over for failover to apply.
-		dist.ReplicateMat(rt, pm)
 	}
 	sr := semiring.PlusTimes[float64]()
 
@@ -203,6 +191,11 @@ func prDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], d, tol fl
 			r[i] = 1 / float64(n)
 		}
 	}
+	// The spread vector r ⊘ outdeg is written straight into its distributed
+	// form, and the two rank buffers swap roles every iteration: nothing
+	// n-long is allocated per round.
+	xd := dist.NewDenseVec[float64](rt, n)
+	next := make([]float64, n)
 	ckptR := append([]float64(nil), r...)
 	ckptIter, ckptIters := 0, 0
 	recovered := false
@@ -242,13 +235,16 @@ func prDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], d, tol fl
 			chargeCheckpoint(rt, int64(n)*8)
 		}
 		iters++
-		x := make([]float64, n)
 		danglingParts := make([]float64, rt.G.P)
-		for i := range x {
-			if outdeg[i] > 0 {
-				x[i] = r[i] / outdeg[i]
-			} else {
-				danglingParts[locale.OwnerOf(n, rt.G.P, i)] += r[i]
+		for l, xl := range xd.Loc {
+			lo := xd.Bounds[l]
+			for i := range xl {
+				if od := outdeg[lo+i]; od > 0 {
+					xl[i] = r[lo+i] / od
+				} else {
+					xl[i] = 0
+					danglingParts[l] += r[lo+i]
+				}
 			}
 		}
 		dangling, err := comm.AllReduce(rt, danglingParts, semiring.PlusMonoid[float64]())
@@ -260,10 +256,8 @@ func prDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], d, tol fl
 			iter = resume(iter, rollback)
 			continue
 		}
-		xd := dist.DenseVecFromDense(rt, &sparse.Dense[float64]{Data: x})
 		base := (1-d)/float64(n) + d*dangling/float64(n)
 		deltaParts := make([]float64, rt.G.P)
-		next := make([]float64, n)
 		if rt.Fusion {
 			// Fused rank update (RecipeSpMVUpdate): the spread vector is
 			// consumed element by element as the SpMV distributes it, in the
@@ -297,7 +291,7 @@ func prDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], d, tol fl
 				deltaParts[locale.OwnerOf(n, rt.G.P, i)] += math.Abs(next[i] - r[i])
 			}
 		}
-		r = next
+		r, next = next, r
 		delta, err := comm.AllReduce(rt, deltaParts, semiring.PlusMonoid[float64]())
 		if err != nil {
 			rollback, rerr := restore(err)
@@ -333,25 +327,7 @@ func ccDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], init []in
 		return nil, 0, 0, fmt.Errorf("algorithms: CCDist: matrix must be square")
 	}
 	n := a.NRows
-	// Structural int64 copy.
-	pat := sparse.NewCOO[int64](n, n)
-	for l, blk := range a.Blocks {
-		r, c := a.G.Coords(l)
-		for i := 0; i < blk.NRows; i++ {
-			cols, _ := blk.Row(i)
-			for _, j := range cols {
-				pat.Append(a.RowBands[r]+i, a.ColBands[c]+j, 1)
-			}
-		}
-	}
-	pcsr, err := pat.ToCSR(semiring.Second[int64])
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	pm := dist.MatFromCSR(rt, pcsr)
-	if a.Replicated() {
-		dist.ReplicateMat(rt, pm)
-	}
+	pm := distStructural[int64](rt, a)
 	sr := semiring.MinFirst[int64]()
 	inf := sr.AddIdentity()
 
@@ -363,6 +339,7 @@ func ccDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], init []in
 			labels[i] = int64(i)
 		}
 	}
+	ld := dist.NewDenseVec[int64](rt, n) // each round's snapshot of labels, reloaded in place
 	ckptL := append([]int64(nil), labels...)
 	ckptRounds := 0
 	recovered := false
@@ -396,13 +373,13 @@ func ccDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], init []in
 			chargeCheckpoint(rt, int64(n)*8)
 		}
 		rounds++
-		ld := dist.DenseVecFromDense(rt, &sparse.Dense[int64]{Data: labels})
+		ld.Load(labels)
 		changedParts := make([]int64, rt.G.P)
 		if rt.Fusion {
 			// Fused label propagation (RecipeSpMVUpdate): the min-label
 			// update consumes the propagated vector in place of building it.
-			// ld snapshotted labels before the call, so in-callback label
-			// writes cannot feed back into this round's multiply.
+			// ld holds this round's snapshot of labels, so in-callback
+			// label writes cannot feed back into the multiply.
 			err := core.FusedSpMVUpdate(rt, pm, ld, sr, func(_, gi int, v int64) {
 				if v != inf && v < labels[gi] {
 					labels[gi] = v

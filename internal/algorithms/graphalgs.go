@@ -96,7 +96,7 @@ func ConnectedComponents[T semiring.Number](a *sparse.CSR[T]) ([]int64, int, err
 		labels[i] = int64(i)
 	}
 	// Propagate over the pattern of a (values ignored: structural semiring).
-	pattern := structural(a)
+	pattern := structural[int64](a)
 	for {
 		prop, err := core.SpMV(pattern, labels, sr)
 		if err != nil {
@@ -122,15 +122,17 @@ func ConnectedComponents[T semiring.Number](a *sparse.CSR[T]) ([]int64, int, err
 	return labels, components, nil
 }
 
-// structural converts any matrix to an int64 pattern matrix (stored values
-// become 1) for structural-semiring algorithms.
-func structural[T semiring.Number](a *sparse.CSR[T]) *sparse.CSR[int64] {
-	out := &sparse.CSR[int64]{
+// structural returns the pattern matrix of a — every stored entry replaced by
+// U(1) — for structural-semiring algorithms. Only Val is new: RowPtr and
+// ColIdx are a's own arrays, which is safe because neither matrix's index
+// arrays are ever written in place (DESIGN.md §15).
+func structural[U, T semiring.Number](a *sparse.CSR[T]) *sparse.CSR[U] {
+	out := &sparse.CSR[U]{
 		NRows:  a.NRows,
 		NCols:  a.NCols,
-		RowPtr: append([]int(nil), a.RowPtr...),
-		ColIdx: append([]int(nil), a.ColIdx...),
-		Val:    make([]int64, a.NNZ()),
+		RowPtr: a.RowPtr,
+		ColIdx: a.ColIdx,
+		Val:    make([]U, a.NNZ()),
 	}
 	for i := range out.Val {
 		out.Val[i] = 1
@@ -154,7 +156,7 @@ func PageRank[T semiring.Number](a *sparse.CSR[T], d float64, tol float64, maxIt
 	for i := 0; i < n; i++ {
 		outdeg[i] = float64(a.RowNNZ(i))
 	}
-	pattern := structuralFloat(a)
+	pattern := structural[float64](a)
 	sr := semiring.PlusTimes[float64]()
 	r := make([]float64, n)
 	for i := range r {
@@ -191,20 +193,6 @@ func PageRank[T semiring.Number](a *sparse.CSR[T], d float64, tol float64, maxIt
 	return r, iters, nil
 }
 
-func structuralFloat[T semiring.Number](a *sparse.CSR[T]) *sparse.CSR[float64] {
-	out := &sparse.CSR[float64]{
-		NRows:  a.NRows,
-		NCols:  a.NCols,
-		RowPtr: append([]int(nil), a.RowPtr...),
-		ColIdx: append([]int(nil), a.ColIdx...),
-		Val:    make([]float64, a.NNZ()),
-	}
-	for i := range out.Val {
-		out.Val[i] = 1
-	}
-	return out
-}
-
 // TriangleCount counts the triangles of a simple undirected graph given its
 // symmetric adjacency matrix, with the masked-SpGEMM formulation
 // sum(A .* (A·A)) / 6 over the structural (+,×) semiring.
@@ -212,7 +200,7 @@ func TriangleCount[T semiring.Number](a *sparse.CSR[T]) (int64, error) {
 	if a.NRows != a.NCols {
 		return 0, fmt.Errorf("algorithms: TriangleCount: matrix must be square")
 	}
-	p := structural(a)
+	p := structural[int64](a)
 	c, err := core.SpGEMMMasked(p, p, p, semiring.PlusTimes[int64]())
 	if err != nil {
 		return 0, err
@@ -257,7 +245,7 @@ func TwoHopCounts[T semiring.Number](a *sparse.CSR[T]) (int64, error) {
 	if a.NRows != a.NCols {
 		return 0, fmt.Errorf("algorithms: TwoHopCounts: matrix must be square")
 	}
-	p := structural(a)
+	p := structural[int64](a)
 	c, err := core.SpGEMM(p, p, semiring.PlusTimes[int64]())
 	if err != nil {
 		return 0, err

@@ -21,20 +21,21 @@ import (
 )
 
 // distStructural returns the pattern matrix of a — every stored entry
-// replaced by int64(1) — block by block, preserving the distribution and,
-// when a carries replicas, the replication (so failover recovery stays
-// available on the derived matrix).
-func distStructural[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T]) *dist.Mat[int64] {
-	out := &dist.Mat[int64]{
+// replaced by U(1) — block by block on a's own distribution: no global
+// rebuild, and each block shares its source block's index arrays (see
+// structural). When a carries replicas so does the result, so failover
+// recovery stays available on the derived matrix.
+func distStructural[U, T semiring.Number](rt *locale.Runtime, a *dist.Mat[T]) *dist.Mat[U] {
+	out := &dist.Mat[U]{
 		G:        a.G,
 		NRows:    a.NRows,
 		NCols:    a.NCols,
 		RowBands: append([]int(nil), a.RowBands...),
 		ColBands: append([]int(nil), a.ColBands...),
-		Blocks:   make([]*sparse.CSR[int64], len(a.Blocks)),
+		Blocks:   make([]*sparse.CSR[U], len(a.Blocks)),
 	}
 	for l, b := range a.Blocks {
-		out.Blocks[l] = structural(b)
+		out.Blocks[l] = structural[U](b)
 	}
 	if a.Replicated() {
 		dist.ReplicateMat(rt, out)
@@ -68,7 +69,7 @@ func TriangleCountDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T]) (i
 	if a.NRows != a.NCols {
 		return 0, fmt.Errorf("algorithms: TriangleCountDist: matrix must be square")
 	}
-	p := distStructural(rt, a)
+	p := distStructural[int64](rt, a)
 	recovered := false
 	for {
 		if err := rt.Canceled(); err != nil {
@@ -105,7 +106,7 @@ func KTrussDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], k int) (*
 		return nil, 0, fmt.Errorf("algorithms: KTrussDist: k must be >= 3, got %d", k)
 	}
 	minSupport := int64(k - 2)
-	cur := distStructural(rt, a)
+	cur := distStructural[int64](rt, a)
 	recovered := false
 	rounds := 0
 	for {
@@ -188,7 +189,7 @@ func MSBFSDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], sources []
 			return nil, 0, fmt.Errorf("algorithms: MSBFSDist: source %d outside [0,%d)", s, n)
 		}
 	}
-	p := distStructural(rt, a)
+	p := distStructural[int64](rt, a)
 	ns := len(sources)
 
 	// Initial frontier: F[k][sources[k]] = 1.
@@ -220,28 +221,33 @@ func MSBFSDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], sources []
 			lvl[l][i] = -1
 		}
 	}
+	// mark records the newly reached pairs of m at level and compacts every
+	// block down to them in place: the frontier blocks belong to this run (the
+	// initial cut, then fresh SUMMA products), so no per-round copy is built.
 	mark := func(m *dist.Mat[int64], level int64) int {
 		total := 0
 		for l, blk := range m.Blocks {
 			_, cc := g.Coords(l)
 			nb := m.ColBands[cc+1] - m.ColBands[cc]
-			kept := sparse.NewCSR[int64](blk.NRows, blk.NCols)
+			nnz, kept, lo := blk.NNZ(), 0, 0
 			for i := 0; i < blk.NRows; i++ {
-				cols, _ := blk.Row(i)
-				for _, j := range cols {
+				hi := blk.RowPtr[i+1]
+				for _, j := range blk.ColIdx[lo:hi] {
 					if at := i*nb + j; !visited[l][at] {
 						visited[l][at] = true
 						lvl[l][at] = level
-						kept.ColIdx = append(kept.ColIdx, j)
-						kept.Val = append(kept.Val, 1)
+						blk.ColIdx[kept] = j
+						blk.Val[kept] = 1
+						kept++
 					}
 				}
-				kept.RowPtr[i+1] = len(kept.ColIdx)
+				blk.RowPtr[i+1] = kept
+				lo = hi
 			}
-			m.Blocks[l] = kept
-			total += kept.NNZ()
+			blk.ColIdx, blk.Val = blk.ColIdx[:kept], blk.Val[:kept]
+			total += kept
 			rt.S.Compute(l, rt.Threads, sim.Kernel{
-				Name: "msbfs-mark", Items: int64(blk.NNZ()) + 1, CPUPerItem: 5, BytesPerItem: 9,
+				Name: "msbfs-mark", Items: int64(nnz) + 1, CPUPerItem: 5, BytesPerItem: 9,
 			})
 		}
 		return total

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/dist"
@@ -245,10 +247,13 @@ func TestDCSCConvertZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestDistKernelAllocPins pins the steady-state allocation counts of the two
+// TestDistKernelAllocPins pins the steady-state allocation counts of the
 // distributed kernels whose staging is sized up front: what is left is the
 // result (returned to the caller, so never pooled), the per-locale staging
 // vectors, and the collectives' buffers. A count may be lowered, never raised.
+// SpGEMMDist is pinned at two densities as well: its stage panels are the
+// resident blocks and its stage products come from the arena, so the count
+// must not move with nnz.
 func TestDistKernelAllocPins(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include race-runtime shadow allocations")
@@ -280,5 +285,32 @@ func TestDistKernelAllocPins(t *testing.T) {
 		if got := testing.AllocsPerRun(50, func() { _, _ = SpMVDist(rt, a, xd, sr) }); got > tc.spmv {
 			t.Errorf("%d locales: SpMVDist allocates %.0f objects per steady-state call, pinned at %.0f", tc.locales, got, tc.spmv)
 		}
+	}
+
+	// A collection empties the arena's sync.Pools and a migration to another
+	// P strands what the warm-up pooled; either costs a refill of a few
+	// objects, and the denser product collects more often. The comparison
+	// therefore runs on one P with the collector off.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const spgemmPin = 45 // 2x2 grid: the descriptor, four result blocks, team lists, per-stage phase names
+	sri := semiring.PlusTimes[int64]()
+	var counts []float64
+	for _, degree := range []float64{3, 12} {
+		rt := newRT(t, 4, 24)
+		m := dist.MatFromCSR(rt, sparse.ErdosRenyi[int64](1500, degree, 43))
+		for i := 0; i < warmups; i++ {
+			if _, err := SpGEMMDist(rt, m, m, sri); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := testing.AllocsPerRun(20, func() { _, _ = SpGEMMDist(rt, m, m, sri) })
+		if got > spgemmPin {
+			t.Errorf("SpGEMMDist at degree %g allocates %.0f objects per steady-state call, pinned at %d", degree, got, spgemmPin)
+		}
+		counts = append(counts, got)
+	}
+	if counts[0] != counts[1] {
+		t.Errorf("SpGEMMDist allocates %.0f objects at degree 3 but %.0f at degree 12: staging scales with nnz", counts[0], counts[1])
 	}
 }

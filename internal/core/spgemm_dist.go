@@ -21,6 +21,12 @@ package core
 //     sorted merge; the strategy place axis (gb.ForceGather /
 //     gb.ForceReplicate, auto via the inspector) picks between per-stage
 //     broadcasts and prefetching whole panels up front.
+//   - A stage panel is the owner's resident block read in place, as in
+//     Buluç & Gilbert's SUMMA, never a per-stage copy: the block itself when
+//     the stage covers its whole band (every stage of a square grid), a
+//     row-range view for a partial B panel, one reused column cut for a
+//     partial A panel (summaPanels). The operands are read-only throughout,
+//     and the product shares no storage with them.
 
 import (
 	"fmt"
@@ -213,8 +219,12 @@ func mergeCSRInto[T semiring.Number](a, b *sparse.CSR[T], add semiring.BinaryOp[
 
 // maskCSR keeps only the entries of a whose positions are stored in mask
 // (the structural masked-SpGEMM rule of SpGEMMMasked, applied blockwise).
+// The result is a fresh matrix; it cannot outgrow the smaller operand.
 func maskCSR[T semiring.Number](a, mask *sparse.CSR[T]) *sparse.CSR[T] {
+	bound := min(a.NNZ(), mask.NNZ())
 	out := sparse.NewCSR[T](a.NRows, a.NCols)
+	out.ColIdx = make([]int, 0, bound)
+	out.Val = make([]T, 0, bound)
 	for i := 0; i < a.NRows; i++ {
 		ac, av := a.Row(i)
 		mc, _ := mask.Row(i)
@@ -234,6 +244,62 @@ func maskCSR[T semiring.Number](a, mask *sparse.CSR[T]) *sparse.CSR[T] {
 		out.RowPtr[i+1] = len(out.ColIdx)
 	}
 	return out
+}
+
+// summaPanels hands the stage loop its operand panels without copying a
+// resident block. a[r] and b[c] are the current stage's panels for grid row r
+// and grid column c: the owner's block itself when the stage segment covers
+// the block's whole band, otherwise a row-range view (B: index and value
+// arrays alias the block, the rebased RowPtr is on loan from the arena) or a
+// column cut into a buffer reused across stages (A: a column range is not
+// contiguous in CSR, so it is the one panel that is copied). Panels are
+// read-only; the aliasing rule is DESIGN.md §15.
+type summaPanels[T semiring.Number] struct {
+	scratch *sparse.ScratchPool
+	a, b    []*sparse.CSR[T]
+	aCut    []sparse.CSR[T] // per grid row: the reused column-cut buffer
+	bView   []sparse.CSR[T] // per grid column: the row-range view header
+}
+
+func newSummaPanels[T semiring.Number](scratch *sparse.ScratchPool, g *locale.Grid) *summaPanels[T] {
+	return &summaPanels[T]{
+		scratch: scratch,
+		a:       make([]*sparse.CSR[T], g.Pr),
+		b:       make([]*sparse.CSR[T], g.Pc),
+		aCut:    make([]sparse.CSR[T], g.Pr),
+		bView:   make([]sparse.CSR[T], g.Pc),
+	}
+}
+
+// setA makes columns [c0, c1) of blk grid row r's A panel.
+func (p *summaPanels[T]) setA(r int, blk *sparse.CSR[T], c0, c1 int) {
+	if c0 == 0 && c1 == blk.NCols {
+		p.a[r] = blk
+		return
+	}
+	blk.ColRangeInto(c0, c1, &p.aCut[r])
+	p.a[r] = &p.aCut[r]
+}
+
+// setB makes rows [r0, r1) of blk grid column c's B panel.
+func (p *summaPanels[T]) setB(c int, blk *sparse.CSR[T], r0, r1 int) {
+	if r0 == 0 && r1 == blk.NRows {
+		p.b[c] = blk
+		return
+	}
+	v := &p.bView[c]
+	p.scratch.PutInts(v.RowPtr)
+	v.RowPtr = p.scratch.GetInts(r1 - r0 + 1)
+	blk.RowRangeView(r0, r1, v)
+	p.b[c] = v
+}
+
+// release returns the views' borrowed row pointers to the arena.
+func (p *summaPanels[T]) release() {
+	for c := range p.bView {
+		p.scratch.PutInts(p.bView[c].RowPtr)
+		p.bView[c].RowPtr = nil
+	}
 }
 
 // SpGEMMDist computes C = A·B over a semiring for 2-D block-distributed
@@ -298,17 +364,15 @@ func spgemmDist[T semiring.Number](rt *locale.Runtime, a, b, mask *dist.Mat[T], 
 		ps.End()
 	}
 
-	// Per-locale accumulator (acc), spare merge buffer, and stage product,
-	// all reused across stages.
-	accs := make([]*sparse.CSR[T], g.P)
-	spares := make([]*sparse.CSR[T], g.P)
-	stageOut := make([]*sparse.CSR[T], g.P)
-	for l := 0; l < g.P; l++ {
-		spares[l] = &sparse.CSR[T]{}
-		stageOut[l] = &sparse.CSR[T]{}
-	}
-	aPanels := make([]*sparse.CSR[T], g.Pr)
-	bPanels := make([]*sparse.CSR[T], g.Pc)
+	// Per-locale stage product, accumulator and merge buffer: arena scratch,
+	// reused across stages and across calls. The product is copied out of the
+	// accumulator at its exact size, so none of it escapes.
+	work := sparse.GetCSRs[T](rt.Scratch, 3*g.P)
+	defer sparse.PutCSRs(rt.Scratch, work)
+	stageOut, accs, spares := work[:g.P], work[g.P:2*g.P], work[2*g.P:]
+	panels := newSummaPanels[T](rt.Scratch, g)
+	defer panels.release()
+	aPanels, bPanels := panels.a, panels.b
 
 	for k, st := range stages {
 		rt.S.BeginPhase(fmt.Sprintf("SUMMA stage %d", k))
@@ -316,8 +380,7 @@ func spgemmDist[T semiring.Number](rt *locale.Runtime, a, b, mask *dist.Mat[T], 
 			trace.T("k", strconv.Itoa(k)))
 		for r := 0; r < g.Pr; r++ {
 			owner := g.ID(r, st.ca)
-			blk := a.Blocks[owner]
-			aPanels[r] = blk.SubMatrix(0, blk.NRows, st.lo-a.ColBands[st.ca], st.hi-a.ColBands[st.ca])
+			panels.setA(r, a.Blocks[owner], st.lo-a.ColBands[st.ca], st.hi-a.ColBands[st.ca])
 			if place == inspect.PlaceGather {
 				if err := comm.TeamBroadcastSparse(rt, owner, g.RowLocales(r), aPanels[r].NNZ(), "summa-bcast-a"); err != nil {
 					bs.End()
@@ -327,8 +390,7 @@ func spgemmDist[T semiring.Number](rt *locale.Runtime, a, b, mask *dist.Mat[T], 
 		}
 		for cc := 0; cc < g.Pc; cc++ {
 			owner := g.ID(st.rb, cc)
-			blk := b.Blocks[owner]
-			bPanels[cc] = blk.SubMatrix(st.lo-b.RowBands[st.rb], st.hi-b.RowBands[st.rb], 0, blk.NCols)
+			panels.setB(cc, b.Blocks[owner], st.lo-b.RowBands[st.rb], st.hi-b.RowBands[st.rb])
 			if place == inspect.PlaceGather {
 				if err := comm.TeamBroadcastSparse(rt, owner, g.ColLocales(cc), bPanels[cc].NNZ(), "summa-bcast-b"); err != nil {
 					bs.End()
@@ -355,8 +417,8 @@ func spgemmDist[T semiring.Number](rt *locale.Runtime, a, b, mask *dist.Mat[T], 
 		gs := rt.Span("SUMMAMerge", trace.T("op", "spgemm"), trace.T("stage", "merge"),
 			trace.T("k", strconv.Itoa(k)))
 		for l := 0; l < g.P; l++ {
-			if accs[l] == nil {
-				accs[l] = stageOut[l].Clone()
+			if k == 0 {
+				accs[l], stageOut[l] = stageOut[l], accs[l]
 				continue
 			}
 			mergeCSRInto(accs[l], stageOut[l], sr.Add.Op, spares[l])
@@ -376,12 +438,16 @@ func spgemmDist[T semiring.Number](rt *locale.Runtime, a, b, mask *dist.Mat[T], 
 
 	for l := 0; l < g.P; l++ {
 		r, cc := g.Coords(l)
-		blk := accs[l]
-		if blk == nil {
+		var blk *sparse.CSR[T]
+		switch {
+		case len(stages) == 0: // empty inner dimension: an empty product, masked or not
 			blk = sparse.NewCSR[T](a.RowBands[r+1]-a.RowBands[r], b.ColBands[cc+1]-b.ColBands[cc])
+		case mask != nil:
+			blk = maskCSR(accs[l], mask.Blocks[l])
+		default:
+			blk = accs[l].Clone()
 		}
 		if mask != nil {
-			blk = maskCSR(blk, mask.Blocks[l])
 			rt.S.Compute(l, rt.Threads, sim.Kernel{
 				Name:         "summa-mask",
 				Items:        int64(blk.NNZ() + mask.Blocks[l].NNZ()),

@@ -236,10 +236,17 @@ func NewDenseVec[T semiring.Number](rt *locale.Runtime, n int) *DenseVec[T] {
 // DenseVecFromDense distributes a local dense vector.
 func DenseVecFromDense[T semiring.Number](rt *locale.Runtime, x *sparse.Dense[T]) *DenseVec[T] {
 	d := NewDenseVec[T](rt, x.Len())
-	for l := 0; l < rt.G.P; l++ {
-		copy(d.Loc[l], x.Data[d.Bounds[l]:d.Bounds[l+1]])
-	}
+	d.Load(x.Data)
 	return d
+}
+
+// Load overwrites the vector's contents with x (len(x) must be N), reusing
+// the per-locale storage: a round loop redistributes its iterate into one
+// DenseVec instead of building a new one every round.
+func (d *DenseVec[T]) Load(x []T) {
+	for l := range d.Loc {
+		copy(d.Loc[l], x[d.Bounds[l]:d.Bounds[l+1]])
+	}
 }
 
 // Owner returns the locale owning global index i.

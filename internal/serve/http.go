@@ -70,13 +70,13 @@ type queryResponse struct {
 	Rounds int `json:"rounds,omitempty"`
 	Batch  int `json:"batch,omitempty"` // >1 when served from a coalesced MSBFS run
 
-	Levels     []int64    `json:"levels,omitempty"`
-	Parents    []int64    `json:"parents,omitempty"`
-	Dist       []*float64 `json:"dist,omitempty"` // null = unreachable
-	Ranks      []float64  `json:"ranks,omitempty"`
-	Labels     []int64    `json:"labels,omitempty"`
-	Components int        `json:"components,omitempty"`
-	Triangles  int64      `json:"triangles,omitempty"`
+	Levels     []int64      `json:"levels,omitempty"`
+	Parents    []int64      `json:"parents,omitempty"`
+	Dist       nullableDist `json:"dist,omitempty"` // null = unreachable
+	Ranks      []float64    `json:"ranks,omitempty"`
+	Labels     []int64      `json:"labels,omitempty"`
+	Components int          `json:"components,omitempty"`
+	Triangles  int64        `json:"triangles,omitempty"`
 
 	ModeledMS  float64 `json:"modeled_ms"`
 	Recoveries int     `json:"recoveries,omitempty"`
@@ -121,16 +121,47 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_, _ = w.Write(buf.Bytes()) // a failed write means the client has gone
 }
 
-// nullableDist prepares SSSP distances for JSON, which has no infinity: an
-// unreachable vertex (+Inf) becomes nil and encodes as null.
-func nullableDist(dist []float64) []*float64 {
-	out := make([]*float64, len(dist))
-	for i := range dist {
-		if !math.IsInf(dist[i], 1) {
-			out[i] = &dist[i]
+// nullableDist is a vector of SSSP distances on its way into JSON, which has
+// no infinity: an unreachable vertex (+Inf) encodes as null, every other
+// distance exactly as encoding/json writes a float64.
+type nullableDist []float64
+
+func (d nullableDist) MarshalJSON() ([]byte, error) {
+	b := make([]byte, 0, 8*len(d)+2)
+	b = append(b, '[')
+	for i, f := range d {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		switch {
+		case math.IsInf(f, 1):
+			b = append(b, "null"...)
+		case math.IsInf(f, -1) || math.IsNaN(f):
+			return nil, fmt.Errorf("serve: distance %v of vertex %d has no JSON encoding", f, i)
+		default:
+			b = appendJSONFloat(b, f)
 		}
 	}
-	return out
+	return append(b, ']'), nil
+}
+
+// appendJSONFloat appends f the way encoding/json's float64 encoder does (the
+// ES6 number-to-string conversion): shortest round-trip digits, exponent form
+// below 1e-6 and from 1e21, the exponent without a leading zero.
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		// Clean up e-09 to e-9.
+		if n := len(b); n >= 4 && b[n-4] == 'e' && (b[n-3] == '-' || b[n-3] == '+') && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -365,7 +396,7 @@ func runOp(qc *gb.Context, m *gb.Matrix[float64], req *queryRequest, resp *query
 		if err != nil {
 			return err
 		}
-		resp.Dist, resp.Rounds = nullableDist(dist), rounds
+		resp.Dist, resp.Rounds = dist, rounds
 	case "pagerank":
 		d, tol, iters := req.Damping, req.Tol, req.MaxIter
 		if d <= 0 || d >= 1 {

@@ -498,3 +498,38 @@ func TestWriteJSONEncodeFailureIs500(t *testing.T) {
 		t.Fatalf("500 body %q is not a JSON error: %v", rr.Body.String(), err)
 	}
 }
+
+// TestNullableDistMatchesEncodingJSON pins the wire format of the
+// allocation-free distance encoder: byte for byte what encoding/json writes
+// for the []*float64 it replaced (nil where the distance is +Inf), across the
+// 'f'/'e' cut-overs, and an encode error — not a malformed body — for the
+// values JSON cannot carry.
+func TestNullableDistMatchesEncodingJSON(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), 1, -2.5, 3.0000000000000004, 0.1, 1e-6, 9.99e-7, 1e-7, 1.5e-9,
+		1e20, 1e21, 1.234e25, 123456789.125, math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(1), 42}
+	ptrs := make([]*float64, len(vals))
+	for i := range vals {
+		if !math.IsInf(vals[i], 1) {
+			ptrs[i] = &vals[i]
+		}
+	}
+	want, err := json.Marshal(ptrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(nullableDist(vals))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("nullableDist encodes as\n%s\nencoding/json writes\n%s", got, want)
+	}
+	if got, err := json.Marshal(nullableDist{}); err != nil || string(got) != "[]" {
+		t.Fatalf("empty vector encodes as %q, %v", got, err)
+	}
+	for _, bad := range []float64{math.Inf(-1), math.NaN()} {
+		if _, err := json.Marshal(nullableDist{1, bad}); err == nil {
+			t.Fatalf("%v encoded without an error", bad)
+		}
+	}
+}

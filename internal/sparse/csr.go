@@ -150,23 +150,76 @@ func (a *CSR[T]) ExtractRow(i int) *Vec[T] {
 }
 
 // SubMatrix extracts the block with rows [r0, r1) and columns [c0, c1) as a
-// new CSR matrix with local (shifted) indices. It is the primitive used to
-// cut a global matrix into 2-D distributed blocks.
+// new CSR matrix with local (shifted) indices, sized exactly. It is the
+// primitive used to cut a global matrix into 2-D distributed blocks.
 func (a *CSR[T]) SubMatrix(r0, r1, c0, c1 int) *CSR[T] {
-	nr, nc := r1-r0, c1-c0
-	s := NewCSR[T](nr, nc)
-	for i := 0; i < nr; i++ {
-		cols, vals := a.Row(r0 + i)
-		// Binary search the column window within the sorted row.
-		lo := sort.SearchInts(cols, c0)
-		hi := sort.SearchInts(cols, c1)
-		for k := lo; k < hi; k++ {
-			s.ColIdx = append(s.ColIdx, cols[k]-c0)
-			s.Val = append(s.Val, vals[k])
-		}
-		s.RowPtr[i+1] = len(s.ColIdx)
-	}
+	s := &CSR[T]{}
+	a.cutInto(r0, r1, c0, c1, s)
 	return s
+}
+
+// ColRangeInto cuts columns [c0, c1) of every row of a into out with shifted
+// column ids, reusing out's arrays: they are regrown, to the exact size, only
+// when the cut outgrows them. out must not alias a.
+func (a *CSR[T]) ColRangeInto(c0, c1 int, out *CSR[T]) {
+	a.cutInto(0, a.NRows, c0, c1, out)
+}
+
+// cutInto writes rows [r0, r1) × columns [c0, c1) of a into out. One count
+// pass runs the per-row binary searches, so the output is sized before the
+// copy pass writes it; between the passes out.RowPtr[i+1] holds where row
+// i's window starts in a's storage.
+func (a *CSR[T]) cutInto(r0, r1, c0, c1 int, out *CSR[T]) {
+	nr := r1 - r0
+	out.NRows, out.NCols = nr, c1-c0
+	if cap(out.RowPtr) < nr+1 {
+		out.RowPtr = make([]int, nr+1)
+	}
+	out.RowPtr = out.RowPtr[:nr+1]
+	out.RowPtr[0] = 0
+	total := 0
+	for i := 0; i < nr; i++ {
+		base := a.RowPtr[r0+i]
+		cols := a.ColIdx[base:a.RowPtr[r0+i+1]]
+		lo := sort.SearchInts(cols, c0)
+		total += sort.SearchInts(cols[lo:], c1)
+		out.RowPtr[i+1] = base + lo
+	}
+	if cap(out.ColIdx) < total {
+		out.ColIdx = make([]int, total)
+	}
+	if cap(out.Val) < total {
+		out.Val = make([]T, total)
+	}
+	out.ColIdx, out.Val = out.ColIdx[:total], out.Val[:total]
+	pos := 0
+	for i := 0; i < nr; i++ {
+		lo, end := out.RowPtr[i+1], a.RowPtr[r0+i+1]
+		k := lo
+		for ; k < end && a.ColIdx[k] < c1; k++ {
+			out.ColIdx[pos+k-lo] = a.ColIdx[k] - c0
+		}
+		copy(out.Val[pos:], a.Val[lo:k])
+		pos += k - lo
+		out.RowPtr[i+1] = pos
+	}
+}
+
+// RowRangeView makes view a read-only window onto rows [r0, r1) of a, all
+// columns: view's ColIdx and Val alias a's storage, and only the rebased row
+// pointers are written, into the caller's view.RowPtr, which must have room
+// for r1-r0+1 entries. Nothing may write through the view.
+func (a *CSR[T]) RowRangeView(r0, r1 int, view *CSR[T]) {
+	nr := r1 - r0
+	base := a.RowPtr[r0]
+	view.NRows, view.NCols = nr, a.NCols
+	view.RowPtr = view.RowPtr[:nr+1]
+	for i := range view.RowPtr {
+		view.RowPtr[i] = a.RowPtr[r0+i] - base
+	}
+	end := a.RowPtr[r1]
+	view.ColIdx = a.ColIdx[base:end:end]
+	view.Val = a.Val[base:end:end]
 }
 
 // String renders small matrices for debugging.

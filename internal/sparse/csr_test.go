@@ -297,3 +297,88 @@ func TestCSRString(t *testing.T) {
 		t.Error("empty String() for big matrix")
 	}
 }
+
+// bruteCut extracts rows [r0, r1) × columns [c0, c1) of a one Get at a time.
+func bruteCut(a *CSR[int32], r0, r1, c0, c1 int) *CSR[int32] {
+	s := NewCSR[int32](r1-r0, c1-c0)
+	for i := r0; i < r1; i++ {
+		for j := c0; j < c1; j++ {
+			if v, ok := a.Get(i, j); ok {
+				s.ColIdx = append(s.ColIdx, j-c0)
+				s.Val = append(s.Val, v)
+			}
+		}
+		s.RowPtr[i-r0+1] = len(s.ColIdx)
+	}
+	return s
+}
+
+// randomRange draws lo <= hi in [0, n], empty ranges included.
+func randomRange(rng *rand.Rand, n int) (int, int) {
+	lo, hi := rng.Intn(n+1), rng.Intn(n+1)
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	return lo, hi
+}
+
+// TestCSRPanelCutsMatchBruteForce is the property behind the SUMMA stage
+// panels: on random matrices with empty rows, and random ranges with empty
+// ones among them, the exact-size SubMatrix, the column cut into a reused
+// (dirty, differently sized) buffer and the row-range view all equal an
+// element-by-element extraction — and none of them disturbs the source.
+func TestCSRPanelCutsMatchBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	var cut CSR[int32] // reused across every iteration, like a stage buffer
+	for iter := 0; iter < 300; iter++ {
+		nr, nc := 1+rng.Intn(40), 1+rng.Intn(40)
+		coo := NewCOO[int32](nr, nc)
+		for k := rng.Intn(3 * nr); k > 0; k-- {
+			if i := rng.Intn(nr); i%3 != 0 { // every third row stays empty
+				coo.Append(i, rng.Intn(nc), int32(1+rng.Intn(9)))
+			}
+		}
+		a, err := coo.ToCSR(semiring.Second[int32])
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := a.Clone()
+		r0, r1 := randomRange(rng, nr)
+		c0, c1 := randomRange(rng, nc)
+
+		sub := a.SubMatrix(r0, r1, c0, c1)
+		if err := sub.Validate(); err != nil {
+			t.Fatalf("iter %d: SubMatrix: %v", iter, err)
+		}
+		if !sub.Equal(bruteCut(a, r0, r1, c0, c1)) {
+			t.Fatalf("iter %d: SubMatrix(%d,%d,%d,%d) differs from brute force", iter, r0, r1, c0, c1)
+		}
+		if cap(sub.ColIdx) != sub.NNZ() || cap(sub.Val) != sub.NNZ() {
+			t.Fatalf("iter %d: SubMatrix holds %d entries in capacity %d/%d, want an exact fit",
+				iter, sub.NNZ(), cap(sub.ColIdx), cap(sub.Val))
+		}
+
+		a.ColRangeInto(c0, c1, &cut)
+		if err := cut.Validate(); err != nil {
+			t.Fatalf("iter %d: ColRangeInto: %v", iter, err)
+		}
+		if !cut.Equal(bruteCut(a, 0, nr, c0, c1)) {
+			t.Fatalf("iter %d: ColRangeInto(%d,%d) differs from brute force", iter, c0, c1)
+		}
+
+		view := CSR[int32]{RowPtr: make([]int, r1-r0+1)}
+		a.RowRangeView(r0, r1, &view)
+		if err := view.Validate(); err != nil {
+			t.Fatalf("iter %d: RowRangeView: %v", iter, err)
+		}
+		if !view.Equal(bruteCut(a, r0, r1, 0, nc)) {
+			t.Fatalf("iter %d: RowRangeView(%d,%d) differs from brute force", iter, r0, r1)
+		}
+		if view.NNZ() > 0 && &view.ColIdx[0] != &a.ColIdx[a.RowPtr[r0]] {
+			t.Fatalf("iter %d: RowRangeView copied the index array instead of aliasing it", iter)
+		}
+		if !a.Equal(before) {
+			t.Fatalf("iter %d: a cut wrote through to its source", iter)
+		}
+	}
+}

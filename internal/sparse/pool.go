@@ -38,6 +38,7 @@ type ScratchPool struct {
 	buckets    sync.Pool // *BucketSPA[T]
 	vecs       sync.Pool // *Vec[T]
 	dcscs      sync.Pool // *DCSC[T]
+	csrs       sync.Pool // *[]*CSR[T]
 }
 
 // NewScratchPool returns an empty arena.
@@ -248,4 +249,36 @@ func PutDCSC[T semiring.Number](p *ScratchPool, d *DCSC[T]) {
 	d.ColIdx = d.ColIdx[:0]
 	d.Val = d.Val[:0]
 	p.dcscs.Put(d)
+}
+
+// GetCSRs checks out a set of n empty matrices whose backing arrays are
+// reused across checkouts, for a kernel that fills its outputs in place
+// (SpGEMMLocal, the SUMMA stage merge). The set is pooled as a unit, so
+// matrix i serves the same role call after call and its capacity settles. The
+// caller owns the set until PutCSRs; a result handed on to user code must be
+// copied out (Clone), never a checked-out matrix itself.
+func GetCSRs[T semiring.Number](p *ScratchPool, n int) []*CSR[T] {
+	var set []*CSR[T]
+	if p != nil {
+		if v := p.csrs.Get(); v != nil {
+			if s, ok := v.(*[]*CSR[T]); ok {
+				set = *s
+			}
+		}
+	}
+	if len(set) > n {
+		set = set[:n]
+	}
+	for len(set) < n {
+		set = append(set, &CSR[T]{})
+	}
+	return set
+}
+
+// PutCSRs returns a set checked out with GetCSRs to the arena.
+func PutCSRs[T semiring.Number](p *ScratchPool, set []*CSR[T]) {
+	if p == nil || len(set) == 0 {
+		return
+	}
+	p.csrs.Put(&set)
 }
