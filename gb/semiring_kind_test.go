@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/semiring"
 	"repro/internal/sparse"
 )
 
@@ -81,6 +82,79 @@ func TestReassignedOperatorOnBuiltinCopy(t *testing.T) {
 			if cur[i] != ref[i] {
 				t.Fatalf("iterated SpMV[%d] = %g with the reassigned Mul, want %g", i, cur[i], ref[i])
 			}
+		}
+	}
+}
+
+// TestReassignedMonoidOpOnBuiltinCopy is the same pin for Monoid.Kind, which
+// the column-team reduce of the distributed SpMV and the SUMMA SpGEMM read: a
+// copy of PlusTimes whose Add.Op now takes the maximum, and a struct-literal
+// monoid around the very same Plus, must both run through the function-valued
+// operator — on one locale (no reduce), on a grid, eager and fused.
+func TestReassignedMonoidOpOnBuiltinCopy(t *testing.T) {
+	a := sparse.ErdosRenyi[float64](400, 6, 93)
+	xd := make([]float64, a.NRows)
+	for i := range xd {
+		xd[i] = float64(i%7) + 0.5
+	}
+	plain := PlusTimes[float64]()
+	mine := PlusTimes[float64]()
+	mine.Add.Op = func(x, y float64) float64 { return max(x, y) } // no longer +
+	literal := PlusTimes[float64]()
+	literal.Add = Monoid[float64]{Name: "my-plus", Op: plain.Add.Op}
+	if mine.Add.Kind() != semiring.MonoidGeneric || literal.Add.Kind() != semiring.MonoidGeneric || plain.Add.Kind() != semiring.MonoidPlus {
+		t.Fatalf("monoid kinds: reassigned %d, literal %d, built-in %d", mine.Add.Kind(), literal.Add.Kind(), plain.Add.Kind())
+	}
+
+	for _, opts := range [][]Option{
+		{Locales(1), Threads(4)},
+		{Locales(4), Threads(4)},
+		{Locales(6), Threads(4), WithFusion(Eager)},
+	} {
+		ctx, err := New(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := MatrixFromCSR(ctx, a)
+		spmv := func(sr Semiring[float64]) []float64 {
+			t.Helper()
+			y, err := SpMV(m, DenseVectorFromSlice(ctx, append([]float64(nil), xd...)), sr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := make([]float64, a.NCols)
+			for i := range out {
+				out[i] = y.Get(i)
+			}
+			return out
+		}
+		got, want, builtin := spmv(mine), core.RefSpMV(a, xd, mine), spmv(plain)
+		differs := false
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("SpMV[%d] = %g with the reassigned Add.Op, want %g", i, got[i], want[i])
+			}
+			differs = differs || got[i] != builtin[i]
+		}
+		if !differs {
+			t.Fatal("the reassigned Add.Op gives the built-in's result: the test cannot tell them apart")
+		}
+		for i, v := range spmv(literal) {
+			if v != builtin[i] {
+				t.Fatalf("SpMV[%d] = %g over a struct-literal plus monoid, %g over the built-in", i, v, builtin[i])
+			}
+		}
+
+		c, err := MxM(m, m, mine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotC, err := c.ToCSR()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !gotC.Equal(core.RefSpGEMM(a, a, mine)) {
+			t.Fatal("MxM ignores the reassigned Add.Op")
 		}
 	}
 }

@@ -263,9 +263,9 @@ func prDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], d, tol fl
 			// consumed element by element as the SpMV distributes it, in the
 			// same ascending order as the eager loop — the float delta
 			// accumulation stays bitwise identical.
-			err := core.FusedSpMVUpdate(rt, pm, xd, sr, func(_, gi int, v float64) {
+			err := core.FusedSpMVUpdate(rt, pm, xd, sr, func(l, gi int, v float64) {
 				next[gi] = base + d*v
-				deltaParts[locale.OwnerOf(n, rt.G.P, gi)] += math.Abs(next[gi] - r[gi])
+				deltaParts[l] += math.Abs(next[gi] - r[gi])
 			})
 			if err != nil {
 				rollback, rerr := restore(err)
@@ -285,10 +285,12 @@ func prDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], d, tol fl
 				iter = resume(iter, rollback)
 				continue
 			}
-			sd := spread.ToDense().Data
-			for i := range next {
-				next[i] = base + d*sd[i]
-				deltaParts[locale.OwnerOf(n, rt.G.P, i)] += math.Abs(next[i] - r[i])
+			for l, sl := range spread.Loc {
+				lo := spread.Bounds[l]
+				for i, v := range sl {
+					next[lo+i] = base + d*v
+					deltaParts[l] += math.Abs(next[lo+i] - r[lo+i])
+				}
 			}
 		}
 		r, next = next, r
@@ -380,10 +382,10 @@ func ccDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], init []in
 			// update consumes the propagated vector in place of building it.
 			// ld holds this round's snapshot of labels, so in-callback
 			// label writes cannot feed back into the multiply.
-			err := core.FusedSpMVUpdate(rt, pm, ld, sr, func(_, gi int, v int64) {
+			err := core.FusedSpMVUpdate(rt, pm, ld, sr, func(l, gi int, v int64) {
 				if v != inf && v < labels[gi] {
 					labels[gi] = v
-					changedParts[locale.OwnerOf(n, rt.G.P, gi)] = 1
+					changedParts[l] = 1
 				}
 			})
 			if err != nil {
@@ -400,11 +402,13 @@ func ccDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], init []in
 				}
 				continue
 			}
-			pd := prop.ToDense().Data
-			for i := range labels {
-				if pd[i] != inf && pd[i] < labels[i] {
-					labels[i] = pd[i]
-					changedParts[locale.OwnerOf(n, rt.G.P, i)] = 1
+			for l, pl := range prop.Loc {
+				lo := prop.Bounds[l]
+				for i, v := range pl {
+					if v != inf && v < labels[lo+i] {
+						labels[lo+i] = v
+						changedParts[l] = 1
+					}
 				}
 			}
 		}

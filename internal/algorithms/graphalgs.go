@@ -96,7 +96,7 @@ func ConnectedComponents[T semiring.Number](a *sparse.CSR[T]) ([]int64, int, err
 		labels[i] = int64(i)
 	}
 	// Propagate over the pattern of a (values ignored: structural semiring).
-	pattern := structural[int64](a)
+	pattern := structural(a, sparse.Ones[int64](nil, a.NNZ()))
 	for {
 		prop, err := core.SpMV(pattern, labels, sr)
 		if err != nil {
@@ -123,21 +123,18 @@ func ConnectedComponents[T semiring.Number](a *sparse.CSR[T]) ([]int64, int, err
 }
 
 // structural returns the pattern matrix of a — every stored entry replaced by
-// U(1) — for structural-semiring algorithms. Only Val is new: RowPtr and
-// ColIdx are a's own arrays, which is safe because neither matrix's index
-// arrays are ever written in place (DESIGN.md §15).
-func structural[U, T semiring.Number](a *sparse.CSR[T]) *sparse.CSR[U] {
-	out := &sparse.CSR[U]{
+// U(1) — for structural-semiring algorithms. It owns no storage: RowPtr and
+// ColIdx are a's own arrays and Val is the first nnz(a) entries of ones
+// (sparse.Ones), which is safe because nothing writes a structural operand in
+// place (DESIGN.md §15).
+func structural[U, T semiring.Number](a *sparse.CSR[T], ones []U) *sparse.CSR[U] {
+	return &sparse.CSR[U]{
 		NRows:  a.NRows,
 		NCols:  a.NCols,
 		RowPtr: a.RowPtr,
 		ColIdx: a.ColIdx,
-		Val:    make([]U, a.NNZ()),
+		Val:    ones[:a.NNZ():a.NNZ()],
 	}
-	for i := range out.Val {
-		out.Val[i] = 1
-	}
-	return out
 }
 
 // PageRank computes the PageRank vector of the directed graph a with damping
@@ -156,7 +153,7 @@ func PageRank[T semiring.Number](a *sparse.CSR[T], d float64, tol float64, maxIt
 	for i := 0; i < n; i++ {
 		outdeg[i] = float64(a.RowNNZ(i))
 	}
-	pattern := structural[float64](a)
+	pattern := structural(a, sparse.Ones[float64](nil, a.NNZ()))
 	sr := semiring.PlusTimes[float64]()
 	r := make([]float64, n)
 	for i := range r {
@@ -200,7 +197,7 @@ func TriangleCount[T semiring.Number](a *sparse.CSR[T]) (int64, error) {
 	if a.NRows != a.NCols {
 		return 0, fmt.Errorf("algorithms: TriangleCount: matrix must be square")
 	}
-	p := structural[int64](a)
+	p := structural(a, sparse.Ones[int64](nil, a.NNZ()))
 	c, err := core.SpGEMMMasked(p, p, p, semiring.PlusTimes[int64]())
 	if err != nil {
 		return 0, err
@@ -245,7 +242,7 @@ func TwoHopCounts[T semiring.Number](a *sparse.CSR[T]) (int64, error) {
 	if a.NRows != a.NCols {
 		return 0, fmt.Errorf("algorithms: TwoHopCounts: matrix must be square")
 	}
-	p := structural[int64](a)
+	p := structural(a, sparse.Ones[int64](nil, a.NNZ()))
 	c, err := core.SpGEMM(p, p, semiring.PlusTimes[int64]())
 	if err != nil {
 		return 0, err

@@ -24,7 +24,7 @@ func KTruss[T semiring.Number](a *sparse.CSR[T], k int) (*sparse.CSR[int64], int
 		return nil, 0, fmt.Errorf("algorithms: KTruss: k must be >= 3, got %d", k)
 	}
 	minSupport := int64(k - 2)
-	cur := structural[int64](a)
+	cur := structural(a, sparse.Ones[int64](nil, a.NNZ()))
 	rounds := 0
 	for {
 		rounds++

@@ -59,12 +59,16 @@ func TestDistStructuralMatchesGlobalRebuild(t *testing.T) {
 		rt := newRT(t, p)
 		a := dist.MatFromCSR(rt, a0)
 		before := dist.MatFromCSR(rt, a0)
-		sameDistMat(t, "int64 pattern", distStructural[int64](rt, a), dist.MatFromCSR(rt, structural[int64](a0)))
-		sameDistMat(t, "float64 pattern", distStructural[float64](rt, a), dist.MatFromCSR(rt, structural[float64](a0)))
+		sameDistMat(t, "int64 pattern", distStructural[int64](rt, a), dist.MatFromCSR(rt, structural(a0, sparse.Ones[int64](nil, a0.NNZ()))))
+		sameDistMat(t, "float64 pattern", distStructural[float64](rt, a), dist.MatFromCSR(rt, structural(a0, sparse.Ones[float64](nil, a0.NNZ()))))
 		sameDistMat(t, "source after taking its pattern", a, before)
+		ones := sparse.Ones[int64](rt.Scratch, 1)
 		for l, blk := range distStructural[int64](rt, a).Blocks {
 			if blk.NNZ() > 0 && &blk.ColIdx[0] != &a.Blocks[l].ColIdx[0] {
 				t.Fatalf("p=%d: structural block %d copied its index array", p, l)
+			}
+			if blk.NNZ() > 0 && (&blk.Val[0] != &ones[0] || cap(blk.Val) != blk.NNZ()) {
+				t.Fatalf("p=%d: structural block %d does not alias the arena's ones slice at its exact length", p, l)
 			}
 		}
 	}
@@ -85,7 +89,7 @@ func TestDistStructuralMatchesGlobalRebuild(t *testing.T) {
 			if err != nil {
 				t.Fatalf("p=%d %v: %v", p, pol, err)
 			}
-			want := dist.MatFromCSR(rt, structural[int64](a0))
+			want := dist.MatFromCSR(rt, structural(a0, sparse.Ones[int64](nil, a0.NNZ())))
 			if pol == fault.PolicyBestEffort {
 				want.Blocks[lost] = sparse.NewCSR[int64](want.Blocks[lost].NRows, want.Blocks[lost].NCols)
 			}
@@ -93,6 +97,55 @@ func TestDistStructuralMatchesGlobalRebuild(t *testing.T) {
 			// Recovery replaced block pointers of the derived matrix only:
 			// the resident source, index arrays included, is as it was.
 			sameDistMat(t, "source after recovery of its pattern", a, before)
+		}
+	}
+}
+
+// TestStructuralOperandsAreNeverWritten runs every algorithm that takes a
+// pattern operand on one runtime and then reads the arena's shared ones
+// slices back: all of them alias it (DESIGN.md §15), so a single in-place
+// write to an operand's Val — k-truss re-arming its pattern, MSBFS compacting
+// a frontier — would show here as a value other than 1.
+func TestStructuralOperandsAreNeverWritten(t *testing.T) {
+	g := symGraph(120, 4, 733)
+	for _, p := range []int{4, 6} {
+		rt := newRT(t, p)
+		a := dist.MatFromCSR(rt, g)
+		if _, _, err := PageRankDist(rt, a, 0.85, 1e-9, 30); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := CCDist(rt, a); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := TriangleCountDist(rt, a); err != nil {
+			t.Fatal(err)
+		}
+		if _, rounds, err := KTrussDist(rt, a, 4); err != nil || rounds < 2 {
+			t.Fatalf("KTrussDist: %d rounds (want a prune, so the pattern is re-armed), err %v", rounds, err)
+		}
+		if _, _, err := MSBFSDist(rt, a, []int{0, 57, 119}); err != nil {
+			t.Fatal(err)
+		}
+		most := 0 // what the operands asked the arena for: the largest block
+		for _, blk := range a.Blocks {
+			most = max(most, blk.NNZ())
+		}
+		held := sparse.Ones[int64](rt.Scratch, most)
+		if blk := distStructural[int64](rt, a).Blocks[0]; &blk.Val[0] != &held[0] {
+			t.Fatalf("p=%d: the slice read back is not the one the operands alias", p)
+		}
+		for i, v := range held {
+			if v != 1 {
+				t.Fatalf("p=%d: shared int64 ones[%d] = %d", p, i, v)
+			}
+		}
+		for i, v := range sparse.Ones[float64](rt.Scratch, most) {
+			if v != 1 {
+				t.Fatalf("p=%d: shared float64 ones[%d] = %g", p, i, v)
+			}
+		}
+		if n := rt.Scratch.Outstanding(); n != 0 {
+			t.Fatalf("p=%d: %d arena loans outstanding", p, n)
 		}
 	}
 }
@@ -148,7 +201,8 @@ func TestConcurrentQueriesReadResidentBlocksInPlace(t *testing.T) {
 	sources := []int{0, 31, 64, 95}
 	for _, p := range []int{4, 6} {
 		base := newRT(t, p)
-		csr0 := structural[float64](symGraph(n, 3, 601))
+		g0 := symGraph(n, 3, 601)
+		csr0 := structural(g0, sparse.Ones[float64](nil, g0.NNZ()))
 		em := dist.NewEpochMat(dist.MatFromCSR(base, csr0))
 		// Every epoch pinned during the run stays inside the history window,
 		// the lifetime a pin is promised (gbserve's -epoch-history).

@@ -22,9 +22,10 @@ import (
 
 // distStructural returns the pattern matrix of a — every stored entry
 // replaced by U(1) — block by block on a's own distribution: no global
-// rebuild, and each block shares its source block's index arrays (see
-// structural). When a carries replicas so does the result, so failover
-// recovery stays available on the derived matrix.
+// rebuild and no new storage, each block sharing its source block's index
+// arrays and the arena's one read-only ones slice (see structural). When a
+// carries replicas so does the result, so failover recovery stays available
+// on the derived matrix.
 func distStructural[U, T semiring.Number](rt *locale.Runtime, a *dist.Mat[T]) *dist.Mat[U] {
 	out := &dist.Mat[U]{
 		G:        a.G,
@@ -34,8 +35,13 @@ func distStructural[U, T semiring.Number](rt *locale.Runtime, a *dist.Mat[T]) *d
 		ColBands: append([]int(nil), a.ColBands...),
 		Blocks:   make([]*sparse.CSR[U], len(a.Blocks)),
 	}
+	most := 0
+	for _, b := range a.Blocks {
+		most = max(most, b.NNZ())
+	}
+	ones := sparse.Ones[U](rt.Scratch, most)
 	for l, b := range a.Blocks {
-		out.Blocks[l] = structural[U](b)
+		out.Blocks[l] = structural(b, ones)
 	}
 	if a.Replicated() {
 		dist.ReplicateMat(rt, out)

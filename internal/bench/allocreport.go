@@ -3,14 +3,18 @@ package bench
 // The allocation report backs the CI perf gate's second axis: besides the
 // modeled seconds of BENCH_spmspv.json, CI tracks the steady-state heap
 // allocations per call of the pooled hot kernels. The tentpole contract is
-// that every entry here is exactly zero — a warm worker pool plus scratch
-// arena leaves nothing to allocate — so any nonzero value is a regression
-// (an escaped closure, a dropped checkout, a variadic trace tag) and the
-// gate (cmd/benchgate) fails the build on it.
+// that every shared-memory and element-wise entry here is exactly zero — a
+// warm worker pool plus scratch arena leaves nothing to allocate — so any
+// nonzero value is a regression (an escaped closure, a dropped checkout, a
+// variadic trace tag). The two distributed rounds at the end are pinned at
+// what is left once their stage buffers are arena loans: a few header slices
+// for the SpMV round, the result blocks and descriptors for the SUMMA pair.
+// The gate (cmd/benchgate) fails the build on any increase.
 
 import (
 	"encoding/json"
 	"io"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -43,8 +47,8 @@ func (r AllocReport) Get(kernel string) (AllocPoint, bool) {
 	return AllocPoint{}, false
 }
 
-// allocWarmups primes the arena before measuring (first call sizes the pooled
-// buffers; sync.Pool keeps per-P caches a single pass may not fill).
+// allocWarmups primes the arena before measuring (the first calls size the
+// pooled buffers).
 const allocWarmups = 5
 
 // MeasureAllocs measures the steady-state allocs/op of the pooled hot kernels
@@ -247,6 +251,42 @@ func MeasureAllocs() (AllocReport, error) {
 	}
 	add("dcsc_convert", func() {
 		dc.FromCSR(hs)
+	})
+
+	// One distributed SpMV round as SSSP, PageRank and CC run it: fused with
+	// its update on a 2x2 grid, every stage buffer on loan from the arena.
+	sssp := semiring.MinPlus[float64]()
+	dA := dist.MatFromCSR(rtDist, sparse.ErdosRenyi[float64](8000, 8, 11))
+	dcur := dist.DenseVecFromDense(rtDist, sparse.NewDenseFill[float64](8000, 1.5))
+	var relaxed float64
+	round := func() {
+		_ = core.FusedSpMVUpdate(rtDist, dA, dcur, sssp, func(_, _ int, v float64) { relaxed += v })
+	}
+	for i := 0; i < allocWarmups; i++ {
+		round()
+	}
+	add("spmv_dist_round", round)
+
+	// SUMMA as a mixed-type service runs it: MxM[float64] alternating with
+	// the triangle count's masked SpGEMM[int64] on one runtime, a collection
+	// after each. The typed arena keeps both sets of stage buffers through
+	// it all, so the pair costs its results and descriptors — not a refill.
+	srf := semiring.PlusTimes[float64]()
+	mf := dist.MatFromCSR(rtDist, sparse.ErdosRenyi[float64](1500, 6, 12))
+	mi := dist.MatFromCSR(rtDist, sparse.ErdosRenyi[int64](1500, 6, 12))
+	pair := func() {
+		_, _ = core.SpGEMMDist(rtDist, mf, mf, srf)
+		runtime.GC()
+		_, _ = core.SpGEMMDistMasked(rtDist, mi, mi, mi, sr)
+		runtime.GC()
+	}
+	for i := 0; i < allocWarmups; i++ {
+		pair()
+	}
+	rep.Kernels = append(rep.Kernels, AllocPoint{
+		Kernel: "spgemm_dist_mixed",
+		// Less what the two collections themselves allocate.
+		AllocsPerOp: testing.AllocsPerRun(20, pair) - testing.AllocsPerRun(20, func() { runtime.GC(); runtime.GC() }),
 	})
 
 	return rep, nil

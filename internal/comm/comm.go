@@ -9,6 +9,14 @@
 // charge the machine model for the communication structure: tree-based
 // collectives cost log2(P) rounds of bulk transfers.
 //
+// The two team collectives of the distributed SpMV, RowAllGather and
+// ColReduceScatter, hand the members of a team one shared read-only buffer
+// instead of a copy each — the locales live in one address space, and their
+// consumers only read. The buffer is on loan from the runtime's scratch arena
+// and goes back through ReleaseRowGather / ReleaseColReduce. The charges are
+// unchanged: every member is billed for the transfer that would have brought
+// it its copy.
+//
 // Every collective is retryable: each logical transfer consults the
 // runtime's fault injector (internal/fault) and, when an attempt is dropped,
 // pays a detection timeout plus an exponential backoff (capped by the
@@ -28,6 +36,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/locale"
 	"repro/internal/semiring"
+	"repro/internal/sparse"
 )
 
 // bytesOf estimates the wire size of n elements of a numeric type (8 bytes
@@ -237,83 +246,137 @@ func AllReduce[T semiring.Number](rt *locale.Runtime, vals []T, m semiring.Monoi
 // row's team (the communication pattern of the SpMSpV gather step, done with
 // collectives instead of fine-grained access). Returns one concatenation per
 // locale.
+//
+// The members of a team share one read-only buffer, on loan from the
+// runtime's arena: nobody writes the result, and the caller hands it to
+// ReleaseRowGather when done. A caller that keeps it instead — the
+// benchmark's comm.RowAllGather rung, which times the collective alone, is
+// one — leaves the arena to allocate the next and its Outstanding count
+// raised by Pr per call; nothing else depends on the release. The charges are
+// those of a team in which every member holds its own copy. On an error every
+// buffer lent so far is returned.
 func RowAllGather[T semiring.Number](rt *locale.Runtime, parts [][]T) ([][]T, error) {
 	defer rt.Span("RowAllGather").End()
 	g := rt.G
 	out := make([][]T, g.P)
 	for r := 0; r < g.Pr; r++ {
-		team := g.RowLocales(r)
+		leader := g.ID(r, 0)
 		total := 0
-		for _, l := range team {
-			total += len(parts[l])
+		for c := 0; c < g.Pc; c++ {
+			total += len(parts[g.ID(r, c)])
 		}
-		joined := make([]T, 0, total)
-		for _, l := range team {
-			joined = append(joined, parts[l]...)
+		joined := sparse.GetSlice[T](rt.Scratch, total)[:0]
+		for c := 0; c < g.Pc; c++ {
+			joined = append(joined, parts[g.ID(r, c)]...)
 		}
-		// Tree all-gather within the team.
-		base := rt.S.BulkTime(bytesOf(total), false) * treeDepth(len(team))
-		for _, l := range team {
+		// Tree all-gather within the team. The leader's entry is set before
+		// any transfer can fail, so the error path finds every loan in out.
+		base := rt.S.BulkTime(bytesOf(total), false) * treeDepth(g.Pc)
+		for c := 0; c < g.Pc; c++ {
+			l := g.ID(r, c)
 			per := base
-			if l != team[0] {
-				extra, err := retryExtra(rt, team[0], l, base, "rowallgather")
+			if l != leader {
+				extra, err := retryExtra(rt, leader, l, base, "rowallgather")
 				if err != nil {
+					ReleaseRowGather(rt, out)
 					return nil, err
 				}
 				per += extra
 			}
 			rt.S.Advance(l, per)
-			if l != team[0] {
-				out[l] = append([]T(nil), joined...)
-			} else {
-				out[l] = joined
-			}
+			out[l] = joined
 		}
 	}
 	return out, nil
 }
 
+// ReleaseRowGather returns the team buffers of a RowAllGather result to the
+// arena; the result must not be read afterwards.
+func ReleaseRowGather[T semiring.Number](rt *locale.Runtime, out [][]T) {
+	for r := 0; r < rt.G.Pr; r++ {
+		sparse.PutSlice(rt.Scratch, out[rt.G.ID(r, 0)])
+	}
+}
+
 // ColReduceScatter reduces, for every grid column team, one dense slice per
 // member elementwise with a monoid, leaving each member with the reduced
 // slice (the communication pattern of a column-wise SpMV accumulation).
+//
+// As with RowAllGather, the members of a team share one read-only buffer on
+// loan from the arena, returned with ReleaseColReduce, and the charges are
+// unchanged. The fold starts from the identity and takes the members in team
+// order; for the built-in plus, min and max monoids (Monoid.Kind) it runs
+// inline, bit for bit the operator.
 func ColReduceScatter[T semiring.Number](rt *locale.Runtime, parts [][]T, m semiring.Monoid[T]) ([][]T, error) {
 	defer rt.Span("ColReduceScatter").End()
 	g := rt.G
+	kind := m.Kind()
 	out := make([][]T, g.P)
 	for c := 0; c < g.Pc; c++ {
-		team := g.ColLocales(c)
+		leader := g.ID(0, c)
 		width := 0
-		for _, l := range team {
-			if len(parts[l]) > width {
-				width = len(parts[l])
-			}
+		for r := 0; r < g.Pr; r++ {
+			width = max(width, len(parts[g.ID(r, c)]))
 		}
-		acc := make([]T, width)
+		acc := sparse.GetSlice[T](rt.Scratch, width)
 		for i := range acc {
 			acc[i] = m.Identity
 		}
-		for _, l := range team {
-			for i, v := range parts[l] {
-				acc[i] = m.Op(acc[i], v)
-			}
+		for r := 0; r < g.Pr; r++ {
+			foldInto(acc, parts[g.ID(r, c)], m.Op, kind)
 		}
-		base := rt.S.BulkTime(bytesOf(width), false) * treeDepth(len(team))
-		for _, l := range team {
+		base := rt.S.BulkTime(bytesOf(width), false) * treeDepth(g.Pr)
+		for r := 0; r < g.Pr; r++ {
+			l := g.ID(r, c)
 			per := base
-			if l != team[0] {
-				extra, err := retryExtra(rt, team[0], l, base, "colreducescatter")
+			if l != leader {
+				extra, err := retryExtra(rt, leader, l, base, "colreducescatter")
 				if err != nil {
+					ReleaseColReduce(rt, out)
 					return nil, err
 				}
 				per += extra
 			}
 			rt.S.Advance(l, per)
-			if l == team[0] {
-				out[l] = acc
-			} else {
-				out[l] = append([]T(nil), acc...)
-			}
+			out[l] = acc
 		}
 	}
 	return out, nil
+}
+
+// ReleaseColReduce returns the team buffers of a ColReduceScatter result to
+// the arena; the result must not be read afterwards.
+func ReleaseColReduce[T semiring.Number](rt *locale.Runtime, out [][]T) {
+	for c := 0; c < rt.G.Pc; c++ {
+		sparse.PutSlice(rt.Scratch, out[rt.G.ID(0, c)])
+	}
+}
+
+// foldInto accumulates acc[i] = acc[i] ⊕ part[i] over part's length. The
+// inlined operators keep the built-ins' exact comparison (`a < b ? a : b`),
+// so NaN and -0 resolve as through op.
+func foldInto[T semiring.Number](acc, part []T, op semiring.BinaryOp[T], kind semiring.MonoidKind) {
+	acc = acc[:len(part)]
+	switch kind {
+	case semiring.MonoidPlus:
+		for i, v := range part {
+			acc[i] += v
+		}
+	case semiring.MonoidMin:
+		for i, v := range part {
+			if !(acc[i] < v) {
+				acc[i] = v
+			}
+		}
+	case semiring.MonoidMax:
+		for i, v := range part {
+			if !(acc[i] > v) {
+				acc[i] = v
+			}
+		}
+	default:
+		for i, v := range part {
+			acc[i] = op(acc[i], v)
+		}
+	}
 }

@@ -1,6 +1,8 @@
 package comm
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/locale"
@@ -132,11 +134,32 @@ func TestRowAllGather(t *testing.T) {
 			t.Fatalf("row 1 locale %d = %v", l, out[l])
 		}
 	}
-	// Mutating one locale's copy must not affect its teammates.
-	out[1][0] = -1
-	if out[2][0] == -1 {
-		t.Error("row allgather aliased across team members")
+	// The read-only contract: a team shares one buffer on loan from the
+	// arena, which is neither an input nor another team's, and releasing the
+	// result returns every loan.
+	if &out[0][0] != &out[1][0] || &out[1][0] != &out[2][0] || &out[3][0] != &out[5][0] {
+		t.Error("team members must share one buffer")
 	}
+	if &out[0][0] == &out[3][0] || &out[0][0] == &parts[0][0] {
+		t.Error("a team's buffer aliases another team's or an input")
+	}
+	if got := rt.Scratch.Outstanding(); got != 2 {
+		t.Errorf("two row teams hold %d loans", got)
+	}
+	ReleaseRowGather(rt, out)
+	if got := rt.Scratch.Outstanding(); got != 0 {
+		t.Errorf("%d loans outstanding after the release", got)
+	}
+	// The next gather reuses the returned buffers and still reads its inputs.
+	parts[4][0] = 41
+	again, err := RowAllGather(rt, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again[3][1] != 41 || again[0][2] != 20 {
+		t.Errorf("second gather = %v / %v", again[0], again[3])
+	}
+	ReleaseRowGather(rt, again)
 }
 
 func TestColReduceScatter(t *testing.T) {
@@ -160,6 +183,86 @@ func TestColReduceScatter(t *testing.T) {
 		if out[l][0] != 7 || out[l][1] != 14 {
 			t.Fatalf("col 2 locale %d = %v", l, out[l])
 		}
+	}
+	// One shared read-only buffer per column team, never an input; the
+	// inputs are left as they were.
+	if &out[0][0] != &out[3][0] || &out[0][0] == &out[1][0] || &out[0][0] == &parts[0][0] {
+		t.Error("each column team must share one buffer of its own")
+	}
+	if parts[0][0] != 0 || parts[3][1] != 6 {
+		t.Errorf("inputs were written: %v", parts)
+	}
+	if got := rt.Scratch.Outstanding(); got != 3 {
+		t.Errorf("three column teams hold %d loans", got)
+	}
+	ReleaseColReduce(rt, out)
+	if got := rt.Scratch.Outstanding(); got != 0 {
+		t.Errorf("%d loans outstanding after the release", got)
+	}
+}
+
+// TestColReduceScatterInlineFoldMatchesOperator: for every monoid the fold
+// inlines, over float64 and int64 inputs that include NaN, ±Inf, -0 and the
+// integer extremes, the reduced bands equal — bit for bit — those of a copy
+// of the monoid whose Op was reassigned to a closure around the same
+// operator, which reports MonoidGeneric and takes the function-valued loop.
+// Ragged parts (a member shorter than the band) are folded over their length.
+func TestColReduceScatterInlineFoldMatchesOperator(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	fvals := []float64{0, negZero, 1, -1, 0.1, 1e308, -1e308, 5e-324, math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64}
+	ivals := []int64{0, 1, -1, 2, math.MaxInt64, math.MaxInt64 - 1, math.MinInt64, math.MinInt64 + 1}
+	checkFold(t, "float64", fvals, func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
+	})
+	checkFold(t, "int64", ivals, func(a, b int64) bool { return a == b })
+}
+
+func checkFold[T semiring.Number](t *testing.T, name string, specials []T, same func(a, b T) bool) {
+	t.Helper()
+	rt := newRT(t, 6) // 2x3 grid: column teams of two
+	r := rand.New(rand.NewSource(int64(len(specials))))
+	for trial := 0; trial < 200; trial++ {
+		parts := make([][]T, 6)
+		for l := range parts {
+			parts[l] = make([]T, 5+r.Intn(4)) // ragged
+			for i := range parts[l] {
+				parts[l][i] = specials[r.Intn(len(specials))]
+			}
+		}
+		for _, m := range []semiring.Monoid[T]{semiring.PlusMonoid[T](), semiring.MinMonoid[T](), semiring.MaxMonoid[T]()} {
+			if m.Kind() == semiring.MonoidGeneric {
+				t.Fatalf("%s/%s: the constructor's monoid reports the generic kind", name, m.Name)
+			}
+			viaOp := m
+			op := m.Op
+			viaOp.Op = func(a, b T) T { return op(a, b) }
+			if viaOp.Kind() != semiring.MonoidGeneric {
+				t.Fatalf("%s/%s: a reassigned Op kept the built-in kind", name, m.Name)
+			}
+			got, err := ColReduceScatter(rt, parts, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ColReduceScatter(rt, parts, viaOp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for l := range want {
+				if len(got[l]) != len(want[l]) {
+					t.Fatalf("%s/%s: locale %d band is %d wide inlined, %d through Op", name, m.Name, l, len(got[l]), len(want[l]))
+				}
+				for i := range want[l] {
+					if !same(got[l][i], want[l][i]) {
+						t.Fatalf("%s/%s: locale %d [%d] = %v inlined, %v through Op (parts %v)", name, m.Name, l, i, got[l][i], want[l][i], parts)
+					}
+				}
+			}
+			ReleaseColReduce(rt, got)
+			ReleaseColReduce(rt, want)
+		}
+	}
+	if got := rt.Scratch.Outstanding(); got != 0 {
+		t.Errorf("%s: %d loans outstanding", name, got)
 	}
 }
 

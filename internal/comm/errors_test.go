@@ -95,6 +95,10 @@ func TestCollectiveErrorPathsCarryLostLocale(t *testing.T) {
 			if st := rt.Health.StateOf(lostLoc); st != health.Suspect {
 				t.Errorf("detector state of lost locale = %v, want suspect", st)
 			}
+			// A collective that fails returns what it borrowed from the arena.
+			if got := rt.Scratch.Outstanding(); got != 0 {
+				t.Errorf("%d arena loans outstanding after the failure", got)
+			}
 		})
 	}
 }

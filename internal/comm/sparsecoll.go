@@ -70,12 +70,8 @@ func SparseRowAllGather[T semiring.Number](rt *locale.Runtime, inds [][]int, val
 			if di == 0 {
 				outInd[dst], outVal[dst] = mergedInd, mergedVal
 			} else {
-				// Each teammate's copy of the merged run is checked out of the
-				// runtime's arena; callers done with a copy may donate it back
-				// (sparse.PutVec / ScratchPool.PutInts) for the next gather.
-				ci := rt.Scratch.GetInts(len(mergedInd))
-				copy(ci, mergedInd)
-				outInd[dst] = ci
+				// Each teammate owns a copy of the merged run.
+				outInd[dst] = append(make([]int, 0, len(mergedInd)), mergedInd...)
 				outVal[dst] = append(make([]T, 0, len(mergedVal)), mergedVal...)
 			}
 		}
@@ -156,9 +152,9 @@ func kwayMergeRuns[T semiring.Number](scratch *sparse.ScratchPool, runs [][]int,
 	}
 	outInd := make([]int, 0, total)
 	outVal := make([]T, 0, total)
-	pos := scratch.GetInts(len(runs))
+	pos := sparse.GetSlice[int](scratch, len(runs))
 	clear(pos)
-	defer scratch.PutInts(pos)
+	defer sparse.PutSlice(scratch, pos)
 	for len(outInd) < total {
 		best := -1
 		for k, r := range runs {
@@ -187,9 +183,9 @@ func kwayMergeDedup[T semiring.Number](scratch *sparse.ScratchPool, runs [][]int
 	}
 	outInd := make([]int, 0, total)
 	outVal := make([]T, 0, total)
-	pos := scratch.GetInts(len(runs))
+	pos := sparse.GetSlice[int](scratch, len(runs))
 	clear(pos)
-	defer scratch.PutInts(pos)
+	defer sparse.PutSlice(scratch, pos)
 	for {
 		best := -1
 		for k, r := range runs {

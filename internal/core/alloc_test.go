@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"repro/internal/dist"
@@ -20,8 +19,8 @@ import (
 func incr[T int64 | float64](v T) T { return v + 1 }
 
 // warmups is how many calls prime the arena before measuring. More than one:
-// the first call sizes the pooled buffers, and sync.Pool keeps per-P caches
-// that a single pass may not populate.
+// the first calls size the pooled buffers, and buffers of several sizes
+// settle into their roles over a few rounds.
 const warmups = 5
 
 func TestSpMSpVShmBucketZeroAllocSteadyState(t *testing.T) {
@@ -248,52 +247,57 @@ func TestDCSCConvertZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestDistKernelAllocPins pins the steady-state allocation counts of the
-// distributed kernels whose staging is sized up front: what is left is the
-// result (returned to the caller, so never pooled), the per-locale staging
-// vectors, and the collectives' buffers. A count may be lowered, never raised.
-// SpGEMMDist is pinned at two densities as well: its stage panels are the
-// resident blocks and its stage products come from the arena, so the count
-// must not move with nnz.
+// distributed kernels: what is left is the result (returned to the caller, so
+// never pooled), the per-locale staging vectors of SpMSpVDist, and a handful
+// of slice headers and closures. A count may be lowered, never raised. The
+// SpMV stages run on arena loans, so FusedSpMVUpdate — which has no result —
+// is pinned at one count for every vector length, as is SpGEMMDist at two
+// densities: its stage panels are the resident blocks and its stage products
+// come from the arena, so the count must not move with nnz. The collector
+// runs as it pleases throughout: the arena's free lists survive it.
 func TestDistKernelAllocPins(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include race-runtime shadow allocations")
 	}
-	a0 := sparse.ErdosRenyi[float64](5000, 8, 41)
-	x0 := sparse.RandomVec[float64](5000, 400, 42)
-	xd0 := sparse.NewDenseFill[float64](5000, 1.5)
 	sr := semiring.PlusTimes[float64]()
+	const fusedPin = 5 // three per-locale header slices, the block bounds, the emit closure
 	for _, tc := range []struct {
-		locales      int
+		locales, n   int
 		spmspv, spmv float64
 	}{
-		{locales: 1, spmspv: 15, spmv: 12},
-		{locales: 4, spmspv: 34, spmv: 26}, // 2x2 grid
+		{locales: 1, n: 5000, spmspv: 15, spmv: 7},
+		{locales: 4, n: 5000, spmspv: 34, spmv: 10}, // 2x2 grid
+		{locales: 4, n: 20000, spmspv: 34, spmv: 10},
 	} {
 		rt := newRT(t, tc.locales, 24)
-		a := dist.MatFromCSR(rt, a0)
-		x := dist.SpVecFromVec(rt, x0)
-		xd := dist.DenseVecFromDense(rt, xd0)
+		a := dist.MatFromCSR(rt, sparse.ErdosRenyi[float64](tc.n, 8, 41))
+		x := dist.SpVecFromVec(rt, sparse.RandomVec[float64](tc.n, 400, 42))
+		xd := dist.DenseVecFromDense(rt, sparse.NewDenseFill[float64](tc.n, 1.5))
+		var sink float64
+		update := func(_, _ int, v float64) { sink += v }
 		for i := 0; i < warmups; i++ {
 			SpMSpVDist(rt, a, x)
 			if _, err := SpMVDist(rt, a, xd, sr); err != nil {
 				t.Fatal(err)
 			}
+			if err := FusedSpMVUpdate(rt, a, xd, sr, update); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if got := testing.AllocsPerRun(50, func() { SpMSpVDist(rt, a, x) }); got > tc.spmspv {
-			t.Errorf("%d locales: SpMSpVDist allocates %.0f objects per steady-state call, pinned at %.0f", tc.locales, got, tc.spmspv)
+			t.Errorf("%d locales, n=%d: SpMSpVDist allocates %.0f objects per steady-state call, pinned at %.0f", tc.locales, tc.n, got, tc.spmspv)
 		}
 		if got := testing.AllocsPerRun(50, func() { _, _ = SpMVDist(rt, a, xd, sr) }); got > tc.spmv {
-			t.Errorf("%d locales: SpMVDist allocates %.0f objects per steady-state call, pinned at %.0f", tc.locales, got, tc.spmv)
+			t.Errorf("%d locales, n=%d: SpMVDist allocates %.0f objects per steady-state call, pinned at %.0f", tc.locales, tc.n, got, tc.spmv)
+		}
+		if got := testing.AllocsPerRun(50, func() { _ = FusedSpMVUpdate(rt, a, xd, sr, update) }); got > fusedPin {
+			t.Errorf("%d locales, n=%d: FusedSpMVUpdate allocates %.0f objects per steady-state call, pinned at %d", tc.locales, tc.n, got, fusedPin)
+		}
+		if n := rt.Scratch.Outstanding(); n != 0 {
+			t.Errorf("%d locales, n=%d: %d arena loans outstanding", tc.locales, tc.n, n)
 		}
 	}
 
-	// A collection empties the arena's sync.Pools and a migration to another
-	// P strands what the warm-up pooled; either costs a refill of a few
-	// objects, and the denser product collects more often. The comparison
-	// therefore runs on one P with the collector off.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const spgemmPin = 45 // 2x2 grid: the descriptor, four result blocks, team lists, per-stage phase names
 	sri := semiring.PlusTimes[int64]()
 	var counts []float64
 	for _, degree := range []float64{3, 12} {
@@ -312,5 +316,46 @@ func TestDistKernelAllocPins(t *testing.T) {
 	}
 	if counts[0] != counts[1] {
 		t.Errorf("SpGEMMDist allocates %.0f objects at degree 3 but %.0f at degree 12: staging scales with nnz", counts[0], counts[1])
+	}
+}
+
+// spgemmPin is SpGEMMDist's steady-state object count on a 2x2 grid: the
+// descriptor, four result blocks, team lists, per-stage phase names.
+const spgemmPin = 43
+
+// TestArenaMixedTypesAndCollections is the regression test of the typed
+// arena: SpGEMMDist[float64] and SpGEMMDistMasked[int64] alternate on one
+// runtime — MxM beside TriangleCount — with a forced collection after each.
+// Every call must still find its own stage buffers: the pair allocates twice
+// the single-type pin and not an object more. (On sync.Pool categories shared
+// across element types each call dropped the other's buffers and each
+// collection emptied the rest: 3 851 objects per pair instead of 2 × 43.)
+func TestArenaMixedTypesAndCollections(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include race-runtime shadow allocations")
+	}
+	rt := newRT(t, 4, 24)
+	srf, sri := semiring.PlusTimes[float64](), semiring.PlusTimes[int64]()
+	mf := dist.MatFromCSR(rt, sparse.ErdosRenyi[float64](1500, 6, 44))
+	mi := dist.MatFromCSR(rt, sparse.ErdosRenyi[int64](1500, 6, 44))
+	pair := func() {
+		if _, err := SpGEMMDist(rt, mf, mf, srf); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		if _, err := SpGEMMDistMasked(rt, mi, mi, mi, sri); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+	}
+	for i := 0; i < warmups; i++ {
+		pair()
+	}
+	collections := testing.AllocsPerRun(20, func() { runtime.GC(); runtime.GC() })
+	if got := testing.AllocsPerRun(20, pair) - collections; got > 2*spgemmPin {
+		t.Errorf("a float64/int64 pair of SUMMA calls allocates %.0f objects with a collection after each, pinned at 2 x %d", got, spgemmPin)
+	}
+	if n := rt.Scratch.Outstanding(); n != 0 {
+		t.Errorf("%d arena loans outstanding", n)
 	}
 }

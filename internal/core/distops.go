@@ -39,12 +39,32 @@ func ReduceDist[T semiring.Number](rt *locale.Runtime, v *dist.SpVec[T], m semir
 // band (a row-team all-gather), multiplies its local block, and the partial
 // results are combined down each grid column with the additive monoid (a
 // column-team reduce). x and y are block-distributed dense vectors of length
-// NRows and NCols respectively.
+// NRows and NCols respectively. y is a fresh vector the caller owns; every
+// buffer of the stages in between is on loan from the runtime's arena and
+// back there when the call returns.
 func SpMVDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.DenseVec[T], sr semiring.Semiring[T]) (*dist.DenseVec[T], error) {
 	defer rt.Span("SpMVDist").End()
 	if x.N != a.NRows {
 		return nil, fmt.Errorf("core: SpMVDist: x has %d entries for %d rows", x.N, a.NRows)
 	}
+	y := dist.NewDenseVec[T](rt, a.NCols)
+	err := spmvStages(rt, a, x, sr, "SpMV", y.Bounds, func(l, lo int, src []T) {
+		copy(y.Loc[l][lo-y.Bounds[l]:], src)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return y, nil
+}
+
+// spmvStages runs the distributed SpMV — input placement, local multiply,
+// column-team reduce — and hands the reduced product to emit in the order of
+// the block distribution bounds (see spmvAssemble). The stage buffers are
+// arena loans shared read-only by the locales that would each hold a copy:
+// one x band per row team (or one replica of x), the dense partials, one
+// reduced band per column team. All are returned before spmvStages is, on the
+// error paths too; src is valid only during its emit call.
+func spmvStages[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.DenseVec[T], sr semiring.Semiring[T], op string, bounds []int, emit func(l, lo int, src []T)) error {
 	g := rt.G
 	rt.S.CoforallSpawn()
 
@@ -53,39 +73,45 @@ func SpMVDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.Den
 	// so the row team's local parts concatenate to the band segment. The
 	// inspector picks the placement (row-team all-gather vs full
 	// replication); a nil inspector keeps the all-gather.
-	xParts, err := distributeSpMVInput(rt, a, x, "SpMV")
+	in, err := distributeSpMVInput(rt, a, x, op)
 	if err != nil {
-		return nil, err
+		return err
 	}
-
-	partials := spmvPartials(rt, a, xParts, sr)
+	partials, loan := spmvPartials(rt, a, in.bands, sr)
+	in.release(rt)
 
 	// Column-team reduction of the partial results; the reduced slice of
-	// column band c lives on every locale of grid column c, and the final
-	// block-distributed y takes each global index from its owner's copy.
+	// column band c is shared by the locales of grid column c, and the
+	// block-distributed result takes each global index from it.
 	reduced, err := comm.ColReduceScatter(rt, partials, sr.Add)
+	sparse.PutSlice(rt.Scratch, loan)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	y := dist.NewDenseVec[T](rt, a.NCols)
-	spmvAssemble(g, a.ColBands, y.Bounds, reduced, func(l, lo int, src []T) {
-		copy(y.Loc[l][lo-y.Bounds[l]:], src)
-	})
+	spmvAssemble(g, a.ColBands, bounds, reduced, emit)
+	comm.ReleaseColReduce(rt, reduced)
 	rt.S.Barrier()
-	return y, nil
+	return nil
 }
 
 // spmvPartials is the local-multiply stage of the distributed SpMV: every
 // locale folds its block's rows into a partial result over its column band,
-// skipping rows whose x entry is the additive identity.
-func spmvPartials[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], xParts [][]T, sr semiring.Semiring[T]) [][]T {
+// skipping rows whose x entry is the additive identity. The partials are
+// consecutive pieces of one arena loan, which the caller returns.
+func spmvPartials[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], bands [][]T, sr semiring.Semiring[T]) (partials [][]T, loan []T) {
 	g := rt.G
-	partials := make([][]T, g.P)
+	total := 0
+	for _, blk := range a.Blocks {
+		total += blk.NCols
+	}
+	loan = sparse.GetSlice[T](rt.Scratch, total)
+	partials = make([][]T, g.P)
 	rk := newRowKernel(sr)
+	rest := loan
 	for l := 0; l < g.P; l++ {
 		blk := a.Blocks[l]
-		var flops int64
-		partials[l], flops = rk.spmvBlock(blk, xParts[l], sr.AddIdentity())
+		partials[l], rest = rest[:blk.NCols:blk.NCols], rest[blk.NCols:]
+		flops := rk.spmvBlock(blk, bands[l], sr.AddIdentity(), partials[l])
 		rt.S.Compute(l, rt.Threads, sim.Kernel{
 			Name:         "spmv-local",
 			Items:        flops + int64(blk.NRows),
@@ -93,7 +119,7 @@ func spmvPartials[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], xParts 
 			BytesPerItem: 20,
 		})
 	}
-	return partials
+	return partials, loan
 }
 
 // spmvAssemble hands the column-reduced product over in the order of the

@@ -51,7 +51,7 @@ func EWiseMultSDInto[T semiring.Number](rt *locale.Runtime, x *dist.SpVec[T], y 
 
 		// Real work: predicate scan with atomic compaction (Listing 6 lines
 		// 17–21). keepPos[k] records the position in lx of the k-th survivor.
-		keepPos := rt.Scratch.GetInt32s(nnz)
+		keepPos := sparse.GetSlice[int32](rt.Scratch, nnz)
 		kept := 0
 		if rt.RealWorkers <= 1 {
 			// Sequential fast path: the "atomic" cursor degenerates to a plain
@@ -88,7 +88,7 @@ func EWiseMultSDInto[T semiring.Number](rt *locale.Runtime, x *dist.SpVec[T], y 
 			lz.Ind[i] = lx.Ind[k]
 			lz.Val[i] = lx.Val[k]
 		}
-		rt.Scratch.PutInt32s(keepPos)
+		sparse.PutSlice(rt.Scratch, keepPos)
 
 		// Model: the scan kernel (atomic-compaction bound) and the output
 		// domain construction.

@@ -17,6 +17,7 @@ import (
 	"repro/internal/locale"
 	"repro/internal/semiring"
 	"repro/internal/sim"
+	"repro/internal/sparse"
 	"repro/internal/trace"
 )
 
@@ -241,16 +242,33 @@ func EstimateSpMVPlace[T semiring.Number](rt *locale.Runtime, x *dist.DenseVec[T
 	return gather, replicate
 }
 
+// spmvInput is every locale's x band for one distributed SpMV, read-only,
+// and the arena loans behind it: one gathered buffer per row team
+// (comm.RowAllGather), or one replica of x that every band slices.
+type spmvInput[T semiring.Number] struct {
+	bands   [][]T
+	replica []T // nil after a row-team gather
+}
+
+// release returns the loans; the bands must not be read afterwards.
+func (in spmvInput[T]) release(rt *locale.Runtime) {
+	if in.replica != nil {
+		sparse.PutSlice(rt.Scratch, in.replica)
+		return
+	}
+	comm.ReleaseRowGather(rt, in.bands)
+}
+
 // distributeSpMVInput gives every locale the x segment of its grid row,
 // routing between comm.RowAllGather and full replication through the
 // runtime's inspector. Both placements deliver identical band contents — the
 // vector's block bounds align with the matrix row bands (BlockBounds(n, P)
 // at index r·Pc equals BlockBounds(n, Pr) at r) — so downstream multiplies
 // are bitwise identical. A nil inspector keeps the historical all-gather.
-func distributeSpMVInput[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.DenseVec[T], op string) ([][]T, error) {
+func distributeSpMVInput[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.DenseVec[T], op string) (spmvInput[T], error) {
 	in := rt.Insp
 	if in == nil {
-		return comm.RowAllGather(rt, x.Loc)
+		return gatherSpMVInput(rt, x)
 	}
 	if rt.Fault != nil || rt.G.P == 1 {
 		reason := inspect.ReasonSingleLocale
@@ -259,36 +277,42 @@ func distributeSpMVInput[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], 
 		}
 		in.Note(op, inspect.AxisPlace, "gather", reason)
 		defer dispatchSpan(rt, in).End()
-		return comm.RowAllGather(rt, x.Loc)
+		return gatherSpMVInput(rt, x)
 	}
 	gc, rc := EstimateSpMVPlace(rt, x)
 	choice := in.DecidePlace(op, gc, rc, ReasonTeamGather, ReasonReplicated)
 	defer dispatchSpan(rt, in).End()
 	if choice == inspect.PlaceGather {
-		return comm.RowAllGather(rt, x.Loc)
+		return gatherSpMVInput(rt, x)
 	}
 	return replicateSpMVInput(rt, a.RowBands, x), nil
+}
+
+// gatherSpMVInput is the row-team all-gather placement.
+func gatherSpMVInput[T semiring.Number](rt *locale.Runtime, x *dist.DenseVec[T]) (spmvInput[T], error) {
+	bands, err := comm.RowAllGather(rt, x.Loc)
+	return spmvInput[T]{bands: bands}, err
 }
 
 // replicateSpMVInput broadcasts the full vector to every locale (one tree of
 // depth ceil(log2 P), like comm.Broadcast) and slices each locale's row band
 // out of its replica. The bands are read-only inside the multiplies, so the
-// locales share the replica's backing array.
-func replicateSpMVInput[T semiring.Number](rt *locale.Runtime, rowBands []int, x *dist.DenseVec[T]) [][]T {
+// locales share one replica, on loan from the arena.
+func replicateSpMVInput[T semiring.Number](rt *locale.Runtime, rowBands []int, x *dist.DenseVec[T]) spmvInput[T] {
 	g := rt.G
 	defer rt.Span("VectorReplicate").End()
-	full := make([]T, 0, x.N)
+	full := sparse.GetSlice[T](rt.Scratch, x.N)[:0]
 	for l := 0; l < g.P; l++ {
 		full = append(full, x.Loc[l]...)
 	}
 	base := rt.S.BulkTime(int64(8*x.N), false) * estTreeDepth(g.P)
-	out := make([][]T, g.P)
+	bands := make([][]T, g.P)
 	for l := 0; l < g.P; l++ {
 		rt.S.Advance(l, base)
 		r, _ := g.Coords(l)
-		out[l] = full[rowBands[r]:rowBands[r+1]]
+		bands[l] = full[rowBands[r]:rowBands[r+1]]
 	}
-	return out
+	return spmvInput[T]{bands: bands, replica: full}
 }
 
 // EstimateBFSDir prices one direction-optimized BFS round. Push runs the

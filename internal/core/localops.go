@@ -146,7 +146,8 @@ func SpMV[T semiring.Number](a *sparse.CSR[T], x []T, sr semiring.Semiring[T]) (
 		return nil, fmt.Errorf("core: SpMV: x has %d entries for %d rows", len(x), a.NRows)
 	}
 	rk := newRowKernel(sr)
-	y, _ := rk.spmvBlock(a, x, sr.AddIdentity())
+	y := make([]T, a.NCols)
+	rk.spmvBlock(a, x, sr.AddIdentity(), y)
 	return y, nil
 }
 

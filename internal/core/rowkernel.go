@@ -25,97 +25,162 @@ type rowKernel[T semiring.Number] struct {
 }
 
 func newRowKernel[T semiring.Number](sr semiring.Semiring[T]) rowKernel[T] {
-	return rowKernel[T]{kind: sr.Kind(), add: sr.Add.Op, mul: sr.Mul, inf: semiring.MaxValue[T]()}
+	inf := semiring.MaxValue[T]()
+	return rowKernel[T]{kind: sr.Kind(), add: sr.Add.Op, mul: sr.Mul, inf: inf}
 }
 
-// spmvBlock computes the dense product y = xA of one CSR block: y starts at
-// the additive identity id, and rows whose x entry is id are skipped (they
-// cannot contribute). It also returns the number of matrix entries visited.
-func (rk *rowKernel[T]) spmvBlock(a *sparse.CSR[T], x []T, id T) (y []T, visited int64) {
-	y = make([]T, a.NCols)
+// spmvBlock computes the dense product y = xA of one CSR block into y (length
+// a.NCols): y starts at the additive identity id, and rows whose x entry is
+// id are skipped (they cannot contribute). It returns the number of matrix
+// entries visited. The kind is resolved once per block, not per row; what
+// does not vary along a row is tested once per row: xv == inf, which makes
+// every product of a saturating multiply inf.
+func (rk *rowKernel[T]) spmvBlock(a *sparse.CSR[T], x []T, id T, y []T) (visited int64) {
 	for j := range y {
 		y[j] = id
 	}
-	for i, xv := range x[:a.NRows] {
-		if xv == id {
-			continue
-		}
-		cols, vals := a.Row(i)
-		visited += int64(len(cols))
-		rk.spmvRow(y, cols, vals, xv)
-	}
-	return y, visited
-}
-
-// spmvRow accumulates one matrix row into a dense partial result:
-// part[cols[k]] ⊕= xv ⊗ vals[k].
-func (rk *rowKernel[T]) spmvRow(part []T, cols []int, vals []T, xv T) {
-	vals = vals[:len(cols)]
+	x = x[:a.NRows]
 	inf := rk.inf
 	switch rk.kind {
 	case semiring.KindPlusTimes:
-		for k, j := range cols {
-			part[j] += T(xv * vals[k])
+		for i, xv := range x {
+			if xv == id {
+				continue
+			}
+			cols, vals := a.Row(i)
+			vals = vals[:len(cols)]
+			visited += int64(len(cols))
+			for k, j := range cols {
+				y[j] += T(xv * vals[k])
+			}
 		}
 	case semiring.KindMinPlus:
-		for k, j := range cols {
-			p := T(xv + vals[k])
-			if xv == inf || vals[k] == inf {
-				p = inf
+		for i, xv := range x {
+			if xv == id {
+				continue
 			}
-			if !(part[j] < p) {
-				part[j] = p
+			cols, vals := a.Row(i)
+			vals = vals[:len(cols)]
+			visited += int64(len(cols))
+			if xv == inf {
+				minRow(y, cols, inf)
+				continue
+			}
+			for k, j := range cols {
+				p := T(xv + vals[k])
+				if vals[k] == inf {
+					p = inf
+				}
+				if !(y[j] < p) {
+					y[j] = p
+				}
 			}
 		}
 	case semiring.KindMinSecond:
-		for k, j := range cols {
-			p := vals[k]
-			if xv == inf {
-				p = inf
+		for i, xv := range x {
+			if xv == id {
+				continue
 			}
-			if !(part[j] < p) {
-				part[j] = p
+			cols, vals := a.Row(i)
+			vals = vals[:len(cols)]
+			visited += int64(len(cols))
+			if xv == inf {
+				minRow(y, cols, inf)
+				continue
+			}
+			for k, j := range cols {
+				if p := vals[k]; !(y[j] < p) {
+					y[j] = p
+				}
 			}
 		}
 	case semiring.KindMinFirst:
-		for k, j := range cols {
-			p := xv
-			if vals[k] == inf {
-				p = inf
+		for i, xv := range x {
+			if xv == id {
+				continue
 			}
-			if !(part[j] < p) {
-				part[j] = p
+			cols, vals := a.Row(i)
+			vals = vals[:len(cols)]
+			visited += int64(len(cols))
+			for k, j := range cols {
+				p := xv
+				if vals[k] == inf {
+					p = inf
+				}
+				if !(y[j] < p) {
+					y[j] = p
+				}
 			}
 		}
 	case semiring.KindMaxPlus:
-		for k, j := range cols {
-			if p := T(xv + vals[k]); !(part[j] > p) {
-				part[j] = p
+		for i, xv := range x {
+			if xv == id {
+				continue
+			}
+			cols, vals := a.Row(i)
+			vals = vals[:len(cols)]
+			visited += int64(len(cols))
+			for k, j := range cols {
+				if p := T(xv + vals[k]); !(y[j] > p) {
+					y[j] = p
+				}
 			}
 		}
 	case semiring.KindLOrLAnd:
-		for k, j := range cols {
-			if part[j] != 0 || (xv != 0 && vals[k] != 0) {
-				part[j] = 1
-			} else {
-				part[j] = 0
+		for i, xv := range x {
+			if xv == id {
+				continue
+			}
+			cols, vals := a.Row(i)
+			vals = vals[:len(cols)]
+			visited += int64(len(cols))
+			for k, j := range cols {
+				if y[j] != 0 || (xv != 0 && vals[k] != 0) {
+					y[j] = 1
+				} else {
+					y[j] = 0
+				}
 			}
 		}
 	default:
 		add, mul := rk.add, rk.mul
-		for k, j := range cols {
-			part[j] = add(part[j], mul(xv, vals[k]))
+		for i, xv := range x {
+			if xv == id {
+				continue
+			}
+			cols, vals := a.Row(i)
+			vals = vals[:len(cols)]
+			visited += int64(len(cols))
+			for k, j := range cols {
+				y[j] = add(y[j], mul(xv, vals[k]))
+			}
+		}
+	}
+	return visited
+}
+
+// minRow folds the constant p into y at cols with the min monoid's exact
+// comparison.
+func minRow[T semiring.Number](y []T, cols []int, p T) {
+	for _, j := range cols {
+		if !(y[j] < p) {
+			y[j] = p
 		}
 	}
 }
 
 // spaRow accumulates one matrix row into a first-touch dense accumulator
-// (sparse.BucketSPA's scratch): the first product to reach a position is
-// stored as is, later ones are folded in with ⊕. It returns how many
-// positions the row claimed.
-func (rk *rowKernel[T]) spaRow(val []T, there []bool, cols []int, vals []T, xv T) int {
+// (sparse.BucketSPA's scratch, sparse.SPA): the first product to reach a
+// position is stored as is, later ones are folded in with ⊕. It returns how
+// many positions the row claimed; a non-nil record has them appended to
+// *record (itself possibly a nil slice) in the order they were claimed.
+func (rk *rowKernel[T]) spaRow(val []T, there []bool, cols []int, vals []T, xv T, record *[]int) int {
 	vals = vals[:len(cols)]
 	inf := rk.inf
+	var nz []int
+	if record != nil {
+		nz = *record
+	}
 	claimed := 0
 	switch rk.kind {
 	case semiring.KindPlusTimes:
@@ -125,6 +190,9 @@ func (rk *rowKernel[T]) spaRow(val []T, there []bool, cols []int, vals []T, xv T
 				there[j] = true
 				val[j] = p
 				claimed++
+				if record != nil {
+					nz = append(nz, j)
+				}
 			} else {
 				val[j] += p
 			}
@@ -135,7 +203,11 @@ func (rk *rowKernel[T]) spaRow(val []T, there []bool, cols []int, vals []T, xv T
 			if xv == inf || vals[k] == inf {
 				p = inf
 			}
-			claimed += minInto(val, there, j, p)
+			c := minInto(val, there, j, p)
+			claimed += c
+			if record != nil && c == 1 {
+				nz = append(nz, j)
+			}
 		}
 	case semiring.KindMinSecond:
 		for k, j := range cols {
@@ -143,7 +215,11 @@ func (rk *rowKernel[T]) spaRow(val []T, there []bool, cols []int, vals []T, xv T
 			if xv == inf {
 				p = inf
 			}
-			claimed += minInto(val, there, j, p)
+			c := minInto(val, there, j, p)
+			claimed += c
+			if record != nil && c == 1 {
+				nz = append(nz, j)
+			}
 		}
 	case semiring.KindMinFirst:
 		for k, j := range cols {
@@ -151,7 +227,30 @@ func (rk *rowKernel[T]) spaRow(val []T, there []bool, cols []int, vals []T, xv T
 			if vals[k] == inf {
 				p = inf
 			}
-			claimed += minInto(val, there, j, p)
+			c := minInto(val, there, j, p)
+			claimed += c
+			if record != nil && c == 1 {
+				nz = append(nz, j)
+			}
+		}
+	case semiring.KindLOrLAnd:
+		for k, j := range cols {
+			var p T
+			if xv != 0 && vals[k] != 0 {
+				p = 1
+			}
+			if !there[j] {
+				there[j] = true
+				val[j] = p
+				claimed++
+				if record != nil {
+					nz = append(nz, j)
+				}
+			} else if val[j] != 0 || p != 0 {
+				val[j] = 1
+			} else {
+				val[j] = 0
+			}
 		}
 	default:
 		add, mul := rk.add, rk.mul
@@ -161,10 +260,16 @@ func (rk *rowKernel[T]) spaRow(val []T, there []bool, cols []int, vals []T, xv T
 				there[j] = true
 				val[j] = p
 				claimed++
+				if record != nil {
+					nz = append(nz, j)
+				}
 			} else {
 				val[j] = add(val[j], p)
 			}
 		}
+	}
+	if record != nil {
+		*record = nz
 	}
 	return claimed
 }
@@ -181,4 +286,53 @@ func minInto[T semiring.Number](val []T, there []bool, j int, p T) int {
 		val[j] = p
 	}
 	return 0
+}
+
+// product returns x ⊗ v for a built-in kind (any but KindGeneric: the caller
+// tests for that, because an operator call in here would put product and sum
+// past the inliner's budget, and they exist to be inlined per flop).
+func (rk *rowKernel[T]) product(x, v T) T {
+	switch rk.kind {
+	case semiring.KindPlusTimes:
+		return T(x * v)
+	case semiring.KindMaxPlus:
+		return T(x + v)
+	case semiring.KindLOrLAnd:
+		if x != 0 && v != 0 {
+			return 1
+		}
+		return 0
+	}
+	if x == rk.inf || v == rk.inf {
+		return rk.inf
+	}
+	switch rk.kind {
+	case semiring.KindMinPlus:
+		return T(x + v)
+	case semiring.KindMinSecond:
+		return v
+	}
+	return x
+}
+
+// sum returns a ⊕ p for a built-in kind (any but KindGeneric).
+func (rk *rowKernel[T]) sum(a, p T) T {
+	switch rk.kind {
+	case semiring.KindPlusTimes:
+		return a + p
+	case semiring.KindMaxPlus:
+		if a > p {
+			return a
+		}
+		return p
+	case semiring.KindLOrLAnd:
+		if a != 0 || p != 0 {
+			return 1
+		}
+		return 0
+	}
+	if a < p {
+		return a
+	}
+	return p
 }

@@ -3,9 +3,15 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
+	"repro/internal/comm"
+	"repro/internal/locale"
+	"repro/internal/machine"
 	"repro/internal/semiring"
+	"repro/internal/sparse"
 )
 
 // rowCase is one element type of the row-kernel differential test: its
@@ -59,10 +65,46 @@ func builtinSemirings[T semiring.Number]() []semiring.Semiring[T] {
 	}
 }
 
-// checkRowKinds runs one seeded row through spmvRow and spaRow twice per
-// semiring — with the kind the semiring reports, and with the kind forced to
-// generic (the function-valued loops) — and demands identical results.
-func checkRowKinds[T semiring.Number](t *testing.T, c rowCase[T], seed int64, rowLen, specialPct uint8) {
+// viaOperators returns sr with both operators rewrapped in closures: the same
+// arithmetic, but no longer the constructor's code pointers, so every kernel
+// resolves it to the generic kind and runs the function-valued loops. It is
+// the reference the inlined loops are compared with.
+func viaOperators[T semiring.Number](sr semiring.Semiring[T]) semiring.Semiring[T] {
+	add, mul := sr.Add.Op, sr.Mul
+	sr.Add.Op = func(a, b T) T { return add(a, b) }
+	sr.Mul = func(a, b T) T { return mul(a, b) }
+	return sr
+}
+
+// randBlock builds a valid rows×cols CSR block (sorted, duplicate-free rows of
+// at most maxRow entries) with values drawn from pick.
+func randBlock[T semiring.Number](r *rand.Rand, rows, cols, maxRow int, pick func() T) *sparse.CSR[T] {
+	a := sparse.NewCSR[T](rows, cols)
+	for i := 0; i < rows; i++ {
+		n := 0
+		if maxRow > 0 {
+			n = r.Intn(maxRow + 1)
+		}
+		for _, j := range r.Perm(cols)[:min(n, cols)] {
+			a.ColIdx = append(a.ColIdx, j)
+		}
+		sort.Ints(a.ColIdx[a.RowPtr[i]:])
+		for range a.ColIdx[a.RowPtr[i]:] {
+			a.Val = append(a.Val, pick())
+		}
+		a.RowPtr[i+1] = len(a.ColIdx)
+	}
+	return a
+}
+
+// checkRowKinds runs one seeded block through every kind-resolved loop twice
+// per semiring — with the semiring as constructed (inlined arithmetic) and
+// with its viaOperators twin (the function-valued loops) — and demands
+// identical results: spmvBlock (via SpMV, under the semiring's identity and
+// under another one, which is what reaches the hoisted xv == inf rows),
+// spaRow with and without recording, both local SpGEMM kernels, and the
+// column-team reduce over the additive monoid.
+func checkRowKinds[T semiring.Number](t *testing.T, rt *locale.Runtime, c rowCase[T], seed int64, rowLen, specialPct uint8) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	pick := func() T {
@@ -71,83 +113,157 @@ func checkRowKinds[T semiring.Number](t *testing.T, c rowCase[T], seed int64, ro
 		}
 		return c.random(r)
 	}
-	const m = 24 // result width: short, so a row revisits positions
-	cols := make([]int, int(rowLen)%64)
+	const m = 24 // result width: short, so rows revisit positions
+	maxRow := int(rowLen) % 64
+	a := randBlock(r, 9, m, min(maxRow, m), pick)
+	b := randBlock(r, m, m, min(maxRow, m), pick)
+	x := make([]T, a.NRows)
+	for i := range x {
+		x[i] = pick()
+	}
+	cols := make([]int, maxRow) // one unsorted row with repeats, for spaRow
 	vals := make([]T, len(cols))
 	for k := range cols {
 		cols[k] = r.Intn(m)
 		vals[k] = pick()
 	}
 	xv := pick()
-	part0 := make([]T, m)
+	val0 := make([]T, m)
 	there0 := make([]bool, m)
-	for i := range part0 {
-		part0[i] = pick()
+	for i := range val0 {
+		val0[i] = pick()
 		there0[i] = r.Intn(2) == 0
+	}
+	parts := make([][]T, rt.G.P)
+	for l := range parts {
+		parts[l] = make([]T, 3+r.Intn(3))
+		for i := range parts[l] {
+			parts[l][i] = pick()
+		}
+	}
+	sameSlice := func(what, name string, got, want []T) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s/%s %s: %d values inlined, %d through the operators", c.name, name, what, len(got), len(want))
+		}
+		for i := range want {
+			if !c.same(got[i], want[i]) {
+				t.Fatalf("%s/%s %s: [%d] = %v inlined, %v through the operators (seed %d rowLen %d pct %d)",
+					c.name, name, what, i, got[i], want[i], seed, rowLen, specialPct)
+			}
+		}
 	}
 
 	for _, sr := range builtinSemirings[T]() {
-		rk := newRowKernel(sr)
+		ref := viaOperators(sr)
+		rk, generic := newRowKernel(sr), newRowKernel(ref)
 		if builtin := sr.Name != "user-plus-first"; builtin == (rk.kind == semiring.KindGeneric) {
 			t.Fatalf("%s/%s: resolved to kind %d", c.name, sr.Name, rk.kind)
 		}
-		generic := rk
-		generic.kind = semiring.KindGeneric
+		if generic.kind != semiring.KindGeneric || ref.Add.Kind() != semiring.MonoidGeneric {
+			t.Fatalf("%s/%s: rewrapped operators kept a built-in kind", c.name, sr.Name)
+		}
 
-		got := append([]T(nil), part0...)
-		want := append([]T(nil), part0...)
-		rk.spmvRow(got, cols, vals, xv)
-		generic.spmvRow(want, cols, vals, xv)
-		for i := range want {
-			if !c.same(got[i], want[i]) {
-				t.Fatalf("%s/%s spmvRow: part[%d] = %v inlined, %v through the operators (xv=%v cols=%v vals=%v part=%v)",
-					c.name, sr.Name, i, got[i], want[i], xv, cols, vals, part0)
+		for _, id := range []T{sr.AddIdentity(), pick()} {
+			got, want := make([]T, m), make([]T, m)
+			gotN := rk.spmvBlock(a, x, id, got)
+			wantN := generic.spmvBlock(a, x, id, want)
+			if gotN != wantN {
+				t.Fatalf("%s/%s spmvBlock: visited %d inlined, %d through the operators", c.name, sr.Name, gotN, wantN)
+			}
+			sameSlice("spmvBlock", sr.Name, got, want)
+		}
+
+		for _, record := range []bool{false, true} {
+			got, want := append([]T(nil), val0...), append([]T(nil), val0...)
+			gotThere, wantThere := append([]bool(nil), there0...), append([]bool(nil), there0...)
+			// Recording starts from a nil slice: what asks for the claimed
+			// positions is the pointer, not what it points at.
+			var gotNz, wantNz []int
+			var gotRec, wantRec *[]int
+			if record {
+				gotRec, wantRec = &gotNz, &wantNz
+			}
+			gotN := rk.spaRow(got, gotThere, cols, vals, xv, gotRec)
+			wantN := generic.spaRow(want, wantThere, cols, vals, xv, wantRec)
+			if gotN != wantN || !slices.Equal(gotNz, wantNz) || (record && len(gotNz) != gotN) || (!record && gotNz != nil) {
+				t.Fatalf("%s/%s spaRow: claimed %d %v inlined, %d %v through the operators", c.name, sr.Name, gotN, gotNz, wantN, wantNz)
+			}
+			for i := range want {
+				if gotThere[i] != wantThere[i] || (wantThere[i] && !c.same(got[i], want[i])) {
+					t.Fatalf("%s/%s spaRow: position %d = (%v,%v) inlined, (%v,%v) through the operators (xv=%v cols=%v vals=%v)",
+						c.name, sr.Name, i, gotThere[i], got[i], wantThere[i], want[i], xv, cols, vals)
+				}
 			}
 		}
 
-		got, want = append(got[:0], part0...), append(want[:0], part0...)
-		gotThere := append([]bool(nil), there0...)
-		wantThere := append([]bool(nil), there0...)
-		gotN := rk.spaRow(got, gotThere, cols, vals, xv)
-		wantN := generic.spaRow(want, wantThere, cols, vals, xv)
-		if gotN != wantN {
-			t.Fatalf("%s/%s spaRow: claimed %d inlined, %d through the operators", c.name, sr.Name, gotN, wantN)
-		}
-		for i := range want {
-			if gotThere[i] != wantThere[i] || (wantThere[i] && !c.same(got[i], want[i])) {
-				t.Fatalf("%s/%s spaRow: position %d = (%v,%v) inlined, (%v,%v) through the operators (xv=%v cols=%v vals=%v)",
-					c.name, sr.Name, i, gotThere[i], got[i], wantThere[i], want[i], xv, cols, vals)
+		for name, kernel := range map[string]func(*sparse.ScratchPool, *sparse.CSR[T], *sparse.CSR[T], semiring.Semiring[T], *sparse.CSR[T]) int64{
+			"SpGEMMLocalHash": SpGEMMLocalHash[T], "SpGEMMLocalHeap": SpGEMMLocalHeap[T],
+		} {
+			var got, want sparse.CSR[T]
+			if gotN, wantN := kernel(rt.Scratch, a, b, sr, &got), kernel(rt.Scratch, a, b, ref, &want); gotN != wantN {
+				t.Fatalf("%s/%s %s: %d flops inlined, %d through the operators", c.name, sr.Name, name, gotN, wantN)
 			}
+			if !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColIdx, want.ColIdx) {
+				t.Fatalf("%s/%s %s: patterns differ", c.name, sr.Name, name)
+			}
+			sameSlice(name, sr.Name, got.Val, want.Val)
 		}
+
+		got, err := comm.ColReduceScatter(rt, parts, sr.Add)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := comm.ColReduceScatter(rt, parts, ref.Add)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l := range want {
+			sameSlice("ColReduceScatter", sr.Name, got[l], want[l])
+		}
+		comm.ReleaseColReduce(rt, got)
+		comm.ReleaseColReduce(rt, want)
+	}
+	if n := rt.Scratch.Outstanding(); n != 0 {
+		t.Fatalf("%d arena loans outstanding", n)
 	}
 }
 
-// FuzzSpmvRowKinds is the differential test of the inlined row loops: for
-// every built-in semiring kind over float64, int64 and int32, a row computed
-// with inlined arithmetic equals, bit for bit, the same row computed through
-// the function-valued operators. The seeds cover NaN, ±Inf, -0 and MaxInt
-// saturation (a row of special values only), empty rows, and ordinary rows.
+// checkAllRowCases is the body FuzzSpmvRowKinds and its sweep share.
+func checkAllRowCases(t *testing.T, rt *locale.Runtime, seed int64, rowLen, specialPct uint8) {
+	t.Helper()
+	checkRowKinds(t, rt, floatCase(), seed, rowLen, specialPct)
+	checkRowKinds(t, rt, intCase[int64]("int64"), seed, rowLen, specialPct)
+	checkRowKinds(t, rt, intCase[int32]("int32"), seed, rowLen, specialPct)
+}
+
+// FuzzSpmvRowKinds is the differential test of the kind-resolved loops: for
+// every built-in semiring kind over float64, int64 and int32, a block
+// computed with inlined arithmetic equals, bit for bit, the same block
+// computed through the function-valued operators. The seeds cover NaN, ±Inf,
+// -0 and MaxInt saturation (a block of special values only), empty rows, and
+// ordinary rows.
 func FuzzSpmvRowKinds(f *testing.F) {
 	f.Add(int64(1), uint8(16), uint8(0))   // ordinary values
 	f.Add(int64(2), uint8(40), uint8(100)) // special values only
 	f.Add(int64(3), uint8(63), uint8(50))
-	f.Add(int64(4), uint8(0), uint8(100)) // empty row
+	f.Add(int64(4), uint8(0), uint8(100)) // empty rows
 	f.Add(int64(5), uint8(1), uint8(100))
 	f.Add(int64(6), uint8(33), uint8(20))
+	rt, err := locale.New(machine.Edison(), 4, 24) // 2x2 grid for the reduce
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, rowLen, specialPct uint8) {
-		checkRowKinds(t, floatCase(), seed, rowLen, specialPct)
-		checkRowKinds(t, intCase[int64]("int64"), seed, rowLen, specialPct)
-		checkRowKinds(t, intCase[int32]("int32"), seed, rowLen, specialPct)
+		checkAllRowCases(t, rt, seed, rowLen, specialPct)
 	})
 }
 
-// TestSpmvRowKindsSweep runs the fuzz body over a few thousand seeded rows,
-// so `go test` exercises far more than the fuzz seeds.
+// TestSpmvRowKindsSweep runs the fuzz body over a few hundred seeded
+// blocks, so `go test` exercises far more than the fuzz seeds.
 func TestSpmvRowKindsSweep(t *testing.T) {
-	for seed := int64(0); seed < 3000; seed++ {
-		rowLen, pct := uint8(seed*7), uint8(seed*13)
-		checkRowKinds(t, floatCase(), seed, rowLen, pct)
-		checkRowKinds(t, intCase[int64]("int64"), seed, rowLen, pct)
-		checkRowKinds(t, intCase[int32]("int32"), seed, rowLen, pct)
+	rt := newRT(t, 4, 24)
+	for seed := int64(0); seed < 500; seed++ {
+		checkAllRowCases(t, rt, seed, uint8(seed*7), uint8(seed*13))
 	}
 }

@@ -30,6 +30,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/comm"
@@ -182,9 +183,14 @@ func summaPlace[T semiring.Number](rt *locale.Runtime, a, b *dist.Mat[T], stages
 }
 
 // mergeCSRInto writes a ⊕ b (entry-wise, add on collisions) into out,
-// reusing out's arrays. a and b must have identical shape.
+// reusing out's arrays. a and b must have identical shape. The output is
+// sized once, from nnz(a)+nnz(b), and written by index.
 func mergeCSRInto[T semiring.Number](a, b *sparse.CSR[T], add semiring.BinaryOp[T], out *sparse.CSR[T]) {
 	spgemmResize(out, a.NRows, a.NCols)
+	bound := a.NNZ() + b.NNZ()
+	cols := slices.Grow(out.ColIdx, bound)[:bound]
+	vals := slices.Grow(out.Val, bound)[:bound]
+	n := 0
 	for i := 0; i < a.NRows; i++ {
 		ac, av := a.Row(i)
 		bc, bv := b.Row(i)
@@ -192,29 +198,24 @@ func mergeCSRInto[T semiring.Number](a, b *sparse.CSR[T], add semiring.BinaryOp[
 		for x < len(ac) && y < len(bc) {
 			switch {
 			case ac[x] < bc[y]:
-				out.ColIdx = append(out.ColIdx, ac[x])
-				out.Val = append(out.Val, av[x])
+				cols[n], vals[n] = ac[x], av[x]
 				x++
 			case ac[x] > bc[y]:
-				out.ColIdx = append(out.ColIdx, bc[y])
-				out.Val = append(out.Val, bv[y])
+				cols[n], vals[n] = bc[y], bv[y]
 				y++
 			default:
-				out.ColIdx = append(out.ColIdx, ac[x])
-				out.Val = append(out.Val, add(av[x], bv[y]))
+				cols[n], vals[n] = ac[x], add(av[x], bv[y])
 				x, y = x+1, y+1
 			}
+			n++
 		}
-		for ; x < len(ac); x++ {
-			out.ColIdx = append(out.ColIdx, ac[x])
-			out.Val = append(out.Val, av[x])
-		}
-		for ; y < len(bc); y++ {
-			out.ColIdx = append(out.ColIdx, bc[y])
-			out.Val = append(out.Val, bv[y])
-		}
-		out.RowPtr[i+1] = len(out.ColIdx)
+		copy(vals[n:], av[x:])
+		n += copy(cols[n:], ac[x:])
+		copy(vals[n:], bv[y:])
+		n += copy(cols[n:], bc[y:])
+		out.RowPtr[i+1] = n
 	}
+	out.ColIdx, out.Val = cols[:n], vals[:n]
 }
 
 // maskCSR keeps only the entries of a whose positions are stored in mask
@@ -288,8 +289,8 @@ func (p *summaPanels[T]) setB(c int, blk *sparse.CSR[T], r0, r1 int) {
 		return
 	}
 	v := &p.bView[c]
-	p.scratch.PutInts(v.RowPtr)
-	v.RowPtr = p.scratch.GetInts(r1 - r0 + 1)
+	sparse.PutSlice(p.scratch, v.RowPtr)
+	v.RowPtr = sparse.GetSlice[int](p.scratch, r1-r0+1)
 	blk.RowRangeView(r0, r1, v)
 	p.b[c] = v
 }
@@ -297,7 +298,7 @@ func (p *summaPanels[T]) setB(c int, blk *sparse.CSR[T], r0, r1 int) {
 // release returns the views' borrowed row pointers to the arena.
 func (p *summaPanels[T]) release() {
 	for c := range p.bView {
-		p.scratch.PutInts(p.bView[c].RowPtr)
+		sparse.PutSlice(p.scratch, p.bView[c].RowPtr)
 		p.bView[c].RowPtr = nil
 	}
 }
@@ -375,7 +376,7 @@ func spgemmDist[T semiring.Number](rt *locale.Runtime, a, b, mask *dist.Mat[T], 
 	aPanels, bPanels := panels.a, panels.b
 
 	for k, st := range stages {
-		rt.S.BeginPhase(fmt.Sprintf("SUMMA stage %d", k))
+		rt.S.BeginPhase("SUMMA stage " + strconv.Itoa(k))
 		bs := rt.Span("SUMMABroadcast", trace.T("op", "spgemm"), trace.T("stage", "broadcast"),
 			trace.T("k", strconv.Itoa(k)))
 		for r := 0; r < g.Pr; r++ {

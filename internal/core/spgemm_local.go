@@ -22,6 +22,8 @@ package core
 // costs O(nzr + flops), not O(nrows).
 
 import (
+	"slices"
+
 	"repro/internal/semiring"
 	"repro/internal/sparse"
 )
@@ -73,27 +75,31 @@ func forEachRow[T semiring.Number](scratch *sparse.ScratchPool, a *sparse.CSR[T]
 
 // SpGEMMLocalHash computes out = a·b with the SPA (hash) kernel, appending
 // into out's reused arrays. It returns the multiply-add count for cost
-// charging.
+// charging. Each B row an A entry references is folded into the SPA by the
+// row kernel's first-touch accumulate, inline for a built-in semiring.
 func SpGEMMLocalHash[T semiring.Number](scratch *sparse.ScratchPool, a, b *sparse.CSR[T], sr semiring.Semiring[T], out *sparse.CSR[T]) int64 {
 	spgemmResize(out, a.NRows, b.NCols)
 	spa := sparse.GetSPA[T](scratch, b.NCols)
 	defer sparse.PutSPA(scratch, spa)
+	rk := newRowKernel(sr)
 	var flops int64
 	forEachRow(scratch, a, func(i int, aCols []int, aVals []T) {
 		for t, k := range aCols {
 			bCols, bVals := b.Row(k)
 			flops += int64(len(bCols))
-			av := aVals[t]
-			for u, j := range bCols {
-				spa.Scatter(j, sr.Mul(av, bVals[u]), sr.Add.Op)
-			}
+			rk.spaRow(spa.Val, spa.IsThere, bCols, bVals, aVals[t], &spa.NzInds)
 		}
+		// Harvest the row in column order, clearing the SPA on the way.
 		sparse.RadixSortInts(spa.NzInds)
-		for _, j := range spa.NzInds {
-			out.ColIdx = append(out.ColIdx, j)
-			out.Val = append(out.Val, spa.Val[j])
+		base, n := len(out.ColIdx), len(spa.NzInds)
+		out.ColIdx = slices.Grow(out.ColIdx, n)[:base+n]
+		out.Val = slices.Grow(out.Val, n)[:base+n]
+		cols, vals := out.ColIdx[base:], out.Val[base:]
+		for u, j := range spa.NzInds {
+			cols[u], vals[u] = j, spa.Val[j]
+			spa.IsThere[j] = false
 		}
-		spa.Reset()
+		spa.NzInds = spa.NzInds[:0]
 		out.RowPtr[i+1] = len(out.ColIdx)
 	})
 	fixRowPtr(out)
@@ -102,7 +108,9 @@ func SpGEMMLocalHash[T semiring.Number](scratch *sparse.ScratchPool, a, b *spars
 
 // SpGEMMLocalHeap computes out = a·b with the k-way heap-merge kernel,
 // appending into out's reused arrays. It returns the multiply-add count for
-// cost charging.
+// cost charging. The heap orders run ids by their runs' front columns with
+// direct comparisons, and a built-in semiring's ⊗ and ⊕ are the row kernel's
+// inlined scalars.
 func SpGEMMLocalHeap[T semiring.Number](scratch *sparse.ScratchPool, a, b *sparse.CSR[T], sr semiring.Semiring[T], out *sparse.CSR[T]) int64 {
 	spgemmResize(out, a.NRows, b.NCols)
 	maxRow := 0
@@ -111,11 +119,13 @@ func SpGEMMLocalHeap[T semiring.Number](scratch *sparse.ScratchPool, a, b *spars
 			maxRow = n
 		}
 	}
-	ints := scratch.GetInts(3 * maxRow)
-	defer scratch.PutInts(ints)
+	ints := sparse.GetSlice[int](scratch, 3*maxRow)
+	defer sparse.PutSlice(scratch, ints)
 	heads, ends, heap := ints[:maxRow], ints[maxRow:2*maxRow], ints[2*maxRow:3*maxRow]
 	av := sparse.GetVec[T](scratch, maxRow)
 	defer sparse.PutVec(scratch, av)
+	rk := newRowKernel(sr)
+	generic := rk.kind == semiring.KindGeneric
 	var flops int64
 	forEachRow(scratch, a, func(i int, aCols []int, aVals []T) {
 		// One merge run per non-empty B row A's row references; each run
@@ -132,20 +142,26 @@ func SpGEMMLocalHeap[T semiring.Number](scratch *sparse.ScratchPool, a, b *spars
 			heap[hn] = hn
 			hn++
 		}
-		less := func(x, y int) bool { return b.ColIdx[heads[x]] < b.ColIdx[heads[y]] }
 		for h := hn/2 - 1; h >= 0; h-- {
-			siftDown(heap[:hn], h, less)
+			siftDown(heap[:hn], h, heads, b.ColIdx)
 		}
 		rowStart := len(out.ColIdx)
 		for hn > 0 {
 			r := heap[0]
 			j := b.ColIdx[heads[r]]
-			v := sr.Mul(av.Val[r], b.Val[heads[r]])
-			if n := len(out.ColIdx); n > rowStart && out.ColIdx[n-1] == j {
-				out.Val[n-1] = sr.Add.Op(out.Val[n-1], v)
+			var v T
+			if generic {
+				v = rk.mul(av.Val[r], b.Val[heads[r]])
 			} else {
+				v = rk.product(av.Val[r], b.Val[heads[r]])
+			}
+			if n := len(out.ColIdx); n == rowStart || out.ColIdx[n-1] != j {
 				out.ColIdx = append(out.ColIdx, j)
 				out.Val = append(out.Val, v)
+			} else if generic {
+				out.Val[n-1] = rk.add(out.Val[n-1], v)
+			} else {
+				out.Val[n-1] = rk.sum(out.Val[n-1], v)
 			}
 			flops++
 			heads[r]++
@@ -153,7 +169,7 @@ func SpGEMMLocalHeap[T semiring.Number](scratch *sparse.ScratchPool, a, b *spars
 				heap[0] = heap[hn-1]
 				hn--
 			}
-			siftDown(heap[:hn], 0, less)
+			siftDown(heap[:hn], 0, heads, b.ColIdx)
 		}
 		out.RowPtr[i+1] = len(out.ColIdx)
 	})
@@ -161,8 +177,9 @@ func SpGEMMLocalHeap[T semiring.Number](scratch *sparse.ScratchPool, a, b *spars
 	return flops
 }
 
-// siftDown restores the heap property below index i.
-func siftDown(h []int, i int, less func(x, y int) bool) {
+// siftDown restores the heap property below index i of a heap of run ids
+// ordered by the column each run's head points at.
+func siftDown(h []int, i int, heads, cols []int) {
 	n := len(h)
 	for {
 		l := 2*i + 1
@@ -170,10 +187,10 @@ func siftDown(h []int, i int, less func(x, y int) bool) {
 			return
 		}
 		m := l
-		if r := l + 1; r < n && less(h[r], h[l]) {
+		if r := l + 1; r < n && cols[heads[h[r]]] < cols[heads[h[l]]] {
 			m = r
 		}
-		if !less(h[m], h[i]) {
+		if !(cols[heads[h[m]]] < cols[heads[h[i]]]) {
 			return
 		}
 		h[i], h[m] = h[m], h[i]

@@ -210,7 +210,7 @@ func spmspvBucketSemiring[T semiring.Number](a *sparse.CSR[T], x *sparse.Vec[T],
 			}
 			cols, vals := a.Row(rid)
 			seen += int64(len(cols))
-			claimed += rk.spaRow(val, there, cols, vals, x.Val[k])
+			claimed += rk.spaRow(val, there, cols, vals, x.Val[k], nil)
 		}
 		st.EntriesVisited = seen
 	} else {

@@ -84,9 +84,6 @@ func SpMSpVDistBulk[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *di
 		}
 		lys[l] = ly
 		st.LocalEntries += shmStats.EntriesVisited
-		// The gathered input was checked out of the arena by the collective;
-		// donate its buffers back for the next round's gather.
-		sparse.PutVec(rt.Scratch, lxs[l])
 		lxs[l] = nil
 	}
 

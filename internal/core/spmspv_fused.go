@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/comm"
 	"repro/internal/dist"
 	"repro/internal/inspect"
 	"repro/internal/locale"
@@ -52,7 +51,7 @@ func FusedApplyEWiseMult[T semiring.Number](rt *locale.Runtime, x *dist.SpVec[T]
 		base := y.Bounds[l]
 		nnz := lx.NNZ()
 
-		keepPos := rt.Scratch.GetInt32s(nnz)
+		keepPos := sparse.GetSlice[int32](rt.Scratch, nnz)
 		kept := 0
 		if rt.RealWorkers <= 1 {
 			for k := 0; k < nnz; k++ {
@@ -85,7 +84,7 @@ func FusedApplyEWiseMult[T semiring.Number](rt *locale.Runtime, x *dist.SpVec[T]
 			lz.Ind[i] = lx.Ind[k]
 			lz.Val[i] = lx.Val[k]
 		}
-		rt.Scratch.PutInt32s(keepPos)
+		sparse.PutSlice(rt.Scratch, keepPos)
 
 		// Model: one fused scan (apply + predicate per element) and the
 		// output construction; the separate apply2 pass is gone.
@@ -130,7 +129,7 @@ func fusedMaskBroadcast(rt *locale.Runtime, colBands []int, mask *dist.DenseVec[
 	bandMask := make([][]int64, g.Pc)
 	for c := 0; c < g.Pc; c++ {
 		lo, hi := colBands[c], colBands[c+1]
-		seg := rt.Scratch.GetInt64s(hi - lo)
+		seg := sparse.GetSlice[int64](rt.Scratch, hi-lo)
 		for l := 0; l < g.P; l++ {
 			// The piece of the band that locale l's block of the mask holds.
 			if from, to := max(lo, mask.Bounds[l]), min(hi, mask.Bounds[l+1]); from < to {
@@ -151,7 +150,7 @@ func fusedMaskBroadcast(rt *locale.Runtime, colBands []int, mask *dist.DenseVec[
 // putBandMask returns fusedMaskBroadcast's segments to the arena.
 func putBandMask(rt *locale.Runtime, bandMask [][]int64) {
 	for _, seg := range bandMask {
-		rt.Scratch.PutInt64s(seg)
+		sparse.PutSlice(rt.Scratch, seg)
 	}
 }
 
@@ -594,7 +593,9 @@ func FusedSpMSpVFilterAssign[T semiring.Number](rt *locale.Runtime, a *dist.Mat[
 // product value — in exactly the order the eager path builds and then reads
 // the vector (locale-major, gi ascending), so value-order-sensitive updates
 // (float accumulation, min races) stay bitwise identical. The region saves
-// one spawn/barrier per call and never builds y.
+// one spawn/barrier per call and never builds y: the reduced product lives in
+// arena loans that go back when the call returns, and update is handed its
+// values one by one, never the buffer, so nothing it keeps can alias a loan.
 //
 // Collective errors surface before any update runs, so callers' restore /
 // resume recovery closures behave as with the eager SpMVDist.
@@ -603,27 +604,11 @@ func FusedSpMVUpdate[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *d
 	if x.N != a.NRows {
 		return fmt.Errorf("core: FusedSpMVUpdate: x has %d entries for %d rows", x.N, a.NRows)
 	}
-	g := rt.G
-	rt.S.CoforallSpawn()
-
-	xParts, err := distributeSpMVInput(rt, a, x, "FusedSpMVUpdate")
-	if err != nil {
-		return err
-	}
-
-	partials := spmvPartials(rt, a, xParts, sr)
-
-	reduced, err := comm.ColReduceScatter(rt, partials, sr.Add)
-	if err != nil {
-		return err
-	}
-	spmvAssemble(g, a.ColBands, locale.BlockBounds(a.NCols, g.P), reduced, func(l, lo int, src []T) {
+	return spmvStages(rt, a, x, sr, "FusedSpMVUpdate", locale.BlockBounds(a.NCols, rt.G.P), func(l, lo int, src []T) {
 		for i, v := range src {
 			update(l, lo+i, v)
 		}
 	})
-	rt.S.Barrier()
-	return nil
 }
 
 // FusedPushStepShm is the shared-memory analogue of FusedBFSRound: the masked

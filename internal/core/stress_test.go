@@ -87,7 +87,7 @@ func TestScratchPoolStressMixedSizes(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < reps; rep++ {
 				n := 1 + (g*37+rep*101)%4096
-				buf := pool.GetInts(n)
+				buf := sparse.GetSlice[int](pool, n)
 				if len(buf) != n {
 					t.Errorf("goroutine %d: GetInts(%d) returned len %d", g, n, len(buf))
 					return
@@ -101,7 +101,7 @@ func TestScratchPoolStressMixedSizes(t *testing.T) {
 						return
 					}
 				}
-				pool.PutInts(buf)
+				sparse.PutSlice(pool, buf)
 			}
 		}(g)
 	}

@@ -487,8 +487,8 @@ func (em *EpochMat[T]) getCSR(nrows, ncols int) *sparse.CSR[T] {
 func (em *EpochMat[T]) mergeBlock(rt *locale.Runtime, b *sparse.CSR[T], d *blockDelta[T]) *sparse.CSR[T] {
 	nd := len(d.rows)
 	scratch := rt.Scratch
-	keys := scratch.GetInts(nd)
-	perm := scratch.GetInts(nd)
+	keys := sparse.GetSlice[int](scratch, nd)
+	perm := sparse.GetSlice[int](scratch, nd)
 	for k := 0; k < nd; k++ {
 		keys[k] = d.rows[k]*b.NCols + d.cols[k]
 		perm[k] = k
@@ -499,7 +499,7 @@ func (em *EpochMat[T]) mergeBlock(rt *locale.Runtime, b *sparse.CSR[T], d *block
 
 	// Group the sorted permutation by row: rowPtrD[i] is the index in perm of
 	// row i's first delta entry.
-	rowPtrD := scratch.GetInts(b.NRows + 1)
+	rowPtrD := sparse.GetSlice[int](scratch, b.NRows+1)
 	for i := range rowPtrD {
 		rowPtrD[i] = 0
 	}
@@ -511,7 +511,7 @@ func (em *EpochMat[T]) mergeBlock(rt *locale.Runtime, b *sparse.CSR[T], d *block
 	}
 
 	out := em.getCSR(b.NRows, b.NCols)
-	counts := scratch.GetInts(b.NRows)
+	counts := sparse.GetSlice[int](scratch, b.NRows)
 	if rt.RealWorkers <= 1 {
 		for i := 0; i < b.NRows; i++ {
 			counts[i] = mergeRowCount(b, i, keys, perm, rowPtrD, d.dels)
@@ -549,10 +549,10 @@ func (em *EpochMat[T]) mergeBlock(rt *locale.Runtime, b *sparse.CSR[T], d *block
 			}
 		})
 	}
-	scratch.PutInts(counts)
-	scratch.PutInts(rowPtrD)
-	scratch.PutInts(perm)
-	scratch.PutInts(keys)
+	sparse.PutSlice(scratch, counts)
+	sparse.PutSlice(scratch, rowPtrD)
+	sparse.PutSlice(scratch, perm)
+	sparse.PutSlice(scratch, keys)
 	return out
 }
 

@@ -72,19 +72,30 @@ func (m *Mat[T]) Get(i, j int) (T, bool) {
 }
 
 // ToCSR gathers the distributed matrix back into one global CSR (for tests
-// and verification; not an operation the paper's library exposes).
+// and verification; not an operation the paper's library exposes). The blocks
+// are sorted CSR over disjoint column bands, so a global row is its pieces
+// concatenated in band order — no sort.
 func (m *Mat[T]) ToCSR() (*sparse.CSR[T], error) {
-	coo := sparse.NewCOO[T](m.NRows, m.NCols)
-	for l, b := range m.Blocks {
-		r, c := m.G.Coords(l)
-		for i := 0; i < b.NRows; i++ {
-			cols, vals := b.Row(i)
-			for k, j := range cols {
-				coo.Append(m.RowBands[r]+i, m.ColBands[c]+j, vals[k])
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	g := m.G
+	out := sparse.NewCSR[T](m.NRows, m.NCols)
+	out.ColIdx = make([]int, 0, m.NNZ())
+	out.Val = make([]T, 0, m.NNZ())
+	for r := 0; r < g.Pr; r++ {
+		for i := m.RowBands[r]; i < m.RowBands[r+1]; i++ {
+			for c := 0; c < g.Pc; c++ {
+				cols, vals := m.Blocks[g.ID(r, c)].Row(i - m.RowBands[r])
+				for _, j := range cols {
+					out.ColIdx = append(out.ColIdx, m.ColBands[c]+j)
+				}
+				out.Val = append(out.Val, vals...)
 			}
+			out.RowPtr[i+1] = len(out.ColIdx)
 		}
 	}
-	return coo.ToCSR(semiring.Second[T])
+	return out, nil
 }
 
 // Validate checks every block and the band structure.

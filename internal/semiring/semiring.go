@@ -64,6 +64,41 @@ type Monoid[T any] struct {
 	Name     string
 	Op       BinaryOp[T]
 	Identity T
+
+	// kind and the code pointer of the operator the constructor installed;
+	// see Kind. A struct literal leaves them zero.
+	kind MonoidKind
+	opPC uintptr
+}
+
+// MonoidKind names a built-in monoid whose operator a reduction may inline.
+type MonoidKind uint8
+
+const (
+	// MonoidGeneric is every monoid a reduction must run through its
+	// function-valued Op: user struct literals, and copies of a built-in
+	// whose Op was reassigned.
+	MonoidGeneric MonoidKind = iota
+	MonoidPlus
+	MonoidMin
+	MonoidMax
+)
+
+// Kind reports which built-in monoid m still is, by the rule of
+// Semiring.Kind: the constructor's tag is honoured only while Op has the code
+// pointer the constructor recorded. Reductions call this once per call, never
+// per element.
+func (m Monoid[T]) Kind() MonoidKind {
+	if m.kind == MonoidGeneric || funcPC(m.Op) != m.opPC {
+		return MonoidGeneric
+	}
+	return m.kind
+}
+
+// builtinMonoid tags m as the built-in monoid k.
+func builtinMonoid[T any](k MonoidKind, m Monoid[T]) Monoid[T] {
+	m.kind, m.opPC = k, funcPC(m.Op)
+	return m
 }
 
 // Reduce folds xs with the monoid, starting from the identity.
@@ -263,7 +298,7 @@ func LAnd[T Number](a, b T) T {
 
 // PlusMonoid is the (+, 0) commutative monoid.
 func PlusMonoid[T Number]() Monoid[T] {
-	return Monoid[T]{Name: "plus", Op: Plus[T], Identity: 0}
+	return builtinMonoid(MonoidPlus, Monoid[T]{Name: "plus", Op: Plus[T], Identity: 0})
 }
 
 // TimesMonoid is the (×, 1) commutative monoid.
@@ -273,12 +308,12 @@ func TimesMonoid[T Number]() Monoid[T] {
 
 // MinMonoid is the (min, +∞) commutative monoid.
 func MinMonoid[T Number]() Monoid[T] {
-	return Monoid[T]{Name: "min", Op: Min[T], Identity: MaxValue[T]()}
+	return builtinMonoid(MonoidMin, Monoid[T]{Name: "min", Op: Min[T], Identity: MaxValue[T]()})
 }
 
 // MaxMonoid is the (max, -∞) commutative monoid.
 func MaxMonoid[T Number]() Monoid[T] {
-	return Monoid[T]{Name: "max", Op: Max[T], Identity: MinValue[T]()}
+	return builtinMonoid(MonoidMax, Monoid[T]{Name: "max", Op: Max[T], Identity: MinValue[T]()})
 }
 
 // LOrMonoid is the (∨, 0) commutative monoid.

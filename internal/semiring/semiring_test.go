@@ -390,3 +390,51 @@ func TestKindTagCannotLie(t *testing.T) {
 		t.Error("integer instantiations lost their kind")
 	}
 }
+
+// TestMonoidKindTagCannotLie is TestKindTagCannotLie for Monoid.Kind: set by
+// the constructors of the monoids a reduction inlines, withdrawn when Op is
+// reassigned, absent from struct literals and from the other constructors.
+func TestMonoidKindTagCannotLie(t *testing.T) {
+	for want, m := range map[MonoidKind]Monoid[float64]{
+		MonoidPlus: PlusMonoid[float64](),
+		MonoidMin:  MinMonoid[float64](),
+		MonoidMax:  MaxMonoid[float64](),
+	} {
+		if got := m.Kind(); got != want {
+			t.Errorf("%s: Kind() = %d, want %d", m.Name, got, want)
+		}
+		cp := m
+		cp.Identity = 42 // not the operator: reductions read it from the struct
+		if cp.Kind() != want {
+			t.Errorf("%s: changing the identity withdrew the kind", m.Name)
+		}
+		cp.Op = func(a, b float64) float64 { return a * b }
+		if cp.Kind() != MonoidGeneric {
+			t.Errorf("%s: Kind() = %d after Op was reassigned", m.Name, cp.Kind())
+		}
+		cp.Op = nil
+		if cp.Kind() != MonoidGeneric {
+			t.Errorf("%s: Kind() = %d with a nil Op", m.Name, cp.Kind())
+		}
+	}
+	// Another built-in's operator is still not this built-in's.
+	swapped := MinMonoid[float64]()
+	swapped.Op = MaxMonoid[float64]().Op
+	if swapped.Kind() != MonoidGeneric {
+		t.Errorf("min with max's Op: Kind() = %d", swapped.Kind())
+	}
+	// A struct literal of the very same operator is a user's monoid.
+	lit := Monoid[float64]{Name: "mine", Op: Plus[float64]}
+	if lit.Kind() != MonoidGeneric {
+		t.Errorf("struct literal: Kind() = %d, want generic", lit.Kind())
+	}
+	for _, m := range []Monoid[int64]{TimesMonoid[int64](), LOrMonoid[int64](), LAndMonoid[int64]()} {
+		if m.Kind() != MonoidGeneric {
+			t.Errorf("%s: Kind() = %d, but no reduction inlines it", m.Name, m.Kind())
+		}
+	}
+	// The tag is per element type, and a semiring's additive monoid carries it.
+	if MinMonoid[int32]().Kind() != MonoidMin || MinPlus[int64]().Add.Kind() != MonoidMin || PlusTimes[float64]().Add.Kind() != MonoidPlus {
+		t.Error("integer instantiations or semiring components lost their kind")
+	}
+}

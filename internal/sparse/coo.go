@@ -2,7 +2,7 @@ package sparse
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/semiring"
 )
@@ -33,7 +33,9 @@ func (c *COO[T]) Len() int { return len(c.Rows) }
 
 // ToCSR converts to CSR, sorting by (row, col) and combining duplicate
 // coordinates with dup (for example semiring.Plus to sum them, or
-// semiring.Second to keep the last inserted).
+// semiring.Second to keep the last inserted). The sort is a stable two-pass
+// counting sort — by column, then by row, O(nnz + nrows + ncols) — so
+// duplicates reach dup in insertion order.
 func (c *COO[T]) ToCSR(dup semiring.BinaryOp[T]) (*CSR[T], error) {
 	for k := range c.Rows {
 		if c.Rows[k] < 0 || c.Rows[k] >= c.NRows {
@@ -43,38 +45,52 @@ func (c *COO[T]) ToCSR(dup semiring.BinaryOp[T]) (*CSR[T], error) {
 			return nil, fmt.Errorf("sparse: coo: col %d out of range [0,%d)", c.Cols[k], c.NCols)
 		}
 	}
-	perm := make([]int, len(c.Rows))
-	for i := range perm {
-		perm[i] = i
+	nnz := len(c.Rows)
+	// Pass 1: triplet ids in column order. Pass 2 distributes them, in that
+	// order, to their rows: within a row the columns ascend, and equal
+	// coordinates keep their insertion order.
+	byCol := make([]int, nnz)
+	start := make([]int, c.NCols+1)
+	for _, j := range c.Cols {
+		start[j+1]++
 	}
-	sort.Slice(perm, func(a, b int) bool {
-		pa, pb := perm[a], perm[b]
-		if c.Rows[pa] != c.Rows[pb] {
-			return c.Rows[pa] < c.Rows[pb]
-		}
-		return c.Cols[pa] < c.Cols[pb]
-	})
-
+	for j := 0; j < c.NCols; j++ {
+		start[j+1] += start[j]
+	}
+	for k, j := range c.Cols {
+		byCol[start[j]] = k
+		start[j]++
+	}
 	a := NewCSR[T](c.NRows, c.NCols)
-	a.ColIdx = make([]int, 0, len(c.Rows))
-	a.Val = make([]T, 0, len(c.Rows))
-	counts := make([]int, c.NRows)
-	prevRow, prevCol := -1, -1
-	for _, p := range perm {
-		i, j, v := c.Rows[p], c.Cols[p], c.Vals[p]
-		if i == prevRow && j == prevCol {
-			last := len(a.Val) - 1
-			a.Val[last] = dup(a.Val[last], v)
-			continue
-		}
-		a.ColIdx = append(a.ColIdx, j)
-		a.Val = append(a.Val, v)
-		counts[i]++
-		prevRow, prevCol = i, j
+	for _, i := range c.Rows {
+		a.RowPtr[i+1]++
 	}
 	for i := 0; i < c.NRows; i++ {
-		a.RowPtr[i+1] = a.RowPtr[i] + counts[i]
+		a.RowPtr[i+1] += a.RowPtr[i]
 	}
+	next := slices.Clone(a.RowPtr[:c.NRows]) // where each row's next entry goes
+	cols, vals := make([]int, nnz), make([]T, nnz)
+	for _, k := range byCol {
+		at := next[c.Rows[k]]
+		cols[at], vals[at] = c.Cols[k], c.Vals[k]
+		next[c.Rows[k]]++
+	}
+
+	// Fold duplicates in place; RowPtr is recounted over the distinct entries.
+	n, k := 0, 0
+	for i := 0; i < c.NRows; i++ {
+		rowStart, end := n, a.RowPtr[i+1]
+		for ; k < end; k++ {
+			if n > rowStart && cols[n-1] == cols[k] {
+				vals[n-1] = dup(vals[n-1], vals[k])
+			} else {
+				cols[n], vals[n] = cols[k], vals[k]
+				n++
+			}
+		}
+		a.RowPtr[i+1] = n
+	}
+	a.ColIdx, a.Val = cols[:n], vals[:n]
 	return a, nil
 }
 

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/semiring"
@@ -218,18 +219,82 @@ func TestCOODuplicateCombining(t *testing.T) {
 	if v, _ := a.Get(1, 1); v != 17 {
 		t.Errorf("summed duplicate = %d, want 17", v)
 	}
-	// Second keeps the last (in sorted order, insertion order among equals is
-	// preserved by the stable handling in ToCSR only if sort is stable; we
-	// use Min to get a deterministic answer instead).
+	// The sort is stable, so duplicates reach dup in insertion order: Second
+	// keeps the last inserted, First the first.
 	c2 := NewCOO[int](2, 2)
 	c2.Append(0, 0, 9)
+	c2.Append(1, 1, 7)
 	c2.Append(0, 0, 4)
-	b, err := c2.ToCSR(semiring.Min[int])
+	c2.Append(0, 0, 6)
+	b, err := c2.ToCSR(semiring.Second[int])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := b.Get(0, 0); v != 4 {
-		t.Errorf("min duplicate = %d, want 4", v)
+	if v, _ := b.Get(0, 0); v != 6 {
+		t.Errorf("Second kept %d, want the last inserted, 6", v)
+	}
+	if b, err = c2.ToCSR(semiring.First[int]); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := b.Get(0, 0); v != 9 {
+		t.Errorf("First kept %d, want the first inserted, 9", v)
+	}
+}
+
+// TestCOOToCSRAgainstMapModel is the property test of the counting-sort
+// conversion: random triplets with many duplicates, over square, wide and tall
+// shapes with empty rows and columns, against a map that folds each
+// coordinate's values in insertion order — under Plus, under Second (the last
+// inserted wins) and under an operator that is neither commutative nor
+// associative, so any other order shows. The builder is left untouched.
+func TestCOOToCSRAgainstMapModel(t *testing.T) {
+	ordered := func(a, b int64) int64 { return 31*a + b }
+	dups := map[string]semiring.BinaryOp[int64]{
+		"plus": semiring.Plus[int64], "second": semiring.Second[int64], "ordered": ordered,
+	}
+	rng := rand.New(rand.NewSource(77))
+	for trial := 0; trial < 60; trial++ {
+		nr, nc := 1+rng.Intn(40), 1+rng.Intn(40)
+		if trial%3 == 1 {
+			nc *= 9 // wide
+		} else if trial%3 == 2 {
+			nr *= 9 // tall: most rows stay empty
+		}
+		c := NewCOO[int64](nr, nc)
+		for k := rng.Intn(400); k > 0; k-- {
+			// A small coordinate pool, so most triplets are duplicates.
+			c.Append(rng.Intn(7)*nr/7, rng.Intn(5)*nc/5, rng.Int63n(1000)-500)
+		}
+		rows, cols, vals := slices.Clone(c.Rows), slices.Clone(c.Cols), slices.Clone(c.Vals)
+		for name, dup := range dups {
+			model := map[[2]int]int64{}
+			for k := range c.Rows {
+				ij := [2]int{c.Rows[k], c.Cols[k]}
+				if old, ok := model[ij]; ok {
+					model[ij] = dup(old, c.Vals[k])
+				} else {
+					model[ij] = c.Vals[k]
+				}
+			}
+			a, err := c.ToCSR(dup)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Validate(); err != nil {
+				t.Fatalf("trial %d/%s: %v", trial, name, err)
+			}
+			if a.NRows != nr || a.NCols != nc || a.NNZ() != len(model) {
+				t.Fatalf("trial %d/%s: %dx%d with %d entries, want %dx%d with %d", trial, name, a.NRows, a.NCols, a.NNZ(), nr, nc, len(model))
+			}
+			for ij, want := range model {
+				if got, ok := a.Get(ij[0], ij[1]); !ok || got != want {
+					t.Fatalf("trial %d/%s: A[%d,%d] = %d,%v; want %d", trial, name, ij[0], ij[1], got, ok, want)
+				}
+			}
+		}
+		if !slices.Equal(rows, c.Rows) || !slices.Equal(cols, c.Cols) || !slices.Equal(vals, c.Vals) {
+			t.Fatalf("trial %d: ToCSR rewrote the builder", trial)
+		}
 	}
 }
 

@@ -161,7 +161,7 @@ func RMAT[T semiring.Number](scale int, edgeFactor int, seed int64) (*CSR[T], er
 	m := n * edgeFactor
 	rng := rand.New(rand.NewSource(seed))
 	const a, b, c = 0.57, 0.19, 0.19
-	coo := NewCOO[T](n, n)
+	coo := &COO[T]{NRows: n, NCols: n, Rows: make([]int, 0, m), Cols: make([]int, 0, m), Vals: make([]T, 0, m)}
 	for e := 0; e < m; e++ {
 		i, j := 0, 0
 		for bit := n >> 1; bit > 0; bit >>= 1 {
