@@ -46,7 +46,8 @@ ablations:
 # dispatch decisions ('strategy='). The second run regenerates the fusion
 # ablation alone into BENCH_fusion.json (eager vs fused series per algorithm);
 # the third sweeps the inspector ablation (pins vs auto per dispatch axis)
-# into BENCH_inspector.json.
+# into BENCH_inspector.json; the fourth writes the SUMMA figure (stage times and
+# the masked triangle count), which the gate reads beside BENCH_spmspv.json.
 bench-smoke:
 	$(GO) test -run '^$$' -bench SpMSpV -benchtime 1x ./...
 	$(GO) run ./cmd/gbbench -figure fig7,ablengine,ablbulk,ablfuse,ablinspect -scale small -json BENCH_spmspv.json -q \
@@ -62,11 +63,11 @@ bench-smoke:
 # Gate the fresh bench-smoke artifacts against the committed baseline: fail on
 # >20% modeled-time regression or ANY increase in steady-state allocs/op.
 bench-gate: bench-smoke
-	$(GO) run ./cmd/benchgate -baseline bench_baseline.json -bench BENCH_spmspv.json -alloc BENCH_alloc.json
+	$(GO) run ./cmd/benchgate -baseline bench_baseline.json -bench BENCH_spmspv.json,BENCH_spgemm.json -alloc BENCH_alloc.json
 
 # Refresh the committed baseline after an intentional performance change.
 bench-baseline: bench-smoke
-	$(GO) run ./cmd/benchgate -write-baseline -baseline bench_baseline.json -bench BENCH_spmspv.json -alloc BENCH_alloc.json
+	$(GO) run ./cmd/benchgate -write-baseline -baseline bench_baseline.json -bench BENCH_spmspv.json,BENCH_spgemm.json -alloc BENCH_alloc.json
 
 # The two-clock end-to-end benchmark (benchmark/README.md): host wall-clock
 # and CPU of the gb library and of gbserve over real HTTP, next to the modeled

@@ -1,7 +1,7 @@
 // benchgate is the CI perf-regression gate: it compares a fresh benchmark run
-// (the BENCH_spmspv.json modeled figures plus the BENCH_alloc.json
-// steady-state allocation report, both produced by gbbench) against the
-// committed baseline and fails the build when
+// (the modeled figures of BENCH_spmspv.json and BENCH_spgemm.json plus the
+// BENCH_alloc.json steady-state allocation report, all produced by gbbench)
+// against the committed baseline and fails the build when
 //
 //   - any modeled point regresses by more than the tolerance (default 20%) —
 //     the modeled seconds are deterministic simulation outputs, so the
@@ -11,7 +11,7 @@
 //
 // Usage:
 //
-//	benchgate -baseline bench_baseline.json -bench BENCH_spmspv.json -alloc BENCH_alloc.json
+//	benchgate -baseline bench_baseline.json -bench BENCH_spmspv.json,BENCH_spgemm.json -alloc BENCH_alloc.json
 //	benchgate -write-baseline -baseline bench_baseline.json -bench ... -alloc ...
 package main
 
@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 )
 
 // benchReport mirrors gbbench's -json output (the JSON file is the contract).
@@ -92,17 +93,26 @@ func sortedKeys(m map[string]float64) []string {
 func main() {
 	var (
 		basePath  = flag.String("baseline", "bench_baseline.json", "committed baseline file")
-		benchPath = flag.String("bench", "BENCH_spmspv.json", "fresh gbbench -json output")
+		benchPath = flag.String("bench", "BENCH_spmspv.json", "fresh gbbench -json outputs, comma-separated")
 		allocPath = flag.String("alloc", "BENCH_alloc.json", "fresh gbbench -alloc-out output")
 		tolerance = flag.Float64("tolerance", 0, "modeled-time regression tolerance; 0 uses the baseline's own (default 0.20)")
 		write     = flag.Bool("write-baseline", false, "regenerate the baseline from the fresh reports instead of gating")
 	)
 	flag.Parse()
 
-	var fresh benchReport
-	if err := readJSON(*benchPath, &fresh); err != nil {
-		fmt.Fprintf(os.Stderr, "benchgate: reading %s: %v\n", *benchPath, err)
-		os.Exit(2)
+	var fresh benchReport // every report's figures, at the one scale they share
+	for _, path := range strings.Split(*benchPath, ",") {
+		var r benchReport
+		if err := readJSON(path, &r); err != nil {
+			fmt.Fprintf(os.Stderr, "benchgate: reading %s: %v\n", path, err)
+			os.Exit(2)
+		}
+		if fresh.Scale != "" && r.Scale != fresh.Scale {
+			fmt.Fprintf(os.Stderr, "benchgate: scale mismatch: %s is %q, earlier reports %q\n", path, r.Scale, fresh.Scale)
+			os.Exit(2)
+		}
+		fresh.Scale = r.Scale
+		fresh.Figures = append(fresh.Figures, r.Figures...)
 	}
 	var freshAlloc allocReport
 	if err := readJSON(*allocPath, &freshAlloc); err != nil {

@@ -492,10 +492,14 @@ func SpMSpVSemiring[T Number](a *Matrix[T], x *Vector[T], sr Semiring[T]) (*Vect
 }
 
 // Reduce folds all stored values of v with a monoid (a materialization
-// point: pending deferred operations run first).
+// point: pending deferred operations run first): a local fold per locale and
+// a reduction tree over the partial results.
 func Reduce[T Number](v *Vector[T], m Monoid[T]) T {
 	v.ctx.forceObserving(v.v)
-	return core.ReduceVec(v.v.ToVec(), m)
+	// The fold is complete before the tree is charged, so the value stands
+	// even when a fault plan fails one of the tree's transfers.
+	r, _ := core.ReduceDist(v.ctx.rt, v.v, m)
+	return r
 }
 
 // --- Algorithms ----------------------------------------------------------------
@@ -676,15 +680,25 @@ func Transpose[T Number](a *Matrix[T]) (*Matrix[T], error) {
 // rule (pull while nnz(frontier) > n/alpha); alpha <= 0 means Auto — the
 // context's inspector picks the direction per round from modeled push/pull
 // work, honoring any strategy pin (gb.ForcePush / gb.ForcePull) or
-// gb.PullThreshold.
+// gb.PullThreshold. Its rounds are charged to locale 0 of the context's
+// modeled clock and traced like any other call.
 func BFSDirectionOptimizing[T Number](a *Matrix[T], source, alpha int) (*BFSResult, error) {
 	a.ctx.force()
 	csr, err := a.m.ToCSR()
 	if err != nil {
 		return nil, err
 	}
-	return algorithms.BFSDirectionOptimizingCfg(csr, source, alpha,
-		core.ShmConfig{Fused: a.ctx.rt.Fusion, Insp: a.ctx.rt.Insp})
+	rt := a.ctx.rt
+	return algorithms.BFSDirectionOptimizingCfg(csr, source, alpha, core.ShmConfig{
+		Threads: rt.Threads,
+		Workers: rt.RealWorkers,
+		Sim:     rt.S,
+		Trace:   rt.Tr,
+		Pool:    rt.WP,
+		Scratch: rt.Scratch,
+		Fused:   rt.Fusion,
+		Insp:    rt.Insp,
+	})
 }
 
 // BetweennessCentrality computes Brandes betweenness from the given source

@@ -28,6 +28,12 @@ import (
 // block-distributed matrix: each round is one distributed SpMV over the
 // (min, +) semiring followed by an elementwise min with the current
 // distances and an all-reduce of the change flag.
+//
+// A round relaxes only from the vertices that improved in the round before:
+// its input front holds their distances and the additive identity, whose rows
+// the multiply skips, everywhere else. An unchanged vertex offered its distance
+// in the round after it last improved, so distances and round count are those
+// of relaxing from every row.
 func SSSPDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], source int) ([]T, int, error) {
 	defer rt.Span("SSSPDist").End()
 	if a.NRows != a.NCols {
@@ -42,15 +48,17 @@ func SSSPDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], source int)
 	d0 := sparse.NewDenseFill[T](n, inf)
 	d0.Data[source] = 0
 	dcur := dist.DenseVecFromDense(rt, d0)
+	front := dist.DenseVecOver(rt, d0.Data)
 
-	ckptD := append([]T(nil), d0.Data...)
+	var ckptD []T // written at iter 0 under a fault plan, before anything can fail
 	ckptIter, ckptRounds := 0, 0
 	recovered := false
 	rounds := 0
 
 	// restore recovers from a locale loss under the runtime's recovery
 	// policy; the exact policies roll the iteration state back to the last
-	// checkpoint (rollback true), best effort keeps going on the survivors.
+	// checkpoint (rollback true) with every vertex active again — a superset of
+	// the changed set, so exact; best effort keeps going on the survivors.
 	// Any other error (or a second loss) propagates.
 	restore := func(err error) (bool, error) {
 		lost := lostLocale(err)
@@ -65,6 +73,7 @@ func SSSPDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], source int)
 		a = na
 		if rollback {
 			dcur = dist.DenseVecFromDense(rt, &sparse.Dense[T]{Data: ckptD})
+			front.Load(ckptD)
 			rounds = ckptRounds
 		}
 		return rollback, nil
@@ -95,11 +104,12 @@ func SSSPDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], source int)
 			// Collective errors surface before any update, so recovery is
 			// unchanged. The callback visits locale-major ascending indices,
 			// the exact order the eager min loop reads the relaxed vector.
-			err := core.FusedSpMVUpdate(rt, a, dcur, sr, func(l, gi int, v T) {
-				cur := dcur.Loc[l]
+			err := core.FusedSpMVUpdate(rt, a, front, sr, func(l, gi int, v T) {
+				cur, next := dcur.Loc[l], front.Loc[l]
 				i := gi - dcur.Bounds[l]
+				next[i] = inf
 				if v < cur[i] {
-					cur[i] = v
+					cur[i], next[i] = v, v
 					changedFlags[l] = 1
 				}
 			})
@@ -112,7 +122,7 @@ func SSSPDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], source int)
 				continue
 			}
 		} else {
-			relaxed, err := core.SpMVDist(rt, a, dcur, sr)
+			relaxed, err := core.SpMVDist(rt, a, front, sr)
 			if err != nil {
 				rollback, rerr := restore(err)
 				if rerr != nil {
@@ -123,11 +133,12 @@ func SSSPDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], source int)
 			}
 			// Elementwise min per locale, tracking change flags.
 			rt.Coforall(func(l int) {
-				cur := dcur.Loc[l]
+				cur, next := dcur.Loc[l], front.Loc[l]
 				rel := relaxed.Loc[l]
 				for i := range cur {
+					next[i] = inf
 					if rel[i] < cur[i] {
-						cur[i] = rel[i]
+						cur[i], next[i] = rel[i], rel[i]
 						changedFlags[l] = 1
 					}
 				}
@@ -311,7 +322,8 @@ func prDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], d, tol fl
 }
 
 // CCDist runs label-propagation connected components over a distributed
-// matrix with distributed min-first SpMV rounds.
+// matrix with distributed min-first SpMV rounds. As in SSSPDist a round
+// propagates only the labels that changed in the round before.
 func CCDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T]) ([]int64, int, error) {
 	defer rt.Span("CCDist").End()
 	labels, comps, _, err := ccDistInit(rt, a, nil)
@@ -341,8 +353,10 @@ func ccDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], init []in
 			labels[i] = int64(i)
 		}
 	}
-	ld := dist.NewDenseVec[int64](rt, n) // each round's snapshot of labels, reloaded in place
-	ckptL := append([]int64(nil), labels...)
+	// The round's input: every label at first (any warm start is valid), then
+	// the labels that changed last round and inf everywhere else.
+	ld := dist.DenseVecOver(rt, append([]int64(nil), labels...))
+	var ckptL []int64 // written in round 0 under a fault plan, before anything can fail
 	ckptRounds := 0
 	recovered := false
 	rounds := 0
@@ -360,6 +374,7 @@ func ccDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], init []in
 		pm = npm
 		if rollback {
 			labels = append(labels[:0], ckptL...)
+			ld.Load(labels)
 			rounds = ckptRounds
 		}
 		return nil
@@ -375,16 +390,16 @@ func ccDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], init []in
 			chargeCheckpoint(rt, int64(n)*8)
 		}
 		rounds++
-		ld.Load(labels)
 		changedParts := make([]int64, rt.G.P)
 		if rt.Fusion {
 			// Fused label propagation (RecipeSpMVUpdate): the min-label
-			// update consumes the propagated vector in place of building it.
-			// ld holds this round's snapshot of labels, so in-callback
-			// label writes cannot feed back into the multiply.
+			// update consumes the propagated vector in place of building it,
+			// and writes the next round's input as it goes.
 			err := core.FusedSpMVUpdate(rt, pm, ld, sr, func(l, gi int, v int64) {
+				next := &ld.Loc[l][gi-ld.Bounds[l]]
+				*next = inf
 				if v != inf && v < labels[gi] {
-					labels[gi] = v
+					labels[gi], *next = v, v
 					changedParts[l] = 1
 				}
 			})
@@ -403,10 +418,11 @@ func ccDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], init []in
 				continue
 			}
 			for l, pl := range prop.Loc {
-				lo := prop.Bounds[l]
+				lo, next := prop.Bounds[l], ld.Loc[l]
 				for i, v := range pl {
+					next[i] = inf
 					if v != inf && v < labels[lo+i] {
-						labels[lo+i] = v
+						labels[lo+i], next[i] = v, v
 						changedParts[l] = 1
 					}
 				}

@@ -12,7 +12,8 @@ import (
 // SSSP runs Bellman–Ford single-source shortest paths over the (min, +)
 // semiring: dist' = dist ⊕ (dist × A), iterated to a fixed point (at most
 // n-1 rounds). Edge weights are the stored matrix values; the distance to
-// unreachable vertices is the semiring's +∞.
+// unreachable vertices is the semiring's +∞. As in SSSPDist, a round relaxes
+// only from the vertices that improved in the round before (front).
 func SSSP[T semiring.Number](a *sparse.CSR[T], source int) ([]T, int, error) {
 	if a.NRows != a.NCols {
 		return nil, 0, fmt.Errorf("algorithms: SSSP: matrix must be square")
@@ -28,16 +29,18 @@ func SSSP[T semiring.Number](a *sparse.CSR[T], source int) ([]T, int, error) {
 		dist[i] = inf
 	}
 	dist[source] = 0
+	front := append([]T(nil), dist...)
 	rounds := 0
 	for iter := 0; iter < n-1; iter++ {
-		relaxed, err := core.SpMV(a, dist, sr)
+		relaxed, err := core.SpMV(a, front, sr)
 		if err != nil {
 			return nil, 0, err
 		}
 		changed := false
 		for i := range dist {
+			front[i] = inf
 			if relaxed[i] < dist[i] {
-				dist[i] = relaxed[i]
+				dist[i], front[i] = relaxed[i], relaxed[i]
 				changed = true
 			}
 		}
@@ -97,15 +100,17 @@ func ConnectedComponents[T semiring.Number](a *sparse.CSR[T]) ([]int64, int, err
 	}
 	// Propagate over the pattern of a (values ignored: structural semiring).
 	pattern := structural(a, sparse.Ones[int64](nil, a.NNZ()))
+	front := append([]int64(nil), labels...) // the labels that changed last round
 	for {
-		prop, err := core.SpMV(pattern, labels, sr)
+		prop, err := core.SpMV(pattern, front, sr)
 		if err != nil {
 			return nil, 0, err
 		}
 		changed := false
 		for i := range labels {
+			front[i] = inf
 			if prop[i] != inf && prop[i] < labels[i] {
-				labels[i] = prop[i]
+				labels[i], front[i] = prop[i], prop[i]
 				changed = true
 			}
 		}

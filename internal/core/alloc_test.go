@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/locale"
 	"repro/internal/semiring"
 	"repro/internal/sparse"
 )
@@ -214,17 +215,17 @@ func TestSpGEMMLocalZeroAllocSteadyState(t *testing.T) {
 	hs := sparse.ErdosRenyi[int64](2000, 0.4, 33) // hypersparse: DCSC walk
 	var out sparse.CSR[int64]
 	for i := 0; i < warmups; i++ {
-		SpGEMMLocalHash(scratch, a, b, sr, &out)
-		SpGEMMLocalHeap(scratch, a, b, sr, &out)
-		SpGEMMLocalHeap(scratch, hs, b, sr, &out)
+		SpGEMMLocalHash(scratch, a, b, sr, &out, nil)
+		SpGEMMLocalHeap(scratch, a, b, sr, &out, nil)
+		SpGEMMLocalHeap(scratch, hs, b, sr, &out, nil)
 	}
 	for _, tc := range []struct {
 		name string
 		f    func()
 	}{
-		{"hash", func() { SpGEMMLocalHash(scratch, a, b, sr, &out) }},
-		{"heap", func() { SpGEMMLocalHeap(scratch, a, b, sr, &out) }},
-		{"heap hypersparse (DCSC)", func() { SpGEMMLocalHeap(scratch, hs, b, sr, &out) }},
+		{"hash", func() { SpGEMMLocalHash(scratch, a, b, sr, &out, nil) }},
+		{"heap", func() { SpGEMMLocalHeap(scratch, a, b, sr, &out, nil) }},
+		{"heap hypersparse (DCSC)", func() { SpGEMMLocalHeap(scratch, hs, b, sr, &out, nil) }},
 	} {
 		if avg := testing.AllocsPerRun(50, tc.f); avg != 0 {
 			t.Errorf("SpGEMMLocal %s allocates %.1f objects per steady-state call, want 0", tc.name, avg)
@@ -251,9 +252,10 @@ func TestDCSCConvertZeroAllocSteadyState(t *testing.T) {
 // never pooled), the per-locale staging vectors of SpMSpVDist, and a handful
 // of slice headers and closures. A count may be lowered, never raised. The
 // SpMV stages run on arena loans, so FusedSpMVUpdate — which has no result —
-// is pinned at one count for every vector length, as is SpGEMMDist at two
-// densities: its stage panels are the resident blocks and its stage products
-// come from the arena, so the count must not move with nnz. The collector
+// is pinned at one count for every vector length, as are SpGEMMDist and
+// SpGEMMDistMasked at two densities: the stage panels are the resident blocks
+// and the stage products come from the arena, so the count must not move with
+// nnz, and the mask costs no object. The collector
 // runs as it pleases throughout: the arena's free lists survive it.
 func TestDistKernelAllocPins(t *testing.T) {
 	if raceEnabled {
@@ -299,23 +301,31 @@ func TestDistKernelAllocPins(t *testing.T) {
 	}
 
 	sri := semiring.PlusTimes[int64]()
-	var counts []float64
-	for _, degree := range []float64{3, 12} {
-		rt := newRT(t, 4, 24)
-		m := dist.MatFromCSR(rt, sparse.ErdosRenyi[int64](1500, degree, 43))
-		for i := 0; i < warmups; i++ {
-			if _, err := SpGEMMDist(rt, m, m, sri); err != nil {
-				t.Fatal(err)
+	for name, kernel := range map[string]func(rt *locale.Runtime, m *dist.Mat[int64]) error{
+		"SpGEMMDist": func(rt *locale.Runtime, m *dist.Mat[int64]) error { _, err := SpGEMMDist(rt, m, m, sri); return err },
+		"SpGEMMDistMasked": func(rt *locale.Runtime, m *dist.Mat[int64]) error {
+			_, err := SpGEMMDistMasked(rt, m, m, m, sri)
+			return err
+		},
+	} {
+		var counts []float64
+		for _, degree := range []float64{3, 12} {
+			rt := newRT(t, 4, 24)
+			m := dist.MatFromCSR(rt, sparse.ErdosRenyi[int64](1500, degree, 43))
+			for i := 0; i < warmups; i++ {
+				if err := kernel(rt, m); err != nil {
+					t.Fatal(err)
+				}
 			}
+			got := testing.AllocsPerRun(20, func() { _ = kernel(rt, m) })
+			if got > spgemmPin {
+				t.Errorf("%s at degree %g allocates %.0f objects per steady-state call, pinned at %d", name, degree, got, spgemmPin)
+			}
+			counts = append(counts, got)
 		}
-		got := testing.AllocsPerRun(20, func() { _, _ = SpGEMMDist(rt, m, m, sri) })
-		if got > spgemmPin {
-			t.Errorf("SpGEMMDist at degree %g allocates %.0f objects per steady-state call, pinned at %d", degree, got, spgemmPin)
+		if counts[0] != counts[1] {
+			t.Errorf("%s allocates %.0f objects at degree 3 but %.0f at degree 12: staging scales with nnz", name, counts[0], counts[1])
 		}
-		counts = append(counts, got)
-	}
-	if counts[0] != counts[1] {
-		t.Errorf("SpGEMMDist allocates %.0f objects at degree 3 but %.0f at degree 12: staging scales with nnz", counts[0], counts[1])
 	}
 }
 

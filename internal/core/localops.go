@@ -172,27 +172,14 @@ func SpMSpVMasked[T semiring.Number](a *sparse.CSR[T], x *sparse.Vec[T], mask *s
 	return out, st
 }
 
-// SpGEMM computes C = A·B over a semiring with a row-wise SPA (Gustavson)
-// algorithm: O(flops) time, one SPA pass per row of A.
+// SpGEMM computes C = A·B over a semiring with the local SUMMA stage kernel
+// (SpGEMMLocal): O(flops) time.
 func SpGEMM[T semiring.Number](a, b *sparse.CSR[T], sr semiring.Semiring[T]) (*sparse.CSR[T], error) {
 	if a.NCols != b.NRows {
 		return nil, fmt.Errorf("core: SpGEMM: inner dimensions %d vs %d", a.NCols, b.NRows)
 	}
-	c := sparse.NewCSR[T](a.NRows, b.NCols)
-	spa := sparse.NewSPA[T](b.NCols)
-	for i := 0; i < a.NRows; i++ {
-		aCols, aVals := a.Row(i)
-		for t, k := range aCols {
-			bCols, bVals := b.Row(k)
-			for u, j := range bCols {
-				spa.Scatter(j, sr.Mul(aVals[t], bVals[u]), sr.Add.Op)
-			}
-		}
-		row := spa.Gather(func(xs []int) { sparse.RadixSortInts(xs) })
-		c.ColIdx = append(c.ColIdx, row.Ind...)
-		c.Val = append(c.Val, row.Val...)
-		c.RowPtr[i+1] = len(c.ColIdx)
-	}
+	c := &sparse.CSR[T]{}
+	SpGEMMLocal(nil, a, b, sr, c)
 	return c, nil
 }
 
@@ -207,26 +194,7 @@ func SpGEMMMasked[T semiring.Number](a, b, m *sparse.CSR[T], sr semiring.Semirin
 		return nil, fmt.Errorf("core: SpGEMMMasked: mask is %dx%d, want %dx%d",
 			m.NRows, m.NCols, a.NRows, b.NCols)
 	}
-	c := sparse.NewCSR[T](a.NRows, b.NCols)
-	spa := sparse.NewSPA[T](b.NCols)
-	for i := 0; i < a.NRows; i++ {
-		aCols, aVals := a.Row(i)
-		for t, k := range aCols {
-			bCols, bVals := b.Row(k)
-			for u, j := range bCols {
-				spa.Scatter(j, sr.Mul(aVals[t], bVals[u]), sr.Add.Op)
-			}
-		}
-		// Harvest only the masked positions, in mask order (sorted).
-		mCols, _ := m.Row(i)
-		for _, j := range mCols {
-			if spa.IsThere[j] {
-				c.ColIdx = append(c.ColIdx, j)
-				c.Val = append(c.Val, spa.Val[j])
-			}
-		}
-		c.RowPtr[i+1] = len(c.ColIdx)
-		spa.Reset()
-	}
+	c := &sparse.CSR[T]{}
+	SpGEMMLocal(nil, a, b, sr, c, m)
 	return c, nil
 }

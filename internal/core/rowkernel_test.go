@@ -103,7 +103,10 @@ func randBlock[T semiring.Number](r *rand.Rand, rows, cols, maxRow int, pick fun
 // identical results: spmvBlock (via SpMV, under the semiring's identity and
 // under another one, which is what reaches the hoisted xv == inf rows),
 // spaRow with and without recording, both local SpGEMM kernels, and the
-// column-team reduce over the additive monoid.
+// column-team reduce over the additive monoid. Each SpGEMM kernel is also run
+// under a random mask (possibly empty, with empty rows, reaching outside the
+// product's pattern), on a dense and on a hypersparse left operand (the DCSC
+// row walk): the masked product is the unmasked one restricted to the mask.
 func checkRowKinds[T semiring.Number](t *testing.T, rt *locale.Runtime, c rowCase[T], seed int64, rowLen, specialPct uint8) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
@@ -117,6 +120,8 @@ func checkRowKinds[T semiring.Number](t *testing.T, rt *locale.Runtime, c rowCas
 	maxRow := int(rowLen) % 64
 	a := randBlock(r, 9, m, min(maxRow, m), pick)
 	b := randBlock(r, m, m, min(maxRow, m), pick)
+	hs := randBlock(r, 64, m, 1, pick) // about half its rows empty: hypersparse
+	mask, hsMask := randBlock(r, a.NRows, m, r.Intn(m+1), pick), randBlock(r, hs.NRows, m, r.Intn(m+1), pick)
 	x := make([]T, a.NRows)
 	for i := range x {
 		x[i] = pick()
@@ -197,17 +202,28 @@ func checkRowKinds[T semiring.Number](t *testing.T, rt *locale.Runtime, c rowCas
 			}
 		}
 
-		for name, kernel := range map[string]func(*sparse.ScratchPool, *sparse.CSR[T], *sparse.CSR[T], semiring.Semiring[T], *sparse.CSR[T]) int64{
+		for name, kernel := range map[string]func(*sparse.ScratchPool, *sparse.CSR[T], *sparse.CSR[T], semiring.Semiring[T], *sparse.CSR[T], *sparse.CSR[T]) int64{
 			"SpGEMMLocalHash": SpGEMMLocalHash[T], "SpGEMMLocalHeap": SpGEMMLocalHeap[T],
 		} {
-			var got, want sparse.CSR[T]
-			if gotN, wantN := kernel(rt.Scratch, a, b, sr, &got), kernel(rt.Scratch, a, b, ref, &want); gotN != wantN {
-				t.Fatalf("%s/%s %s: %d flops inlined, %d through the operators", c.name, sr.Name, name, gotN, wantN)
+			sameCSR := func(what string, got, want *sparse.CSR[T]) {
+				t.Helper()
+				if !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColIdx, want.ColIdx) {
+					t.Fatalf("%s/%s %s %s: patterns differ", c.name, sr.Name, name, what)
+				}
+				sameSlice(name+" "+what, sr.Name, got.Val, want.Val)
 			}
-			if !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColIdx, want.ColIdx) {
-				t.Fatalf("%s/%s %s: patterns differ", c.name, sr.Name, name)
+			for _, lhs := range []struct{ a, mask *sparse.CSR[T] }{{a, mask}, {hs, hsMask}} {
+				var got, want, gotMasked sparse.CSR[T]
+				gotN, wantN := kernel(rt.Scratch, lhs.a, b, sr, &got, nil), kernel(rt.Scratch, lhs.a, b, ref, &want, nil)
+				if gotN != wantN {
+					t.Fatalf("%s/%s %s: %d flops inlined, %d through the operators", c.name, sr.Name, name, gotN, wantN)
+				}
+				sameCSR("unmasked", &got, &want)
+				if n := kernel(rt.Scratch, lhs.a, b, sr, &gotMasked, lhs.mask); n > gotN {
+					t.Fatalf("%s/%s %s: %d flops under a mask, %d without", c.name, sr.Name, name, n, gotN)
+				}
+				sameCSR("masked", &gotMasked, maskOf(&got, lhs.mask))
 			}
-			sameSlice(name, sr.Name, got.Val, want.Val)
 		}
 
 		got, err := comm.ColReduceScatter(rt, parts, sr.Add)

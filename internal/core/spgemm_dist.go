@@ -218,35 +218,6 @@ func mergeCSRInto[T semiring.Number](a, b *sparse.CSR[T], add semiring.BinaryOp[
 	out.ColIdx, out.Val = cols[:n], vals[:n]
 }
 
-// maskCSR keeps only the entries of a whose positions are stored in mask
-// (the structural masked-SpGEMM rule of SpGEMMMasked, applied blockwise).
-// The result is a fresh matrix; it cannot outgrow the smaller operand.
-func maskCSR[T semiring.Number](a, mask *sparse.CSR[T]) *sparse.CSR[T] {
-	bound := min(a.NNZ(), mask.NNZ())
-	out := sparse.NewCSR[T](a.NRows, a.NCols)
-	out.ColIdx = make([]int, 0, bound)
-	out.Val = make([]T, 0, bound)
-	for i := 0; i < a.NRows; i++ {
-		ac, av := a.Row(i)
-		mc, _ := mask.Row(i)
-		x, y := 0, 0
-		for x < len(ac) && y < len(mc) {
-			switch {
-			case ac[x] < mc[y]:
-				x++
-			case ac[x] > mc[y]:
-				y++
-			default:
-				out.ColIdx = append(out.ColIdx, ac[x])
-				out.Val = append(out.Val, av[x])
-				x, y = x+1, y+1
-			}
-		}
-		out.RowPtr[i+1] = len(out.ColIdx)
-	}
-	return out
-}
-
 // summaPanels hands the stage loop its operand panels without copying a
 // resident block. a[r] and b[c] are the current stage's panels for grid row r
 // and grid column c: the owner's block itself when the stage segment covers
@@ -312,9 +283,10 @@ func SpGEMMDist[T semiring.Number](rt *locale.Runtime, a, b *dist.Mat[T], sr sem
 }
 
 // SpGEMMDistMasked computes C = (A·B) .* pattern(M): only output positions
-// stored in the mask survive, applied blockwise after the stage merges (the
-// distributed analogue of SpGEMMMasked — the mask's blocks align with C's
-// because both share the grid and A's row / B's column bands).
+// stored in the mask are computed. Every stage multiply takes the locale's
+// mask block (the mask's blocks align with C's because both share the grid
+// and A's row / B's column bands), so no stage product or accumulator is ever
+// larger than that block — the distributed analogue of SpGEMMMasked.
 func SpGEMMDistMasked[T semiring.Number](rt *locale.Runtime, a, b, mask *dist.Mat[T], sr semiring.Semiring[T]) (*dist.Mat[T], error) {
 	if mask.NRows != a.NRows || mask.NCols != b.NCols {
 		return nil, fmt.Errorf("core: SpGEMMDistMasked: mask is %dx%d, product is %dx%d",
@@ -405,10 +377,16 @@ func spgemmDist[T semiring.Number](rt *locale.Runtime, a, b, mask *dist.Mat[T], 
 			trace.T("k", strconv.Itoa(k)))
 		for l := 0; l < g.P; l++ {
 			r, cc := g.Coords(l)
-			flops := SpGEMMLocal(rt.Scratch, aPanels[r], bPanels[cc], sr, stageOut[l])
+			items := int64(aPanels[r].NNZ())
+			var maskBlk *sparse.CSR[T]
+			if mask != nil {
+				maskBlk = mask.Blocks[l]
+				items += int64(maskBlk.NNZ()) // the kernel's walk of the mask rows
+			}
+			items += SpGEMMLocal(rt.Scratch, aPanels[r], bPanels[cc], sr, stageOut[l], maskBlk)
 			rt.S.Compute(l, rt.Threads, sim.Kernel{
 				Name:         "summa-local",
-				Items:        flops + int64(aPanels[r].NNZ()),
+				Items:        items,
 				CPUPerItem:   25,
 				BytesPerItem: 24,
 			})
@@ -438,25 +416,12 @@ func spgemmDist[T semiring.Number](rt *locale.Runtime, a, b, mask *dist.Mat[T], 
 	}
 
 	for l := 0; l < g.P; l++ {
-		r, cc := g.Coords(l)
-		var blk *sparse.CSR[T]
-		switch {
-		case len(stages) == 0: // empty inner dimension: an empty product, masked or not
-			blk = sparse.NewCSR[T](a.RowBands[r+1]-a.RowBands[r], b.ColBands[cc+1]-b.ColBands[cc])
-		case mask != nil:
-			blk = maskCSR(accs[l], mask.Blocks[l])
-		default:
-			blk = accs[l].Clone()
+		if len(stages) == 0 { // empty inner dimension: an empty product
+			r, cc := g.Coords(l)
+			c.Blocks[l] = sparse.NewCSR[T](a.RowBands[r+1]-a.RowBands[r], b.ColBands[cc+1]-b.ColBands[cc])
+			continue
 		}
-		if mask != nil {
-			rt.S.Compute(l, rt.Threads, sim.Kernel{
-				Name:         "summa-mask",
-				Items:        int64(blk.NNZ() + mask.Blocks[l].NNZ()),
-				CPUPerItem:   8,
-				BytesPerItem: 16,
-			})
-		}
-		c.Blocks[l] = blk
+		c.Blocks[l] = accs[l].Clone()
 	}
 	rt.S.Barrier()
 	return c, nil

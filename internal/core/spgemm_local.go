@@ -20,6 +20,11 @@ package core
 // When A is hypersparse (nnz < nrows) the row loops run over a pooled DCSC
 // image of A instead of scanning the full RowPtr, so an almost-empty block
 // costs O(nzr + flops), not O(nrows).
+//
+// Every kernel takes an output mask of the product's shape, nil for none: only
+// its stored positions are written (CombBLAS 2.0's masked SpGEMM). A surviving
+// entry receives the unmasked kernel's contributions in the unmasked order, so
+// the result is bitwise the unmasked product restricted to the mask.
 
 import (
 	"slices"
@@ -53,51 +58,71 @@ func fixRowPtr[T semiring.Number](out *sparse.CSR[T]) {
 }
 
 // forEachRow drives a kernel over A's non-empty rows, through a pooled DCSC
-// image when A is hypersparse so empty rows cost nothing.
-func forEachRow[T semiring.Number](scratch *sparse.ScratchPool, a *sparse.CSR[T], body func(i int, cols []int, vals []T)) {
+// image when A is hypersparse so empty rows cost nothing. Under a mask the
+// body is also handed row i of the mask, and rows whose mask row is empty are
+// skipped: nothing they could produce survives.
+func forEachRow[T semiring.Number](scratch *sparse.ScratchPool, a, mask *sparse.CSR[T], body func(i int, cols []int, vals []T, mCols []int)) {
+	row := func(i int, cols []int, vals []T) {
+		if mask == nil {
+			body(i, cols, vals, nil)
+		} else if mCols, _ := mask.Row(i); len(mCols) > 0 {
+			body(i, cols, vals, mCols)
+		}
+	}
 	if sparse.Hypersparse(a) {
 		d := sparse.GetDCSC[T](scratch)
 		d.FromCSR(a)
 		for k := 0; k < d.NzRows(); k++ {
-			i, cols, vals := d.RowAt(k)
-			body(i, cols, vals)
+			row(d.RowAt(k))
 		}
 		sparse.PutDCSC(scratch, d)
 		return
 	}
 	for i := 0; i < a.NRows; i++ {
-		cols, vals := a.Row(i)
-		if len(cols) > 0 {
-			body(i, cols, vals)
+		if cols, vals := a.Row(i); len(cols) > 0 {
+			row(i, cols, vals)
 		}
 	}
 }
 
 // SpGEMMLocalHash computes out = a·b with the SPA (hash) kernel, appending
-// into out's reused arrays. It returns the multiply-add count for cost
+// into out's reused arrays. It returns the multiply-adds performed, for cost
 // charging. Each B row an A entry references is folded into the SPA by the
-// row kernel's first-touch accumulate, inline for a built-in semiring.
-func SpGEMMLocalHash[T semiring.Number](scratch *sparse.ScratchPool, a, b *sparse.CSR[T], sr semiring.Semiring[T], out *sparse.CSR[T]) int64 {
+// row kernel's first-touch accumulate, inline for a built-in semiring. Under a
+// mask the harvest walks the sorted mask row instead of sorting what was claimed.
+func SpGEMMLocalHash[T semiring.Number](scratch *sparse.ScratchPool, a, b *sparse.CSR[T], sr semiring.Semiring[T], out, mask *sparse.CSR[T]) int64 {
 	spgemmResize(out, a.NRows, b.NCols)
 	spa := sparse.GetSPA[T](scratch, b.NCols)
 	defer sparse.PutSPA(scratch, spa)
 	rk := newRowKernel(sr)
 	var flops int64
-	forEachRow(scratch, a, func(i int, aCols []int, aVals []T) {
+	forEachRow(scratch, a, mask, func(i int, aCols []int, aVals []T, mCols []int) {
 		for t, k := range aCols {
 			bCols, bVals := b.Row(k)
 			flops += int64(len(bCols))
 			rk.spaRow(spa.Val, spa.IsThere, bCols, bVals, aVals[t], &spa.NzInds)
 		}
-		// Harvest the row in column order, clearing the SPA on the way.
-		sparse.RadixSortInts(spa.NzInds)
-		base, n := len(out.ColIdx), len(spa.NzInds)
-		out.ColIdx = slices.Grow(out.ColIdx, n)[:base+n]
-		out.Val = slices.Grow(out.Val, n)[:base+n]
-		cols, vals := out.ColIdx[base:], out.Val[base:]
-		for u, j := range spa.NzInds {
-			cols[u], vals[u] = j, spa.Val[j]
-			spa.IsThere[j] = false
+		if mask != nil {
+			for _, j := range mCols {
+				if spa.IsThere[j] {
+					out.ColIdx = append(out.ColIdx, j)
+					out.Val = append(out.Val, spa.Val[j])
+				}
+			}
+			for _, j := range spa.NzInds {
+				spa.IsThere[j] = false
+			}
+		} else {
+			// Harvest the row in column order, clearing the SPA on the way.
+			sparse.RadixSortInts(spa.NzInds)
+			base, n := len(out.ColIdx), len(spa.NzInds)
+			out.ColIdx = slices.Grow(out.ColIdx, n)[:base+n]
+			out.Val = slices.Grow(out.Val, n)[:base+n]
+			cols, vals := out.ColIdx[base:], out.Val[base:]
+			for u, j := range spa.NzInds {
+				cols[u], vals[u] = j, spa.Val[j]
+				spa.IsThere[j] = false
+			}
 		}
 		spa.NzInds = spa.NzInds[:0]
 		out.RowPtr[i+1] = len(out.ColIdx)
@@ -107,11 +132,12 @@ func SpGEMMLocalHash[T semiring.Number](scratch *sparse.ScratchPool, a, b *spars
 }
 
 // SpGEMMLocalHeap computes out = a·b with the k-way heap-merge kernel,
-// appending into out's reused arrays. It returns the multiply-add count for
-// cost charging. The heap orders run ids by their runs' front columns with
+// appending into out's reused arrays. It returns the multiply-adds performed,
+// for cost charging. The heap orders run ids by their runs' front columns with
 // direct comparisons, and a built-in semiring's ⊗ and ⊕ are the row kernel's
-// inlined scalars.
-func SpGEMMLocalHeap[T semiring.Number](scratch *sparse.ScratchPool, a, b *sparse.CSR[T], sr semiring.Semiring[T], out *sparse.CSR[T]) int64 {
+// inlined scalars. Under a mask the merged columns walk the mask row in step: a
+// column outside it is popped unmultiplied, and the row ends when the mask row does.
+func SpGEMMLocalHeap[T semiring.Number](scratch *sparse.ScratchPool, a, b *sparse.CSR[T], sr semiring.Semiring[T], out, mask *sparse.CSR[T]) int64 {
 	spgemmResize(out, a.NRows, b.NCols)
 	maxRow := 0
 	for i := 0; i < a.NRows; i++ {
@@ -127,7 +153,7 @@ func SpGEMMLocalHeap[T semiring.Number](scratch *sparse.ScratchPool, a, b *spars
 	rk := newRowKernel(sr)
 	generic := rk.kind == semiring.KindGeneric
 	var flops int64
-	forEachRow(scratch, a, func(i int, aCols []int, aVals []T) {
+	forEachRow(scratch, a, mask, func(i int, aCols []int, aVals []T, mCols []int) {
 		// One merge run per non-empty B row A's row references; each run
 		// carries its A multiplier in av.Val, indexed by run id.
 		hn := 0
@@ -149,21 +175,31 @@ func SpGEMMLocalHeap[T semiring.Number](scratch *sparse.ScratchPool, a, b *spars
 		for hn > 0 {
 			r := heap[0]
 			j := b.ColIdx[heads[r]]
-			var v T
-			if generic {
-				v = rk.mul(av.Val[r], b.Val[heads[r]])
-			} else {
-				v = rk.product(av.Val[r], b.Val[heads[r]])
+			if mask != nil {
+				for len(mCols) > 0 && mCols[0] < j {
+					mCols = mCols[1:]
+				}
+				if len(mCols) == 0 {
+					break
+				}
 			}
-			if n := len(out.ColIdx); n == rowStart || out.ColIdx[n-1] != j {
-				out.ColIdx = append(out.ColIdx, j)
-				out.Val = append(out.Val, v)
-			} else if generic {
-				out.Val[n-1] = rk.add(out.Val[n-1], v)
-			} else {
-				out.Val[n-1] = rk.sum(out.Val[n-1], v)
+			if mask == nil || mCols[0] == j {
+				var v T
+				if generic {
+					v = rk.mul(av.Val[r], b.Val[heads[r]])
+				} else {
+					v = rk.product(av.Val[r], b.Val[heads[r]])
+				}
+				if n := len(out.ColIdx); n == rowStart || out.ColIdx[n-1] != j {
+					out.ColIdx = append(out.ColIdx, j)
+					out.Val = append(out.Val, v)
+				} else if generic {
+					out.Val[n-1] = rk.add(out.Val[n-1], v)
+				} else {
+					out.Val[n-1] = rk.sum(out.Val[n-1], v)
+				}
+				flops++
 			}
-			flops++
 			heads[r]++
 			if heads[r] == ends[r] {
 				heap[0] = heap[hn-1]
@@ -200,10 +236,16 @@ func siftDown(h []int, i int, heads, cols []int) {
 
 // SpGEMMLocal computes out = a·b, choosing the kernel by A's density: the
 // heap merge for hypersparse stage blocks, the SPA otherwise. The two agree
-// bitwise, so the choice is purely one of constant factors.
-func SpGEMMLocal[T semiring.Number](scratch *sparse.ScratchPool, a, b *sparse.CSR[T], sr semiring.Semiring[T], out *sparse.CSR[T]) int64 {
-	if sparse.Hypersparse(a) {
-		return SpGEMMLocalHeap(scratch, a, b, sr, out)
+// bitwise, so the choice is purely one of constant factors. The mask is the
+// optional last argument (at most one; absent or nil means unmasked) because
+// the end-to-end benchmark calls the five-argument form.
+func SpGEMMLocal[T semiring.Number](scratch *sparse.ScratchPool, a, b *sparse.CSR[T], sr semiring.Semiring[T], out *sparse.CSR[T], mask ...*sparse.CSR[T]) int64 {
+	var m *sparse.CSR[T]
+	if len(mask) > 0 {
+		m = mask[0]
 	}
-	return SpGEMMLocalHash(scratch, a, b, sr, out)
+	if sparse.Hypersparse(a) {
+		return SpGEMMLocalHeap(scratch, a, b, sr, out, m)
+	}
+	return SpGEMMLocalHash(scratch, a, b, sr, out, m)
 }

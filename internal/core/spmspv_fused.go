@@ -597,6 +597,9 @@ func FusedSpMSpVFilterAssign[T semiring.Number](rt *locale.Runtime, a *dist.Mat[
 // arena loans that go back when the call returns, and update is handed its
 // values one by one, never the buffer, so nothing it keeps can alias a loan.
 //
+// update may overwrite x — SSSPDist and CCDist write their next changed set
+// there: spmvStages has released its gathered copy (in.release) before it emits.
+//
 // Collective errors surface before any update runs, so callers' restore /
 // resume recovery closures behave as with the eager SpMVDist.
 func FusedSpMVUpdate[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.DenseVec[T], sr semiring.Semiring[T], update func(l, gi int, v T)) error {

@@ -63,13 +63,13 @@ func SpMSpVDistMasked[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *
 			filtered.Ind = append(filtered.Ind, lj)
 			filtered.Val = append(filtered.Val, ly.Val[k]+rowBase)
 		}
-		sparse.PutVec(rt.Scratch, ly)
 		rt.S.Compute(l, rt.Threads, sim.Kernel{
 			Name:         "spmspv-mask-filter",
 			Items:        int64(ly.NNZ()),
 			CPUPerItem:   6,
 			BytesPerItem: 9,
 		})
+		sparse.PutVec(rt.Scratch, ly) // truncates ly: after its count is charged
 		lys[l] = filtered
 		st.LocalEntries += shmStats.EntriesVisited
 	}

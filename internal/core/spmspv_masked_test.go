@@ -119,3 +119,24 @@ func TestSpMSpVDistMaskedReducesScatterTraffic(t *testing.T) {
 		t.Fatal("fused mask result differs from multiply-then-filter")
 	}
 }
+
+// The masked multiply is the same work eager and fused, so it costs the same
+// modeled time: the mask broadcast, the gather and the local multiply with
+// its mask filter. (The eager path once charged the filter after recycling
+// the vector it counts, i.e. for zero items.)
+func TestSpMSpVDistMaskedClockMatchesFused(t *testing.T) {
+	a0 := sparse.ErdosRenyi[int64](5000, 12, 76)
+	x0 := sparse.RandomVec[int64](5000, 300, 77)
+	mask0 := sparse.RandomBoolDense[int64](5000, 0.5, 78)
+	for _, p := range []int{1, 4, 6} {
+		rtE, rtF := newRT(t, p, 24), newRT(t, p, 24)
+		SpMSpVDistMasked(rtE, dist.MatFromCSR(rtE, a0), dist.SpVecFromVec(rtE, x0), dist.DenseVecFromDense(rtE, mask0))
+		FusedSpMSpVMaskedAssign(rtF, dist.MatFromCSR(rtF, a0), dist.SpVecFromVec(rtF, x0),
+			dist.DenseVecFromDense(rtF, mask0), dist.NewSpVec[int64](rtF, 5000))
+		for _, phase := range []string{"Mask Broadcast", "Gather Input", "Local Multiply"} {
+			if e, f := rtE.S.PhaseNS(phase), rtF.S.PhaseNS(phase); e != f || (e == 0 && phase == "Local Multiply") {
+				t.Errorf("p=%d %s: eager %v ns, fused %v ns", p, phase, e, f)
+			}
+		}
+	}
+}

@@ -251,6 +251,16 @@ func DenseVecFromDense[T semiring.Number](rt *locale.Runtime, x *sparse.Dense[T]
 	return d
 }
 
+// DenseVecOver returns the distributed view of data: locale l's part is
+// data's l-th block itself, not a copy, so the vector and data alias.
+func DenseVecOver[T semiring.Number](rt *locale.Runtime, data []T) *DenseVec[T] {
+	d := &DenseVec[T]{G: rt.G, N: len(data), Bounds: locale.BlockBounds(len(data), rt.G.P), Loc: make([][]T, rt.G.P)}
+	for l := range d.Loc {
+		d.Loc[l] = data[d.Bounds[l]:d.Bounds[l+1]:d.Bounds[l+1]]
+	}
+	return d
+}
+
 // Load overwrites the vector's contents with x (len(x) must be N), reusing
 // the per-locale storage: a round loop redistributes its iterate into one
 // DenseVec instead of building a new one every round.

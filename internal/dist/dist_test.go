@@ -171,5 +171,20 @@ func TestDenseVec(t *testing.T) {
 		if !d.ToDense().Equal(d0) {
 			t.Fatalf("p=%d: gather differs", p)
 		}
+		// The view has the same distribution and contents, and is d0 itself.
+		v := DenseVecOver(rt, d0.Data)
+		if !v.ToDense().Equal(d0) || len(v.Loc) != len(d.Loc) {
+			t.Fatalf("p=%d: view differs from the copy", p)
+		}
+		for l := range v.Loc {
+			if len(v.Loc[l]) != len(d.Loc[l]) || cap(v.Loc[l]) != len(v.Loc[l]) {
+				t.Fatalf("p=%d: view part %d has len %d cap %d, copy has len %d", p, l, len(v.Loc[l]), cap(v.Loc[l]), len(d.Loc[l]))
+			}
+		}
+		v.Set(50, -2)
+		if d0.Data[50] != -2 {
+			t.Fatalf("p=%d: a write through the view did not reach the data", p)
+		}
+		d0.Data[50] = 75
 	}
 }

@@ -22,7 +22,8 @@ type bfsOut struct {
 	rounds int
 	epoch  uint64
 	stale  bool
-	batch  int // how many requests the run coalesced
+	batch  int     // how many requests the run coalesced
+	ms     float64 // modeled time of the whole batch run
 	err    error
 }
 
@@ -91,7 +92,9 @@ func (s *Server) runBatch(g *graph) {
 	for i, w := range b.waiters {
 		sources[i] = w.source
 	}
+	t0 := qc.Elapsed()
 	levels, rounds, err := gb.MultiSourceBFS(m, sources)
+	ms := (qc.Elapsed() - t0) * 1e3
 
 	g.mu.Lock()
 	g.base.AbsorbCalibration(qc)
@@ -99,7 +102,7 @@ func (s *Server) runBatch(g *graph) {
 
 	s.met.noteBatch(len(b.waiters))
 	for i, w := range b.waiters {
-		out := bfsOut{rounds: rounds, epoch: epoch, stale: stale, batch: len(b.waiters), err: err}
+		out := bfsOut{rounds: rounds, epoch: epoch, stale: stale, batch: len(b.waiters), ms: ms, err: err}
 		if err == nil {
 			out.levels = levels[i]
 		}

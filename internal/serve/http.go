@@ -367,7 +367,7 @@ func (s *Server) runQuery(ctx context.Context, g *graph, req *queryRequest, budg
 		}
 		return &queryResponse{
 			Graph: g.name, Op: req.Op, Epoch: out.epoch, Stale: out.stale,
-			Rounds: out.rounds, Batch: out.batch, Levels: out.levels,
+			Rounds: out.rounds, Batch: out.batch, Levels: out.levels, ModeledMS: out.ms,
 		}, nil
 	}
 

@@ -334,6 +334,10 @@ func TestBFSBatcherCoalesces(t *testing.T) {
 			}
 			got[i] = levelsOf(t, body)
 			batches[i], _ = body["batch"].(float64)
+			// Every member reports the modeled time of the batch it rode in.
+			if ms, _ := body["modeled_ms"].(float64); !(ms > 0) {
+				t.Errorf("source %d: batched reply reports modeled_ms %v", src, body["modeled_ms"])
+			}
 		}(i, src)
 	}
 	wg.Wait()

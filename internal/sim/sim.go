@@ -43,7 +43,7 @@ type Phase struct {
 	NS   float64 `json:"ns"` // makespan of the phase, ns
 }
 
-// Counters aggregates communication traffic.
+// Counters aggregates communication traffic and charged compute work.
 type Counters struct {
 	Messages  int64
 	Bytes     int64
@@ -52,6 +52,7 @@ type Counters struct {
 	Barriers  int64
 	Coforalls int64
 	Retries   int64 // collective transfer retries (fault recovery)
+	Items     int64 // kernel items charged by Compute (edge visits, elements scanned)
 }
 
 // LocaleCounters is the per-locale slice of the traffic counters: the
@@ -230,6 +231,7 @@ func (s *Sim) Compute(loc, threads int, k Kernel) float64 {
 	t := s.ComputeTime(threads, k)
 	s.mu.Lock()
 	s.clocks[s.idx(loc)] += t
+	s.cnt.Items += k.Items
 	s.mu.Unlock()
 	return t
 }
