@@ -2,8 +2,9 @@
 // distributed graphs once at startup and serves concurrent BFS / SSSP /
 // PageRank / connected-components / triangle-count queries over HTTP, with
 // per-tenant admission control, cooperative cancellation and deadlines, BFS
-// batching into multi-source runs, snapshot-isolated reads over streaming
-// epochs, and graceful drain on SIGTERM.
+// requests that overlap on a graph coalesced into multi-source runs,
+// snapshot-isolated reads over streaming epochs, and graceful drain on
+// SIGTERM.
 //
 // Usage:
 //
@@ -96,7 +97,6 @@ func main() {
 		policy    = flag.String("policy", "redistribute", "crash-recovery policy of chaos queries: redistribute|failover|besteffort")
 		replicate = flag.Bool("replicate", false, "keep chained-declustering block replicas (enables failover)")
 		history   = flag.Int("epoch-history", 8, "committed epochs kept pinnable while flushes advance")
-		window    = flag.Duration("batch-window", 2*time.Millisecond, "BFS coalescing window (0 disables batching)")
 		maxConc   = flag.Int("max-concurrent", 8, "queries running at once")
 		maxQueue  = flag.Int("max-queue", 16, "admitted queries allowed to wait for a slot")
 		maxWait   = flag.Duration("max-wait", 250*time.Millisecond, "longest a queued query waits before shedding")
@@ -143,7 +143,7 @@ func main() {
 	srv := serve.New(serve.Config{
 		Locales: *locales, Threads: *threads,
 		Policy: pol, Replicate: *replicate,
-		EpochHistory: *history, BatchWindow: *window,
+		EpochHistory:  *history,
 		MaxConcurrent: *maxConc, MaxQueue: *maxQueue, MaxWait: *maxWait,
 		TenantRate: *rate, TenantBurst: *burst,
 		DefaultTimeout: *timeout, DefaultBudgetNS: *budgetMS * 1e6,

@@ -17,7 +17,7 @@ func main() {
 	fmt.Println("BFS over an Erdős–Rényi graph, n=50K, d=8, from vertex 0")
 	fmt.Printf("%-8s %-12s %-12s %-10s %s\n", "locales", "reached", "rounds", "modeled", "messages")
 	for _, p := range []int{1, 4, 16, 64} {
-		ctx, err := gb.NewContext(p, 24)
+		ctx, err := gb.New(gb.Locales(p), gb.Threads(24))
 		if err != nil {
 			log.Fatal(err)
 		}

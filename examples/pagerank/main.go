@@ -34,7 +34,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	ctx, err := gb.NewContext(8, 24)
+	ctx, err := gb.New(gb.Locales(8), gb.Threads(24))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func main() {
 	edge(id(0, 0), id(5, 5), 9)
 	edge(id(5, 5), id(9, 9), 9)
 
-	ctx, err := gb.NewContext(4, 24)
+	ctx, err := gb.New(gb.Locales(4), gb.Threads(24))
 	if err != nil {
 		log.Fatal(err)
 	}

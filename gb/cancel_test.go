@@ -16,7 +16,7 @@ func cancelGraph(t *testing.T, ctx *Context) *Matrix[int64] {
 }
 
 func TestWithCancelContextTyped(t *testing.T) {
-	base, err := NewContext(4, 8)
+	base, err := New(Locales(4), Threads(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestWithCancelContextTyped(t *testing.T) {
 }
 
 func TestModeledDeadlineTyped(t *testing.T) {
-	base, err := NewContext(4, 8)
+	base, err := New(Locales(4), Threads(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestModeledDeadlineTyped(t *testing.T) {
 }
 
 func TestCancelMidRunWithinOneRound(t *testing.T) {
-	base, err := NewContext(4, 8)
+	base, err := New(Locales(4), Threads(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestCancelMidRunWithinOneRound(t *testing.T) {
 }
 
 func TestAbsorbCalibrationPersists(t *testing.T) {
-	base, err := NewContext(4, 8)
+	base, err := New(Locales(4), Threads(8))
 	if err != nil {
 		t.Fatal(err)
 	}

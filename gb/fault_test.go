@@ -6,7 +6,7 @@ import (
 )
 
 func TestValidationTypedErrors(t *testing.T) {
-	ctx, err := NewContext(4, 8)
+	ctx, err := New(Locales(4), Threads(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestWithFaultPlanChaosSmoke(t *testing.T) {
 	// The whole chaos path through the public API: a plan with drops, delays
 	// and a crash must leave BFS results identical to fault-free and cost more
 	// modeled time.
-	clean, err := NewContext(6, 8)
+	clean, err := New(Locales(6), Threads(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestWithFaultPlanChaosSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	chaotic, err := NewContext(6, 8)
+	chaotic, err := New(Locales(6), Threads(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestWithFaultPlanChaosSmoke(t *testing.T) {
 }
 
 func TestFaultStatsZeroWithoutPlan(t *testing.T) {
-	ctx, err := NewContext(2, 8)
+	ctx, err := New(Locales(2), Threads(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestFaultStatsZeroWithoutPlan(t *testing.T) {
 }
 
 func TestWithRetryPolicyExhaustion(t *testing.T) {
-	ctx, err := NewContext(4, 8)
+	ctx, err := New(Locales(4), Threads(8))
 	if err != nil {
 		t.Fatal(err)
 	}

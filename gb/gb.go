@@ -122,14 +122,9 @@ func (c *Context) WithTracer(t *Trace) *Context {
 // Tracer returns the tracer operations on this context report into, or nil.
 func (c *Context) Tracer() *Trace { return c.rt.Tr }
 
-// SetSpMSpVEngine selects the shared-memory SpMSpV pipeline for subsequent
-// operations on this context. Unknown engine values are rejected (they used
-// to fall back to EngineBucket silently).
-//
-// Deprecated: pass the Engine to New (gb.New(gb.MergeSort)) or pin it in a
-// strategy (gb.WithStrategy(gb.PinEngine(gb.MergeSort))); this mutating
-// setter remains for existing callers.
-func (c *Context) SetSpMSpVEngine(e Engine) error {
+// setEngine selects the shared-memory SpMSpV pipeline of a context under
+// construction (New's Engine option, a strategy's PinEngine).
+func (c *Context) setEngine(e Engine) error {
 	switch e {
 	case EngineMergeSort:
 		c.rt.ShmEngine = int(core.EngineMergeSort)
@@ -143,36 +138,11 @@ func (c *Context) SetSpMSpVEngine(e Engine) error {
 	return nil
 }
 
-// NewContext returns a context with p locales (one per node) and the given
-// modeled thread count per locale, on the Edison machine model. Like New, it
-// installs the automatic communication strategy (gb.Auto).
-//
-// Deprecated: use New(Locales(p), Threads(threads)), optionally with
-// WithStrategy to pin dispatch axes.
-func NewContext(p, threads int) (*Context, error) {
-	return New(Locales(p), Threads(threads))
-}
-
-// NewContextOneNode places all p locales on a single node (the configuration
-// of the paper's Fig 10).
-//
-// Deprecated: use New(Locales(p), Threads(threads), OneNode()), optionally
-// with WithStrategy to pin dispatch axes.
-func NewContextOneNode(p, threads int) (*Context, error) {
-	return New(Locales(p), Threads(threads), OneNode())
-}
-
 // Locales returns the locale count.
 func (c *Context) Locales() int { return c.rt.G.P }
 
 // Threads returns the modeled threads per locale.
 func (c *Context) Threads() int { return c.rt.Threads }
-
-// SetRealWorkers sets how many goroutines shared-memory kernels actually use
-// (default 1, which makes every operation deterministic).
-//
-// Deprecated: use the Workers option of New (gb.New(gb.Workers(w))).
-func (c *Context) SetRealWorkers(w int) { c.rt.RealWorkers = w }
 
 // Elapsed returns the modeled execution time accumulated so far, in seconds.
 // Pending deferred operations are materialized first, so the reading reflects
@@ -181,6 +151,11 @@ func (c *Context) Elapsed() float64 {
 	c.force()
 	return c.rt.S.ElapsedSeconds()
 }
+
+// ScratchOutstanding returns how many scratch-arena loans are checked out
+// and not yet returned on the arena this context shares with every context
+// derived from it: zero whenever no operation is running on any of them.
+func (c *Context) ScratchOutstanding() int { return c.rt.Scratch.Outstanding() }
 
 // ResetClock zeroes the modeled time and traffic counters (after
 // materializing any pending deferred operations).
@@ -294,12 +269,6 @@ func (v *Vector[T]) NNZ() int {
 // Size returns the logical length of the vector (the GraphBLAS "size": the
 // index domain, independent of how many elements are stored).
 func (v *Vector[T]) Size() int { return v.v.N }
-
-// Capacity returns the logical length.
-//
-// Deprecated: the name is a misnomer — this is the logical length, not a
-// storage capacity. Use Size.
-func (v *Vector[T]) Capacity() int { return v.Size() }
 
 // Get returns the value at index i (materializing pending operations first).
 func (v *Vector[T]) Get(i int) (T, bool) {

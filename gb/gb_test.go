@@ -5,7 +5,7 @@ import (
 )
 
 func TestContextBasics(t *testing.T) {
-	ctx, err := NewContext(4, 24)
+	ctx, err := New(Locales(4), Threads(24))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -15,10 +15,10 @@ func TestContextBasics(t *testing.T) {
 	if ctx.Elapsed() != 0 {
 		t.Fatal("fresh context has nonzero clock")
 	}
-	if _, err := NewContext(0, 1); err == nil {
+	if _, err := New(Locales(0), Threads(1)); err == nil {
 		t.Error("zero locales accepted")
 	}
-	one, err := NewContextOneNode(8, 1)
+	one, err := New(Locales(8), Threads(1), OneNode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,12 +28,12 @@ func TestContextBasics(t *testing.T) {
 }
 
 func TestVectorRoundTrip(t *testing.T) {
-	ctx, _ := NewContext(3, 8)
+	ctx, _ := New(Locales(3), Threads(8))
 	v, err := VectorFromSlices(ctx, 10, []int{7, 1, 4}, []int64{70, 10, 40})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.NNZ() != 3 || v.Capacity() != 10 {
+	if v.NNZ() != 3 || v.Size() != 10 {
 		t.Fatal("vector shape wrong")
 	}
 	if x, ok := v.Get(4); !ok || x != 40 {
@@ -49,7 +49,7 @@ func TestVectorRoundTrip(t *testing.T) {
 }
 
 func TestMatrixConstructors(t *testing.T) {
-	ctx, _ := NewContext(4, 8)
+	ctx, _ := New(Locales(4), Threads(8))
 	m, err := MatrixFromTriplets(ctx, 3, 3,
 		[]int{0, 1, 1}, []int{1, 2, 2}, []int64{5, 3, 4})
 	if err != nil {
@@ -68,7 +68,7 @@ func TestMatrixConstructors(t *testing.T) {
 }
 
 func TestApplyAndReduce(t *testing.T) {
-	ctx, _ := NewContext(2, 8)
+	ctx, _ := New(Locales(2), Threads(8))
 	v, _ := VectorFromSlices(ctx, 6, []int{0, 3, 5}, []int64{1, 2, 3})
 	Apply(v, func(x int64) int64 { return x * 10 })
 	if got := Reduce(v, PlusMonoid[int64]()); got != 60 {
@@ -88,7 +88,7 @@ func TestApplyAndReduce(t *testing.T) {
 }
 
 func TestAssignVariants(t *testing.T) {
-	ctx, _ := NewContext(3, 8)
+	ctx, _ := New(Locales(3), Threads(8))
 	src := RandomVector[int64](ctx, 300, 50, 2)
 	dst := NewVector[int64](ctx, 300)
 	if err := Assign(dst, src); err != nil {
@@ -111,7 +111,7 @@ func TestAssignVariants(t *testing.T) {
 }
 
 func TestEWiseMultFacade(t *testing.T) {
-	ctx, _ := NewContext(2, 8)
+	ctx, _ := New(Locales(2), Threads(8))
 	x, _ := VectorFromSlices(ctx, 6, []int{0, 2, 4}, []int64{1, 2, 3})
 	y := NewDenseVector[int64](ctx, 6)
 	y.Set(2, 1)
@@ -128,7 +128,7 @@ func TestEWiseMultFacade(t *testing.T) {
 }
 
 func TestSpMSpVFacade(t *testing.T) {
-	ctx, _ := NewContext(4, 24)
+	ctx, _ := New(Locales(4), Threads(24))
 	a := ErdosRenyi[int64](ctx, 200, 5, 3)
 	x := RandomVector[int64](ctx, 200, 20, 4)
 	y, err := SpMSpV(a, x)
@@ -155,7 +155,7 @@ func TestSpMSpVFacade(t *testing.T) {
 }
 
 func TestBFSFacade(t *testing.T) {
-	ctx, _ := NewContext(4, 24)
+	ctx, _ := New(Locales(4), Threads(24))
 	a := ErdosRenyi[int64](ctx, 300, 6, 5)
 	res, err := BFS(ctx, a, 0)
 	if err != nil {
@@ -170,7 +170,7 @@ func TestBFSFacade(t *testing.T) {
 }
 
 func TestDenseVectorFromSlice(t *testing.T) {
-	ctx, _ := NewContext(3, 8)
+	ctx, _ := New(Locales(3), Threads(8))
 	d := DenseVectorFromSlice(ctx, []int64{5, 6, 7, 8})
 	if d.Get(2) != 7 {
 		t.Fatal("dense get wrong")
@@ -182,7 +182,7 @@ func TestDenseVectorFromSlice(t *testing.T) {
 }
 
 func TestFacadeSpMVAndTranspose(t *testing.T) {
-	ctx, _ := NewContext(6, 24)
+	ctx, _ := New(Locales(6), Threads(24))
 	a := ErdosRenyi[int64](ctx, 100, 4, 7)
 	x := NewDenseVector[int64](ctx, 100)
 	x.Set(3, 1)
@@ -216,7 +216,7 @@ func TestFacadeSpMVAndTranspose(t *testing.T) {
 }
 
 func TestFacadeEWiseAddMult(t *testing.T) {
-	ctx, _ := NewContext(3, 8)
+	ctx, _ := New(Locales(3), Threads(8))
 	x, _ := VectorFromSlices(ctx, 10, []int{1, 3}, []int64{1, 3})
 	y, _ := VectorFromSlices(ctx, 10, []int{3, 5}, []int64{30, 50})
 	sum, err := EWiseAdd(x, y, func(a, b int64) int64 { return a + b })
@@ -239,7 +239,7 @@ func TestFacadeEWiseAddMult(t *testing.T) {
 }
 
 func TestFacadeAlgorithmsExtra(t *testing.T) {
-	ctx, _ := NewContext(4, 24)
+	ctx, _ := New(Locales(4), Threads(24))
 	a := ErdosRenyi[int64](ctx, 200, 5, 8)
 	res, err := BFSDirectionOptimizing(a, 0, 0)
 	if err != nil {
@@ -275,7 +275,7 @@ func TestFacadeAlgorithmsExtra(t *testing.T) {
 }
 
 func TestFacadeIndexedAssignExtractSelect(t *testing.T) {
-	ctx, _ := NewContext(4, 8)
+	ctx, _ := New(Locales(4), Threads(8))
 	v, _ := VectorFromSlices(ctx, 20, []int{2, 5, 9}, []int64{20, 50, 90})
 	src, _ := VectorFromSlices(ctx, 2, []int{0}, []int64{-7})
 	// v(5) = -7; v(9) cleared (absent from src).
@@ -292,8 +292,8 @@ func TestFacadeIndexedAssignExtractSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ext.Capacity() != 3 || ext.NNZ() != 2 {
-		t.Fatalf("extract shape wrong: %d/%d", ext.Capacity(), ext.NNZ())
+	if ext.Size() != 3 || ext.NNZ() != 2 {
+		t.Fatalf("extract shape wrong: %d/%d", ext.Size(), ext.NNZ())
 	}
 	sel := Select(v, func(_ int, x int64) bool { return x > 0 })
 	if sel.NNZ() != 1 {
@@ -302,7 +302,7 @@ func TestFacadeIndexedAssignExtractSelect(t *testing.T) {
 }
 
 func TestFacadeReduceRowsAndMxM(t *testing.T) {
-	ctx, _ := NewContext(4, 8) // 2x2: square grid for SUMMA
+	ctx, _ := New(Locales(4), Threads(8)) // 2x2: square grid for SUMMA
 	a, _ := MatrixFromTriplets(ctx, 3, 3,
 		[]int{0, 0, 2}, []int{0, 1, 2}, []int64{2, 3, 4})
 	sums := ReduceRows(a, PlusMonoid[int64]())
@@ -327,7 +327,7 @@ func TestFacadeReduceRowsAndMxM(t *testing.T) {
 }
 
 func TestFacadePageRankCCTriangles(t *testing.T) {
-	ctx, _ := NewContext(4, 8)
+	ctx, _ := New(Locales(4), Threads(8))
 	// Undirected triangle plus isolated vertex.
 	rows := []int{0, 1, 1, 2, 0, 2}
 	cols := []int{1, 0, 2, 1, 2, 0}
@@ -367,11 +367,11 @@ func TestFacadePageRankCCTriangles(t *testing.T) {
 }
 
 func TestFacadeErrorPaths(t *testing.T) {
-	ctx, _ := NewContext(2, 4)
+	ctx, _ := New(Locales(2), Threads(4))
 	if _, err := MatrixFromTriplets(ctx, 2, 2, []int{5}, []int{0}, []int64{1}); err == nil {
 		t.Error("bad triplet accepted")
 	}
-	if _, err := NewContextOneNode(0, 1); err == nil {
+	if _, err := New(Locales(0), Threads(1), OneNode()); err == nil {
 		t.Error("zero locales accepted")
 	}
 	v := NewVector[int64](ctx, 10)
@@ -383,7 +383,7 @@ func TestFacadeErrorPaths(t *testing.T) {
 	}
 	// MxM on a non-square grid works (band-sweep SUMMA); only a dimension
 	// mismatch is an error.
-	ctx2, _ := NewContext(2, 4) // 1x2 grid
+	ctx2, _ := New(Locales(2), Threads(4)) // 1x2 grid
 	a := ErdosRenyi[int64](ctx2, 10, 2, 1)
 	if c, err := MxM(a, a, PlusTimes[int64]()); err != nil || c.NRows() != 10 {
 		t.Errorf("SUMMA on 1x2 grid: %v", err)
@@ -408,7 +408,7 @@ func TestFacadeErrorPaths(t *testing.T) {
 }
 
 func TestFacadeBFSMasked(t *testing.T) {
-	ctx, _ := NewContext(4, 24)
+	ctx, _ := New(Locales(4), Threads(24))
 	a := ErdosRenyi[int64](ctx, 300, 6, 5)
 	plain, err := BFS(ctx, a, 0)
 	if err != nil {

@@ -136,10 +136,8 @@ func (rp RetryPolicy) apply(o *options) error {
 // (gb.Auto — see WithStrategy), no faults and no tracing — a deterministic
 // single-node configuration on the Edison machine model.
 //
-// New replaces the old constructor/setter sprawl: NewContext,
-// NewContextOneNode, SetSpMSpVEngine, SetRealWorkers, WithFaultPlan and
-// WithRetryPolicy all remain as thin wrappers, but a single New call
-// expresses any combination:
+// New is the one way to build a Context — a single call expresses any
+// combination (the With* methods derive from a context that exists):
 //
 //	ctx, err := gb.New(gb.Locales(16), gb.Threads(24), gb.Engine(gb.Bucket),
 //	    gb.WithStrategy(gb.ForceBulk), gb.StandardChaosPlan(7),
@@ -178,7 +176,7 @@ func New(opts ...Option) (*Context, error) {
 		}
 	}
 	rt.Insp = inspect.New(strat)
-	if err := ctx.SetSpMSpVEngine(o.engine); err != nil {
+	if err := ctx.setEngine(o.engine); err != nil {
 		return nil, err
 	}
 	if o.workers > 0 {

@@ -26,7 +26,7 @@ import (
 //	always-push / always-pull BFS      gb.ForcePush / gb.ForcePull
 //	implicit row-team all-gather       gb.ForceGather (the modeled winner)
 //	replicated input vector            gb.ForceReplicate
-//	SetSpMSpVEngine / engine option    gb.PinEngine(e)
+//	engine option of New               gb.PinEngine(e)
 type Strategy struct {
 	inner  inspect.Strategy
 	engine Engine // 0 = no pin
@@ -155,7 +155,7 @@ func (c *Context) WithStrategy(opts ...StrategyOption) (*Context, error) {
 	nc := c.clone()
 	nc.rt.Insp = inspect.New(s.inner)
 	if s.engine != 0 {
-		if err := nc.SetSpMSpVEngine(s.engine); err != nil {
+		if err := nc.setEngine(s.engine); err != nil {
 			return nil, err
 		}
 	}

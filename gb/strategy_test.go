@@ -239,8 +239,8 @@ func TestWithStrategySemantics(t *testing.T) {
 	if _, err := parent.WithStrategy(PinEngine(Engine(42))); err == nil {
 		t.Error("PinEngine(42) accepted by WithStrategy")
 	}
-	if err := parent.SetSpMSpVEngine(Engine(42)); err == nil {
-		t.Error("SetSpMSpVEngine(42) accepted")
+	if _, err := New(Engine(42)); err == nil {
+		t.Error("Engine(42) accepted by New")
 	}
 }
 

@@ -68,11 +68,11 @@ type queryResponse struct {
 	Stale bool   `json:"stale,omitempty"`
 
 	Rounds int `json:"rounds,omitempty"`
-	Batch  int `json:"batch,omitempty"` // >1 when served from a coalesced MSBFS run
+	Batch  int `json:"batch,omitempty"` // BFS: how many requests its MSBFS run served
 
 	Levels     []int64      `json:"levels,omitempty"`
-	Parents    []int64      `json:"parents,omitempty"`
-	Dist       nullableDist `json:"dist,omitempty"` // null = unreachable
+	Parents    []int64      `json:"parents,omitempty"` // chaos BFS only
+	Dist       nullableDist `json:"dist,omitempty"`    // null = unreachable
 	Ranks      []float64    `json:"ranks,omitempty"`
 	Labels     []int64      `json:"labels,omitempty"`
 	Components int          `json:"components,omitempty"`
@@ -355,20 +355,26 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // runQuery dispatches one admitted query: the chaos path (isolated context),
-// the batched BFS path, or a solo run on a derived context.
+// the BFS batcher, or a run of its own on a derived context.
 func (s *Server) runQuery(ctx context.Context, g *graph, req *queryRequest, budgetNS float64) (*queryResponse, error) {
 	if req.ChaosSeed > 0 || req.CrashLocale != nil {
 		return s.runChaos(ctx, g, req, budgetNS)
 	}
-	if req.Op == "bfs" && s.cfg.BatchWindow > 0 {
-		out := <-s.joinBFS(g, ctx, req.Source)
-		if out.err != nil {
-			return nil, out.err
+	if req.Op == "bfs" {
+		select {
+		case out := <-s.joinBFS(g, ctx, req.Source, budgetNS):
+			if out.err != nil {
+				return nil, out.err
+			}
+			return &queryResponse{
+				Graph: g.name, Op: req.Op, Epoch: out.epoch, Stale: out.stale,
+				Rounds: out.rounds, Batch: out.batch, Levels: out.levels, ModeledMS: out.ms,
+			}, nil
+		case <-ctx.Done():
+			// The batch runs on without this request (and leaves it out if it
+			// has not started); the slot is free for someone still waiting.
+			return nil, ctx.Err()
 		}
-		return &queryResponse{
-			Graph: g.name, Op: req.Op, Epoch: out.epoch, Stale: out.stale,
-			Rounds: out.rounds, Batch: out.batch, Levels: out.levels, ModeledMS: out.ms,
-		}, nil
 	}
 
 	qc, m, epoch, stale, release := s.deriveQuery(g, ctx, budgetNS)

@@ -40,6 +40,7 @@ type metrics struct {
 	lat       map[string]*latAgg
 	batchRuns int64
 	batched   int64
+	batchWait float64 // seconds batched queries spent queued behind a running batch
 }
 
 func newMetrics() *metrics {
@@ -69,11 +70,14 @@ func (m *metrics) noteShed(tenant string) {
 	m.shed[tenant]++
 }
 
-func (m *metrics) noteBatch(size int) {
+// noteBatch records one coalesced run of size queries that between them
+// waited waitSeconds from joining the batcher to the run's start.
+func (m *metrics) noteBatch(size int, waitSeconds float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.batchRuns++
 	m.batched += int64(size)
+	m.batchWait += waitSeconds
 }
 
 // write emits the service counters in deterministic (sorted-label) order.
@@ -126,6 +130,8 @@ func (m *metrics) write(w io.Writer) {
 
 	fmt.Fprintf(w, "# HELP gbserve_batch_runs_total Coalesced MultiSourceBFS runs.\n# TYPE gbserve_batch_runs_total counter\ngbserve_batch_runs_total %d\n", m.batchRuns)
 	fmt.Fprintf(w, "# HELP gbserve_batched_queries_total BFS queries served from a coalesced run.\n# TYPE gbserve_batched_queries_total counter\ngbserve_batched_queries_total %d\n", m.batched)
+	fmt.Fprintf(w, "# HELP gbserve_batch_wait_seconds_sum Time batched BFS queries spent queued behind a running batch (join to run start).\n# TYPE gbserve_batch_wait_seconds_sum counter\ngbserve_batch_wait_seconds_sum %g\n", m.batchWait)
+	fmt.Fprintf(w, "# HELP gbserve_batch_wait_seconds_count Batched BFS queries whose wait was recorded.\n# TYPE gbserve_batch_wait_seconds_count counter\ngbserve_batch_wait_seconds_count %d\n", m.batched)
 }
 
 // writeMetrics writes the service counters, per-graph epoch/stale gauges,

@@ -5,8 +5,9 @@
 // concurrency limiter with a bounded wait queue (over-capacity requests get
 // fast 429s), cooperative cancellation and deadlines propagated into the
 // algorithm round loops (a gone client or an expired budget aborts within
-// one round with a typed error), a same-graph batcher that coalesces
-// concurrent BFS requests into one MultiSourceBFS run, snapshot-isolated
+// one round with a typed error), a same-graph batcher that coalesces the BFS
+// requests that arrive while one is running into one MultiSourceBFS run (no
+// window and no timer: an idle graph serves a BFS at once), snapshot-isolated
 // reads on the streaming matrices' committed epochs, and readiness/liveness
 // endpoints plus per-tenant Prometheus counters for the operators.
 //
@@ -19,6 +20,11 @@
 // (a tracer is bound to one simulator; sharing it across concurrent clones
 // would race) — the operator-facing tracer rides the load/mutate context,
 // which only ever runs under the graph lock.
+//
+// Every fault-free BFS goes through the batcher (batcher.go). One batch per
+// graph is in flight at a time, beside the other ops and the other graphs;
+// a batch is never larger than MaxConcurrent, because its members hold their
+// admission slots while they wait.
 //
 // Chaos queries (a request carrying a fault plan) get a fully isolated
 // context and a private copy of the snapshot instead of a derived clone:
@@ -53,10 +59,6 @@ type Config struct {
 	// advance (default 8 — deep enough that a long query's pinned snapshot
 	// survives the flushes that commit during it; see gb.EpochPolicy).
 	EpochHistory int
-	// BatchWindow is how long the first BFS request on a graph waits for
-	// companions before the coalesced MultiSourceBFS run starts. Zero
-	// disables batching: every BFS runs solo (and returns parents).
-	BatchWindow time.Duration
 	// MaxConcurrent bounds the queries running at once (default 8);
 	// MaxQueue bounds how many more may wait (default 16); MaxWait bounds
 	// how long each waits (default 250ms). Beyond that, requests shed.
@@ -111,7 +113,7 @@ func (c Config) withDefaults() Config {
 }
 
 // graph is one loaded graph: its streaming matrix, the two base contexts,
-// and the BFS batch being assembled.
+// and the BFS batcher's queue.
 type graph struct {
 	name string
 	// mu serializes everything that touches the contexts' shared mutable
@@ -127,8 +129,11 @@ type graph struct {
 	base   *gb.Context
 	stream *gb.StreamingMatrix[float64]
 
+	// The BFS batcher (batcher.go): the requests queued for the next run,
+	// and whether a run is in flight.
 	batchMu sync.Mutex
-	batch   *bfsBatch
+	pending []bfsWaiter
+	running bool
 }
 
 // Server is the query service. Create with New, add graphs with LoadGraph,

@@ -72,7 +72,7 @@ func levelsOf(t *testing.T, body map[string]any) []int64 {
 }
 
 func TestQueryEndpointsBasics(t *testing.T) {
-	_, ts := testServer(t, Config{BatchWindow: 0})
+	_, ts := testServer(t, Config{})
 
 	// Reference run outside the server.
 	ref, err := gb.New(gb.Locales(4), gb.Threads(4))
@@ -132,7 +132,7 @@ func TestQueryEndpointsBasics(t *testing.T) {
 // chaos, every response is either bitwise-equal to the fault-free answer
 // (exact policies) or explicitly flagged best-effort — never a torn result.
 func TestChaosQueriesCorrectOrFlagged(t *testing.T) {
-	_, ts := testServer(t, Config{BatchWindow: 0})
+	_, ts := testServer(t, Config{})
 
 	_, _, ref := post(t, ts, "/query", "", map[string]any{"graph": "g", "op": "bfs", "source": 0})
 	want := levelsOf(t, ref)
@@ -203,31 +203,36 @@ func TestChaosQueriesCorrectOrFlagged(t *testing.T) {
 }
 
 func TestDeadlineAndTimeoutTyped(t *testing.T) {
-	_, ts := testServer(t, Config{BatchWindow: 0})
+	_, ts := testServer(t, Config{})
 
-	// A hopeless modeled budget: typed 504 within one round.
-	status, _, body := post(t, ts, "/query", "tina", map[string]any{
-		"graph": "g", "op": "pagerank", "budget_ms": 1e-9,
-	})
-	if status != http.StatusGatewayTimeout {
-		t.Fatalf("modeled deadline: status %d (%v), want 504", status, body)
-	}
-	if msg, _ := body["error"].(string); !strings.Contains(msg, "deadline") {
-		t.Fatalf("deadline error not typed: %v", body)
+	// A hopeless modeled budget: typed 504 within one round — through the BFS
+	// batcher as on a context of the query's own.
+	for _, op := range []string{"pagerank", "bfs"} {
+		status, _, body := post(t, ts, "/query", "tina", map[string]any{
+			"graph": "g", "op": op, "budget_ms": 1e-9,
+		})
+		if status != http.StatusGatewayTimeout {
+			t.Fatalf("%s modeled deadline: status %d (%v), want 504", op, status, body)
+		}
+		if msg, _ := body["error"].(string); !strings.Contains(msg, "deadline") {
+			t.Fatalf("%s deadline error not typed: %v", op, body)
+		}
 	}
 
 	// An ample budget succeeds.
-	if status, _, body := post(t, ts, "/query", "tina", map[string]any{
-		"graph": "g", "op": "pagerank", "budget_ms": 1e12,
-	}); status != http.StatusOK {
-		t.Fatalf("ample budget: status %d (%v)", status, body)
+	for _, op := range []string{"pagerank", "bfs"} {
+		if status, _, body := post(t, ts, "/query", "tina", map[string]any{
+			"graph": "g", "op": op, "budget_ms": 1e12,
+		}); status != http.StatusOK {
+			t.Fatalf("%s ample budget: status %d (%v)", op, status, body)
+		}
 	}
 }
 
 func TestAdmissionSheddingUnderSaturation(t *testing.T) {
 	s, ts := testServer(t, Config{
 		MaxConcurrent: 1, MaxQueue: 1, MaxWait: 20 * time.Millisecond,
-		TenantRate: 1000, TenantBurst: 1000, BatchWindow: 0,
+		TenantRate: 1000, TenantBurst: 1000,
 	})
 
 	// Saturate deterministically: hold the only slot, so every concurrent
@@ -293,7 +298,7 @@ func TestAdmissionSheddingUnderSaturation(t *testing.T) {
 }
 
 func TestTenantRateLimitIsolation(t *testing.T) {
-	_, ts := testServer(t, Config{TenantRate: 0.001, TenantBurst: 1, BatchWindow: 0})
+	_, ts := testServer(t, Config{TenantRate: 0.001, TenantBurst: 1})
 
 	if st, _, body := post(t, ts, "/query", "alice", map[string]any{"graph": "g", "op": "cc"}); st != http.StatusOK {
 		t.Fatalf("alice's first query: %d (%v)", st, body)
@@ -308,65 +313,8 @@ func TestTenantRateLimitIsolation(t *testing.T) {
 	}
 }
 
-func TestBFSBatcherCoalesces(t *testing.T) {
-	_, ts := testServer(t, Config{BatchWindow: 40 * time.Millisecond})
-
-	// Solo references, run outside the window (distinct op path: window 0
-	// means no batching, but here we just compare against the library).
-	ref, err := gb.New(gb.Locales(4), gb.Threads(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rm := gb.MatrixFromCSR(ref, sparse.ErdosRenyi[float64](300, 6, 17))
-
-	sources := []int{0, 5, 9, 33}
-	got := make([][]int64, len(sources))
-	batches := make([]float64, len(sources))
-	var wg sync.WaitGroup
-	for i, src := range sources {
-		wg.Add(1)
-		go func(i, src int) {
-			defer wg.Done()
-			st, _, body := post(t, ts, "/query", "batch", map[string]any{"graph": "g", "op": "bfs", "source": src})
-			if st != http.StatusOK {
-				t.Errorf("source %d: status %d (%v)", src, st, body)
-				return
-			}
-			got[i] = levelsOf(t, body)
-			batches[i], _ = body["batch"].(float64)
-			// Every member reports the modeled time of the batch it rode in.
-			if ms, _ := body["modeled_ms"].(float64); !(ms > 0) {
-				t.Errorf("source %d: batched reply reports modeled_ms %v", src, body["modeled_ms"])
-			}
-		}(i, src)
-	}
-	wg.Wait()
-
-	coalesced := 0.0
-	for i, src := range sources {
-		if got[i] == nil {
-			t.Fatal("missing batched result")
-		}
-		want, err := gb.BFS(ref, rm, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := range want.Level {
-			if got[i][v] != want.Level[v] {
-				t.Fatalf("batched BFS from %d diverges at vertex %d: %d vs %d", src, v, got[i][v], want.Level[v])
-			}
-		}
-		if batches[i] > coalesced {
-			coalesced = batches[i]
-		}
-	}
-	if coalesced < 2 {
-		t.Fatalf("concurrent BFS requests never coalesced (max batch %v)", coalesced)
-	}
-}
-
 func TestMutateFlushAdvancesServedEpoch(t *testing.T) {
-	_, ts := testServer(t, Config{BatchWindow: 0})
+	_, ts := testServer(t, Config{})
 
 	st, _, body := post(t, ts, "/graphs/g/mutate", "", map[string]any{
 		"rows": []int{0, 1}, "cols": []int{1, 2}, "vals": []float64{9, 9},
@@ -398,7 +346,7 @@ func TestMutateFlushAdvancesServedEpoch(t *testing.T) {
 }
 
 func TestDrainRejectsAndCompletes(t *testing.T) {
-	s, ts := testServer(t, Config{BatchWindow: 0})
+	s, ts := testServer(t, Config{})
 
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatalf("drain with no queries in flight: %v", err)
@@ -425,7 +373,7 @@ func TestDrainRejectsAndCompletes(t *testing.T) {
 // covered by the gb-level cancellation tests; racing a wall-clock cancel
 // against a real query here would flake.)
 func TestCanceledClientTypedOutcome(t *testing.T) {
-	s, _ := testServer(t, Config{BatchWindow: 0})
+	s, _ := testServer(t, Config{})
 
 	body, _ := json.Marshal(map[string]any{"graph": "g", "op": "pagerank"})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -457,7 +405,7 @@ func TestSSSPUnreachableIsNull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, ts := testServer(t, Config{BatchWindow: 0})
+	s, ts := testServer(t, Config{})
 	if err := s.LoadGraph("web", a); err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ trap 'kill "$PID" 2>/dev/null || true; rm -f "$LOG" /tmp/serve_accept_body.$$' E
 
 go build -o "$BIN" ./cmd/gbserve
 
-"$BIN" -addr "$ADDR" -graph web=rmat:10:8:1 -batch-window 5ms -policy redistribute >"$LOG" 2>&1 &
+"$BIN" -addr "$ADDR" -graph web=rmat:10:8:1 -policy redistribute >"$LOG" 2>&1 &
 PID=$!
 
 # Wait for readiness.
@@ -33,8 +33,7 @@ q() { # tenant, body -> prints http status code
 
 fail() { echo "serve-accept: $*"; cat "$LOG"; exit 1; }
 
-# Concurrent fault-free smoke across mixed tenants and every op; the three
-# BFS queries land inside one batch window and should coalesce.
+# Concurrent fault-free smoke across mixed tenants and every op.
 pids=()
 for t in alice bob carol; do
   for op in bfs sssp cc; do
@@ -48,9 +47,12 @@ pids+=($!)
 pids+=($!)
 for p in "${pids[@]}"; do wait "$p" || fail "a concurrent query failed"; done
 
-# One query with an impossible modeled budget: typed 504, never a hang.
-s=$(q dora '{"graph":"web","op":"pagerank","budget_ms":0.000001}')
-[ "$s" = 504 ] || fail "deadline query returned $s, want 504"
+# One query with an impossible modeled budget: typed 504, never a hang —
+# on a context of its own (pagerank) and through the BFS batcher.
+for op in pagerank bfs; do
+  s=$(q dora "{\"graph\":\"web\",\"op\":\"$op\",\"source\":3,\"budget_ms\":0.000001}")
+  [ "$s" = 504 ] || fail "$op deadline query returned $s, want 504"
+done
 
 # One client hangs up immediately; the server must survive it.
 curl -s -m 0.05 -X POST "http://$ADDR/query" -H 'X-Tenant: quitter' \
