@@ -162,7 +162,9 @@ func main() {
 			name, csr.NRows, csr.NNZ(), *locales, float64(time.Since(t0).Microseconds())/1e3)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// Bodies are bounded in the handlers; the header timeout keeps a client
+	// that never finishes its request line from holding a connection open.
+	hs := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "gbserve: serving on %s\n", *addr)

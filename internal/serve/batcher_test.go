@@ -24,6 +24,8 @@ import (
 // reply is one query's outcome as the handler wrote it.
 type reply struct {
 	code int
+	hdr  http.Header
+	raw  []byte
 	body map[string]any
 }
 
@@ -37,8 +39,8 @@ func serveQuery(s *Server, ctx context.Context, body map[string]any) reply {
 	req.Header.Set("X-Tenant", "batch")
 	rr := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rr, req)
-	r := reply{code: rr.Code}
-	_ = json.Unmarshal(rr.Body.Bytes(), &r.body) // an undecodable body stays nil and fails the caller's checks
+	r := reply{code: rr.Code, hdr: rr.Header(), raw: rr.Body.Bytes()}
+	_ = json.Unmarshal(r.raw, &r.body) // an undecodable body stays nil and fails the caller's checks
 	return r
 }
 
@@ -109,11 +111,12 @@ func waitQueued(t *testing.T, g *graph, k int) {
 	})
 }
 
-// metricValue reads one unlabelled sample from the service's own metrics.
+// metricValue reads one sample from /metrics; name carries its labels, if any
+// (`gbserve_reply_cache_entries{graph="g"}`).
 func metricValue(t *testing.T, s *Server, name string) float64 {
 	t.Helper()
 	var buf bytes.Buffer
-	s.met.write(&buf)
+	s.writeMetrics(&buf)
 	for _, line := range strings.Split(buf.String(), "\n") {
 		var v float64
 		if rest, ok := strings.CutPrefix(line, name+" "); ok {
@@ -296,10 +299,12 @@ func TestBFSBatcherBudgetPerMember(t *testing.T) {
 	}
 }
 
-// TestBFSBatcherSoak posts BFS from many goroutines over two graphs while
-// epochs commit beside them (run it under -race): every reply is the BFS of
-// the epoch it names, every BFS went through the batcher, and at quiesce the
-// batcher is idle and nothing is on loan.
+// TestBFSBatcherSoak posts a BFS-heavy read mix from many goroutines over two
+// graphs, repeating keys, while epochs commit beside them (run it under
+// -race): every reply is gb's answer on the epoch it names, no poster is shown
+// an epoch older than one it has seen, every BFS was either a reply-cache hit
+// or went through the batcher, and at quiesce the batcher is idle and nothing
+// is on loan.
 func TestBFSBatcherSoak(t *testing.T) {
 	const posters, nSources = 8, 16
 	perPoster := 200
@@ -326,11 +331,30 @@ func TestBFSBatcherSoak(t *testing.T) {
 		}
 		return err
 	}
+	// One query in eight is an sssp, one a pagerank, one a cc; the rest BFS.
+	opOf := func(k int) string {
+		switch k % 8 {
+		case 5:
+			return "sssp"
+		case 6:
+			return "pagerank"
+		case 7:
+			return "cc"
+		}
+		return "bfs"
+	}
+	keyOf := func(op string, src int) string {
+		if op == "pagerank" || op == "cc" {
+			src = 0
+		}
+		return fmt.Sprintf("%s/%d", op, src)
+	}
 
-	// want[graph][epoch parity][source]: gb.BFS on a second, idle server's
-	// graph taken through the same two flushes the served one starts with.
+	// want[graph][epoch parity][op/source]: gb's answers on a second, idle
+	// server's graph taken through the same two flushes the served one starts
+	// with.
 	idle := New(Config{})
-	want := map[string][2][][]int64{}
+	want := map[string][2]map[string]answer{}
 	flushes := map[string]int{}
 	for name, a := range csrs {
 		if err := s.LoadGraph(name, a); err != nil {
@@ -340,7 +364,7 @@ func TestBFSBatcherSoak(t *testing.T) {
 			t.Fatal(err)
 		}
 		rg := idle.graphByName(name)
-		var byParity [2][][]int64
+		var byParity [2]map[string]answer
 		for flushes[name] < 2 {
 			flushes[name]++
 			for _, g := range []*graph{s.graphByName(name), rg} {
@@ -349,20 +373,27 @@ func TestBFSBatcherSoak(t *testing.T) {
 				}
 			}
 			m, epoch := rg.stream.Matrix()
-			for src := 0; src < nSources; src++ {
-				res, err := gb.BFS(rg.load, m, src)
-				if err != nil {
-					t.Fatal(err)
+			answers := map[string]answer{}
+			for _, op := range []string{"bfs", "sssp", "pagerank", "cc"} {
+				for src := 0; src < nSources; src++ {
+					if _, done := answers[keyOf(op, src)]; done {
+						continue
+					}
+					ans, err := libAnswer(rg.load, m, op, src)
+					if err != nil {
+						t.Fatal(err)
+					}
+					answers[keyOf(op, src)] = ans
 				}
-				byParity[epoch%2] = append(byParity[epoch%2], res.Level)
 			}
+			byParity[epoch%2] = answers
 		}
 		want[name] = byParity
 	}
 
 	// The writer commits an epoch on each graph per 16 answered queries: far
 	// fewer than EpochHistory flushes can pass under one pinned query.
-	var answered, ok200 atomic.Int64
+	var answered, bfs200, bfsHits atomic.Int64
 	stop := make(chan struct{})
 	writerDone := make(chan error, 1)
 	go func() {
@@ -391,28 +422,32 @@ func TestBFSBatcherSoak(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
+			lastEpoch := map[string]float64{}
 			for i := 0; i < perPoster && !t.Failed(); i++ {
-				name, src := names[(p+i)%2], (p*perPoster+i)%nSources
-				r := serveQuery(s, context.Background(), bfsBody(name, src))
+				name, src, op := names[(p+i)%2], (p*perPoster+i)%nSources, opOf(p+i/2)
+				r := serveQuery(s, context.Background(), map[string]any{"graph": name, "op": op, "source": src})
 				answered.Add(1)
+				what := fmt.Sprintf("poster %d query %d (%s on %s from %d)", p, i, op, name, src)
 				if r.code != http.StatusOK {
-					t.Errorf("poster %d query %d: status %d (%v)", p, i, r.code, r.body)
+					t.Errorf("%s: status %d (%v)", what, r.code, r.body)
 					return
 				}
-				ok200.Add(1)
-				epoch, _ := r.body["epoch"].(float64)
-				levels, _ := r.body["levels"].([]any)
-				ref := want[name][int(epoch)%2][src]
-				if len(levels) != len(ref) {
-					t.Errorf("poster %d query %d: %d levels, want %d", p, i, len(levels), len(ref))
-					return
-				}
-				for v := range ref {
-					if levels[v] != float64(ref[v]) {
-						t.Errorf("poster %d query %d: %s epoch %v source %d diverges at vertex %d: %v vs %d",
-							p, i, name, epoch, src, v, levels[v], ref[v])
-						return
+				hit := r.hdr.Get("X-GB-Cache") == "hit"
+				if op == "bfs" {
+					bfs200.Add(1)
+					if hit {
+						bfsHits.Add(1)
 					}
+				}
+				epoch, _ := r.body["epoch"].(float64)
+				if epoch < lastEpoch[name] {
+					t.Errorf("%s: served epoch %v after this poster saw %v", what, epoch, lastEpoch[name])
+					return
+				}
+				lastEpoch[name] = epoch
+				if d := want[name][int(epoch)%2][keyOf(op, src)].differs(op, r.body); d != "" {
+					t.Errorf("%s: epoch %v (hit %v) departs from gb: %s", what, epoch, hit, d)
+					return
 				}
 			}
 		}(p)
@@ -426,9 +461,15 @@ func TestBFSBatcherSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	t.Logf("%d BFS in %v runs beside %d flushes", ok200.Load(), metricValue(t, s, "gbserve_batch_runs_total"), flushes["a"])
-	if got := metricValue(t, s, "gbserve_batched_queries_total"); got != float64(ok200.Load()) {
-		t.Errorf("%v queries went through the batcher, %d BFS answered 200", got, ok200.Load())
+	batched := metricValue(t, s, "gbserve_batched_queries_total")
+	t.Logf("%d BFS (%d hits, %v through the batcher in %v runs) among %d queries beside %d flushes; cache: %v hits, %v duplicate misses",
+		bfs200.Load(), bfsHits.Load(), batched, metricValue(t, s, "gbserve_batch_runs_total"), answered.Load(), flushes["a"],
+		metricValue(t, s, "gbserve_reply_cache_hits_total"), metricValue(t, s, "gbserve_reply_cache_duplicate_misses_total"))
+	if batched+float64(bfsHits.Load()) != float64(bfs200.Load()) {
+		t.Errorf("%v BFS through the batcher + %d hits != %d BFS answered 200", batched, bfsHits.Load(), bfs200.Load())
+	}
+	if bfsHits.Load() == 0 || batched == 0 {
+		t.Errorf("the soak exercised one path only: %d BFS hits, %v batched", bfsHits.Load(), batched)
 	}
 	if got := s.limit.inFlight(); got != 0 {
 		t.Errorf("%d admission slots held at quiesce", got)

@@ -25,14 +25,23 @@ import (
 //	GET  /readyz                 readiness (503 while draining or empty)
 //	GET  /metrics                Prometheus text: gbserve_* + gb_op_* counters
 //
-// Status codes carry the robustness envelope: 429 + Retry-After when admission
-// sheds, 499 when the client went away mid-query, 503 while draining, 504 when
-// the modeled budget expired. Every query response carries X-GB-Epoch and
-// X-GB-Stale headers naming the snapshot it was served from.
+// Status codes carry the robustness envelope: 413 for a request body over
+// the limit, 429 + Retry-After when admission sheds, 499 when the client went
+// away mid-query, 503 while draining, 504 when the modeled budget expired.
+// Every query response carries X-GB-Epoch and X-GB-Stale headers naming the
+// snapshot it was served from, and every fault-free one X-GB-Cache: hit when
+// the body came from the reply cache (cache.go), miss when a run computed it.
 
 // statusClientClosed is nginx's "client closed request" — the conventional
 // code for a query aborted because its requester stopped waiting.
 const statusClientClosed = 499
+
+// Request bodies are read through http.MaxBytesReader: a query is a few
+// fields, a mutation batch three parallel arrays. Constants, not knobs.
+const (
+	maxQueryBody  = 1 << 20
+	maxMutateBody = 64 << 20
+)
 
 // queryRequest is the POST /query body.
 type queryRequest struct {
@@ -108,17 +117,46 @@ func (s *Server) Handler() http.Handler {
 // cannot represent (a NaN, say) becomes a logged 500 instead of a 200 with
 // an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, ok := encodeJSON(v)
+	if !ok {
+		status = http.StatusInternalServerError
+	}
+	writeBody(w, status, body)
+}
+
+// encodeJSON returns v's JSON body; when v has none it logs why and returns
+// the error body to send with a 500 instead.
+func encodeJSON(v any) (body []byte, ok bool) {
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(v); err != nil {
 		log.Printf("serve: encoding a %T response: %v", v, err)
-		status = http.StatusInternalServerError
 		buf.Reset()
 		// A map of strings always encodes.
 		_ = json.NewEncoder(&buf).Encode(map[string]string{"error": "encoding the response: " + err.Error()})
+		return buf.Bytes(), false
 	}
+	return buf.Bytes(), true
+}
+
+// writeBody sends an encoded JSON body.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes()) // a failed write means the client has gone
+	_, _ = w.Write(body) // a failed write means the client has gone
+}
+
+// decodeBody decodes a request body of at most limit bytes into v, answering
+// 413 for a longer one and 400 for one that is not the JSON expected.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, "body over %d bytes", limit)
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "bad body: %v", err)
+	}
+	return err == nil
 }
 
 // nullableDist is a vector of SSSP distances on its way into JSON, which has
@@ -177,12 +215,12 @@ func shed(w http.ResponseWriter, retryAfter time.Duration, reason string) {
 	writeError(w, http.StatusTooManyRequests, "shed: %s", reason)
 }
 
+// handleReady reads each graph's published epoch, not its mutex: a readiness
+// probe does not queue behind a flush.
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	epochs := map[string]uint64{}
 	for _, g := range s.graphNames() {
-		g.mu.Lock()
-		epochs[g.name] = g.stream.Epoch()
-		g.mu.Unlock()
+		epochs[g.name], _ = g.servedEpoch()
 	}
 	body := map[string]any{
 		"ready":     s.Ready(),
@@ -233,8 +271,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		DelRows []int     `json:"del_rows"`
 		DelCols []int     `json:"del_cols"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad body: %v", err)
+	if !decodeBody(w, r, maxMutateBody, &req) {
 		return
 	}
 	if len(req.Rows) != len(req.Cols) || len(req.Rows) != len(req.Vals) {
@@ -282,8 +319,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		tenant = "default"
 	}
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad body: %v", err)
+	if !decodeBody(w, r, maxQueryBody, &req) {
 		return
 	}
 	if !validOps[req.Op] {
@@ -298,6 +334,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.Op != "cc" && req.Op != "triangles" && req.Op != "pagerank" {
 		if n := g.stream.NRows(); req.Source < 0 || req.Source >= n {
 			writeError(w, http.StatusBadRequest, "source %d outside graph of %d vertices", req.Source, n)
+			return
+		}
+	}
+	if req.chaos() {
+		if _, err := s.chaosPolicy(req.ChaosPolicy); err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 	}
@@ -318,46 +360,129 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.inflight.Add(1)
 	defer s.inflight.Done()
 
+	budgetNS := s.cfg.DefaultBudgetNS
+	if req.BudgetMS > 0 {
+		budgetNS = req.BudgetMS * 1e6
+	}
+
+	// The reply cache, after admission — a hit is still a query the tenant is
+	// charged for and Drain waits for — and without the graph mutex. Chaos
+	// queries neither read nor fill it: they exist to exercise recovery.
+	start := time.Now()
+	cacheable := !req.chaos()
+	var key replyKey
+	if cacheable {
+		key = g.replyKey(&req)
+		if hit, ok := g.replies.get(key); ok {
+			s.serveHit(w, tenant, req.Op, key, hit, budgetNS, start)
+			return
+		}
+		w.Header().Set("X-GB-Cache", "miss")
+	}
+
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
-	budgetNS := s.cfg.DefaultBudgetNS
-	if req.BudgetMS > 0 {
-		budgetNS = req.BudgetMS * 1e6
-	}
-
-	start := time.Now()
 	resp, err := s.runQuery(ctx, g, &req, budgetNS)
 	elapsed := time.Since(start)
-
 	if err != nil {
-		status, outcome := http.StatusInternalServerError, outcomeError
-		switch {
-		case errors.Is(err, gb.ErrDeadlineExceeded) || errors.Is(err, context.DeadlineExceeded):
-			status, outcome = http.StatusGatewayTimeout, outcomeDeadline
-		case errors.Is(err, gb.ErrQueryCanceled) || errors.Is(err, context.Canceled):
-			status, outcome = statusClientClosed, outcomeCanceled
-		}
-		s.met.noteQuery(tenant, req.Op, outcome, elapsed.Seconds())
-		writeError(w, status, "%s: %v", req.Op, err)
+		s.queryFailed(w, tenant, req.Op, err, elapsed)
 		return
 	}
 	s.met.noteQuery(tenant, req.Op, outcomeOK, elapsed.Seconds())
-	w.Header().Set("X-GB-Epoch", strconv.FormatUint(resp.Epoch, 10))
-	w.Header().Set("X-GB-Stale", strconv.FormatBool(resp.Stale))
+	snapshotHeaders(w, resp.Epoch, resp.Stale)
 	if resp.BestEffort {
 		w.Header().Set("X-GB-BestEffort", "true")
 	}
-	writeJSON(w, http.StatusOK, resp)
+	body, ok := encodeJSON(resp)
+	if !ok {
+		writeBody(w, http.StatusInternalServerError, body)
+		return
+	}
+	writeBody(w, http.StatusOK, body)
+	if cacheable {
+		// Under the epoch the run was served from, not the one looked up: a
+		// flush may have landed in between.
+		key.epoch, key.stale = resp.Epoch, resp.Stale
+		g.replies.put(key, body, resp.ModeledMS)
+	}
+}
+
+// serveHit answers a query from the reply cache: the stored bytes under the
+// snapshot headers of the key they were stored under. budget_ms bounds the
+// modeled cost of the answer whichever request paid it, so a hit over the
+// budget is the typed 504 a run would have been.
+func (s *Server) serveHit(w http.ResponseWriter, tenant, op string, key replyKey, hit cachedReply, budgetNS float64, start time.Time) {
+	w.Header().Set("X-GB-Cache", "hit")
+	if budgetNS > 0 && hit.modeledMS*1e6 > budgetNS {
+		s.queryFailed(w, tenant, op, fmt.Errorf("serve: the answer took %g modeled ms to compute, over this request's budget of %g ms: %w",
+			hit.modeledMS, budgetNS/1e6, gb.ErrDeadlineExceeded), time.Since(start))
+		return
+	}
+	s.met.noteQuery(tenant, op, outcomeOK, time.Since(start).Seconds())
+	snapshotHeaders(w, key.epoch, key.stale)
+	writeBody(w, http.StatusOK, hit.body)
+}
+
+// snapshotHeaders names the snapshot a reply was served from.
+func snapshotHeaders(w http.ResponseWriter, epoch uint64, stale bool) {
+	w.Header().Set("X-GB-Epoch", strconv.FormatUint(epoch, 10))
+	w.Header().Set("X-GB-Stale", strconv.FormatBool(stale))
+}
+
+// queryFailed writes a query's typed failure and counts its outcome.
+func (s *Server) queryFailed(w http.ResponseWriter, tenant, op string, err error, elapsed time.Duration) {
+	status, outcome := http.StatusInternalServerError, outcomeError
+	switch {
+	case errors.Is(err, gb.ErrDeadlineExceeded) || errors.Is(err, context.DeadlineExceeded):
+		status, outcome = http.StatusGatewayTimeout, outcomeDeadline
+	case errors.Is(err, gb.ErrQueryCanceled) || errors.Is(err, context.Canceled):
+		status, outcome = statusClientClosed, outcomeCanceled
+	}
+	s.met.noteQuery(tenant, op, outcome, elapsed.Seconds())
+	writeError(w, status, "%s: %v", op, err)
+}
+
+// chaos reports whether the request carries a fault plan.
+func (r *queryRequest) chaos() bool { return r.ChaosSeed > 0 || r.CrashLocale != nil }
+
+// pagerankParams returns the PageRank parameters the request means: what it
+// set, or the defaults (0.85, 1e-6, 100) where it set nothing usable.
+func (r *queryRequest) pagerankParams() (damping, tol float64, maxIter int) {
+	damping, tol, maxIter = r.Damping, r.Tol, r.MaxIter
+	if damping <= 0 || damping >= 1 {
+		damping = 0.85
+	}
+	if tol <= 0 {
+		tol = 1e-6
+	}
+	if maxIter <= 0 {
+		maxIter = 100
+	}
+	return damping, tol, maxIter
+}
+
+// replyKey is the cache key of a fault-free request against what g serves
+// now: only the fields its op reads, so requests that mean the same share it.
+func (g *graph) replyKey(req *queryRequest) replyKey {
+	k := replyKey{op: req.Op}
+	k.epoch, k.stale = g.servedEpoch()
+	switch req.Op {
+	case "bfs", "sssp":
+		k.source = req.Source
+	case "pagerank":
+		k.damping, k.tol, k.maxIter = req.pagerankParams()
+	}
+	return k
 }
 
 // runQuery dispatches one admitted query: the chaos path (isolated context),
 // the BFS batcher, or a run of its own on a derived context.
 func (s *Server) runQuery(ctx context.Context, g *graph, req *queryRequest, budgetNS float64) (*queryResponse, error) {
-	if req.ChaosSeed > 0 || req.CrashLocale != nil {
+	if req.chaos() {
 		return s.runChaos(ctx, g, req, budgetNS)
 	}
 	if req.Op == "bfs" {
@@ -404,16 +529,7 @@ func runOp(qc *gb.Context, m *gb.Matrix[float64], req *queryRequest, resp *query
 		}
 		resp.Dist, resp.Rounds = dist, rounds
 	case "pagerank":
-		d, tol, iters := req.Damping, req.Tol, req.MaxIter
-		if d <= 0 || d >= 1 {
-			d = 0.85
-		}
-		if tol <= 0 {
-			tol = 1e-6
-		}
-		if iters <= 0 {
-			iters = 100
-		}
+		d, tol, iters := req.pagerankParams()
 		ranks, rounds, err := gb.PageRank(m, d, tol, iters)
 		if err != nil {
 			return err
@@ -437,22 +553,29 @@ func runOp(qc *gb.Context, m *gb.Matrix[float64], req *queryRequest, resp *query
 	return nil
 }
 
+// chaosPolicy resolves a request's chaos_policy; unset means the server's.
+func (s *Server) chaosPolicy(name string) (gb.RecoveryPolicy, error) {
+	switch name {
+	case "":
+		return s.cfg.Policy, nil
+	case "redistribute":
+		return gb.Redistribute, nil
+	case "failover":
+		return gb.Failover, nil
+	case "besteffort":
+		return gb.BestEffort, nil
+	}
+	return s.cfg.Policy, fmt.Errorf("serve: unknown chaos_policy %q (want redistribute|failover|besteffort)", name)
+}
+
 // runChaos serves a query under fault injection on a fully isolated context:
 // the committed epoch is gathered to a local CSR and redistributed on a fresh
 // grid, because crash recovery mutates the grid (locale adoption) and must
 // never leak into the shared base context's fault-free queries.
 func (s *Server) runChaos(ctx context.Context, g *graph, req *queryRequest, budgetNS float64) (*queryResponse, error) {
-	policy := s.cfg.Policy
-	switch req.ChaosPolicy {
-	case "":
-	case "redistribute":
-		policy = gb.Redistribute
-	case "failover":
-		policy = gb.Failover
-	case "besteffort":
-		policy = gb.BestEffort
-	default:
-		return nil, fmt.Errorf("serve: unknown chaos_policy %q", req.ChaosPolicy)
+	policy, err := s.chaosPolicy(req.ChaosPolicy)
+	if err != nil {
+		return nil, err // handleQuery has already refused it
 	}
 	plan := gb.StandardChaosPlan(req.ChaosSeed)
 	if req.CrashLocale != nil {

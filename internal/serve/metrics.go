@@ -134,20 +134,15 @@ func (m *metrics) write(w io.Writer) {
 	fmt.Fprintf(w, "# HELP gbserve_batch_wait_seconds_count Batched BFS queries whose wait was recorded.\n# TYPE gbserve_batch_wait_seconds_count counter\ngbserve_batch_wait_seconds_count %d\n", m.batched)
 }
 
-// writeMetrics writes the service counters, per-graph epoch/stale gauges,
-// and (when a tracer is configured) the trace handler's gb_op_* aggregates.
+// writeMetrics writes the service counters, the reply-cache counters, the
+// per-graph gauges, and (when a tracer is configured) the trace handler's
+// gb_op_* aggregates.
 func (s *Server) writeMetrics(w io.Writer) {
 	s.met.write(w)
 
 	graphs := s.graphNames()
 	sort.Slice(graphs, func(i, j int) bool { return graphs[i].name < graphs[j].name })
-	fmt.Fprint(w, "# HELP gbserve_graph_epoch Committed epoch per graph.\n# TYPE gbserve_graph_epoch gauge\n")
-	for _, g := range graphs {
-		g.mu.Lock()
-		epoch := g.stream.Epoch()
-		g.mu.Unlock()
-		fmt.Fprintf(w, "gbserve_graph_epoch{graph=%q} %d\n", g.name, epoch)
-	}
+	writeGraphGauges(w, graphs)
 	fmt.Fprint(w, "# HELP gbserve_graph_stale_serves_total Flushes that served a stale epoch (BestEffort), per graph.\n# TYPE gbserve_graph_stale_serves_total counter\n")
 	for _, g := range graphs {
 		g.mu.Lock()
@@ -159,4 +154,39 @@ func (s *Server) writeMetrics(w io.Writer) {
 	if s.cfg.Tracer != nil {
 		_ = trace.WritePrometheus(w, s.cfg.Tracer)
 	}
+}
+
+// writeGraphGauges writes everything about the graphs that is read without
+// their mutexes — a scrape does not queue behind a flush for these: the
+// reply-cache counters summed over the graphs, and per graph the published
+// epoch, the cache's size and the scratch arena's loans.
+func writeGraphGauges(w io.Writer, graphs []*graph) {
+	var total replyCounters
+	bytes, entries := make([]int, len(graphs)), make([]int, len(graphs))
+	for i, g := range graphs {
+		var n replyCounters
+		n, bytes[i], entries[i] = g.replies.stats()
+		total.hits += n.hits
+		total.misses += n.misses
+		total.evictions += n.evictions
+		total.duplicateMisses += n.duplicateMisses
+	}
+	fmt.Fprintf(w, "# HELP gbserve_reply_cache_hits_total Fault-free queries answered from the reply cache.\n# TYPE gbserve_reply_cache_hits_total counter\ngbserve_reply_cache_hits_total %d\n", total.hits)
+	fmt.Fprintf(w, "# HELP gbserve_reply_cache_misses_total Fault-free queries the reply cache had no answer for.\n# TYPE gbserve_reply_cache_misses_total counter\ngbserve_reply_cache_misses_total %d\n", total.misses)
+	fmt.Fprintf(w, "# HELP gbserve_reply_cache_evictions_total Replies dropped to keep a graph's cache under its byte cap (an epoch retiring is not an eviction).\n# TYPE gbserve_reply_cache_evictions_total counter\ngbserve_reply_cache_evictions_total %d\n", total.evictions)
+	fmt.Fprintf(w, "# HELP gbserve_reply_cache_duplicate_misses_total Misses whose key another request stored before they finished.\n# TYPE gbserve_reply_cache_duplicate_misses_total counter\ngbserve_reply_cache_duplicate_misses_total %d\n", total.duplicateMisses)
+
+	gauge := func(name, help string, value func(i int, g *graph) int) {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
+		for i, g := range graphs {
+			fmt.Fprintf(w, "%s{graph=%q} %d\n", name, g.name, value(i, g))
+		}
+	}
+	gauge("gbserve_graph_epoch", "Committed epoch per graph.", func(_ int, g *graph) int {
+		epoch, _ := g.servedEpoch()
+		return int(epoch)
+	})
+	gauge("gbserve_reply_cache_bytes", "Body bytes held by the graph's reply cache.", func(i int, _ *graph) int { return bytes[i] })
+	gauge("gbserve_reply_cache_entries", "Replies held by the graph's reply cache (one epoch's).", func(i int, _ *graph) int { return entries[i] })
+	gauge("gbserve_scratch_outstanding", "Scratch-arena loans checked out on the graph's contexts.", func(_ int, g *graph) int { return g.base.ScratchOutstanding() })
 }

@@ -8,8 +8,10 @@
 // one round with a typed error), a same-graph batcher that coalesces the BFS
 // requests that arrive while one is running into one MultiSourceBFS run (no
 // window and no timer: an idle graph serves a BFS at once), snapshot-isolated
-// reads on the streaming matrices' committed epochs, and readiness/liveness
-// endpoints plus per-tenant Prometheus counters for the operators.
+// reads on the streaming matrices' committed epochs, a per-graph reply cache
+// that answers each (snapshot, query) once and replays the encoded body to
+// every repeat, and readiness/liveness endpoints plus per-tenant Prometheus
+// counters for the operators.
 //
 // Concurrency model. Every query runs on its own derived gb.Context — a
 // clone sharing the base context's grid, worker pool and scratch arena (all
@@ -21,15 +23,37 @@
 // would race) — the operator-facing tracer rides the load/mutate context,
 // which only ever runs under the graph lock.
 //
-// Every fault-free BFS goes through the batcher (batcher.go). One batch per
-// graph is in flight at a time, beside the other ops and the other graphs;
-// a batch is never larger than MaxConcurrent, because its members hold their
-// admission slots while they wait.
+// What a graph serves — its committed epoch and stale flag — is also
+// published in one atomic word, stored under the graph mutex by LoadGraph and
+// by flush before the mutex is released. Everything that only needs to know
+// the epoch reads that word and takes no lock the write path holds: the
+// reply-cache lookup, /readyz, the epoch gauge on /metrics. Because the store
+// precedes the unlock, any snapshot derived afterwards is of an epoch the word
+// already names, so replies to one client never go back in time whichever
+// path answers them.
+//
+// The reply cache (cache.go) sits after admission and before any of the
+// above: a fault-free query whose (epoch, stale flag, op, source, effective
+// PageRank parameters) was answered before gets the stored body back — no
+// derivation, no run, no encoder, no graph mutex — under X-GB-Cache: hit. A
+// miss takes the path described here, unchanged, and stores what it wrote. A
+// hit therefore replays the rounds, batch and modeled_ms of the run that
+// produced it: modeled_ms is the modeled cost of computing the answer,
+// whichever request paid it, and budget_ms is checked against it on a hit as
+// on a run. Errors are never stored, and one epoch's entries are dropped
+// when a lookup or a store first names a newer one.
+//
+// Every fault-free BFS the cache has no answer for goes through the batcher
+// (batcher.go), and each member's reply is stored under its own source. One
+// batch per graph is in flight at a time, beside the other ops and the other
+// graphs; a batch is never larger than MaxConcurrent, because its members
+// hold their admission slots while they wait.
 //
 // Chaos queries (a request carrying a fault plan) get a fully isolated
 // context and a private copy of the snapshot instead of a derived clone:
 // crash recovery mutates the shared grid (locale adoption), which must never
-// leak into concurrent fault-free queries on the same graph.
+// leak into concurrent fault-free queries on the same graph. They neither
+// read nor fill the reply cache.
 package serve
 
 import (
@@ -129,11 +153,40 @@ type graph struct {
 	base   *gb.Context
 	stream *gb.StreamingMatrix[float64]
 
+	// served is what a query would be answered from, in one word a reader
+	// needs no lock for: the committed epoch shifted left once, the stale
+	// flag in the low bit. publish stores it, under mu.
+	served atomic.Uint64
+	// replies is the reply cache (cache.go); it has a mutex of its own.
+	replies *replyCache
+
 	// The BFS batcher (batcher.go): the requests queued for the next run,
 	// and whether a run is in flight.
 	batchMu sync.Mutex
 	pending []bfsWaiter
 	running bool
+}
+
+// publish stores the stream's committed epoch and stale flag in g.served.
+// Callers hold g.mu and call it before they release it: whoever then derives
+// a snapshot, and names its epoch in a reply, does so after the word already
+// says at least that epoch — so a reply served by looking the word up can
+// never name an epoch older than one the same client has already been shown.
+// flush is the only caller after load: mutate commits nothing, because the
+// server's EpochPolicy sets no FlushEvery.
+func (g *graph) publish() {
+	word := g.stream.Epoch() << 1
+	if g.stream.Stale() {
+		word |= 1
+	}
+	g.served.Store(word)
+}
+
+// servedEpoch reads the published word: no lock, so it answers while a flush
+// or a derivation holds g.mu.
+func (g *graph) servedEpoch() (epoch uint64, stale bool) {
+	word := g.served.Load()
+	return word >> 1, word&1 == 1
 }
 
 // Server is the query service. Create with New, add graphs with LoadGraph,
@@ -198,7 +251,9 @@ func (s *Server) LoadGraph(name string, a *sparse.CSR[float64]) error {
 	if _, dup := s.graphs[name]; dup {
 		return fmt.Errorf("serve: graph %q already loaded", name)
 	}
-	s.graphs[name] = &graph{name: name, load: load, base: base, stream: stream}
+	g := &graph{name: name, load: load, base: base, stream: stream, replies: newReplyCache()}
+	g.publish() // nobody else holds g yet
+	s.graphs[name] = g
 	return nil
 }
 
@@ -294,11 +349,13 @@ func (g *graph) mutate(rows, cols []int, vals []float64, delRows, delCols []int)
 	return nil
 }
 
-// flush commits the pending mutations as a new epoch under the graph lock.
+// flush commits the pending mutations as a new epoch under the graph lock,
+// and publishes it before the lock goes.
 func (g *graph) flush() (epoch uint64, stale bool, err error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	epoch, err = g.stream.Flush()
+	g.publish()
 	return epoch, g.stream.Stale(), err
 }
 

@@ -5,13 +5,15 @@
 # across mixed tenants — fault-free queries, one with an impossible modeled
 # deadline (must 504), one from a client that hangs up (server keeps running),
 # one chaos-crashed (must still answer, bitwise-stable epoch headers), a
-# mutate+flush epoch advance — then sends SIGTERM and asserts a clean drain.
+# a repeated query (must be a reply-cache hit, byte-identical to the miss), a
+# mutate+flush epoch advance (the next query is a miss again), an over-size
+# body (must 413) — then sends SIGTERM and asserts a clean drain.
 set -euo pipefail
 
 ADDR="127.0.0.1:${SERVE_PORT:-18765}"
 LOG="$(mktemp)"
 BIN="$(mktemp -d)/gbserve"
-trap 'kill "$PID" 2>/dev/null || true; rm -f "$LOG" /tmp/serve_accept_body.$$' EXIT
+trap 'kill "$PID" 2>/dev/null || true; rm -f "$LOG" /tmp/serve_accept_body.$$ /tmp/serve_accept_cc[12].$$ /tmp/serve_accept_big.$$' EXIT
 
 go build -o "$BIN" ./cmd/gbserve
 
@@ -47,6 +49,17 @@ pids+=($!)
 pids+=($!)
 for p in "${pids[@]}"; do wait "$p" || fail "a concurrent query failed"; done
 
+# The same query twice: the second is a reply-cache hit and carries the bytes
+# the first computed (the smoke above has already asked for cc at source 3's
+# epoch, so the first may itself be a hit; the second must be).
+cc() { # body file -> prints the X-GB-Cache header's value
+  curl -s -D - -o "$1" -X POST "http://$ADDR/query" -H 'X-Tenant: erin' -d '{"graph":"web","op":"cc"}' \
+    | tr -d '\r' | sed -n 's/^X-Gb-Cache: //ip'
+}
+cc /tmp/serve_accept_cc1.$$ >/dev/null
+[ "$(cc /tmp/serve_accept_cc2.$$)" = hit ] || fail "a repeated cc was not a reply-cache hit"
+cmp -s /tmp/serve_accept_cc1.$$ /tmp/serve_accept_cc2.$$ || fail "the hit's body differs from the first reply's"
+
 # One query with an impossible modeled budget: typed 504, never a hang —
 # on a context of its own (pagerank) and through the BFS batcher.
 for op in pagerank bfs; do
@@ -77,14 +90,23 @@ crash_levels=$(echo "$crashed" | sed -n 's/.*"levels":\(\[[^]]*\]\).*/\1/p')
 curl -fsS -X POST "http://$ADDR/graphs/web/mutate" \
   -d '{"rows":[0],"cols":[9],"vals":[1.0]}' >/dev/null || fail "mutate failed"
 curl -fsS -X POST "http://$ADDR/graphs/web/flush" | grep -q '"epoch":1' || fail "flush did not commit epoch 1"
-curl -s -D - -o /dev/null -X POST "http://$ADDR/query" -d '{"graph":"web","op":"cc"}' \
-  | grep -qi 'X-GB-Epoch: 1' || fail "query not served from epoch 1"
+hdrs=$(curl -s -D - -o /dev/null -X POST "http://$ADDR/query" -d '{"graph":"web","op":"cc"}')
+echo "$hdrs" | grep -qi 'X-GB-Epoch: 1' || fail "query not served from epoch 1"
+echo "$hdrs" | grep -qi 'X-GB-Cache: miss' || fail "the first cc of epoch 1 was not a miss: epoch 0's replies outlived the flush"
 
-# Metrics carry the per-tenant outcomes.
-curl -fsS "http://$ADDR/metrics" | grep -q 'gbserve_queries_total{tenant="alice"' \
-  || fail "per-tenant metrics missing"
-curl -fsS "http://$ADDR/metrics" | grep -q 'outcome="deadline"' \
-  || fail "deadline outcome missing from metrics"
+# A request body over the limit is refused before it is read through.
+head -c 2000000 /dev/zero | tr '\0' 'x' | sed 's/^/{"graph":"/; s/$/","op":"cc"}/' >/tmp/serve_accept_big.$$
+s=$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$ADDR/query" -H 'Expect:' --data-binary @/tmp/serve_accept_big.$$)
+[ "$s" = 413 ] || fail "a 2 MB query body returned $s, want 413"
+kill -0 "$PID" || fail "server died on an over-size body"
+
+# Metrics carry the per-tenant outcomes and the reply cache's counters. (Read
+# once into a variable: `curl | grep -q` under pipefail fails when grep leaves
+# before curl has written everything.)
+metrics=$(curl -fsS "http://$ADDR/metrics")
+grep -q 'gbserve_queries_total{tenant="alice"' <<<"$metrics" || fail "per-tenant metrics missing"
+grep -q 'outcome="deadline"' <<<"$metrics" || fail "deadline outcome missing from metrics"
+grep -q '^gbserve_reply_cache_hits_total [1-9]' <<<"$metrics" || fail "reply-cache hits missing from metrics"
 
 # SIGTERM: readiness drops, in-flight work finishes, exit is clean.
 kill -TERM "$PID"
