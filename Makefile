@@ -88,8 +88,9 @@ bench-e2e-test:
 # programs, fused vs eager bitwise identity), the strategy dispatcher
 # (random strategies, auto vs forced bitwise identity) and the inlined
 # built-in-semiring row loops (vs the function-valued operators, bitwise);
-# and arbitrary bytes at gbserve's POST /query (typed replies only: never a
-# panic, never a 5xx other than the typed 504).
+# arbitrary bytes at gbserve's POST /query (typed replies only: never a
+# panic, never a 5xx other than the typed 504); and arbitrary bytes at its
+# POST /graphs/{name}/mutate (never a 5xx, and a refused batch stages nothing).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBucketSPA -fuzztime 30s ./internal/sparse
 	$(GO) test -run '^$$' -fuzz FuzzScratchPool -fuzztime 30s ./internal/sparse
@@ -101,6 +102,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSpGEMMLocal -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzSpmvRowKinds -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzQueryRequest -fuzztime 30s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzMutateRequest -fuzztime 30s ./internal/serve
 
 # One cell of the CI chaos matrix locally: make chaos-matrix CHAOS_SEED=2 CHAOS_POLICY=failover
 # Runs both the BFS column and the SpGEMM column (crash mid-SUMMA-broadcast).
@@ -124,16 +126,18 @@ spgemm-accept:
 # typed cancellation/deadline propagation, per-tenant admission control and
 # shedding under saturation, BFS batch coalescing, chaos queries that recover
 # bitwise-identically (or are flagged best-effort), epoch advance under
-# mutate/flush, the reply cache (hits that do no graph work, epoch turnover,
-# the byte cap), bounded request bodies, lock-free readiness, concurrent
-# snapshot readers racing recovery, and an end-to-end boot ->
-# concurrent-query -> SIGTERM-drain smoke of the binary.
+# mutate/flush (a refused batch stages nothing), the reply cache (hits that
+# do no graph work, epoch turnover, the byte cap), SSSP warm starts (the state
+# store, its cap, the delete/raise rule in the library and in the service),
+# bounded request bodies, lock-free readiness, concurrent snapshot readers
+# racing recovery, and an end-to-end boot -> concurrent-query -> SIGTERM-drain
+# smoke of the binary.
 serve-accept:
-	$(GOTEST_STRICT) -run 'TestQueryEndpoints|TestChaosQueries|TestDeadlineAndTimeout|TestAdmissionShedding|TestTenantRateLimit|TestBFSBatcher|TestMutateFlush|TestDrain|TestCanceledClient|TestReplyCache|TestOversizeBody|TestReadyz' -v ./internal/serve
+	$(GOTEST_STRICT) -run 'TestQueryEndpoints|TestChaosQueries|TestDeadlineAndTimeout|TestAdmissionShedding|TestTenantRateLimit|TestBFSBatcher|TestMutateFlush|TestDrain|TestCanceledClient|TestReplyCache|TestOversizeBody|TestReadyz|TestSSSPState' -v ./internal/serve
 	$(GOTEST_STRICT) -run 'TestBuildGraphSpecs|TestParsePolicy' -v ./cmd/gbserve
-	$(GOTEST_STRICT) -run 'TestWithCancelContextTyped|TestModeledDeadlineTyped|TestCancelMidRunWithinOneRound|TestAbsorbCalibrationPersists' -v ./gb
+	$(GOTEST_STRICT) -run 'TestWithCancelContextTyped|TestModeledDeadlineTyped|TestCancelMidRunWithinOneRound|TestAbsorbCalibrationPersists|TestIncrementalSSSP' -v ./gb
 	$(GOTEST_STRICT) -run 'TestRetryBudgetCappedByDeadline|TestCancelHookStopsCollectives' -v ./internal/comm
-	$(GOTEST_STRICT) -run 'TestEpochChaosConcurrentReaders' -v ./internal/algorithms
+	$(GOTEST_STRICT) -run 'TestEpochChaosConcurrentReaders|TestIncrementalSSSP' -v ./internal/algorithms
 	./scripts/serve_accept.sh
 
 clean:

@@ -81,11 +81,12 @@ func (c *Context) AbsorbCalibration(from *Context) {
 // WithContext returns a view of the matrix bound to ctx: the same distributed
 // blocks, with subsequent operations charged to (and canceled by) ctx. The
 // matrix data is shared, not copied — the caller is responsible for not
-// mutating it from two contexts at once. Pending deferred operations
-// producing the matrix are materialized first.
+// mutating it from two contexts at once. A streaming snapshot's view is the
+// same epoch's snapshot, stamp included (see IncrementalSSSP). Pending
+// deferred operations producing the matrix are materialized first.
 func (m *Matrix[T]) WithContext(ctx *Context) *Matrix[T] {
 	m.ctx.forceObserving(m.m)
-	return &Matrix[T]{ctx: ctx, m: m.m}
+	return &Matrix[T]{ctx: ctx, m: m.m, pin: m.pin}
 }
 
 // Context returns the context the matrix is bound to.

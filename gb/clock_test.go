@@ -1,6 +1,7 @@
 package gb
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/sparse"
@@ -79,6 +80,20 @@ func TestEveryCallAdvancesTheClock(t *testing.T) {
 		{"BetweennessCentrality", func() error { _, err := BetweennessCentrality(g, []int{0, 1}); return err }},
 		{"StreamingMatrix.Flush", func() error { _, err := stream.Flush(); return err }},
 		{"StreamingMatrix.IncrementalCC", func() error { _, err := stream.IncrementalCC(nil); return err }},
+		{"StreamingMatrix.IncrementalSSSP", func() error { _, err := stream.IncrementalSSSP(0, nil); return err }},
+		{"IncrementalSSSP (warm, nothing changed)", func() error {
+			m, _ := stream.Matrix()
+			prev, err := IncrementalSSSP(m, 1, nil)
+			if err != nil {
+				return err
+			}
+			before := ctx.Elapsed()
+			st, err := IncrementalSSSP(m, 1, prev)
+			if err == nil && (!st.Warm || ctx.Elapsed() <= before) {
+				err = fmt.Errorf("warm %v, clock %v s -> %v s", st.Warm, before, ctx.Elapsed())
+			}
+			return err
+		}},
 		{"StreamingMatrix.StreamingPageRank", func() error {
 			_, err := stream.StreamingPageRank(0.85, 1e-6, 20, nil)
 			return err

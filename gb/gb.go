@@ -174,6 +174,10 @@ func (c *Context) Messages() int64 {
 type Matrix[T Number] struct {
 	ctx *Context
 	m   *dist.Mat[T]
+	// pin names the streaming epoch the blocks are, when the matrix is a
+	// snapshot from StreamingMatrix.Matrix (zero otherwise); IncrementalSSSP
+	// checks a previous state against it.
+	pin dist.Stamp
 }
 
 // Vector is a 1-D block-distributed sparse vector.

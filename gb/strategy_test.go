@@ -288,7 +288,7 @@ func FuzzStrategyDispatch(f *testing.F) {
 			opts = append(opts, ForceReplicate)
 		}
 		if thr := int(pins>>6) & 3; thr > 0 {
-			opts = append(opts, PullThreshold(thr * 7))
+			opts = append(opts, PullThreshold(thr*7))
 		}
 		run := func(opts ...StrategyOption) (*BFSResult, []int64, *BFSResult) {
 			ctx, err := New(Locales(4), Threads(4), WithStrategy(opts...))

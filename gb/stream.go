@@ -187,10 +187,11 @@ func (s *StreamingMatrix[T]) StaleServes() int { return s.staleServes }
 
 // Matrix pins the committed epoch as a read-only Matrix: one atomic load,
 // valid for GraphBLAS operations while the epoch stays in the history
-// window (EpochPolicy.History commits; the library default is 2).
+// window (EpochPolicy.History commits; the library default is 2). The
+// snapshot carries its epoch's stamp, which IncrementalSSSP reads.
 func (s *StreamingMatrix[T]) Matrix() (*Matrix[T], uint64) {
-	m, epoch := s.em.Snapshot()
-	return &Matrix[T]{ctx: s.ctx, m: m}, epoch
+	m, stamp := s.em.Pinned()
+	return &Matrix[T]{ctx: s.ctx, m: m, pin: stamp}, stamp.Epoch
 }
 
 // NRows returns the row count.
@@ -209,6 +210,37 @@ type (
 	// PageRankState is streaming PageRank state (see StreamingPageRank).
 	PageRankState = algorithms.PageRankState
 )
+
+// SSSPState is one source's shortest-path distances at one epoch, kept to
+// warm-start the next refresh (see IncrementalSSSP).
+type SSSPState[T Number] = algorithms.SSSPState[T]
+
+// IncrementalSSSP computes single-source shortest paths from source at the
+// committed epoch, warm-started from prev's distances when every epoch since
+// prev's only inserted edges or lowered weights (see gb.IncrementalSSSP).
+func (s *StreamingMatrix[T]) IncrementalSSSP(source int, prev *SSSPState[T]) (*SSSPState[T], error) {
+	m, _ := s.Matrix()
+	return IncrementalSSSP(m, source, prev)
+}
+
+// IncrementalSSSP runs SSSP from source on a streaming snapshot
+// (StreamingMatrix.Matrix, or a WithContext view of one), starting from
+// prev's distances when prev is from the same source on the same streaming
+// matrix, at the snapshot's epoch or an earlier one, and no epoch in between
+// deleted an edge or raised a stored weight. Then only the changes have to
+// propagate: one round when nothing changed. In every other case — a nil
+// prev, another source, a newer prev, a delete or a raise, a matrix that is
+// not a streaming snapshot — it runs cold. The distances are bitwise SSSP's
+// either way (graphs with a negative cycle included: a warm run that does not
+// settle is rerun cold); Rounds and the modeled clock show the work done, and
+// the returned state's Warm says which start it was.
+func IncrementalSSSP[T Number](m *Matrix[T], source int, prev *SSSPState[T]) (*SSSPState[T], error) {
+	if err := checkGraphSource("IncrementalSSSP", m, source); err != nil {
+		return nil, err
+	}
+	m.ctx.force()
+	return algorithms.IncrementalSSSPAt(m.ctx.rt, m.m, m.pin, source, prev)
+}
 
 // IncrementalCC refreshes connected components at the committed epoch,
 // warm-starting from prev when the epochs in between only inserted edges

@@ -1,6 +1,7 @@
 package gb
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -197,5 +198,103 @@ func TestStreamingBestEffortStaleServe(t *testing.T) {
 	}
 	if s.StaleServes() != 1 {
 		t.Fatalf("stale serves = %d, want still 1", s.StaleServes())
+	}
+}
+
+// TestIncrementalSSSPStamp: a streaming snapshot carries its epoch's stamp
+// through WithContext, so a query context can warm-start from the previous
+// answer; an unstamped matrix, another source and a newer state each run
+// cold, a raise makes the next refresh cold, and every answer is SSSP's.
+func TestIncrementalSSSPStamp(t *testing.T) {
+	ctx := streamCtx(t)
+	a := sparse.ErdosRenyi[float64](64, 4, 7)
+	s := StreamingMatrixFromCSR(ctx, a)
+	const src = 2
+	check := func(what string, m *Matrix[float64], st *SSSPState[float64], wantWarm bool) {
+		t.Helper()
+		want, _, err := SSSP(m, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range want {
+			if st.Dist[v] != want[v] {
+				t.Fatalf("%s: vertex %d at %v, SSSP says %v", what, v, st.Dist[v], want[v])
+			}
+		}
+		if st.Warm != wantWarm {
+			t.Fatalf("%s: warm %v, want %v", what, st.Warm, wantWarm)
+		}
+	}
+
+	m0, _ := s.Matrix()
+	st0, err := IncrementalSSSP(m0, src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("epoch 0", m0, st0, false)
+	cols, vals := a.Row(src)
+	if len(cols) == 0 {
+		t.Fatal("the source has no out-edges")
+	}
+	if err := s.Update(src, cols[0], vals[0]-0.5); err != nil { // a lowering
+		t.Fatal(err)
+	}
+	if _, err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A query context's view of the snapshot keeps the stamp.
+	qctx := ctx.WithCancelContext(context.Background())
+	m1, epoch := s.Matrix()
+	view := m1.WithContext(qctx)
+	st1, err := IncrementalSSSP(view, src, st0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("epoch 1 through WithContext", view, st1, true)
+	if st1.Epoch != epoch || st1.Rounds >= st0.Rounds {
+		t.Fatalf("warm refresh at epoch %d (want %d) took %d rounds, the cold one %d", st1.Epoch, epoch, st1.Rounds, st0.Rounds)
+	}
+
+	unstamped := MatrixFromCSR(ctx, a)
+	for what, run := range map[string]func() (*SSSPState[float64], *Matrix[float64], error){
+		"an unstamped matrix": func() (*SSSPState[float64], *Matrix[float64], error) {
+			st, err := IncrementalSSSP(unstamped, src, st0)
+			return st, unstamped, err
+		},
+		"a newer state": func() (*SSSPState[float64], *Matrix[float64], error) {
+			st, err := IncrementalSSSP(m0, src, st1)
+			return st, m0, err
+		},
+	} {
+		st, m, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(what, m, st, false)
+	}
+	other, err := IncrementalSSSP(m1, src+1, st1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.Warm {
+		t.Fatal("another source's state seeded the run")
+	}
+
+	// A raise: the state no longer bounds the distances, so the next one is cold.
+	if err := s.Update(src, cols[0], vals[0]+10); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := s.IncrementalSSSP(src, st1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, _ := s.Matrix()
+	check("after a raise", m2, st2, false)
+	if _, err := IncrementalSSSP(m2, 64, st2); !errors.Is(err, ErrIndexOutOfRange) {
+		t.Fatalf("out-of-range source: err = %v", err)
 	}
 }

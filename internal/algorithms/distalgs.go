@@ -36,6 +36,17 @@ import (
 // of relaxing from every row.
 func SSSPDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], source int) ([]T, int, error) {
 	defer rt.Span("SSSPDist").End()
+	return ssspDistInit(rt, a, source, nil)
+}
+
+// ssspDistInit is SSSPDist with an optional warm-start distance vector (len
+// n; copied, never written), which seeds both the distances and the first
+// round's front, with the source's distance set to 0. Relaxation only ever
+// lowers a distance, so from any vector whose finite entries are lengths of
+// paths in a — the previous answer, when the epochs in between only inserted
+// edges or lowered weights — it converges to the same fixpoint as from
+// infinity, in fewer rounds: one when nothing changed.
+func ssspDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], source int, init []T) ([]T, int, error) {
 	if a.NRows != a.NCols {
 		return nil, 0, fmt.Errorf("algorithms: SSSPDist: matrix must be square")
 	}
@@ -46,6 +57,9 @@ func SSSPDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], source int)
 	sr := semiring.MinPlus[T]()
 	inf := sr.AddIdentity()
 	d0 := sparse.NewDenseFill[T](n, inf)
+	if len(init) == n {
+		copy(d0.Data, init)
+	}
 	d0.Data[source] = 0
 	dcur := dist.DenseVecFromDense(rt, d0)
 	front := dist.DenseVecOver(rt, d0.Data)

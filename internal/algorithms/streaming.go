@@ -17,6 +17,11 @@ import (
 //     counter); a delete forces a cold start.
 //   - PageRank: the power iteration converges to the same fixpoint from any
 //     starting distribution, so the previous ranks always carry over.
+//   - single-source shortest paths: with only inserts and lowered weights in
+//     the interval, every path of the earlier epoch is still there at no
+//     greater length, so the previous distances are upper bounds that
+//     relaxation lowers to the same fixpoint (detected via the tombstone and
+//     raise counters of dist.Stamp); a delete or a raise forces a cold start.
 
 // CCState carries incremental connected-components state across epochs.
 type CCState struct {
@@ -42,8 +47,8 @@ type CCState struct {
 // already at the committed epoch is returned unchanged.
 func IncrementalCC[T semiring.Number](rt *locale.Runtime, em *dist.EpochMat[T], prev *CCState) (*CCState, error) {
 	defer rt.Span("IncrementalCC").End()
-	mat, epoch := em.Snapshot()
-	dels := em.CommittedDeletes()
+	mat, stamp := em.Pinned()
+	epoch, dels := stamp.Epoch, stamp.Deletes
 	if prev != nil && prev.Epoch == epoch && prev.deletes == dels && len(prev.Labels) == mat.NRows {
 		return prev, nil
 	}
@@ -87,4 +92,64 @@ func StreamingPageRank[T semiring.Number](rt *locale.Runtime, em *dist.EpochMat[
 		return nil, err
 	}
 	return &PageRankState{Epoch: epoch, Ranks: ranks, Iters: iters}, nil
+}
+
+// SSSPState carries one source's shortest-path distances across epochs.
+type SSSPState[T semiring.Number] struct {
+	// Epoch is the committed epoch the distances were computed at.
+	Epoch uint64
+	// Source is the vertex the distances are measured from.
+	Source int
+	// Dist is the distance of every vertex from Source (the semiring's
+	// infinity where unreachable). A warm start reads it and copies it, never
+	// writes it; a caller that keeps the state as a future prev must not
+	// write it either.
+	Dist []T
+	// Rounds is how many relaxation rounds computing Dist took.
+	Rounds int
+	// Warm reports whether those rounds started from a previous state's
+	// distances rather than from infinity.
+	Warm bool
+	// stamp pins the epoch and its delete/raise counts, so the next refresh
+	// can tell whether the interval only inserted edges and lowered weights.
+	stamp dist.Stamp
+}
+
+// Invalidations counts the deletes and raises merged up to the state's epoch.
+// Two states of one matrix with equal counts lie in one run of epochs that
+// only inserted edges and lowered weights; a larger count is a later run.
+func (s *SSSPState[T]) Invalidations() uint64 { return s.stamp.Deletes + s.stamp.Raises }
+
+// IncrementalSSSP computes single-source shortest paths from source at em's
+// committed epoch, warm-started from prev when IncrementalSSSPAt allows it.
+func IncrementalSSSP[T semiring.Number](rt *locale.Runtime, em *dist.EpochMat[T], source int, prev *SSSPState[T]) (*SSSPState[T], error) {
+	mat, stamp := em.Pinned()
+	return IncrementalSSSPAt(rt, mat, stamp, source, prev)
+}
+
+// IncrementalSSSPAt is IncrementalSSSP on a snapshot pinned earlier together
+// with its stamp. It starts from prev's distances iff prev is from the same
+// source, and stamp extends prev's: same matrix, prev's epoch not newer, no
+// delete and no raise merged in between. Otherwise — no prev, a zero stamp, a
+// newer prev, another source, a delete or a raise — it runs cold. Either way
+// the distances are bitwise those of a cold SSSPDist, on any graph without a
+// negative cycle: rounding is monotone, so the previous answer is an upper
+// bound made of path lengths, and relaxation lowers it to the cold fixpoint.
+// With a negative cycle no run settles; a warm run that uses every round is
+// therefore rerun cold, and the cold round count is the one reported.
+func IncrementalSSSPAt[T semiring.Number](rt *locale.Runtime, mat *dist.Mat[T], stamp dist.Stamp, source int, prev *SSSPState[T]) (*SSSPState[T], error) {
+	defer rt.Span("IncrementalSSSP").End()
+	var init []T
+	if prev != nil && prev.Source == source && len(prev.Dist) == mat.NRows && stamp.Extends(prev.stamp) {
+		init = prev.Dist
+	}
+	d, rounds, err := ssspDistInit(rt, mat, source, init)
+	if err == nil && init != nil && rounds >= mat.NRows-1 {
+		init = nil
+		d, rounds, err = ssspDistInit(rt, mat, source, nil)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &SSSPState[T]{Epoch: stamp.Epoch, Source: source, Dist: d, Rounds: rounds, Warm: init != nil, stamp: stamp}, nil
 }

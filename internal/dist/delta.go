@@ -88,15 +88,39 @@ func (s *deltaSorter) Less(a, b int) bool {
 func (s *deltaSorter) Swap(a, b int) { s.perm[a], s.perm[b] = s.perm[b], s.perm[a] }
 
 // epochState is one committed snapshot: the epoch counter, the matrix at that
-// epoch, and the cumulative tombstone count (so incremental algorithms can
-// tell whether an epoch interval was insert-only). foreign marks states whose
-// mat was supplied from outside (the initial matrix, a recovery rebuild);
-// their buffers are never recycled.
+// epoch, and the cumulative counts of merged tombstones and of merged
+// overwrites that raised a stored value (so incremental algorithms can tell
+// whether an epoch interval was insert-only, or insert-and-lower-only).
+// foreign marks states whose mat was supplied from outside (the initial
+// matrix, a recovery rebuild); their buffers are never recycled.
 type epochState[T semiring.Number] struct {
 	epoch   uint64
 	mat     *Mat[T]
 	deletes uint64
+	raises  uint64
 	foreign bool
+}
+
+// Stamp names one committed epoch of one EpochMat together with the
+// cumulative counts, up to that epoch, of the two kinds of merged mutation
+// that can make a stored value go up: tombstones and raising overwrites. The
+// zero Stamp names no epoch.
+type Stamp struct {
+	of      any // the *EpochMat the epoch belongs to
+	Epoch   uint64
+	Deletes uint64
+	Raises  uint64
+}
+
+// Extends reports whether s names prev's epoch or a later one of the same
+// matrix, reached from it by merges that only inserted entries or lowered
+// stored values: no tombstone and no raising overwrite in between. That is
+// when a monotone fixpoint computed at prev (a shortest-path distance, a
+// component label) is still an upper bound at s. Nothing extends the zero
+// Stamp, and the zero Stamp extends nothing.
+func (s Stamp) Extends(prev Stamp) bool {
+	return s.of != nil && s.of == prev.of && prev.Epoch <= s.Epoch &&
+		prev.Deletes == s.Deletes && prev.Raises == s.Raises
 }
 
 // EpochMat is a block-distributed sparse matrix with streaming mutations and
@@ -169,6 +193,18 @@ func (em *EpochMat[T]) Snapshot() (*Mat[T], uint64) {
 // CommittedDeletes returns the cumulative number of tombstones merged up to
 // the committed epoch; two equal values bracket an insert-only interval.
 func (em *EpochMat[T]) CommittedDeletes() uint64 { return em.committed.Load().deletes }
+
+// CommittedRaises returns the cumulative number of merged overwrites, up to
+// the committed epoch, whose new value is not <= the value it replaced (a NaN
+// on either side counts). Each coordinate is judged once per merge, by its
+// last write of the epoch against the committed value.
+func (em *EpochMat[T]) CommittedRaises() uint64 { return em.committed.Load().raises }
+
+// Pinned atomically returns the committed matrix and its Stamp.
+func (em *EpochMat[T]) Pinned() (*Mat[T], Stamp) {
+	st := em.committed.Load()
+	return st.mat, Stamp{of: em, Epoch: st.epoch, Deletes: st.deletes, Raises: st.raises}
+}
 
 // Pending returns the number of absorbed, not-yet-merged mutations.
 func (em *EpochMat[T]) Pending() int {
@@ -282,7 +318,9 @@ func (em *EpochMat[T]) Flush(rt *locale.Runtime) (uint64, error) {
 			break
 		}
 		old := cur.mat.Blocks[l]
-		next.mat.Blocks[l] = em.mergeBlock(rt, old, d)
+		var raises int
+		next.mat.Blocks[l], raises = em.mergeBlock(rt, old, d)
+		next.raises += uint64(raises)
 		rt.S.Compute(l, rt.Threads, sim.Kernel{
 			Name:         "DeltaMerge",
 			Items:        int64(old.NNZ() + 2*len(d.rows)),
@@ -342,7 +380,7 @@ func (em *EpochMat[T]) ReplaceCommitted(m *Mat[T]) {
 	if cur.mat == m {
 		return
 	}
-	st := &epochState[T]{epoch: cur.epoch, mat: m, deletes: cur.deletes, foreign: true}
+	st := &epochState[T]{epoch: cur.epoch, mat: m, deletes: cur.deletes, raises: cur.raises, foreign: true}
 	em.committed.Store(st)
 	em.history[len(em.history)-1] = st
 }
@@ -375,6 +413,7 @@ func (em *EpochMat[T]) takeState(cur *epochState[T]) *epochState[T] {
 	st.epoch = cur.epoch + 1
 	st.mat = m
 	st.deletes = cur.deletes + em.pendingDeletes
+	st.raises = cur.raises // Flush adds what each block merge counts
 	st.foreign = false
 	return st
 }
@@ -483,8 +522,10 @@ func (em *EpochMat[T]) getCSR(nrows, ncols int) *sparse.CSR[T] {
 // base-only entries are copied through. Count and fill passes both split the
 // rows across the worker pool; all transient scratch comes from the runtime's
 // ScratchPool and the output buffer from the block recycler, so steady-state
-// merging allocates nothing.
-func (em *EpochMat[T]) mergeBlock(rt *locale.Runtime, b *sparse.CSR[T], d *blockDelta[T]) *sparse.CSR[T] {
+// merging allocates nothing. It also returns how many overwrites raised a
+// stored value: the fill pass leaves each row's count in the per-row scratch
+// the count pass is done with.
+func (em *EpochMat[T]) mergeBlock(rt *locale.Runtime, b *sparse.CSR[T], d *blockDelta[T]) (*sparse.CSR[T], int) {
 	nd := len(d.rows)
 	scratch := rt.Scratch
 	keys := sparse.GetSlice[int](scratch, nd)
@@ -540,20 +581,24 @@ func (em *EpochMat[T]) mergeBlock(rt *locale.Runtime, b *sparse.CSR[T], d *block
 	}
 	if rt.RealWorkers <= 1 {
 		for i := 0; i < b.NRows; i++ {
-			mergeRowFill(b, i, keys, perm, rowPtrD, d, out, out.RowPtr[i])
+			counts[i] = mergeRowFill(b, i, keys, perm, rowPtrD, d, out, out.RowPtr[i])
 		}
 	} else {
 		rt.ParFor(b.NRows, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				mergeRowFill(b, i, keys, perm, rowPtrD, d, out, out.RowPtr[i])
+				counts[i] = mergeRowFill(b, i, keys, perm, rowPtrD, d, out, out.RowPtr[i])
 			}
 		})
+	}
+	raises := 0
+	for _, r := range counts {
+		raises += r
 	}
 	sparse.PutSlice(scratch, counts)
 	sparse.PutSlice(scratch, rowPtrD)
 	sparse.PutSlice(scratch, perm)
 	sparse.PutSlice(scratch, keys)
-	return out
+	return out, raises
 }
 
 // mergeRowCount returns the merged size of row i: the two-pointer union of
@@ -584,8 +629,11 @@ func mergeRowCount[T semiring.Number](b *sparse.CSR[T], i int, keys, perm, rowPt
 }
 
 // mergeRowFill writes row i of the merged block at offset off; the structure
-// mirrors mergeRowCount exactly.
-func mergeRowFill[T semiring.Number](b *sparse.CSR[T], i int, keys, perm, rowPtrD []int, d *blockDelta[T], out *sparse.CSR[T], off int) {
+// mirrors mergeRowCount exactly. It returns how many of the row's stored
+// values the delta overwrote with one that is not <= them — judged after
+// last-wins dedup, so a lower-then-raise of one coordinate in one epoch is a
+// raise and a raise-then-lower is not.
+func mergeRowFill[T semiring.Number](b *sparse.CSR[T], i int, keys, perm, rowPtrD []int, d *blockDelta[T], out *sparse.CSR[T], off int) (raises int) {
 	cols, vals := b.Row(i)
 	kb := 0
 	hi := rowPtrD[i+1]
@@ -600,16 +648,21 @@ func mergeRowFill[T semiring.Number](b *sparse.CSR[T], i int, keys, perm, rowPtr
 			off++
 			kb++
 		}
-		if kb < len(cols) && cols[kb] == col {
-			kb++
-		}
+		stored := kb < len(cols) && cols[kb] == col
 		if !d.dels[p] {
+			if stored && !(d.vals[p] <= vals[kb]) {
+				raises++
+			}
 			out.ColIdx[off], out.Val[off] = col, d.vals[p]
 			off++
+		}
+		if stored {
+			kb++
 		}
 	}
 	for ; kb < len(cols); kb++ {
 		out.ColIdx[off], out.Val[off] = cols[kb], vals[kb]
 		off++
 	}
+	return raises
 }

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/sparse"
@@ -74,7 +75,32 @@ func TestEpochMatMergeAgainstOracle(t *testing.T) {
 			{n - 1, n - 1, 4, false},
 			{5, 7, 1, false}, {5, 7, 0, true}, // insert then delete: gone
 			{8, 2, 0, true}, {8, 2, 3, false}, // delete then insert: present
-			{40, 40, 0, true},                 // delete (maybe absent): no-op either way
+			{40, 40, 0, true}, // delete (maybe absent): no-op either way
+		}
+		// Overwrites of stored values, judged by their last write: lower then
+		// raise (a raise), raise then lower (not one), an equal rewrite (not
+		// one), a plain raise.
+		for r, deltas := range [][]float64{{-1, 1}, {5, -0.5}, {0}, {3}} {
+			i := 20 + r
+			cols, vals := a.Row(i)
+			if len(cols) == 0 {
+				t.Fatalf("row %d of the test graph is empty", i)
+			}
+			for _, dv := range deltas {
+				ops = append(ops, op{i, cols[0], vals[0] + dv, false})
+			}
+		}
+		// The oracle's raise count: every coordinate whose last write is an
+		// update, stored before the epoch with a value the update is not <=.
+		last := map[oracleKey]op{}
+		for _, o := range ops {
+			last[oracleKey{o.i, o.j}] = o
+		}
+		wantRaises := uint64(0)
+		for k, o := range last {
+			if old, stored := oracle[k]; stored && !o.del && !(o.v <= old) {
+				wantRaises++
+			}
 		}
 		for _, o := range ops {
 			var err error
@@ -111,6 +137,91 @@ func TestEpochMatMergeAgainstOracle(t *testing.T) {
 			t.Fatalf("p=%d: pending = %d after flush", p, em.Pending())
 		}
 		checkCommitted(t, em, oracle, n)
+		if wantRaises < 2 {
+			t.Fatalf("p=%d: the oracle counts %d raises: the test tests too little", p, wantRaises)
+		}
+		if got := em.CommittedRaises(); got != wantRaises {
+			t.Fatalf("p=%d: CommittedRaises = %d, oracle %d", p, got, wantRaises)
+		}
+		_, stamp := em.Pinned()
+		if stamp.Epoch != 1 || stamp.Raises != wantRaises || stamp.Deletes != em.CommittedDeletes() {
+			t.Fatalf("p=%d: stamp %+v disagrees with the committed epoch", p, stamp)
+		}
+	}
+}
+
+// TestEpochMatRaisesJudgeNaN: a NaN on either side of an overwrite is a raise
+// (nothing is <= NaN, and NaN is <= nothing), and a merge with no overwrite of
+// a stored value leaves the count alone.
+func TestEpochMatRaisesJudgeNaN(t *testing.T) {
+	a := sparse.ErdosRenyi[float64](30, 4, 3)
+	rt := newRT(t, 4)
+	em := NewEpochMat(MatFromCSR(rt, a))
+	cols, _ := a.Row(4)
+	if len(cols) == 0 {
+		t.Fatal("row 4 of the test graph is empty")
+	}
+	for k, v := range []float64{math.NaN(), 1, 1, -5} {
+		if err := em.Update(4, cols[0], v); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := em.Flush(rt); err != nil {
+			t.Fatal(err)
+		}
+		want := []uint64{1, 2, 2, 2}[k] // into NaN, out of NaN, equal, lower
+		if got := em.CommittedRaises(); got != want {
+			t.Fatalf("write %d (%v): CommittedRaises = %d, want %d", k, v, got, want)
+		}
+	}
+}
+
+// TestStampExtends: a stamp extends an earlier one of the same matrix only
+// while no delete and no raise was merged in between.
+func TestStampExtends(t *testing.T) {
+	a, err := sparse.CSRFromTriplets(8, 8, []int{0, 1, 2}, []int{1, 2, 3}, []float64{4, 4, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := newRT(t, 4)
+	em := NewEpochMat(MatFromCSR(rt, a))
+	_, s0 := em.Pinned()
+	_, other := NewEpochMat(MatFromCSR(rt, a)).Pinned()
+	step := func(mutate func() error) Stamp {
+		t.Helper()
+		if err := mutate(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := em.Flush(rt); err != nil {
+			t.Fatal(err)
+		}
+		_, s := em.Pinned()
+		return s
+	}
+	s1 := step(func() error { return em.Update(0, 1, 2) }) // a lowering
+	s2 := step(func() error { return em.Update(5, 6, 9) }) // an insert
+	s3 := step(func() error { return em.Update(0, 1, 3) }) // a raise
+	s4 := step(func() error { return em.Update(0, 1, 1) }) // a lowering
+	s5 := step(func() error { return em.Delete(7, 7) })    // a tombstone of an absent entry
+	for _, c := range []struct {
+		name    string
+		s, prev Stamp
+		want    bool
+	}{
+		{"the same epoch", s0, s0, true},
+		{"after a lowering", s1, s0, true},
+		{"after a lowering and an insert", s2, s0, true},
+		{"across a raise", s3, s2, false},
+		{"across a raise, from further back", s4, s0, false},
+		{"after the raise, a lowering", s4, s3, true},
+		{"across a tombstone", s5, s4, false},
+		{"from a newer epoch", s1, s2, false},
+		{"another matrix at the same counts", s0, other, false},
+		{"the zero stamp", Stamp{}, Stamp{}, false},
+		{"onto the zero stamp", s0, Stamp{}, false},
+	} {
+		if got := c.s.Extends(c.prev); got != c.want {
+			t.Errorf("%s: %+v extends %+v = %v, want %v", c.name, c.s, c.prev, got, c.want)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -303,8 +304,9 @@ func TestBFSBatcherBudgetPerMember(t *testing.T) {
 // graphs, repeating keys, while epochs commit beside them (run it under
 // -race): every reply is gb's answer on the epoch it names, no poster is shown
 // an epoch older than one it has seen, every BFS was either a reply-cache hit
-// or went through the batcher, and at quiesce the batcher is idle and nothing
-// is on loan.
+// or went through the batcher, every SSSP miss says how its run started and
+// /metrics counts the same, and at quiesce the batcher is idle and nothing is
+// on loan.
 func TestBFSBatcherSoak(t *testing.T) {
 	const posters, nSources = 8, 16
 	perPoster := 200
@@ -316,15 +318,18 @@ func TestBFSBatcherSoak(t *testing.T) {
 		"a": sparse.ErdosRenyi[float64](300, 6, 17),
 		"b": sparse.ErdosRenyi[float64](257, 4, 23),
 	}
-	// The writer inserts these edges on odd flushes and deletes them on even
-	// ones, so from epoch 1 on an epoch's parity names its graph.
+	// The writer sets these edges to weight 1 on odd flushes. On even ones it
+	// deletes the first two and raises the other two to 50, so from epoch 1 on
+	// an epoch's parity names its graph, and an odd flush only inserts and
+	// lowers: the SSSP runs right after one may start warm, the ones after an
+	// even flush start cold.
 	rows, cols, vals := []int{0, 1, 2, 3}, []int{211, 97, 150, 42}, []float64{1, 1, 1, 1}
 	toggle := func(g *graph, flush int) error {
 		var err error
 		if flush%2 == 1 {
 			err = g.mutate(rows, cols, vals, nil, nil)
 		} else {
-			err = g.mutate(nil, nil, nil, rows, cols)
+			err = g.mutate(rows[2:], cols[2:], []float64{50, 50}, rows[:2], cols[:2])
 		}
 		if err == nil {
 			_, _, err = g.flush()
@@ -391,20 +396,40 @@ func TestBFSBatcherSoak(t *testing.T) {
 		want[name] = byParity
 	}
 
-	// The writer commits an epoch on each graph per 16 answered queries: far
-	// fewer than EpochHistory flushes can pass under one pinned query.
-	var answered, bfs200, bfsHits atomic.Int64
+	// The writer commits an epoch on each graph per 16 answered queries, and
+	// only once every poster still posting has been answered since the last
+	// commit: a query pinned to a snapshot holds its poster's count still, so
+	// at most one commit lands under it — far fewer than EpochHistory, however
+	// much faster than it the reply-cache hits around it are answered.
+	var answered, bfs200, bfsHits, ssspWarm, ssspCold atomic.Int64
+	var progress [posters]atomic.Int64 // answers per poster; finishedPoster once it stops
+	const finishedPoster = math.MaxInt64
 	stop := make(chan struct{})
 	writerDone := make(chan error, 1)
 	go func() {
+		var seen [posters]int64
+		ready := func(next int64) bool {
+			if answered.Load() < next {
+				return false
+			}
+			for p := range progress {
+				if n := progress[p].Load(); n != finishedPoster && n == seen[p] {
+					return false
+				}
+			}
+			return true
+		}
 		for next := int64(16); ; next += 16 {
-			for answered.Load() < next {
+			for !ready(next) {
 				select {
 				case <-stop:
 					writerDone <- nil
 					return
 				case <-time.After(50 * time.Microsecond):
 				}
+			}
+			for p := range progress {
+				seen[p] = progress[p].Load()
 			}
 			for name := range csrs {
 				flushes[name]++
@@ -422,22 +447,35 @@ func TestBFSBatcherSoak(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
+			defer progress[p].Store(finishedPoster)
 			lastEpoch := map[string]float64{}
 			for i := 0; i < perPoster && !t.Failed(); i++ {
 				name, src, op := names[(p+i)%2], (p*perPoster+i)%nSources, opOf(p+i/2)
+				if op == "sssp" {
+					src %= 2 // few sources, so one is often asked again an epoch later
+				}
 				r := serveQuery(s, context.Background(), map[string]any{"graph": name, "op": op, "source": src})
 				answered.Add(1)
+				progress[p].Add(1)
 				what := fmt.Sprintf("poster %d query %d (%s on %s from %d)", p, i, op, name, src)
 				if r.code != http.StatusOK {
 					t.Errorf("%s: status %d (%v)", what, r.code, r.body)
 					return
 				}
 				hit := r.hdr.Get("X-GB-Cache") == "hit"
-				if op == "bfs" {
+				switch start := r.hdr.Get("X-GB-SSSP-Start"); {
+				case op == "bfs":
 					bfs200.Add(1)
 					if hit {
 						bfsHits.Add(1)
 					}
+				case op == "sssp" && !hit && start == "warm":
+					ssspWarm.Add(1)
+				case op == "sssp" && !hit && start == "cold":
+					ssspCold.Add(1)
+				case op == "sssp" && !hit:
+					t.Errorf("%s: a miss with X-GB-SSSP-Start %q", what, start)
+					return
 				}
 				epoch, _ := r.body["epoch"].(float64)
 				if epoch < lastEpoch[name] {
@@ -470,6 +508,12 @@ func TestBFSBatcherSoak(t *testing.T) {
 	}
 	if bfsHits.Load() == 0 || batched == 0 {
 		t.Errorf("the soak exercised one path only: %d BFS hits, %v batched", bfsHits.Load(), batched)
+	}
+	t.Logf("SSSP misses: %d warm, %d cold", ssspWarm.Load(), ssspCold.Load())
+	for start, n := range map[string]int64{"warm": ssspWarm.Load(), "cold": ssspCold.Load()} {
+		if got := metricValue(t, s, `gbserve_sssp_runs_total{start="`+start+`"}`); got != float64(n) {
+			t.Errorf("gbserve_sssp_runs_total{start=%q} %v, but %d replies said so", start, got, n)
+		}
 	}
 	if got := s.limit.inFlight(); got != 0 {
 		t.Errorf("%d admission slots held at quiesce", got)

@@ -67,3 +67,44 @@ func FuzzQueryRequest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzMutateRequest throws arbitrary bytes at POST /graphs/g/mutate on a tiny
+// graph: never a panic, never a 5xx, always a JSON body, and a request that is
+// not accepted stages nothing — Pending is what it was, so the next flush
+// cannot commit half of a refused batch.
+func FuzzMutateRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"rows":[0],"cols":[9],"vals":[1]}`,
+		`{"rows":[0,1],"cols":[1,2],"vals":[9,9],"del_rows":[3],"del_cols":[4]}`,
+		`{"rows":[0,1],"cols":[1,2],"vals":[9,9],"del_rows":[3,24],"del_cols":[4,0]}`,
+		`{"rows":[0,1],"cols":[1,-2],"vals":[9,9]}`,
+		`{"del_rows":[0],"del_cols":[0]}`,
+		`{"del_rows":[0,1],"del_cols":[0]}`,
+		`{"rows":[0],"cols":[1],"vals":[]}`,
+		`{"rows":[1e3],"cols":[1],"vals":[1]}`,
+		`{"rows":[0],"cols":[1],"vals":[1e400]}`,
+		`{"rows":"x"}`, `[1]`, `{`, ``, `null`, `{}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	s := New(openTenants)
+	if err := s.LoadGraph("g", sparse.ErdosRenyi[float64](24, 3, 5)); err != nil {
+		f.Fatal(err)
+	}
+	g := s.graphByName("g")
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		before := g.stream.Pending()
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/graphs/g/mutate", bytes.NewReader(body)))
+		if rr.Code >= 500 {
+			t.Fatalf("status %d for body %q: %s", rr.Code, body, rr.Body.Bytes())
+		}
+		if !json.Valid(rr.Body.Bytes()) {
+			t.Fatalf("status %d with a body that is not JSON: %q", rr.Code, rr.Body.Bytes())
+		}
+		if after := g.stream.Pending(); rr.Code != http.StatusOK && after != before {
+			t.Fatalf("status %d for body %q, yet pending went %d -> %d", rr.Code, body, before, after)
+		}
+	})
+}

@@ -31,6 +31,8 @@ import (
 // Every query response carries X-GB-Epoch and X-GB-Stale headers naming the
 // snapshot it was served from, and every fault-free one X-GB-Cache: hit when
 // the body came from the reply cache (cache.go), miss when a run computed it.
+// An sssp miss also carries X-GB-SSSP-Start: warm when its run started from
+// the source's stored distances (sssp.go), cold when it started from scratch.
 
 // statusClientClosed is nginx's "client closed request" — the conventional
 // code for a query aborted because its requester stopped waiting.
@@ -93,6 +95,11 @@ type queryResponse struct {
 	// FaultSteps is how many fault-plan draws the chaos run made — the unit
 	// crash_step counts in (clients probe with no crash, then aim inside).
 	FaultSteps int64 `json:"fault_steps,omitempty"`
+
+	// ssspStart is "warm" or "cold" on a fault-free sssp run: whether its
+	// relaxation started from a stored state (sssp.go). A header, not a body
+	// field, so a cached body is the same whichever start computed it.
+	ssspStart string
 }
 
 // Handler returns the service's HTTP handler.
@@ -397,6 +404,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if resp.BestEffort {
 		w.Header().Set("X-GB-BestEffort", "true")
 	}
+	if resp.ssspStart != "" {
+		w.Header().Set("X-GB-SSSP-Start", resp.ssspStart)
+	}
 	body, ok := encodeJSON(resp)
 	if !ok {
 		writeBody(w, http.StatusInternalServerError, body)
@@ -506,11 +516,40 @@ func (s *Server) runQuery(ctx context.Context, g *graph, req *queryRequest, budg
 	defer release()
 	resp := &queryResponse{Graph: g.name, Op: req.Op, Epoch: epoch, Stale: stale}
 	t0 := qc.Elapsed()
-	if err := runOp(qc, m, req, resp); err != nil {
+	var err error
+	if req.Op == "sssp" {
+		err = s.runSSSP(g, m, req.Source, resp)
+	} else {
+		err = runOp(qc, m, req, resp)
+	}
+	if err != nil {
 		return nil, err
 	}
 	resp.ModeledMS = (qc.Elapsed() - t0) * 1e3
 	return resp, nil
+}
+
+// runSSSP answers a fault-free sssp with gb.IncrementalSSSP from the source's
+// stored state, and stores the result as the source's state. A stale snapshot
+// neither reads nor fills the store, and runs cold.
+func (s *Server) runSSSP(g *graph, m *gb.Matrix[float64], source int, resp *queryResponse) error {
+	var prev *gb.SSSPState[float64]
+	if !resp.Stale {
+		prev = g.states.get(source)
+	}
+	st, err := gb.IncrementalSSSP(m, source, prev)
+	if err != nil {
+		return err
+	}
+	if !resp.Stale {
+		g.states.put(st)
+	}
+	resp.Dist, resp.Rounds, resp.ssspStart = st.Dist, st.Rounds, "cold"
+	if st.Warm {
+		resp.ssspStart = "warm"
+	}
+	s.met.noteSSSP(st.Warm, st.Rounds)
+	return nil
 }
 
 // runOp executes the op on the given context-bound matrix, filling resp.

@@ -41,7 +41,13 @@ type metrics struct {
 	batchRuns int64
 	batched   int64
 	batchWait float64 // seconds batched queries spent queued behind a running batch
+	// Fault-free SSSP runs and their relaxation rounds, by start: index 0
+	// cold, 1 warm (ssspStarts).
+	ssspRuns, ssspRounds [2]int64
 }
+
+// ssspStarts are the start label values of the SSSP series, by index.
+var ssspStarts = [2]string{"cold", "warm"}
 
 func newMetrics() *metrics {
 	return &metrics{
@@ -78,6 +84,18 @@ func (m *metrics) noteBatch(size int, waitSeconds float64) {
 	m.batchRuns++
 	m.batched += int64(size)
 	m.batchWait += waitSeconds
+}
+
+// noteSSSP records one fault-free SSSP run of rounds rounds.
+func (m *metrics) noteSSSP(warm bool, rounds int) {
+	i := 0
+	if warm {
+		i = 1
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.ssspRuns[i]++
+	m.ssspRounds[i] += int64(rounds)
 }
 
 // write emits the service counters in deterministic (sorted-label) order.
@@ -132,6 +150,15 @@ func (m *metrics) write(w io.Writer) {
 	fmt.Fprintf(w, "# HELP gbserve_batched_queries_total BFS queries served from a coalesced run.\n# TYPE gbserve_batched_queries_total counter\ngbserve_batched_queries_total %d\n", m.batched)
 	fmt.Fprintf(w, "# HELP gbserve_batch_wait_seconds_sum Time batched BFS queries spent queued behind a running batch (join to run start).\n# TYPE gbserve_batch_wait_seconds_sum counter\ngbserve_batch_wait_seconds_sum %g\n", m.batchWait)
 	fmt.Fprintf(w, "# HELP gbserve_batch_wait_seconds_count Batched BFS queries whose wait was recorded.\n# TYPE gbserve_batch_wait_seconds_count counter\ngbserve_batch_wait_seconds_count %d\n", m.batched)
+
+	fmt.Fprint(w, "# HELP gbserve_sssp_runs_total Fault-free SSSP runs, by whether they started from a stored state (warm) or from infinity (cold).\n# TYPE gbserve_sssp_runs_total counter\n")
+	for i, start := range ssspStarts {
+		fmt.Fprintf(w, "gbserve_sssp_runs_total{start=%q} %d\n", start, m.ssspRuns[i])
+	}
+	fmt.Fprint(w, "# HELP gbserve_sssp_rounds_total Relaxation rounds of fault-free SSSP runs, by start.\n# TYPE gbserve_sssp_rounds_total counter\n")
+	for i, start := range ssspStarts {
+		fmt.Fprintf(w, "gbserve_sssp_rounds_total{start=%q} %d\n", start, m.ssspRounds[i])
+	}
 }
 
 // writeMetrics writes the service counters, the reply-cache counters, the
@@ -189,4 +216,10 @@ func writeGraphGauges(w io.Writer, graphs []*graph) {
 	gauge("gbserve_reply_cache_bytes", "Body bytes held by the graph's reply cache.", func(i int, _ *graph) int { return bytes[i] })
 	gauge("gbserve_reply_cache_entries", "Replies held by the graph's reply cache (one epoch's).", func(i int, _ *graph) int { return entries[i] })
 	gauge("gbserve_scratch_outstanding", "Scratch-arena loans checked out on the graph's contexts.", func(_ int, g *graph) int { return g.base.ScratchOutstanding() })
+	states, stateBytes := make([]int, len(graphs)), make([]int, len(graphs))
+	for i, g := range graphs {
+		states[i], stateBytes[i] = g.states.stats()
+	}
+	gauge("gbserve_sssp_states", "Sources whose SSSP distances the graph's state store holds.", func(i int, _ *graph) int { return states[i] })
+	gauge("gbserve_sssp_state_bytes", "Distance bytes held by the graph's SSSP state store.", func(i int, _ *graph) int { return stateBytes[i] })
 }

@@ -43,6 +43,15 @@
 // on a run. Errors are never stored, and one epoch's entries are dropped
 // when a lookup or a store first names a newer one.
 //
+// Every fault-free, non-stale sssp the cache has no answer for consults the
+// graph's SSSP state store (sssp.go) after it derives its snapshot: the
+// source's last distances seed the run when gb.IncrementalSSSP finds that no
+// epoch since deleted an edge or raised a weight, and the run's result is
+// stored in their place. The distances are a cold run's bit for bit; the
+// reply's rounds and modeled_ms are the work this run did, and
+// X-GB-SSSP-Start says which start it was. The store has its own mutex and
+// never takes the graph mutex.
+//
 // Every fault-free BFS the cache has no answer for goes through the batcher
 // (batcher.go), and each member's reply is stored under its own source. One
 // batch per graph is in flight at a time, beside the other ops and the other
@@ -157,8 +166,10 @@ type graph struct {
 	// needs no lock for: the committed epoch shifted left once, the stale
 	// flag in the low bit. publish stores it, under mu.
 	served atomic.Uint64
-	// replies is the reply cache (cache.go); it has a mutex of its own.
+	// replies is the reply cache (cache.go) and states the SSSP state store
+	// (sssp.go); each has a mutex of its own.
 	replies *replyCache
+	states  *ssspStates
 
 	// The BFS batcher (batcher.go): the requests queued for the next run,
 	// and whether a run is in flight.
@@ -251,7 +262,7 @@ func (s *Server) LoadGraph(name string, a *sparse.CSR[float64]) error {
 	if _, dup := s.graphs[name]; dup {
 		return fmt.Errorf("serve: graph %q already loaded", name)
 	}
-	g := &graph{name: name, load: load, base: base, stream: stream, replies: newReplyCache()}
+	g := &graph{name: name, load: load, base: base, stream: stream, replies: newReplyCache(), states: newSSSPStates()}
 	g.publish() // nobody else holds g yet
 	s.graphs[name] = g
 	return nil
@@ -332,10 +343,24 @@ func (s *Server) deriveQuery(g *graph, ctx context.Context, budgetNS float64) (q
 	return qc, m, epoch, stale, release
 }
 
-// mutate applies a batch of updates and deletes under the graph lock.
+// mutate applies a batch of updates and deletes under the graph lock. Every
+// coordinate of both lists is checked before any is absorbed, so a rejected
+// batch leaves nothing pending for the next flush to commit.
 func (g *graph) mutate(rows, cols []int, vals []float64, delRows, delCols []int) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	nr, nc := g.stream.NRows(), g.stream.NCols()
+	for _, coords := range [][2][]int{{rows, cols}, {delRows, delCols}} {
+		is, js := coords[0], coords[1]
+		if len(is) != len(js) {
+			return fmt.Errorf("serve: %d rows but %d columns", len(is), len(js))
+		}
+		for k := range is {
+			if is[k] < 0 || is[k] >= nr || js[k] < 0 || js[k] >= nc {
+				return fmt.Errorf("serve: (%d, %d) outside the %dx%d matrix: %w", is[k], js[k], nr, nc, gb.ErrIndexOutOfRange)
+			}
+		}
+	}
 	if len(rows) > 0 {
 		if err := g.stream.UpdateBatch(rows, cols, vals); err != nil {
 			return err

@@ -6,8 +6,9 @@
 # deadline (must 504), one from a client that hangs up (server keeps running),
 # one chaos-crashed (must still answer, bitwise-stable epoch headers), a
 # a repeated query (must be a reply-cache hit, byte-identical to the miss), a
-# mutate+flush epoch advance (the next query is a miss again), an over-size
-# body (must 413) — then sends SIGTERM and asserts a clean drain.
+# mutate+flush epoch advance (the next query is a miss again), an SSSP that
+# starts warm after a flush that only lowered a weight, an over-size body
+# (must 413) — then sends SIGTERM and asserts a clean drain.
 set -euo pipefail
 
 ADDR="127.0.0.1:${SERVE_PORT:-18765}"
@@ -94,6 +95,18 @@ hdrs=$(curl -s -D - -o /dev/null -X POST "http://$ADDR/query" -d '{"graph":"web"
 echo "$hdrs" | grep -qi 'X-GB-Epoch: 1' || fail "query not served from epoch 1"
 echo "$hdrs" | grep -qi 'X-GB-Cache: miss' || fail "the first cc of epoch 1 was not a miss: epoch 0's replies outlived the flush"
 
+# SSSP, a mutate that only lowers a weight (or inserts the edge), a flush, and
+# SSSP again: the second run starts from the first one's distances.
+sssp_start() { # source -> prints the X-GB-SSSP-Start header's value
+  curl -s -D - -o /dev/null -X POST "http://$ADDR/query" -d "{\"graph\":\"web\",\"op\":\"sssp\",\"source\":$1}" \
+    | tr -d '\r' | sed -n 's/^X-Gb-Sssp-Start: //ip'
+}
+[ "$(sssp_start 5)" = cold ] || fail "the first sssp from 5 did not run cold"
+curl -fsS -X POST "http://$ADDR/graphs/web/mutate" \
+  -d '{"rows":[5],"cols":[6],"vals":[0.5]}' >/dev/null || fail "lowering mutate failed"
+curl -fsS -X POST "http://$ADDR/graphs/web/flush" | grep -q '"epoch":2' || fail "flush did not commit epoch 2"
+[ "$(sssp_start 5)" = warm ] || fail "the sssp after a lowering flush did not start warm"
+
 # A request body over the limit is refused before it is read through.
 head -c 2000000 /dev/zero | tr '\0' 'x' | sed 's/^/{"graph":"/; s/$/","op":"cc"}/' >/tmp/serve_accept_big.$$
 s=$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$ADDR/query" -H 'Expect:' --data-binary @/tmp/serve_accept_big.$$)
@@ -107,6 +120,7 @@ metrics=$(curl -fsS "http://$ADDR/metrics")
 grep -q 'gbserve_queries_total{tenant="alice"' <<<"$metrics" || fail "per-tenant metrics missing"
 grep -q 'outcome="deadline"' <<<"$metrics" || fail "deadline outcome missing from metrics"
 grep -q '^gbserve_reply_cache_hits_total [1-9]' <<<"$metrics" || fail "reply-cache hits missing from metrics"
+grep -q '^gbserve_sssp_runs_total{start="warm"} [1-9]' <<<"$metrics" || fail "the warm sssp run is missing from metrics"
 
 # SIGTERM: readiness drops, in-flight work finishes, exit is clean.
 kill -TERM "$PID"
