@@ -4,7 +4,7 @@ GO ?= go
 # go test that fails when a -run pattern matches no test in a listed package.
 GOTEST_STRICT = GO="$(GO)" ./scripts/gotest_strict.sh
 
-.PHONY: all build vet test test-short race bench bench-smoke bench-gate bench-baseline bench-e2e bench-e2e-test fuzz-smoke chaos-matrix spgemm-accept serve-accept figures figures-paper ablations clean
+.PHONY: all build vet test test-short race bench bench-smoke bench-gate bench-baseline bench-e2e bench-e2e-test fuzz-smoke chaos-matrix spgemm-accept serve-accept figures figures-check figures-paper ablations clean
 
 all: build vet test
 
@@ -31,6 +31,13 @@ bench:
 # Regenerate every paper figure at the reduced scale (fast).
 figures:
 	$(GO) run ./cmd/gbbench -figure all -scale small
+
+# Every figure at the reduced scale against the committed results_small.csv.
+# The modeled clock is deterministic (identical under any GOMAXPROCS), so any
+# diff is a change in what the kernels charge or compute. After an intended
+# change, regenerate the file with the same command redirected into it.
+figures-check:
+	$(GO) run ./cmd/gbbench -figure all -scale small -format csv -q | diff results_small.csv -
 
 # Regenerate every paper figure at the paper's sizes (needs ~8 GB, ~1 h).
 figures-paper:
@@ -109,7 +116,7 @@ fuzz-smoke:
 CHAOS_SEED ?= 1
 CHAOS_POLICY ?= failover
 chaos-matrix:
-	CHAOS_SEED=$(CHAOS_SEED) CHAOS_POLICY=$(CHAOS_POLICY) $(GO) test -run 'TestChaosPolicyMatrix|TestChaosSpGEMMMatrix' -v ./internal/algorithms
+	CHAOS_SEED=$(CHAOS_SEED) CHAOS_POLICY=$(CHAOS_POLICY) $(GOTEST_STRICT) -run 'TestChaosPolicyMatrix|TestChaosSpGEMMMatrix' -v ./internal/algorithms
 
 # The CI spgemm-accept job: bitwise identity of the SUMMA SpGEMM against the
 # sequential reference on ER and R-MAT inputs over prime (1xp), square and

@@ -111,52 +111,32 @@ func ssspDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], source 
 			chargeCheckpoint(rt, int64(n)*8)
 		}
 		changedFlags := make([]int64, rt.G.P)
-		if rt.Fusion {
-			// Fused relaxation (RecipeSpMVUpdate): the elementwise min folds
-			// into the SpMV's final distribution pass — the relaxed vector is
-			// never materialized and the separate min coforall disappears.
-			// Collective errors surface before any update, so recovery is
-			// unchanged. The callback visits locale-major ascending indices,
-			// the exact order the eager min loop reads the relaxed vector.
-			err := core.FusedSpMVUpdate(rt, a, front, sr, func(l, gi int, v T) {
-				cur, next := dcur.Loc[l], front.Loc[l]
-				i := gi - dcur.Bounds[l]
-				next[i] = inf
-				if v < cur[i] {
-					cur[i], next[i] = v, v
-					changedFlags[l] = 1
-				}
-			})
-			if err != nil {
-				rollback, rerr := restore(err)
-				if rerr != nil {
-					return nil, 0, rerr
-				}
-				iter = resume(iter, rollback)
-				continue
+		// The relaxation (RecipeSpMVUpdate): the elementwise min folds into
+		// the SpMV's final distribution pass, so the relaxed vector is never
+		// materialized. Collective errors surface before any update, so
+		// recovery is exact.
+		err := core.FusedSpMVUpdate(rt, a, front, sr, func(l, gi int, v T) {
+			cur, next := dcur.Loc[l], front.Loc[l]
+			i := gi - dcur.Bounds[l]
+			next[i] = inf
+			if v < cur[i] {
+				cur[i], next[i] = v, v
+				changedFlags[l] = 1
 			}
-		} else {
-			relaxed, err := core.SpMVDist(rt, a, front, sr)
-			if err != nil {
-				rollback, rerr := restore(err)
-				if rerr != nil {
-					return nil, 0, rerr
-				}
-				iter = resume(iter, rollback)
-				continue
+		})
+		if err != nil {
+			rollback, rerr := restore(err)
+			if rerr != nil {
+				return nil, 0, rerr
 			}
-			// Elementwise min per locale, tracking change flags.
-			rt.Coforall(func(l int) {
-				cur, next := dcur.Loc[l], front.Loc[l]
-				rel := relaxed.Loc[l]
-				for i := range cur {
-					next[i] = inf
-					if rel[i] < cur[i] {
-						cur[i], next[i] = rel[i], rel[i]
-						changedFlags[l] = 1
-					}
-				}
-			})
+			iter = resume(iter, rollback)
+			continue
+		}
+		if !rt.Fusion {
+			// Eager execution runs the min as a coforall of its own: its spawn
+			// and barrier are the whole of its charge.
+			rt.S.CoforallSpawn()
+			rt.S.Barrier()
 		}
 		rounds++
 		changed, err := comm.AllReduce(rt, changedFlags, semiring.MaxMonoid[int64]())
@@ -283,40 +263,19 @@ func prDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], d, tol fl
 		}
 		base := (1-d)/float64(n) + d*dangling/float64(n)
 		deltaParts := make([]float64, rt.G.P)
-		if rt.Fusion {
-			// Fused rank update (RecipeSpMVUpdate): the spread vector is
-			// consumed element by element as the SpMV distributes it, in the
-			// same ascending order as the eager loop — the float delta
-			// accumulation stays bitwise identical.
-			err := core.FusedSpMVUpdate(rt, pm, xd, sr, func(l, gi int, v float64) {
-				next[gi] = base + d*v
-				deltaParts[l] += math.Abs(next[gi] - r[gi])
-			})
-			if err != nil {
-				rollback, rerr := restore(err)
-				if rerr != nil {
-					return nil, 0, rerr
-				}
-				iter = resume(iter, rollback)
-				continue
+		// The rank update (RecipeSpMVUpdate) consumes the spread vector
+		// element by element as the SpMV distributes it.
+		err = core.FusedSpMVUpdate(rt, pm, xd, sr, func(l, gi int, v float64) {
+			next[gi] = base + d*v
+			deltaParts[l] += math.Abs(next[gi] - r[gi])
+		})
+		if err != nil {
+			rollback, rerr := restore(err)
+			if rerr != nil {
+				return nil, 0, rerr
 			}
-		} else {
-			spread, err := core.SpMVDist(rt, pm, xd, sr)
-			if err != nil {
-				rollback, rerr := restore(err)
-				if rerr != nil {
-					return nil, 0, rerr
-				}
-				iter = resume(iter, rollback)
-				continue
-			}
-			for l, sl := range spread.Loc {
-				lo := spread.Bounds[l]
-				for i, v := range sl {
-					next[lo+i] = base + d*v
-					deltaParts[l] += math.Abs(next[lo+i] - r[lo+i])
-				}
-			}
+			iter = resume(iter, rollback)
+			continue
 		}
 		r, next = next, r
 		delta, err := comm.AllReduce(rt, deltaParts, semiring.PlusMonoid[float64]())
@@ -405,42 +364,22 @@ func ccDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], init []in
 		}
 		rounds++
 		changedParts := make([]int64, rt.G.P)
-		if rt.Fusion {
-			// Fused label propagation (RecipeSpMVUpdate): the min-label
-			// update consumes the propagated vector in place of building it,
-			// and writes the next round's input as it goes.
-			err := core.FusedSpMVUpdate(rt, pm, ld, sr, func(l, gi int, v int64) {
-				next := &ld.Loc[l][gi-ld.Bounds[l]]
-				*next = inf
-				if v != inf && v < labels[gi] {
-					labels[gi], *next = v, v
-					changedParts[l] = 1
-				}
-			})
-			if err != nil {
-				if err = restore(err); err != nil {
-					return nil, 0, 0, err
-				}
-				continue
+		// Label propagation (RecipeSpMVUpdate): the min-label update consumes
+		// the propagated vector in place of building it, and writes the next
+		// round's input as it goes.
+		err := core.FusedSpMVUpdate(rt, pm, ld, sr, func(l, gi int, v int64) {
+			next := &ld.Loc[l][gi-ld.Bounds[l]]
+			*next = inf
+			if v != inf && v < labels[gi] {
+				labels[gi], *next = v, v
+				changedParts[l] = 1
 			}
-		} else {
-			prop, err := core.SpMVDist(rt, pm, ld, sr)
-			if err != nil {
-				if err = restore(err); err != nil {
-					return nil, 0, 0, err
-				}
-				continue
+		})
+		if err != nil {
+			if err = restore(err); err != nil {
+				return nil, 0, 0, err
 			}
-			for l, pl := range prop.Loc {
-				lo, next := prop.Bounds[l], ld.Loc[l]
-				for i, v := range pl {
-					next[i] = inf
-					if v != inf && v < labels[lo+i] {
-						labels[lo+i], next[i] = v, v
-						changedParts[l] = 1
-					}
-				}
-			}
+			continue
 		}
 		changed, err := comm.AllReduce(rt, changedParts, semiring.MaxMonoid[int64]())
 		if err != nil {

@@ -14,7 +14,9 @@ import (
 // algorithm run with rt.Fusion (or cfg.Fused) must produce results bitwise
 // identical to the eager per-op chains, across graph models, grid shapes and
 // chaos seeds — and the fused modeled time must be strictly lower (fewer
-// spawns, barriers and per-op collectives per round).
+// spawns, barriers and per-op collectives per round). PageRank and CC have no
+// eager chain of their own: their SpMV update loop charges nothing, so both
+// modes run the one fused loop body.
 
 // fusedRT builds an eager/fused runtime pair over the same grid shape;
 // oversub places all of p's locales on one node.
@@ -71,19 +73,6 @@ func checkFusedFaster(t *testing.T, eager, fused *locale.Runtime) {
 	t.Helper()
 	if fused.S.Elapsed() >= eager.S.Elapsed() {
 		t.Errorf("fused modeled time %.0fns, want < eager %.0fns",
-			fused.S.Elapsed(), eager.S.Elapsed())
-	}
-}
-
-// checkFusedNoSlower is the weaker bound for the SpMV-bound algorithms
-// (PageRank, CC): their eager per-element update loops are plain local loops
-// with no modeled charge, so fusing them saves real CPU (the spread vector is
-// never materialized) but no modeled collectives — the clock must simply not
-// regress.
-func checkFusedNoSlower(t *testing.T, eager, fused *locale.Runtime) {
-	t.Helper()
-	if fused.S.Elapsed() > eager.S.Elapsed() {
-		t.Errorf("fused modeled time %.0fns, want <= eager %.0fns",
 			fused.S.Elapsed(), eager.S.Elapsed())
 	}
 }
@@ -155,55 +144,6 @@ func TestFusedSSSPDistBitwise(t *testing.T) {
 			}
 		}
 		checkFusedFaster(t, eager, fused)
-	}
-}
-
-func TestFusedPageRankDistBitwise(t *testing.T) {
-	a0 := sparse.ErdosRenyi[float64](130, 5, 77)
-	for _, p := range []int{3, 7, 13} {
-		eager, fused := fusedRT(t, p, false)
-		want, wantIters, err := PageRankDist(eager, dist.MatFromCSR(eager, a0), 0.85, 1e-8, 60)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, gotIters, err := PageRankDist(fused, dist.MatFromCSR(fused, a0), 0.85, 1e-8, 60)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotIters != wantIters {
-			t.Errorf("p=%d: iters = %d, want %d", p, gotIters, wantIters)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("p=%d: rank[%d] = %v, want %v (float accumulation must stay bitwise identical)",
-					p, i, got[i], want[i])
-			}
-		}
-		checkFusedNoSlower(t, eager, fused)
-	}
-}
-
-func TestFusedCCDistBitwise(t *testing.T) {
-	a0 := sparse.ErdosRenyi[int64](150, 3, 79)
-	for _, p := range []int{3, 7, 13} {
-		eager, fused := fusedRT(t, p, false)
-		want, wantComps, err := CCDist(eager, dist.MatFromCSR(eager, a0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, gotComps, err := CCDist(fused, dist.MatFromCSR(fused, a0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotComps != wantComps {
-			t.Errorf("p=%d: components = %d, want %d", p, gotComps, wantComps)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("p=%d: label[%d] = %d, want %d", p, i, got[i], want[i])
-			}
-		}
-		checkFusedNoSlower(t, eager, fused)
 	}
 }
 

@@ -180,6 +180,31 @@ func dispatchSpan(rt *locale.Runtime, in *inspect.Inspector) *trace.Span {
 	return rt.Span("Dispatch", trace.T("op", d.Op), trace.T("strategy", d.Choice), trace.T("reason", d.Reason))
 }
 
+// spmspvCommChoice consults the runtime's inspector for the gather/scatter
+// shape of one distributed SpMSpV, recording the decision under op. A nil
+// inspector keeps the fine-grained exchange, preserving every pre-inspector
+// trace and modeled time; so does an armed fault plan (whose per-element
+// retry accounting lives on the fine path) and a single locale. The returned
+// span (nil without an inspector) is the strategy-tagged dispatch record,
+// which the caller ends once the kernel has run; End is nil-safe.
+func spmspvCommChoice[T semiring.Number](rt *locale.Runtime, op string, a *dist.Mat[T], x *dist.SpVec[T]) (inspect.Comm, SpMSpVCommCosts, *trace.Span) {
+	in := rt.Insp
+	if in == nil {
+		return inspect.CommFine, SpMSpVCommCosts{}, nil
+	}
+	if rt.Fault != nil {
+		in.Note(op, inspect.AxisComm, "fine", inspect.ReasonFaultPlan)
+		return inspect.CommFine, SpMSpVCommCosts{}, dispatchSpan(rt, in)
+	}
+	if rt.G.P == 1 {
+		in.Note(op, inspect.AxisComm, "fine", inspect.ReasonSingleLocale)
+		return inspect.CommFine, SpMSpVCommCosts{}, dispatchSpan(rt, in)
+	}
+	e := EstimateSpMSpVComm(rt, a, x)
+	choice := in.DecideComm(op, e.Fine, e.Bulk, ReasonSparseFrontier, ReasonDenseFrontier)
+	return choice, e, dispatchSpan(rt, in)
+}
+
 // SpMSpVDistAuto runs one distributed SpMSpV, dispatching between the
 // fine-grained element exchange (SpMSpVDist) and the bulk collectives
 // (SpMSpVDistBulk) through the runtime's inspector. A nil inspector keeps the
@@ -187,37 +212,18 @@ func dispatchSpan(rt *locale.Runtime, in *inspect.Inspector) *trace.Span {
 // bitwise-identical results (the bulk owner-merge replays the fine path's
 // locale-order first-wins rule), so the choice is purely one of modeled cost.
 func SpMSpVDistAuto[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.SpVec[T]) (*dist.SpVec[int64], DistStats) {
-	in := rt.Insp
-	if in == nil {
-		return SpMSpVDist(rt, a, x)
-	}
-	if rt.Fault != nil {
-		// Fault plans are wired through the fine path's per-element retry
-		// accounting; keep it regardless of cost so injected faults surface
-		// with their established semantics.
-		in.Note("SpMSpV", inspect.AxisComm, "fine", inspect.ReasonFaultPlan)
-		defer dispatchSpan(rt, in).End()
-		return SpMSpVDist(rt, a, x)
-	}
-	if rt.G.P == 1 {
-		in.Note("SpMSpV", inspect.AxisComm, "fine", inspect.ReasonSingleLocale)
-		defer dispatchSpan(rt, in).End()
-		return SpMSpVDist(rt, a, x)
-	}
-	e := EstimateSpMSpVComm(rt, a, x)
-	choice := in.DecideComm("SpMSpV", e.Fine, e.Bulk, ReasonSparseFrontier, ReasonDenseFrontier)
-	defer dispatchSpan(rt, in).End()
+	choice, e, dsp := spmspvCommChoice(rt, "SpMSpV", a, x)
+	defer dsp.End()
 	if choice == inspect.CommBulk {
-		y, st, err := SpMSpVDistBulk(rt, a, x)
-		if err == nil {
-			e.observe(in, choice, st)
+		if y, st, err := SpMSpVDistBulk(rt, a, x); err == nil {
+			e.observe(rt.Insp, choice, st)
 			return y, st
 		}
 		// The bulk collectives only fail under an armed fault plan, which
-		// was routed to the fine path above; fall through defensively.
+		// spmspvCommChoice routes to the fine path; fall through defensively.
 	}
 	y, st := SpMSpVDist(rt, a, x)
-	e.observe(in, inspect.CommFine, st)
+	e.observe(rt.Insp, inspect.CommFine, st)
 	return y, st
 }
 

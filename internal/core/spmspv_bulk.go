@@ -65,27 +65,7 @@ func SpMSpVDistBulk[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *di
 
 	// Step 2: local multiply, with the engine the runtime selects.
 	rt.S.BeginPhase("Local Multiply")
-	lys := make([]*sparse.Vec[int64], g.P)
-	for l := 0; l < g.P; l++ {
-		ly, shmStats := SpMSpVShm(a.Blocks[l], lxs[l], ShmConfig{
-			Threads: rt.Threads,
-			Workers: rt.RealWorkers,
-			Engine:  Engine(rt.ShmEngine),
-			Sim:     rt.S,
-			Loc:     l,
-			Trace:   rt.Tr,
-			Pool:    rt.WP,
-			Scratch: rt.Scratch,
-		})
-		r, _ := g.Coords(l)
-		rowBase := int64(a.RowBands[r])
-		for k := range ly.Val {
-			ly.Val[k] += rowBase
-		}
-		lys[l] = ly
-		st.LocalEntries += shmStats.EntriesVisited
-		lxs[l] = nil
-	}
+	lys := multiplyBlocks(rt, a, lxs, nil, false, &st)
 
 	// Step 3: scatter through the destination-owned merge collective.
 	rt.S.BeginPhase("Scatter Output")

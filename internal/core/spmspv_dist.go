@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/dist"
+	"repro/internal/inspect"
 	"repro/internal/locale"
 	"repro/internal/semiring"
 	"repro/internal/sim"
@@ -15,6 +16,62 @@ type DistStats struct {
 	LocalEntries  int64 // matrix entries visited by the local multiplies
 	ScatteredMsgs int64 // output elements scattered across locales
 	NnzOut        int
+}
+
+// spmspvPlan parameterises the one distributed SpMSpV pipeline (spmspvRun).
+type spmspvPlan struct {
+	// comm charges the gather and the scatter element by element
+	// (inspect.CommFine, the listing's exchange) or as the bulk collectives
+	// price them (inspect.CommBulk); the data moved is the same either way.
+	comm inspect.Comm
+	// mask, when non-nil, is broadcast down the grid columns and filters every
+	// local product before the scatter: an entry at column j survives when
+	// (mask[j] != 0) == keep.
+	mask *dist.DenseVec[int64]
+	keep bool
+}
+
+// spmspvRun is the paper's Listing 8, written once: every distributed
+// pattern SpMSpV of this package — plain, masked, fused with the assign or
+// the frontier update that consumes it — is this pipeline with a plan and a
+// sink. Between one spawn and one barrier it runs
+//
+//  0. Mask Broadcast (masked plans only): each mask band is replicated down
+//     its grid column, so suppressed elements never cross the network.
+//  1. Gather Input: each locale (r, c) collects the pieces of x owned by the
+//     locales of processor row r.
+//  2. Local Multiply: each locale runs the shared-memory SpMSpV on its block,
+//     filtering the product against its mask band.
+//  3. Scatter Output: the local products are merged through a global
+//     first-wins isthere bitmap over the column space, in locale order.
+//
+// and then hands the bitmap (the claimed flags, the discovering global row
+// ids, and the claimed count) to sink, still inside the scatter phase. The
+// sink must clear every flag it finds set, so the bitmap goes back to the
+// arena clean.
+func spmspvRun[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.SpVec[T], p spmspvPlan, st *DistStats, sink func(isthere []bool, value []int64, claimed int)) {
+	rt.S.CoforallSpawn()
+	var bandMask [][]int64
+	if p.mask != nil {
+		rt.S.BeginPhase("Mask Broadcast")
+		bandMask = maskBroadcast(rt, a.ColBands, p.mask)
+	}
+	bulk := p.comm == inspect.CommBulk
+
+	rt.S.BeginPhase("Gather Input")
+	lxs := gatherRowBands(rt, a, x, bulk, st)
+
+	rt.S.BeginPhase("Local Multiply")
+	lys := multiplyBlocks(rt, a, lxs, bandMask, p.keep, st)
+
+	rt.S.BeginPhase("Scatter Output")
+	spa := sparse.GetBucketSPA[int64](rt.Scratch, a.NCols, 1, 1)
+	value, isthere := spa.Dense()
+	claimed := scatterFirstWins(rt, a.NCols, a.ColBands, lys, isthere, value, bulk, st)
+	sink(isthere, value, claimed)
+	sparse.PutBucketSPA(rt.Scratch, spa)
+	rt.S.EndPhase()
+	rt.S.Barrier()
 }
 
 // SpMSpVDist is the paper's Listing 8: the distributed sparse matrix – sparse
@@ -35,49 +92,34 @@ type DistStats struct {
 // column, as in the shared-memory version.
 func SpMSpVDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.SpVec[T]) (*dist.SpVec[int64], DistStats) {
 	defer rt.Span("SpMSpVDist", trace.T("engine", Engine(rt.ShmEngine).String())).End()
-	g := rt.G
-	n := a.NCols
+	return spmspvToVec(rt, a, x, spmspvPlan{})
+}
+
+// SpMSpVDistMasked is the distributed SpMSpV with a complemented output mask
+// — the GraphBLAS concept the paper singles out as future work ("efficient
+// implementations of novel concepts in GraphBLAS, such as masks, have not
+// been attempted in distributed memory before").
+//
+// mask is a dense 0/1 vector over the column space, distributed like the
+// output: positions with mask != 0 are suppressed (the complemented mask of
+// BFS, where the mask holds the visited flags). The mask segment of each
+// column band is first replicated down the grid columns (one bulk broadcast
+// per column team), so every locale filters its local output BEFORE the
+// scatter — the suppressed elements never cross the network, which is the
+// whole point of a fused mask versus multiplying first and filtering after.
+func SpMSpVDistMasked[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.SpVec[T], mask *dist.DenseVec[int64]) (*dist.SpVec[int64], DistStats) {
+	defer rt.Span("SpMSpVDistMasked", trace.T("engine", Engine(rt.ShmEngine).String())).End()
+	return spmspvToVec(rt, a, x, spmspvPlan{mask: mask})
+}
+
+// spmspvToVec runs the pipeline into the listing's own sink: denseToSparse
+// into a fresh result vector.
+func spmspvToVec[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.SpVec[T], p spmspvPlan) (*dist.SpVec[int64], DistStats) {
 	var st DistStats
-	rt.S.CoforallSpawn()
-
-	// Step 1: gather x along the processor rows.
-	rt.S.BeginPhase("Gather Input")
-	lxs := gatherFine(rt, a, x, &st)
-
-	// Step 2: local multiply on every locale.
-	rt.S.BeginPhase("Local Multiply")
-	lys := make([]*sparse.Vec[int64], g.P)
-	for l := 0; l < g.P; l++ {
-		ly, shmStats := SpMSpVShm(a.Blocks[l], lxs[l], ShmConfig{
-			Threads: rt.Threads,
-			Workers: rt.RealWorkers,
-			Engine:  Engine(rt.ShmEngine),
-			Sim:     rt.S,
-			Loc:     l,
-			Trace:   rt.Tr,
-			Pool:    rt.WP,
-			Scratch: rt.Scratch,
-		})
-		// Convert the discovered row ids to global vertex ids.
-		r, _ := g.Coords(l)
-		rowBase := int64(a.RowBands[r])
-		for k := range ly.Val {
-			ly.Val[k] += rowBase
-		}
-		lys[l] = ly
-		st.LocalEntries += shmStats.EntriesVisited
-	}
-
-	// Step 3: scatter the output across locales through the global SPA
-	// (a block-distributed atomic bitmap over the column index space).
-	rt.S.BeginPhase("Scatter Output")
-	spa := sparse.GetBucketSPA[int64](rt.Scratch, n, 1, 1)
-	value, isthere := spa.Dense()
-	scatterFine(rt, a, lys, isthere, value, &st)
-	y := denseToSparse(rt, n, isthere, value, &st)
-	sparse.PutBucketSPA(rt.Scratch, spa)
-	rt.S.EndPhase()
-	rt.S.Barrier()
+	var y *dist.SpVec[int64]
+	spmspvRun(rt, a, x, p, &st, func(isthere []bool, value []int64, _ int) {
+		y = denseToSparse(rt, a.NCols, isthere, value, &st)
+	})
 	return y, st
 }
 
@@ -102,10 +144,13 @@ func rowBandInput[T semiring.Number](a *dist.Mat[T], x *dist.SpVec[T], r int, te
 	return lx
 }
 
-// gatherFine gives every locale the x pieces of its processor row, element by
-// element as the listing copies them (step 1 of SpMSpVDist), and charges the
-// fine-grained exchange.
-func gatherFine[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.SpVec[T], st *DistStats) []*sparse.Vec[T] {
+// gatherRowBands gives every locale the x pieces of its processor row (the
+// pipeline's gather). Fine charging is the listing's element-by-element copy;
+// bulk charging is comm.SparseRowAllGather's — one α+βn payload per (src,
+// dst) team pair plus a per-destination sorted merge. The gathered data is
+// the same either way (team order concatenates disjoint ascending ranges), so
+// only the modeled clock differs.
+func gatherRowBands[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.SpVec[T], bulk bool, st *DistStats) []*sparse.Vec[T] {
 	g := rt.G
 	lxs := make([]*sparse.Vec[T], g.P)
 	for l := 0; l < g.P; l++ {
@@ -118,11 +163,20 @@ func gatherFine[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.S
 		for _, src := range team {
 			// An empty source moves nothing — and charges nothing.
 			if n := x.Loc[src].NNZ(); n > 0 && src != l {
+				if bulk {
+					rt.S.Bulk(l, sparsePayloadBytes(n), g.SameNode(src, l))
+				}
 				remoteElems += int64(n)
 				srcCount++
 			}
 		}
-		if remoteElems > 0 {
+		if bulk {
+			rt.S.Compute(l, 1, sim.Kernel{
+				Name:       "sparse-allgather-merge",
+				Items:      int64(lxs[l].NNZ()),
+				CPUPerItem: estSparseMergeCPU,
+			})
+		} else if remoteElems > 0 {
 			// Element-wise remote index/value copies plus per-source
 			// remote-domain metadata accesses. The whole machine gathers at
 			// once: the active-message service capacity is shared, so the
@@ -140,19 +194,115 @@ func gatherFine[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.S
 	return lxs
 }
 
-// scatterFine merges the local products through the global first-wins bitmap
-// (step 3 of SpMSpVDist), one fine-grained remote update per element, and
-// returns the number of claimed positions. The local products are recycled
-// into the scratch arena.
-func scatterFine[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], lys []*sparse.Vec[int64], isthere []bool, value []int64, st *DistStats) int {
+// maskBroadcast replicates the mask segments down the grid columns (the
+// pipeline's step 0: one tree broadcast per column team, charged only when
+// the column team spans more than one locale). The segments are arena
+// scratch; multiplyBlocks hands them back once it has filtered with them.
+func maskBroadcast(rt *locale.Runtime, colBands []int, mask *dist.DenseVec[int64]) [][]int64 {
 	g := rt.G
-	n := a.NCols
+	bandMask := make([][]int64, g.Pc)
+	for c := 0; c < g.Pc; c++ {
+		lo, hi := colBands[c], colBands[c+1]
+		seg := sparse.GetSlice[int64](rt.Scratch, hi-lo)
+		for l := 0; l < g.P; l++ {
+			// The piece of the band that locale l's block of the mask holds.
+			if from, to := max(lo, mask.Bounds[l]), min(hi, mask.Bounds[l+1]); from < to {
+				copy(seg[from-lo:], mask.Loc[l][from-mask.Bounds[l]:to-mask.Bounds[l]])
+			}
+		}
+		bandMask[c] = seg
+		if g.Pr > 1 {
+			per := rt.S.BulkTime(int64(len(seg)), false) * logDepth(g.Pr)
+			for _, l := range g.ColLocales(c) {
+				rt.S.Advance(l, per)
+			}
+		}
+	}
+	return bandMask
+}
+
+// blockShmConfig is the shared-memory configuration of locale l's block
+// multiply: the runtime's threads, workers, engine, clock, tracer and arena.
+func blockShmConfig(rt *locale.Runtime, l int) ShmConfig {
+	return ShmConfig{
+		Threads: rt.Threads,
+		Workers: rt.RealWorkers,
+		Engine:  Engine(rt.ShmEngine),
+		Sim:     rt.S,
+		Loc:     l,
+		Trace:   rt.Tr,
+		Pool:    rt.WP,
+		Scratch: rt.Scratch,
+	}
+}
+
+// multiplyBlocks runs the per-block shared-memory SpMSpV on every locale and
+// rewrites the discovered row ids to global vertex ids. When bandMask is
+// non-nil the replicated mask segment filters the local product before the
+// scatter (and is recycled afterwards): an entry at band-local position lj
+// survives when (seg[lj] != 0) == keep. The mask is position-only, so
+// filtering before the first-wins scatter claims exactly the positions a
+// multiply-then-filter chain keeps, with the same winning values.
+func multiplyBlocks[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], lxs []*sparse.Vec[T], bandMask [][]int64, keep bool, st *DistStats) []*sparse.Vec[int64] {
+	g := rt.G
+	lys := make([]*sparse.Vec[int64], g.P)
+	for l := 0; l < g.P; l++ {
+		r, c := g.Coords(l)
+		ly, shmStats := SpMSpVShm(a.Blocks[l], lxs[l], blockShmConfig(rt, l))
+		st.LocalEntries += shmStats.EntriesVisited
+		rowBase := int64(a.RowBands[r])
+		if bandMask == nil {
+			for k := range ly.Val {
+				ly.Val[k] += rowBase
+			}
+			lys[l] = ly
+			continue
+		}
+		seg := bandMask[c]
+		candidates := ly.NNZ()
+		filtered := sparse.GetVec[int64](rt.Scratch, ly.N) // recycled by the scatter
+		for k, lj := range ly.Ind {
+			if (seg[lj] != 0) != keep {
+				continue
+			}
+			filtered.Ind = append(filtered.Ind, lj)
+			filtered.Val = append(filtered.Val, ly.Val[k]+rowBase)
+		}
+		sparse.PutVec(rt.Scratch, ly)
+		rt.S.Compute(l, rt.Threads, sim.Kernel{
+			Name:         "spmspv-mask-filter",
+			Items:        int64(candidates),
+			CPUPerItem:   6,
+			BytesPerItem: 9,
+		})
+		lys[l] = filtered
+	}
+	for _, seg := range bandMask {
+		sparse.PutSlice(rt.Scratch, seg)
+	}
+	return lys
+}
+
+// scatterFirstWins merges the local products through the global first-wins
+// bitmap over the n columns, in locale order (the pipeline's scatter), and
+// returns the number of claimed positions. Fine charging is one remote update
+// per element owned elsewhere; bulk charging is comm.ColMergeScatter's — each
+// source's sorted run splits into per-owner segments, one α+βn payload per
+// remote segment, plus a per-owner merge. The bitmap is the same either way.
+// The local products are recycled into the scratch arena.
+func scatterFirstWins(rt *locale.Runtime, n int, colBands []int, lys []*sparse.Vec[int64], isthere []bool, value []int64, bulk bool, st *DistStats) int {
+	g := rt.G
 	claimed := 0
+	var received []int64 // bulk: elements each owner merges
+	if bulk {
+		received = make([]int64, g.P)
+	}
 	for l := 0; l < g.P; l++ {
 		_, c := g.Coords(l)
-		colBase := a.ColBands[c]
+		colBase := colBands[c]
 		ly := lys[l]
 		var remoteMsgs int64
+		segOwner, segLen := -1, 0
 		for k, lj := range ly.Ind {
 			gj := colBase + lj
 			if !isthere[gj] {
@@ -160,12 +310,20 @@ func scatterFine[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], lys []*s
 				value[gj] = ly.Val[k]
 				claimed++
 			}
-			if locale.OwnerOf(n, g.P, gj) != l {
+			owner := locale.OwnerOf(n, g.P, gj)
+			if owner != l {
 				remoteMsgs++
 			}
+			if bulk && owner != segOwner {
+				sendSegment(rt, l, segOwner, segLen, received)
+				segOwner, segLen = owner, 0
+			}
+			segLen++
 		}
 		st.ScatteredMsgs += int64(ly.NNZ())
-		if remoteMsgs > 0 {
+		if bulk {
+			sendSegment(rt, l, segOwner, segLen, received)
+		} else if remoteMsgs > 0 {
 			o := rt.FineLatencyOpts(l, pickRemote(l, g.P), remoteMsgs, bytesPerEntry, g.P)
 			rt.S.FineGrained(l, o)
 		}
@@ -173,7 +331,36 @@ func scatterFine[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], lys []*s
 		sparse.PutVec(rt.Scratch, ly)
 		lys[l] = nil
 	}
+	for l, items := range received {
+		if items > 0 {
+			rt.S.Compute(l, 1, sim.Kernel{
+				Name:       "colmerge-scatter-merge",
+				Items:      items,
+				CPUPerItem: estSparseMergeCPU,
+			})
+		}
+	}
 	return claimed
+}
+
+// sendSegment charges one bulk scatter segment of segLen elements from src to
+// owner; local and empty segments (and owner -1, no segment yet) move nothing.
+func sendSegment(rt *locale.Runtime, src, owner, segLen int, received []int64) {
+	if owner >= 0 && owner != src && segLen > 0 {
+		rt.S.Bulk(owner, sparsePayloadBytes(segLen), rt.G.SameNode(src, owner))
+		received[owner] += int64(segLen)
+	}
+}
+
+// chargeBitmapScan charges locale l's pass over its items-long slice of the
+// global bitmap (the listing's denseToSparse scan, which every sink makes).
+func chargeBitmapScan(rt *locale.Runtime, l, items int) {
+	rt.S.Compute(l, rt.Threads, sim.Kernel{
+		Name:         "spmspv-densetosparse",
+		Items:        int64(items),
+		CPUPerItem:   costScanCPU,
+		BytesPerItem: 1,
+	})
 }
 
 // denseToSparse converts the global SPA back to the block-distributed sparse
@@ -202,12 +389,7 @@ func denseToSparse[V semiring.Number](rt *locale.Runtime, n int, isthere []bool,
 		}
 		y.Loc[l] = lv
 		st.NnzOut += cnt
-		rt.S.Compute(l, rt.Threads, sim.Kernel{
-			Name:         "spmspv-densetosparse",
-			Items:        int64(hi - lo),
-			CPUPerItem:   costScanCPU,
-			BytesPerItem: 1,
-		})
+		chargeBitmapScan(rt, l, hi-lo)
 	}
 	return y
 }
@@ -224,21 +406,12 @@ func SpMSpVDistSemiring[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x
 	rt.S.CoforallSpawn()
 
 	rt.S.BeginPhase("Gather Input")
-	lxs := gatherFine(rt, a, x, &st)
+	lxs := gatherRowBands(rt, a, x, false, &st)
 
 	rt.S.BeginPhase("Local Multiply")
 	lys := make([]*sparse.Vec[T], g.P)
 	for l := 0; l < g.P; l++ {
-		ly, shmStats := SpMSpVShmSemiring(a.Blocks[l], lxs[l], sr, ShmConfig{
-			Threads: rt.Threads,
-			Workers: rt.RealWorkers,
-			Engine:  Engine(rt.ShmEngine),
-			Sim:     rt.S,
-			Loc:     l,
-			Trace:   rt.Tr,
-			Pool:    rt.WP,
-			Scratch: rt.Scratch,
-		})
+		ly, shmStats := SpMSpVShmSemiring(a.Blocks[l], lxs[l], sr, blockShmConfig(rt, l))
 		lys[l] = ly
 		st.LocalEntries += shmStats.EntriesVisited
 	}

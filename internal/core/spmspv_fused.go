@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/dist"
-	"repro/internal/inspect"
 	"repro/internal/locale"
 	"repro/internal/semiring"
 	"repro/internal/sim"
@@ -120,197 +119,6 @@ func fusedApplyScanPar[T semiring.Number](rt *locale.Runtime, lx *sparse.Vec[T],
 	return ewiseScanPar(rt, lx, ly, base, pred, keepPos)
 }
 
-// fusedMaskBroadcast replicates the mask segments down the grid columns —
-// SpMSpVDistMasked's step 0 (one tree broadcast per column team, charged only
-// when the column team spans more than one locale). The segments are arena
-// scratch: whoever filters with them hands them back with putBandMask.
-func fusedMaskBroadcast(rt *locale.Runtime, colBands []int, mask *dist.DenseVec[int64]) [][]int64 {
-	g := rt.G
-	bandMask := make([][]int64, g.Pc)
-	for c := 0; c < g.Pc; c++ {
-		lo, hi := colBands[c], colBands[c+1]
-		seg := sparse.GetSlice[int64](rt.Scratch, hi-lo)
-		for l := 0; l < g.P; l++ {
-			// The piece of the band that locale l's block of the mask holds.
-			if from, to := max(lo, mask.Bounds[l]), min(hi, mask.Bounds[l+1]); from < to {
-				copy(seg[from-lo:], mask.Loc[l][from-mask.Bounds[l]:to-mask.Bounds[l]])
-			}
-		}
-		bandMask[c] = seg
-		if g.Pr > 1 {
-			per := rt.S.BulkTime(int64(len(seg)), false) * logDepth(g.Pr)
-			for _, l := range g.ColLocales(c) {
-				rt.S.Advance(l, per)
-			}
-		}
-	}
-	return bandMask
-}
-
-// putBandMask returns fusedMaskBroadcast's segments to the arena.
-func putBandMask(rt *locale.Runtime, bandMask [][]int64) {
-	for _, seg := range bandMask {
-		sparse.PutSlice(rt.Scratch, seg)
-	}
-}
-
-// fusedGatherBulk is gatherFine with the bulk collective's charging: one
-// α+βn payload per (src, dst) team pair plus a per-destination sorted merge,
-// exactly as comm.SparseRowAllGather prices it. The gathered data is
-// identical (team order concatenates disjoint ascending ranges), so the
-// downstream multiply is bitwise unchanged — only the modeled clock differs.
-func fusedGatherBulk[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.SpVec[T], st *DistStats) []*sparse.Vec[T] {
-	g := rt.G
-	lxs := make([]*sparse.Vec[T], g.P)
-	for l := 0; l < g.P; l++ {
-		r, _ := g.Coords(l)
-		team := g.RowLocales(r)
-		lxs[l] = rowBandInput(a, x, r, team)
-		st.GatheredElems += int64(lxs[l].NNZ())
-		for _, src := range team {
-			// Empty sources send nothing.
-			if n := x.Loc[src].NNZ(); n > 0 && src != l {
-				rt.S.Bulk(l, sparsePayloadBytes(n), g.SameNode(src, l))
-			}
-		}
-		rt.S.Compute(l, 1, sim.Kernel{
-			Name:       "sparse-allgather-merge",
-			Items:      int64(lxs[l].NNZ()),
-			CPUPerItem: estSparseMergeCPU,
-		})
-	}
-	return lxs
-}
-
-// fusedLocalMultiply runs the per-block shared-memory SpMSpV on every locale
-// and rewrites the discovered row ids to global vertex ids. When bandMask is
-// non-nil the replicated mask segment filters the local product before the
-// scatter (and is recycled afterwards): an entry at band-local position lj survives when
-// (seg[lj] != 0) == keepNonzero. The mask is position-only, so filtering
-// before the first-wins scatter claims exactly the positions the eager
-// multiply-then-filter chain keeps, with the same winning values.
-func fusedLocalMultiply[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], lxs []*sparse.Vec[T], bandMask [][]int64, keepNonzero bool, st *DistStats) []*sparse.Vec[int64] {
-	g := rt.G
-	lys := make([]*sparse.Vec[int64], g.P)
-	for l := 0; l < g.P; l++ {
-		r, c := g.Coords(l)
-		ly, shmStats := SpMSpVShm(a.Blocks[l], lxs[l], ShmConfig{
-			Threads: rt.Threads,
-			Workers: rt.RealWorkers,
-			Engine:  Engine(rt.ShmEngine),
-			Sim:     rt.S,
-			Loc:     l,
-			Trace:   rt.Tr,
-			Pool:    rt.WP,
-			Scratch: rt.Scratch,
-		})
-		rowBase := int64(a.RowBands[r])
-		if bandMask == nil {
-			for k := range ly.Val {
-				ly.Val[k] += rowBase
-			}
-			lys[l] = ly
-		} else {
-			seg := bandMask[c]
-			candidates := ly.NNZ()
-			filtered := sparse.GetVec[int64](rt.Scratch, ly.N) // recycled by the scatter
-			for k, lj := range ly.Ind {
-				if (seg[lj] != 0) != keepNonzero {
-					continue
-				}
-				filtered.Ind = append(filtered.Ind, lj)
-				filtered.Val = append(filtered.Val, ly.Val[k]+rowBase)
-			}
-			sparse.PutVec(rt.Scratch, ly)
-			rt.S.Compute(l, rt.Threads, sim.Kernel{
-				Name:         "spmspv-mask-filter",
-				Items:        int64(candidates),
-				CPUPerItem:   6,
-				BytesPerItem: 9,
-			})
-			lys[l] = filtered
-		}
-		st.LocalEntries += shmStats.EntriesVisited
-	}
-	putBandMask(rt, bandMask)
-	return lys
-}
-
-// fusedScatterBulk is scatterFine with the bulk collective's charging: each
-// source's sorted output run splits into per-owner segments, one α+βn payload
-// per remote (src, owner) segment plus a per-owner merge, exactly as
-// comm.ColMergeScatter prices it. The bitmap mutation is identical to
-// scatterFine (first-wins in locale order), so results are bitwise unchanged.
-func fusedScatterBulk[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], lys []*sparse.Vec[int64], isthere []bool, value []int64, st *DistStats) int {
-	g := rt.G
-	n := a.NCols
-	claimed := 0
-	received := make([]int64, g.P)
-	for l := 0; l < g.P; l++ {
-		_, c := g.Coords(l)
-		colBase := a.ColBands[c]
-		ly := lys[l]
-		segOwner, segLen := -1, 0
-		flush := func() {
-			if segOwner >= 0 && segOwner != l && segLen > 0 {
-				rt.S.Bulk(segOwner, sparsePayloadBytes(segLen), g.SameNode(l, segOwner))
-				received[segOwner] += int64(segLen)
-			}
-			segLen = 0
-		}
-		for k, lj := range ly.Ind {
-			gj := colBase + lj
-			if !isthere[gj] {
-				isthere[gj] = true
-				value[gj] = ly.Val[k]
-				claimed++
-			}
-			if owner := locale.OwnerOf(n, g.P, gj); owner != segOwner {
-				flush()
-				segOwner = owner
-			}
-			segLen++
-		}
-		flush()
-		st.ScatteredMsgs += int64(ly.NNZ())
-		sparse.PutVec(rt.Scratch, ly)
-		lys[l] = nil
-	}
-	for l := 0; l < g.P; l++ {
-		if received[l] > 0 {
-			rt.S.Compute(l, 1, sim.Kernel{
-				Name:       "colmerge-scatter-merge",
-				Items:      received[l],
-				CPUPerItem: estSparseMergeCPU,
-			})
-		}
-	}
-	return claimed
-}
-
-// fusedCommChoice consults the runtime's inspector for the gather/scatter
-// shape of one fused SpMSpV region. A nil inspector keeps the fine-grained
-// charging, preserving every pre-inspector trace and modeled time. The
-// returned span (nil without an inspector) is the strategy-tagged dispatch
-// record; End is nil-safe.
-func fusedCommChoice[T semiring.Number](rt *locale.Runtime, op string, a *dist.Mat[T], x *dist.SpVec[T]) (inspect.Comm, SpMSpVCommCosts, *trace.Span) {
-	in := rt.Insp
-	if in == nil {
-		return inspect.CommFine, SpMSpVCommCosts{}, nil
-	}
-	if rt.Fault != nil {
-		in.Note(op, inspect.AxisComm, "fine", inspect.ReasonFaultPlan)
-		return inspect.CommFine, SpMSpVCommCosts{}, dispatchSpan(rt, in)
-	}
-	if rt.G.P == 1 {
-		in.Note(op, inspect.AxisComm, "fine", inspect.ReasonSingleLocale)
-		return inspect.CommFine, SpMSpVCommCosts{}, dispatchSpan(rt, in)
-	}
-	e := EstimateSpMSpVComm(rt, a, x)
-	choice := in.DecideComm(op, e.Fine, e.Bulk, ReasonSparseFrontier, ReasonDenseFrontier)
-	return choice, e, dispatchSpan(rt, in)
-}
-
 // FusedBFSRound executes one whole BFS round as a single region
 // (RecipeSpMSpVFrontier): the masked SpMSpV push step, the level/parent
 // updates, the visited-mask update, and the next-frontier construction — all
@@ -333,90 +141,48 @@ func FusedBFSRound[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], fronti
 	defer rt.Span("FusedBFSRound",
 		trace.T("recipe", RecipeSpMSpVFrontier.String()),
 		trace.T("engine", Engine(rt.ShmEngine).String())).End()
-	g := rt.G
-	n := a.NCols
 	var st DistStats
-	choice, est, dsp := fusedCommChoice(rt, "FusedBFSRound", a, frontier)
+	choice, est, dsp := spmspvCommChoice(rt, "FusedBFSRound", a, frontier)
 	defer dsp.End()
-	rt.S.CoforallSpawn()
-
-	rt.S.BeginPhase("Mask Broadcast")
-	bandMask := fusedMaskBroadcast(rt, a.ColBands, mask)
-
-	rt.S.BeginPhase("Gather Input")
-	var lxs []*sparse.Vec[T]
-	if choice == inspect.CommBulk {
-		lxs = fusedGatherBulk(rt, a, frontier, &st)
-	} else {
-		lxs = gatherFine(rt, a, frontier, &st)
-	}
-
-	rt.S.BeginPhase("Local Multiply")
-	lys := fusedLocalMultiply(rt, a, lxs, bandMask, keepNonzero, &st)
-
-	rt.S.BeginPhase("Scatter Output")
-	spa := sparse.GetBucketSPA[int64](rt.Scratch, n, 1, 1)
-	defer sparse.PutBucketSPA(rt.Scratch, spa)
-	value, isthere := spa.Dense()
-	var claimed int
-	if choice == inspect.CommBulk {
-		claimed = fusedScatterBulk(rt, a, lys, isthere, value, &st)
-	} else {
-		claimed = scatterFine(rt, a, lys, isthere, value, &st)
-	}
-	est.observe(rt.Insp, choice, st)
-	if claimed == 0 {
-		rt.S.EndPhase()
-		rt.S.Barrier()
-		return 0, st
-	}
-
-	// denseToSparse fused with the frontier update: each locale scans its
-	// owned range once, setting level/parent/mask and installing the survivor
-	// directly as the next frontier — the eager chain's separate EWiseMult
-	// scan and Assign rebuild collapse into this pass.
-	rt.S.BeginPhase("Frontier Update")
-	bounds := frontier.Bounds
 	newMask := int64(0)
 	if !keepNonzero {
 		newMask = 1
 	}
-	for l := 0; l < g.P; l++ {
-		lv := frontier.Loc[l]
-		lv.Ind = lv.Ind[:0]
-		lv.Val = lv.Val[:0]
-		seg := mask.Loc[l]
-		mbase := mask.Bounds[l]
-		installed := 0
-		for gj := bounds[l]; gj < bounds[l+1]; gj++ {
-			if !isthere[gj] {
-				continue
-			}
-			isthere[gj] = false
-			levels[gj] = level
-			parents[gj] = value[gj]
-			seg[gj-mbase] = newMask
-			lv.Ind = append(lv.Ind, gj)
-			lv.Val = append(lv.Val, T(1))
-			installed++
+	found := 0
+	spmspvRun(rt, a, frontier, spmspvPlan{comm: choice, mask: mask, keep: keepNonzero}, &st, func(isthere []bool, value []int64, claimed int) {
+		found = claimed
+		if claimed == 0 {
+			return // nothing is mutated: the eager loop breaks before its updates
 		}
-		st.NnzOut += installed
-		rt.S.Compute(l, rt.Threads, sim.Kernel{
-			Name:         "spmspv-densetosparse",
-			Items:        int64(bounds[l+1] - bounds[l]),
-			CPUPerItem:   costScanCPU,
-			BytesPerItem: 1,
-		})
-		rt.S.Compute(l, rt.Threads, sim.Kernel{
-			Name:         "fused-install",
-			Items:        int64(installed),
-			CPUPerItem:   costFusedInstallCPU,
-			BytesPerItem: costFusedInstallBytes,
-		})
-	}
-	rt.S.EndPhase()
-	rt.S.Barrier()
-	return claimed, st
+		// denseToSparse fused with the frontier update: each locale scans its
+		// owned range once, setting level/parent/mask and installing the
+		// survivor directly as the next frontier — the eager chain's separate
+		// EWiseMult scan and Assign rebuild collapse into this pass.
+		rt.S.BeginPhase("Frontier Update")
+		bounds := frontier.Bounds
+		for l := 0; l < rt.G.P; l++ {
+			lv := frontier.Loc[l]
+			lv.Ind = lv.Ind[:0]
+			lv.Val = lv.Val[:0]
+			seg := mask.Loc[l]
+			mbase := mask.Bounds[l]
+			for gj := bounds[l]; gj < bounds[l+1]; gj++ {
+				if !isthere[gj] {
+					continue
+				}
+				isthere[gj] = false
+				levels[gj] = level
+				parents[gj] = value[gj]
+				seg[gj-mbase] = newMask
+				lv.Ind = append(lv.Ind, gj)
+				lv.Val = append(lv.Val, T(1))
+			}
+			chargeBitmapScan(rt, l, bounds[l+1]-bounds[l])
+			chargeFusedInstall(rt, l, lv.NNZ(), &st)
+		}
+	})
+	est.observe(rt.Insp, choice, st)
+	return found, st
 }
 
 // FusedSpMSpVMaskedAssign executes y = SpMSpVMasked(A, x, mask) ; Assign(dst, y)
@@ -429,70 +195,14 @@ func FusedSpMSpVMaskedAssign[T semiring.Number](rt *locale.Runtime, a *dist.Mat[
 	defer rt.Span("FusedSpMSpVMaskedAssign",
 		trace.T("recipe", RecipeSpMSpVMaskedAssign.String()),
 		trace.T("engine", Engine(rt.ShmEngine).String())).End()
-	g := rt.G
-	n := a.NCols
 	var st DistStats
-	choice, est, dsp := fusedCommChoice(rt, "FusedSpMSpVMaskedAssign", a, x)
+	choice, est, dsp := spmspvCommChoice(rt, "FusedSpMSpVMaskedAssign", a, x)
 	defer dsp.End()
-	rt.S.CoforallSpawn()
-
-	rt.S.BeginPhase("Mask Broadcast")
-	bandMask := fusedMaskBroadcast(rt, a.ColBands, mask)
-
-	rt.S.BeginPhase("Gather Input")
-	var lxs []*sparse.Vec[T]
-	if choice == inspect.CommBulk {
-		lxs = fusedGatherBulk(rt, a, x, &st)
-	} else {
-		lxs = gatherFine(rt, a, x, &st)
-	}
-
-	rt.S.BeginPhase("Local Multiply")
 	// Complemented mask semantics, as in SpMSpVDistMasked: mask != 0 suppresses.
-	lys := fusedLocalMultiply(rt, a, lxs, bandMask, false, &st)
-
-	rt.S.BeginPhase("Scatter Output")
-	spa := sparse.GetBucketSPA[int64](rt.Scratch, n, 1, 1)
-	defer sparse.PutBucketSPA(rt.Scratch, spa)
-	value, isthere := spa.Dense()
-	if choice == inspect.CommBulk {
-		fusedScatterBulk(rt, a, lys, isthere, value, &st)
-	} else {
-		scatterFine(rt, a, lys, isthere, value, &st)
-	}
+	spmspvRun(rt, a, x, spmspvPlan{comm: choice, mask: mask}, &st, func(isthere []bool, value []int64, _ int) {
+		installInto(rt, dst, isthere, value, nil, nil, &st)
+	})
 	est.observe(rt.Insp, choice, st)
-
-	bounds := locale.BlockBounds(n, g.P)
-	for l := 0; l < g.P; l++ {
-		ld := dst.Loc[l]
-		ld.Ind = ld.Ind[:0]
-		ld.Val = ld.Val[:0]
-		installed := 0
-		for gj := bounds[l]; gj < bounds[l+1]; gj++ {
-			if !isthere[gj] {
-				continue
-			}
-			isthere[gj] = false
-			ld.Ind = append(ld.Ind, gj)
-			ld.Val = append(ld.Val, value[gj])
-			installed++
-		}
-		st.NnzOut += installed
-		rt.S.Compute(l, rt.Threads, sim.Kernel{
-			Name:         "spmspv-densetosparse",
-			Items:        int64(bounds[l+1] - bounds[l]),
-			CPUPerItem:   costScanCPU,
-			BytesPerItem: 1,
-		})
-		rt.S.Compute(l, rt.Threads, sim.Kernel{
-			Name:         "fused-install",
-			Items:        int64(installed),
-			CPUPerItem:   costFusedInstallCPU,
-			BytesPerItem: costFusedInstallBytes,
-		})
-	}
-	rt.S.EndPhase()
-	rt.S.Barrier()
 	return st
 }
 
@@ -509,81 +219,64 @@ func FusedSpMSpVFilterAssign[T semiring.Number](rt *locale.Runtime, a *dist.Mat[
 	defer rt.Span("FusedSpMSpVFilterAssign",
 		trace.T("recipe", RecipeSpMSpVFrontier.String()),
 		trace.T("engine", Engine(rt.ShmEngine).String())).End()
-	g := rt.G
-	n := a.NCols
 	var st DistStats
-	choice, est, dsp := fusedCommChoice(rt, "FusedSpMSpVFilterAssign", a, x)
+	choice, est, dsp := spmspvCommChoice(rt, "FusedSpMSpVFilterAssign", a, x)
 	defer dsp.End()
-	rt.S.CoforallSpawn()
-
-	rt.S.BeginPhase("Gather Input")
-	var lxs []*sparse.Vec[T]
-	if choice == inspect.CommBulk {
-		lxs = fusedGatherBulk(rt, a, x, &st)
-	} else {
-		lxs = gatherFine(rt, a, x, &st)
-	}
-
-	rt.S.BeginPhase("Local Multiply")
-	lys := fusedLocalMultiply(rt, a, lxs, nil, false, &st)
-
-	rt.S.BeginPhase("Scatter Output")
-	spa := sparse.GetBucketSPA[int64](rt.Scratch, n, 1, 1)
-	defer sparse.PutBucketSPA(rt.Scratch, spa)
-	value, isthere := spa.Dense()
-	if choice == inspect.CommBulk {
-		fusedScatterBulk(rt, a, lys, isthere, value, &st)
-	} else {
-		scatterFine(rt, a, lys, isthere, value, &st)
-	}
+	spmspvRun(rt, a, x, spmspvPlan{comm: choice}, &st, func(isthere []bool, value []int64, _ int) {
+		installInto(rt, dst, isthere, value, mask, pred, &st)
+	})
 	est.observe(rt.Insp, choice, st)
+	return st
+}
 
-	bounds := locale.BlockBounds(n, g.P)
-	for l := 0; l < g.P; l++ {
+// installInto is the assign recipes' sink: each locale scans its owned range
+// of the bitmap once and installs the claimed (position, value) pairs
+// straight into dst's local block, reusing its capacity. With a pred, only
+// the pairs for which pred(value, mask[j]) holds are installed, and the scan
+// also pays the eager EWiseMult's per-candidate charge.
+func installInto(rt *locale.Runtime, dst *dist.SpVec[int64], isthere []bool, value []int64, mask *dist.DenseVec[int64], pred semiring.Pred[int64], st *DistStats) {
+	bounds := locale.BlockBounds(dst.N, rt.G.P)
+	for l := 0; l < rt.G.P; l++ {
 		ld := dst.Loc[l]
 		ld.Ind = ld.Ind[:0]
 		ld.Val = ld.Val[:0]
-		lm := mask.Loc[l]
-		mbase := mask.Bounds[l]
 		candidates := 0
-		installed := 0
 		for gj := bounds[l]; gj < bounds[l+1]; gj++ {
 			if !isthere[gj] {
 				continue
 			}
 			isthere[gj] = false
 			candidates++
-			if !pred(value[gj], lm[gj-mbase]) {
+			if pred != nil && !pred(value[gj], mask.Loc[l][gj-mask.Bounds[l]]) {
 				continue
 			}
 			ld.Ind = append(ld.Ind, gj)
 			ld.Val = append(ld.Val, value[gj])
-			installed++
 		}
-		st.NnzOut += installed
-		rt.S.Compute(l, rt.Threads, sim.Kernel{
-			Name:         "spmspv-densetosparse",
-			Items:        int64(bounds[l+1] - bounds[l]),
-			CPUPerItem:   costScanCPU,
-			BytesPerItem: 1,
-		})
-		rt.S.Compute(l, rt.Threads, sim.Kernel{
-			Name:           "ewisemult-scan",
-			Items:          int64(candidates),
-			CPUPerItem:     costEWiseCPU,
-			BytesPerItem:   costEWiseBytes,
-			AtomicsPerItem: costEWiseAtomics,
-		})
-		rt.S.Compute(l, rt.Threads, sim.Kernel{
-			Name:         "fused-install",
-			Items:        int64(installed),
-			CPUPerItem:   costFusedInstallCPU,
-			BytesPerItem: costFusedInstallBytes,
-		})
+		chargeBitmapScan(rt, l, bounds[l+1]-bounds[l])
+		if pred != nil {
+			rt.S.Compute(l, rt.Threads, sim.Kernel{
+				Name:           "ewisemult-scan",
+				Items:          int64(candidates),
+				CPUPerItem:     costEWiseCPU,
+				BytesPerItem:   costEWiseBytes,
+				AtomicsPerItem: costEWiseAtomics,
+			})
+		}
+		chargeFusedInstall(rt, l, ld.NNZ(), st)
 	}
-	rt.S.EndPhase()
-	rt.S.Barrier()
-	return st
+}
+
+// chargeFusedInstall charges locale l's direct install of installed
+// survivors into a fused region's destination and counts them as output.
+func chargeFusedInstall(rt *locale.Runtime, l, installed int, st *DistStats) {
+	st.NnzOut += installed
+	rt.S.Compute(l, rt.Threads, sim.Kernel{
+		Name:         "fused-install",
+		Items:        int64(installed),
+		CPUPerItem:   costFusedInstallCPU,
+		BytesPerItem: costFusedInstallBytes,
+	})
 }
 
 // FusedSpMVUpdate executes a distributed SpMV fused with the per-element
