@@ -112,11 +112,17 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMutateRequest -fuzztime 30s ./internal/serve
 
 # One cell of the CI chaos matrix locally: make chaos-matrix CHAOS_SEED=2 CHAOS_POLICY=failover
-# Runs both the BFS column and the SpGEMM column (crash mid-SUMMA-broadcast).
+# Runs the round-driver column (BFS, masked BFS, SSSP, PageRank, CC) and the
+# SpGEMM column (crash mid-SUMMA-broadcast), then writes the MTTR and
+# streaming reports and diffs them against the goldens in testdata/chaos.
 CHAOS_SEED ?= 1
 CHAOS_POLICY ?= failover
+CHAOS_CELL = $(CHAOS_SEED)_$(CHAOS_POLICY)
 chaos-matrix:
 	CHAOS_SEED=$(CHAOS_SEED) CHAOS_POLICY=$(CHAOS_POLICY) $(GOTEST_STRICT) -run 'TestChaosPolicyMatrix|TestChaosSpGEMMMatrix' -v ./internal/algorithms
+	$(GO) run ./cmd/gbbench -figure none -chaos-seed $(CHAOS_SEED) -chaos-policy $(CHAOS_POLICY) -mttr-out mttr_$(CHAOS_CELL).json -stream-out stream_$(CHAOS_CELL).json
+	diff testdata/chaos/mttr_$(CHAOS_CELL).json mttr_$(CHAOS_CELL).json
+	diff testdata/chaos/stream_$(CHAOS_CELL).json stream_$(CHAOS_CELL).json
 
 # The CI spgemm-accept job: bitwise identity of the SUMMA SpGEMM against the
 # sequential reference on ER and R-MAT inputs over prime (1xp), square and
@@ -127,7 +133,6 @@ spgemm-accept:
 	$(GOTEST_STRICT) -run 'TestSpGEMMAccept|TestSUMMA|TestSpGEMMMasked|TestSpGEMMPlace|TestSpGEMMLocal|TestSpGEMMDist|TestDCSC' -v ./internal/core ./internal/sparse
 	$(GOTEST_STRICT) -run 'TestTriangleCountDist|TestKTrussDist|TestMSBFS|TestChaosSpGEMM' -v ./internal/algorithms
 	$(GOTEST_STRICT) -run 'TestMxM|TestKTrussAndMultiSourceBFSSurface|TestSUMMASpanTreeGolden' -v ./gb
-	$(GO) run ./cmd/gbbench -figure none -chaos-seed $(CHAOS_SEED) -chaos-policy $(CHAOS_POLICY) -mttr-out mttr_$(CHAOS_SEED)_$(CHAOS_POLICY).json -stream-out stream_$(CHAOS_SEED)_$(CHAOS_POLICY).json
 
 # The CI serve-accept job: the gbserve query-service acceptance suite —
 # typed cancellation/deadline propagation, per-tenant admission control and

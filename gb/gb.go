@@ -669,7 +669,6 @@ func BFSDirectionOptimizing[T Number](a *Matrix[T], source, alpha int) (*BFSResu
 		Trace:   rt.Tr,
 		Pool:    rt.WP,
 		Scratch: rt.Scratch,
-		Fused:   rt.Fusion,
 		Insp:    rt.Insp,
 	})
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/fault"
 	"repro/internal/locale"
 	"repro/internal/semiring"
 	"repro/internal/sparse"
@@ -30,7 +31,9 @@ type BFSResult struct {
 // (row i holds the out-neighbors of vertex i), composed from the GraphBLAS
 // operations: each round multiplies the frontier with the matrix (SpMSpV,
 // which returns discovering parents), masks out already-visited vertices, and
-// assigns the surviving vertices as the next frontier.
+// assigns the surviving vertices as the next frontier. The three run as one
+// push step (core.FusedPushStepShm), which charges the same kernels as the
+// composition and never builds the masked product.
 func BFSShm[T semiring.Number](a *sparse.CSR[T], source int, cfg core.ShmConfig) (*BFSResult, error) {
 	defer cfg.Trace.Begin("BFSShm").End()
 	if a.NRows != a.NCols {
@@ -40,11 +43,7 @@ func BFSShm[T semiring.Number](a *sparse.CSR[T], source int, cfg core.ShmConfig)
 	if source < 0 || source >= n {
 		return nil, fmt.Errorf("algorithms: BFS: source %d out of range [0,%d)", source, n)
 	}
-	res := &BFSResult{Source: source, Level: make([]int64, n), Parent: make([]int64, n)}
-	for i := range res.Level {
-		res.Level[i] = -1
-		res.Parent[i] = -1
-	}
+	res := newBFSResult(source, n)
 	visited := sparse.NewDense[int64](n)
 
 	// Callers that leave the engine and sort knobs at their zero values get
@@ -59,39 +58,28 @@ func BFSShm[T semiring.Number](a *sparse.CSR[T], source int, cfg core.ShmConfig)
 	frontier.Ind = []int{source}
 	frontier.Val = []T{1}
 	visited.Data[source] = 1
-	res.Level[source] = 0
 
-	for level := int64(1); frontier.NNZ() > 0; level++ {
+	for level := int64(1); ; level++ {
 		if err := cfg.Canceled(); err != nil {
 			return nil, fmt.Errorf("algorithms: BFSShm: %w", err)
 		}
-		if cfg.Fused {
-			// One fused region: masked push step + level/parent/visited
-			// updates + next-frontier construction, no intermediate vectors.
-			nn, _ := core.FusedPushStepShm(a, frontier, visited, level, res.Level, res.Parent, cfg)
-			if nn == 0 {
-				break
-			}
-			res.Rounds++
-			continue
+		if nn, _ := core.FusedPushStepShm(a, frontier, visited, level, res.Level, res.Parent, cfg); nn == 0 {
+			return res, nil
 		}
-		// y = frontier × A, discovering parents; complemented visited mask.
-		y, _ := core.SpMSpVMasked(a, frontier, visited, cfg)
-		if y.NNZ() == 0 {
-			break
-		}
-		next := sparse.NewVec[T](n)
-		for k, v := range y.Ind {
-			res.Level[v] = level
-			res.Parent[v] = y.Val[k]
-			visited.Data[v] = 1
-			next.Ind = append(next.Ind, v)
-			next.Val = append(next.Val, 1)
-		}
-		frontier = next
 		res.Rounds++
 	}
-	return res, nil
+}
+
+// newBFSResult returns the result of a BFS from source over n vertices
+// before its first round: only the source reached, at level 0.
+func newBFSResult(source, n int) *BFSResult {
+	res := &BFSResult{Source: source, Level: make([]int64, n), Parent: make([]int64, n)}
+	for i := range res.Level {
+		res.Level[i] = -1
+		res.Parent[i] = -1
+	}
+	res.Level[source] = 0
+	return res
 }
 
 // BFSDist runs breadth-first search over a 2-D block-distributed adjacency
@@ -104,117 +92,113 @@ func BFSShm[T semiring.Number](a *sparse.CSR[T], source int, cfg core.ShmConfig)
 // reports a crash mid-round), a permanent locale loss is detected at the
 // round boundary — the bulk-synchronous failure-at-barrier model. Under a
 // fault plan the frontier, visited flags and result arrays are snapshotted
-// every CheckpointInterval rounds; detection degrades the runtime onto the
+// every checkpointInterval rounds; detection degrades the runtime onto the
 // survivors, rolls back to the last checkpoint and replays, reproducing the
 // fault-free result bit for bit.
 func BFSDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], source int) (*BFSResult, error) {
-	defer rt.Span("BFSDist").End()
+	return bfsDist(rt, a, source, false)
+}
+
+// BFSDistMasked is BFSDist with the mask fused into the multiplication
+// (SpMSpVDistMasked) instead of filtering after it — the distributed-mask
+// form the paper names as future work. Already-visited vertices never cross
+// the network during the scatter, so later rounds (large visited sets) send
+// far fewer messages.
+func BFSDistMasked[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], source int) (*BFSResult, error) {
+	return bfsDist(rt, a, source, true)
+}
+
+// bfsDist is the one body of BFSDist and BFSDistMasked: masked selects the
+// multiply that drops visited vertices before the scatter over the one that
+// filters them after it. On a fused runtime both variants run each round as
+// one region (core.FusedBFSRound), which masks before the scatter too.
+func bfsDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], source int, masked bool) (*BFSResult, error) {
+	name := "BFSDist"
+	if masked {
+		name = "BFSDistMasked"
+	}
+	defer rt.Span(name).End()
 	if a.NRows != a.NCols {
-		return nil, fmt.Errorf("algorithms: BFSDist: adjacency matrix must be square, got %dx%d", a.NRows, a.NCols)
+		return nil, fmt.Errorf("algorithms: %s: adjacency matrix must be square, got %dx%d", name, a.NRows, a.NCols)
 	}
 	n := a.NRows
 	if source < 0 || source >= n {
-		return nil, fmt.Errorf("algorithms: BFSDist: source %d out of range [0,%d)", source, n)
+		return nil, fmt.Errorf("algorithms: %s: source %d out of range [0,%d)", name, source, n)
 	}
-	res := &BFSResult{Source: source, Level: make([]int64, n), Parent: make([]int64, n)}
-	for i := range res.Level {
-		res.Level[i] = -1
-		res.Parent[i] = -1
-	}
-	// notVisited[v] = 1 while v is undiscovered (so the paper's sparse-dense
-	// eWiseMult keeps exactly the fresh vertices).
-	notVisited0 := sparse.NewDenseFill[int64](n, 1)
-	notVisited := dist.DenseVecFromDense(rt, notVisited0)
-
+	res := newBFSResult(source, n)
+	// visited[v] = 1 once v is discovered: the complemented mask of every
+	// variant's multiply or filter.
+	visited := dist.NewDenseVec[int64](rt, n)
 	frontier := dist.NewSpVec[T](rt, n)
 	src := frontier.Owner(source)
 	frontier.Loc[src].Ind = []int{source}
 	frontier.Loc[src].Val = []T{1}
-	notVisited.Set(source, 0)
-	res.Level[source] = 0
+	visited.Set(source, 1)
 
 	var ckptFrontier *sparse.Vec[T]
-	var ckptNotVisited *sparse.Dense[int64]
-	var ckptLevel, ckptParent []int64
-	ckptRounds := 0
-	recovered := false
-	snapshot := func() {
-		ckptFrontier = frontier.ToVec()
-		ckptNotVisited = notVisited.ToDense()
-		ckptLevel = append(ckptLevel[:0], res.Level...)
-		ckptParent = append(ckptParent[:0], res.Parent...)
-		ckptRounds = res.Rounds
-		chargeCheckpoint(rt, int64(n)*8)
+	var ckptVisited, ckptLevel, ckptParent []int64
+	ck := checkpoint{
+		bytes: int64(n) * 8,
+		save: func() {
+			ckptFrontier = frontier.ToVec()
+			ckptVisited = visited.ToDense().Data
+			ckptLevel = append(ckptLevel[:0], res.Level...)
+			ckptParent = append(ckptParent[:0], res.Parent...)
+		},
+		load: func() {
+			frontier = dist.SpVecFromVec(rt, ckptFrontier)
+			visited.Load(ckptVisited)
+			copy(res.Level, ckptLevel)
+			copy(res.Parent, ckptParent)
+		},
 	}
-	if rt.Fault != nil {
-		snapshot()
-	}
-
-	for level := int64(1); frontier.NNZ() > 0; level++ {
-		if err := rt.Canceled(); err != nil {
-			return nil, fmt.Errorf("algorithms: BFSDist: %w", err)
-		}
+	lossReported := false
+	_, err := runRounds(rt, name, &a, ck, func(i int) (bool, error) {
+		// No collective reports a crash mid-round, so the loss is polled for
+		// at the round boundary; the detector hears every poll.
 		if rt.Fault != nil {
-			if d := rt.DownLocale(); d >= 0 && !recovered {
-				recovered = true
-				na, rollback, err := core.Recover(rt, a, d)
-				if err != nil {
-					return nil, err
-				}
-				a = na
-				if rollback {
-					frontier = dist.SpVecFromVec(rt, ckptFrontier)
-					notVisited = dist.DenseVecFromDense(rt, ckptNotVisited)
-					copy(res.Level, ckptLevel)
-					copy(res.Parent, ckptParent)
-					res.Rounds = ckptRounds
-					level = int64(res.Rounds) // the for-post ++ resumes the next round
-					continue
-				}
-				// Best effort: keep the current frontier and iterate on.
-			}
-			if res.Rounds > ckptRounds && res.Rounds%CheckpointInterval == 0 {
-				snapshot()
+			if d := rt.DownLocale(); d >= 0 && !lossReported {
+				lossReported = true
+				return false, &fault.LocaleLostError{Locale: d}
 			}
 		}
+		res.Rounds = i // the last, empty round does not count
+		level := int64(i) + 1
 		if rt.Fusion {
-			// One fused region per round (RecipeSpMSpVFrontier): the masked
-			// multiply, freshness filter, level/parent updates and frontier
-			// install run between one spawn and one barrier. keepNonzero=true
-			// keeps exactly the vertices with notVisited != 0, as the eager
-			// EWiseMultSD predicate below does.
-			nn, _ := core.FusedBFSRound(rt, a, frontier, notVisited, true, level, res.Level, res.Parent)
-			if nn == 0 {
-				break
-			}
-			res.Rounds++
-			continue
+			// One region per round (RecipeSpMSpVFrontier): the masked multiply,
+			// level/parent/visited updates and frontier install between one
+			// spawn and one barrier.
+			nn, _ := core.FusedBFSRound(rt, a, frontier, visited, level, res.Level, res.Parent)
+			return nn == 0, nil
 		}
-		y, _ := core.SpMSpVDistAuto(rt, a, frontier)
-		// Keep only vertices not yet visited. The parents vector y carries
-		// int64 values; mask it against the visited flags.
-		fresh, err := core.EWiseMultSD(rt, y, notVisited, func(_, nv int64) bool { return nv != 0 })
-		if err != nil {
-			return nil, err
+		var fresh *dist.SpVec[int64]
+		if masked {
+			fresh, _ = core.SpMSpVDistMasked(rt, a, frontier, visited)
+		} else {
+			y, _ := core.SpMSpVDistAuto(rt, a, frontier)
+			var err error
+			if fresh, err = core.EWiseMultSD(rt, y, visited, func(_, v int64) bool { return v == 0 }); err != nil {
+				return false, err
+			}
 		}
 		if fresh.NNZ() == 0 {
-			break
+			return true, nil
 		}
 		next := dist.NewSpVec[T](rt, n)
 		for l, lv := range fresh.Loc {
 			for k, v := range lv.Ind {
 				res.Level[v] = level
 				res.Parent[v] = lv.Val[k]
-				notVisited.Set(v, 0)
+				visited.Set(v, 1)
 				next.Loc[l].Ind = append(next.Loc[l].Ind, v)
 				next.Loc[l].Val = append(next.Loc[l].Val, 1)
 			}
 		}
 		// Install the next frontier with the paper's Assign.
-		if err := core.Assign2(rt, frontier, next); err != nil {
-			return nil, err
-		}
-		res.Rounds++
+		return false, core.Assign2(rt, frontier, next)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -241,109 +225,4 @@ func RefBFS[T semiring.Number](a *sparse.CSR[T], source int) []int64 {
 		}
 	}
 	return level
-}
-
-// BFSDistMasked is BFSDist with the mask fused into the multiplication
-// (SpMSpVDistMasked) instead of filtering after it — the distributed-mask
-// form the paper names as future work. Already-visited vertices never cross
-// the network during the scatter, so later rounds (large visited sets) send
-// far fewer messages.
-func BFSDistMasked[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], source int) (*BFSResult, error) {
-	defer rt.Span("BFSDistMasked").End()
-	if a.NRows != a.NCols {
-		return nil, fmt.Errorf("algorithms: BFSDistMasked: adjacency matrix must be square, got %dx%d", a.NRows, a.NCols)
-	}
-	n := a.NRows
-	if source < 0 || source >= n {
-		return nil, fmt.Errorf("algorithms: BFSDistMasked: source %d out of range [0,%d)", source, n)
-	}
-	res := &BFSResult{Source: source, Level: make([]int64, n), Parent: make([]int64, n)}
-	for i := range res.Level {
-		res.Level[i] = -1
-		res.Parent[i] = -1
-	}
-	visited := dist.DenseVecFromDense(rt, sparse.NewDense[int64](n))
-
-	frontier := dist.NewSpVec[T](rt, n)
-	src := frontier.Owner(source)
-	frontier.Loc[src].Ind = []int{source}
-	frontier.Loc[src].Val = []T{1}
-	visited.Set(source, 1)
-	res.Level[source] = 0
-
-	var ckptFrontier *sparse.Vec[T]
-	var ckptVisited *sparse.Dense[int64]
-	var ckptLevel, ckptParent []int64
-	ckptRounds := 0
-	recovered := false
-	snapshot := func() {
-		ckptFrontier = frontier.ToVec()
-		ckptVisited = visited.ToDense()
-		ckptLevel = append(ckptLevel[:0], res.Level...)
-		ckptParent = append(ckptParent[:0], res.Parent...)
-		ckptRounds = res.Rounds
-		chargeCheckpoint(rt, int64(n)*8)
-	}
-	if rt.Fault != nil {
-		snapshot()
-	}
-
-	for level := int64(1); frontier.NNZ() > 0; level++ {
-		if err := rt.Canceled(); err != nil {
-			return nil, fmt.Errorf("algorithms: BFSDistMasked: %w", err)
-		}
-		if rt.Fault != nil {
-			if d := rt.DownLocale(); d >= 0 && !recovered {
-				recovered = true
-				na, rollback, err := core.Recover(rt, a, d)
-				if err != nil {
-					return nil, err
-				}
-				a = na
-				if rollback {
-					frontier = dist.SpVecFromVec(rt, ckptFrontier)
-					visited = dist.DenseVecFromDense(rt, ckptVisited)
-					copy(res.Level, ckptLevel)
-					copy(res.Parent, ckptParent)
-					res.Rounds = ckptRounds
-					level = int64(res.Rounds)
-					continue
-				}
-				// Best effort: keep the current frontier and iterate on.
-			}
-			if res.Rounds > ckptRounds && res.Rounds%CheckpointInterval == 0 {
-				snapshot()
-			}
-		}
-		if rt.Fusion {
-			// Fused round with the visited-polarity mask: keepNonzero=false
-			// keeps positions with visited == 0 (the complemented mask of
-			// SpMSpVDistMasked) and flips the survivors' flags to 1.
-			nn, _ := core.FusedBFSRound(rt, a, frontier, visited, false, level, res.Level, res.Parent)
-			if nn == 0 {
-				break
-			}
-			res.Rounds++
-			continue
-		}
-		fresh, _ := core.SpMSpVDistMasked(rt, a, frontier, visited)
-		if fresh.NNZ() == 0 {
-			break
-		}
-		next := dist.NewSpVec[T](rt, n)
-		for l, lv := range fresh.Loc {
-			for k, v := range lv.Ind {
-				res.Level[v] = level
-				res.Parent[v] = lv.Val[k]
-				visited.Set(v, 1)
-				next.Loc[l].Ind = append(next.Loc[l].Ind, v)
-				next.Loc[l].Val = append(next.Loc[l].Val, 1)
-			}
-		}
-		if err := core.Assign2(rt, frontier, next); err != nil {
-			return nil, err
-		}
-		res.Rounds++
-	}
-	return res, nil
 }

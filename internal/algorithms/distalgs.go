@@ -12,17 +12,17 @@ import (
 	"repro/internal/sparse"
 )
 
-// The distributed iterative algorithms in this file are fault tolerant: when
-// a fault plan is installed they snapshot their iteration state every
-// CheckpointInterval rounds, and on a permanent locale loss (surfaced by the
-// collectives as fault.ErrLocaleLost) they degrade the runtime onto the
-// survivors under the runtime's fault.RecoveryPolicy (core.Recover):
-// redistribute and failover roll back to the last checkpoint and replay,
-// best effort drops the lost block and keeps iterating. Because the logical
-// grid shape — and with it every data layout and reduction order — is
-// preserved across the loss, a replayed computation under the exact policies
-// reproduces the fault-free results bit for bit; only the modeled clock shows
-// the failure.
+// The distributed iterative algorithms in this file are fault tolerant: they
+// run on the one round loop (runRounds), which under a fault plan snapshots
+// their iteration state every checkpointInterval rounds, and on a permanent
+// locale loss (surfaced by the collectives as fault.ErrLocaleLost) degrades
+// the runtime onto the survivors under the runtime's fault.RecoveryPolicy
+// (core.Recover): redistribute and failover roll back to the last checkpoint
+// and replay, best effort drops the lost block and reruns the round. Because
+// the logical grid shape — and with it every data layout and reduction order
+// — is preserved across the loss, a replayed computation under the exact
+// policies reproduces the fault-free results bit for bit; only the modeled
+// clock shows the failure.
 
 // SSSPDist runs Bellman–Ford single-source shortest paths over a 2-D
 // block-distributed matrix: each round is one distributed SpMV over the
@@ -61,55 +61,24 @@ func ssspDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], source 
 		copy(d0.Data, init)
 	}
 	d0.Data[source] = 0
+	if n == 1 {
+		return d0.Data, 0, nil // no edge to relax
+	}
 	dcur := dist.DenseVecFromDense(rt, d0)
 	front := dist.DenseVecOver(rt, d0.Data)
 
-	var ckptD []T // written at iter 0 under a fault plan, before anything can fail
-	ckptIter, ckptRounds := 0, 0
-	recovered := false
-	rounds := 0
-
-	// restore recovers from a locale loss under the runtime's recovery
-	// policy; the exact policies roll the iteration state back to the last
-	// checkpoint (rollback true) with every vertex active again — a superset of
-	// the changed set, so exact; best effort keeps going on the survivors.
-	// Any other error (or a second loss) propagates.
-	restore := func(err error) (bool, error) {
-		lost := lostLocale(err)
-		if lost < 0 || recovered {
-			return false, err
-		}
-		recovered = true
-		na, rollback, rerr := core.Recover(rt, a, lost)
-		if rerr != nil {
-			return false, rerr
-		}
-		a = na
-		if rollback {
-			dcur = dist.DenseVecFromDense(rt, &sparse.Dense[T]{Data: ckptD})
+	// A rollback restores the checkpointed distances with every vertex active
+	// again: a superset of the changed set, so exact.
+	var ckptD []T
+	ck := checkpoint{
+		bytes: int64(n) * 8,
+		save:  func() { ckptD = append(ckptD[:0], dcur.ToDense().Data...) },
+		load: func() {
+			dcur.Load(ckptD)
 			front.Load(ckptD)
-			rounds = ckptRounds
-		}
-		return rollback, nil
+		},
 	}
-	// resume repositions iter after a recovery: replay from the checkpoint
-	// after a rollback, redo the interrupted round otherwise.
-	resume := func(iter int, rollback bool) int {
-		if rollback {
-			return ckptIter - 1
-		}
-		return iter - 1
-	}
-
-	for iter := 0; iter < n-1; iter++ {
-		if err := rt.Canceled(); err != nil {
-			return nil, 0, fmt.Errorf("algorithms: SSSPDist: %w", err)
-		}
-		if rt.Fault != nil && iter%CheckpointInterval == 0 {
-			ckptD = append(ckptD[:0], dcur.ToDense().Data...)
-			ckptIter, ckptRounds = iter, rounds
-			chargeCheckpoint(rt, int64(n)*8)
-		}
+	rounds, err := runRounds(rt, "SSSPDist", &a, ck, func(iter int) (bool, error) {
 		changedFlags := make([]int64, rt.G.P)
 		// The relaxation (RecipeSpMVUpdate): the elementwise min folds into
 		// the SpMV's final distribution pass, so the relaxed vector is never
@@ -125,12 +94,7 @@ func ssspDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], source 
 			}
 		})
 		if err != nil {
-			rollback, rerr := restore(err)
-			if rerr != nil {
-				return nil, 0, rerr
-			}
-			iter = resume(iter, rollback)
-			continue
+			return false, err
 		}
 		if !rt.Fusion {
 			// Eager execution runs the min as a coforall of its own: its spawn
@@ -138,19 +102,11 @@ func ssspDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], source 
 			rt.S.CoforallSpawn()
 			rt.S.Barrier()
 		}
-		rounds++
 		changed, err := comm.AllReduce(rt, changedFlags, semiring.MaxMonoid[int64]())
-		if err != nil {
-			rollback, rerr := restore(err)
-			if rerr != nil {
-				return nil, 0, rerr
-			}
-			iter = resume(iter, rollback)
-			continue
-		}
-		if changed == 0 {
-			break
-		}
+		return changed == 0 || iter+1 == n-1, err
+	})
+	if err != nil {
+		return nil, 0, err
 	}
 	return dcur.ToDense().Data, rounds, nil
 }
@@ -196,50 +152,21 @@ func prDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], d, tol fl
 			r[i] = 1 / float64(n)
 		}
 	}
+	if maxIter <= 0 {
+		return r, 0, nil
+	}
 	// The spread vector r ⊘ outdeg is written straight into its distributed
 	// form, and the two rank buffers swap roles every iteration: nothing
 	// n-long is allocated per round.
 	xd := dist.NewDenseVec[float64](rt, n)
 	next := make([]float64, n)
-	ckptR := append([]float64(nil), r...)
-	ckptIter, ckptIters := 0, 0
-	recovered := false
-	iters := 0
-
-	restore := func(err error) (bool, error) {
-		lost := lostLocale(err)
-		if lost < 0 || recovered {
-			return false, err
-		}
-		recovered = true
-		npm, rollback, rerr := core.Recover(rt, pm, lost)
-		if rerr != nil {
-			return false, rerr
-		}
-		pm = npm
-		if rollback {
-			r = append(r[:0], ckptR...)
-			iters = ckptIters
-		}
-		return rollback, nil
+	var ckptR []float64
+	ck := checkpoint{
+		bytes: int64(n) * 8,
+		save:  func() { ckptR = append(ckptR[:0], r...) },
+		load:  func() { r = append(r[:0], ckptR...) },
 	}
-	resume := func(iter int, rollback bool) int {
-		if rollback {
-			return ckptIter - 1
-		}
-		return iter - 1
-	}
-
-	for iter := 0; iter < maxIter; iter++ {
-		if err := rt.Canceled(); err != nil {
-			return nil, 0, fmt.Errorf("algorithms: PageRankDist: %w", err)
-		}
-		if rt.Fault != nil && iter%CheckpointInterval == 0 {
-			ckptR = append(ckptR[:0], r...)
-			ckptIter, ckptIters = iter, iters
-			chargeCheckpoint(rt, int64(n)*8)
-		}
-		iters++
+	iters, err := runRounds(rt, "PageRankDist", &pm, ck, func(iter int) (bool, error) {
 		danglingParts := make([]float64, rt.G.P)
 		for l, xl := range xd.Loc {
 			lo := xd.Bounds[l]
@@ -254,12 +181,7 @@ func prDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], d, tol fl
 		}
 		dangling, err := comm.AllReduce(rt, danglingParts, semiring.PlusMonoid[float64]())
 		if err != nil {
-			rollback, rerr := restore(err)
-			if rerr != nil {
-				return nil, 0, rerr
-			}
-			iter = resume(iter, rollback)
-			continue
+			return false, err
 		}
 		base := (1-d)/float64(n) + d*dangling/float64(n)
 		deltaParts := make([]float64, rt.G.P)
@@ -270,26 +192,14 @@ func prDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], d, tol fl
 			deltaParts[l] += math.Abs(next[gi] - r[gi])
 		})
 		if err != nil {
-			rollback, rerr := restore(err)
-			if rerr != nil {
-				return nil, 0, rerr
-			}
-			iter = resume(iter, rollback)
-			continue
+			return false, err
 		}
 		r, next = next, r
 		delta, err := comm.AllReduce(rt, deltaParts, semiring.PlusMonoid[float64]())
-		if err != nil {
-			rollback, rerr := restore(err)
-			if rerr != nil {
-				return nil, 0, rerr
-			}
-			iter = resume(iter, rollback)
-			continue
-		}
-		if delta < tol {
-			break
-		}
+		return delta < tol || iter+1 == maxIter, err
+	})
+	if err != nil {
+		return nil, 0, err
 	}
 	return r, iters, nil
 }
@@ -329,40 +239,16 @@ func ccDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], init []in
 	// The round's input: every label at first (any warm start is valid), then
 	// the labels that changed last round and inf everywhere else.
 	ld := dist.DenseVecOver(rt, append([]int64(nil), labels...))
-	var ckptL []int64 // written in round 0 under a fault plan, before anything can fail
-	ckptRounds := 0
-	recovered := false
-	rounds := 0
-
-	restore := func(err error) error {
-		lost := lostLocale(err)
-		if lost < 0 || recovered {
-			return err
-		}
-		recovered = true
-		npm, rollback, rerr := core.Recover(rt, pm, lost)
-		if rerr != nil {
-			return rerr
-		}
-		pm = npm
-		if rollback {
+	var ckptL []int64
+	ck := checkpoint{
+		bytes: int64(n) * 8,
+		save:  func() { ckptL = append(ckptL[:0], labels...) },
+		load: func() {
 			labels = append(labels[:0], ckptL...)
 			ld.Load(labels)
-			rounds = ckptRounds
-		}
-		return nil
+		},
 	}
-
-	for {
-		if err := rt.Canceled(); err != nil {
-			return nil, 0, 0, fmt.Errorf("algorithms: CCDist: %w", err)
-		}
-		if rt.Fault != nil && rounds%CheckpointInterval == 0 {
-			ckptL = append(ckptL[:0], labels...)
-			ckptRounds = rounds
-			chargeCheckpoint(rt, int64(n)*8)
-		}
-		rounds++
+	rounds, err := runRounds(rt, "CCDist", &pm, ck, func(int) (bool, error) {
 		changedParts := make([]int64, rt.G.P)
 		// Label propagation (RecipeSpMVUpdate): the min-label update consumes
 		// the propagated vector in place of building it, and writes the next
@@ -376,21 +262,13 @@ func ccDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], init []in
 			}
 		})
 		if err != nil {
-			if err = restore(err); err != nil {
-				return nil, 0, 0, err
-			}
-			continue
+			return false, err
 		}
 		changed, err := comm.AllReduce(rt, changedParts, semiring.MaxMonoid[int64]())
-		if err != nil {
-			if err = restore(err); err != nil {
-				return nil, 0, 0, err
-			}
-			continue
-		}
-		if changed == 0 {
-			break
-		}
+		return changed == 0, err
+	})
+	if err != nil {
+		return nil, 0, 0, err
 	}
 	// A warm start can land on labels that are component-consistent but not
 	// the component minima (the minimum vertex never propagates to itself);

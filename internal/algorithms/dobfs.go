@@ -49,11 +49,7 @@ func BFSDirectionOptimizingCfg[T semiring.Number](a *sparse.CSR[T], source int, 
 	unvisited := n - 1
 	at := a.ToCSC() // in-neighbor access for the pull step
 
-	res := &BFSResult{Source: source, Level: make([]int64, n), Parent: make([]int64, n)}
-	for i := range res.Level {
-		res.Level[i] = -1
-		res.Parent[i] = -1
-	}
+	res := newBFSResult(source, n)
 	inFrontier := make([]bool, n)
 	visited := sparse.NewDense[int64](n)
 	frontier := sparse.NewVec[T](n)
@@ -61,13 +57,11 @@ func BFSDirectionOptimizingCfg[T semiring.Number](a *sparse.CSR[T], source int, 
 	frontier.Val = []T{1}
 	inFrontier[source] = true
 	visited.Data[source] = 1
-	res.Level[source] = 0
 
 	for level := int64(1); frontier.NNZ() > 0; level++ {
 		if err := cfg.Canceled(); err != nil {
 			return nil, fmt.Errorf("algorithms: DOBFS: %w", err)
 		}
-		var next *sparse.Vec[T]
 		var usePull bool
 		var pushEst, pullEst float64 // > 0 when the cost model priced this round
 		if !inspected {
@@ -120,7 +114,7 @@ func BFSDirectionOptimizingCfg[T semiring.Number](a *sparse.CSR[T], source int, 
 		if usePull {
 			// Bottom-up (pull): every undiscovered vertex looks for an
 			// in-neighbor in the frontier; first hit becomes the parent.
-			next = sparse.NewVec[T](n)
+			next := sparse.NewVec[T](n)
 			var checked, scanned int64
 			for v := 0; v < n; v++ {
 				if visited.Data[v] != 0 {
@@ -144,11 +138,21 @@ func BFSDirectionOptimizingCfg[T semiring.Number](a *sparse.CSR[T], source int, 
 			}
 			core.ChargeDOBFSPull(&cfg, checked, scanned)
 			observeRound()
-		} else if cfg.Fused {
-			// Fused push step: the frontier is rewritten in place, so clear
-			// its flags before the call and set the new ones after — the
-			// shared flag swap below needs the old indices, which the fused
-			// kernel has already overwritten.
+			// Swap frontier flags.
+			for _, v := range frontier.Ind {
+				inFrontier[v] = false
+			}
+			for _, v := range next.Ind {
+				inFrontier[v] = true
+			}
+			frontier = next
+		} else {
+			// Top-down (push): the paper's masked SpMSpV step fused with the
+			// level/parent/visited updates, run on the sort-free bucket engine —
+			// direction optimization is already a departure from the paper's
+			// Listing, so the push steps take the fastest pipeline rather than
+			// the fidelity default. The frontier is rewritten in place, so its
+			// flags are cleared before the call and set after.
 			pushCfg := cfg
 			pushCfg.Engine = core.EngineBucket
 			for _, v := range frontier.Ind {
@@ -159,38 +163,8 @@ func BFSDirectionOptimizingCfg[T semiring.Number](a *sparse.CSR[T], source int, 
 				inFrontier[v] = true
 			}
 			observeRound()
-			unvisited -= frontier.NNZ()
-			if frontier.NNZ() > 0 {
-				res.Rounds++
-			}
-			continue
-		} else {
-			// Top-down (push): the paper's masked SpMSpV step, run on the
-			// sort-free bucket engine — direction optimization is already a
-			// departure from the paper's Listing, so the push steps take the
-			// fastest pipeline rather than the fidelity default.
-			pushCfg := cfg
-			pushCfg.Engine = core.EngineBucket
-			y, _ := core.SpMSpVMasked(a, frontier, visited, pushCfg)
-			next = sparse.NewVec[T](n)
-			for k, v := range y.Ind {
-				res.Level[v] = level
-				res.Parent[v] = y.Val[k]
-				visited.Data[v] = 1
-				next.Ind = append(next.Ind, v)
-				next.Val = append(next.Val, 1)
-			}
-			observeRound()
 		}
-		// Swap frontier flags.
-		for _, v := range frontier.Ind {
-			inFrontier[v] = false
-		}
-		for _, v := range next.Ind {
-			inFrontier[v] = true
-		}
-		unvisited -= next.NNZ()
-		frontier = next
+		unvisited -= frontier.NNZ()
 		if frontier.NNZ() > 0 {
 			res.Rounds++
 		}

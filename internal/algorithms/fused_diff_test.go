@@ -1,6 +1,8 @@
 package algorithms
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/core"
@@ -11,7 +13,7 @@ import (
 )
 
 // Differential suite for the fused (nonblocking) execution paths: every
-// algorithm run with rt.Fusion (or cfg.Fused) must produce results bitwise
+// algorithm run with rt.Fusion must produce results bitwise
 // identical to the eager per-op chains, across graph models, grid shapes and
 // chaos seeds — and the fused modeled time must be strictly lower (fewer
 // spawns, barriers and per-op collectives per round). PageRank and CC have no
@@ -147,33 +149,50 @@ func TestFusedSSSPDistBitwise(t *testing.T) {
 	}
 }
 
-// TestFusedShmBitwise checks the shared-memory fused push step: BFSShm and
-// the DOBFS push rounds with cfg.Fused must match the eager chains exactly,
-// across engines. The shm fused path charges the identical kernels, so the
-// modeled time must match exactly too.
+// bfsHash is the FNV-64a hash of a BFS result's round count and its
+// (level, parent) pairs, each as a little-endian int64.
+func bfsHash(r *BFSResult) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v int64) {
+		binary.LittleEndian.PutUint64(b[:], uint64(v))
+		h.Write(b[:])
+	}
+	put(int64(r.Rounds))
+	for v := range r.Level {
+		put(r.Level[v])
+		put(r.Parent[v])
+	}
+	return h.Sum64()
+}
+
+// TestFusedShmBitwise pins the shared-memory push step: BFSShm on every
+// engine and DOBFS at alpha=14 must reproduce the levels, parents and round
+// counts of the eager SpMSpVMasked + update chain the push step replaced. The
+// hashes were recorded from that chain.
 func TestFusedShmBitwise(t *testing.T) {
+	want := map[string]uint64{"er": 0xed374422606593ee, "rmat": 0x4af64d16eef60925}
 	for name, a0 := range diffGraphs(t) {
 		for _, eng := range []core.Engine{core.EngineBucket, core.EngineMergeSort, core.EngineRadixSort} {
-			want, err := BFSShm(a0, 3, core.ShmConfig{Threads: 4, Engine: eng})
+			got, err := BFSShm(a0, 3, core.ShmConfig{Threads: 4, Engine: eng})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := BFSShm(a0, 3, core.ShmConfig{Threads: 4, Engine: eng, Fused: true})
-			if err != nil {
-				t.Fatal(err)
+			t.Run(name+"/"+eng.String(), func(t *testing.T) {
+				if h := bfsHash(got); h != want[name] {
+					t.Errorf("hash %#x, want %#x", h, want[name])
+				}
+			})
+		}
+		got, err := BFSDirectionOptimizingCfg(a0, 3, 14, core.ShmConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name+"/dobfs", func(t *testing.T) {
+			if h := bfsHash(got); h != want[name] {
+				t.Errorf("hash %#x, want %#x", h, want[name])
 			}
-			t.Run(name+"/"+eng.String(), func(t *testing.T) { checkBFSEqual(t, got, want) })
-		}
-
-		want, err := BFSDirectionOptimizingCfg(a0, 3, 14, core.ShmConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := BFSDirectionOptimizingCfg(a0, 3, 14, core.ShmConfig{Fused: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Run(name+"/dobfs", func(t *testing.T) { checkBFSEqual(t, got, want) })
+		})
 	}
 }
 

@@ -1,13 +1,16 @@
 package algorithms
 
 import (
+	"math"
 	"os"
+	"slices"
 	"strconv"
 	"testing"
 
 	"repro/internal/dist"
 	"repro/internal/fault"
 	"repro/internal/locale"
+	"repro/internal/semiring"
 	"repro/internal/sparse"
 )
 
@@ -205,9 +208,93 @@ func TestDetectorTimelineDeterministicPerSeed(t *testing.T) {
 	}
 }
 
+// policyCase is one algorithm of the chaos policy matrix: run distributes
+// its input on rt (with replicas when replicate is set), runs the algorithm
+// and returns its round count and result values as bits, plus the nnz of the
+// largest block.
+type policyCase struct {
+	name string
+	run  func(t *testing.T, rt *locale.Runtime, replicate bool) (bits []uint64, maxBlock int)
+}
+
+// distributeFor distributes a0 on rt, with replicas when replicate is set,
+// and returns it with the nnz of its largest block.
+func distributeFor[T semiring.Number](rt *locale.Runtime, a0 *sparse.CSR[T], replicate bool) (*dist.Mat[T], int) {
+	m := dist.MatFromCSR(rt, a0)
+	if replicate {
+		dist.ReplicateMat(rt, m)
+	}
+	maxBlock := 0
+	for _, b := range m.Blocks {
+		maxBlock = max(maxBlock, b.NNZ())
+	}
+	return m, maxBlock
+}
+
+// policyCases covers every algorithm on the round driver, on the inputs of
+// the chaos acceptance tests.
+func policyCases() []policyCase {
+	bfs := func(masked bool, seed int64, source int) func(*testing.T, *locale.Runtime, bool) ([]uint64, int) {
+		return func(t *testing.T, rt *locale.Runtime, replicate bool) ([]uint64, int) {
+			m, maxBlock := distributeFor(rt, sparse.ErdosRenyi[int64](150, 5, seed), replicate)
+			res, err := bfsDist(rt, m, source, masked)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bits := []uint64{uint64(res.Rounds)}
+			for v := range res.Level {
+				bits = append(bits, uint64(res.Level[v]), uint64(res.Parent[v]))
+			}
+			return bits, maxBlock
+		}
+	}
+	floatBits := func(rounds int, vals []float64) []uint64 {
+		bits := []uint64{uint64(rounds)}
+		for _, v := range vals {
+			bits = append(bits, math.Float64bits(v))
+		}
+		return bits
+	}
+	return []policyCase{
+		{"bfs", bfs(false, 71, 3)},
+		{"bfs-masked", bfs(true, 73, 7)},
+		{"sssp", func(t *testing.T, rt *locale.Runtime, replicate bool) ([]uint64, int) {
+			m, maxBlock := distributeFor(rt, sparse.ErdosRenyi[float64](140, 5, 75), replicate)
+			d, rounds, err := SSSPDist(rt, m, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return floatBits(rounds, d), maxBlock
+		}},
+		{"pagerank", func(t *testing.T, rt *locale.Runtime, replicate bool) ([]uint64, int) {
+			m, maxBlock := distributeFor(rt, sparse.ErdosRenyi[float64](120, 4, 77), replicate)
+			r, iters, err := PageRankDist(rt, m, 0.85, 1e-8, 60)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return floatBits(iters, r), maxBlock
+		}},
+		{"cc", func(t *testing.T, rt *locale.Runtime, replicate bool) ([]uint64, int) {
+			m, maxBlock := distributeFor(rt, sparse.ErdosRenyi[int64](130, 3, 79), replicate)
+			labels, _, rounds, err := ccDistInit(rt, m, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bits := []uint64{uint64(rounds)}
+			for _, l := range labels {
+				bits = append(bits, uint64(l))
+			}
+			return bits, maxBlock
+		}},
+	}
+}
+
 // TestChaosPolicyMatrix is the CI chaos-matrix entry point: CHAOS_SEED and
-// CHAOS_POLICY select the cell. Without env vars it runs the default seed
-// under redistribution, so it is also exercised by a plain `go test`.
+// CHAOS_POLICY select the cell. Without them it runs every policy at the
+// default seed, so it is also exercised by a plain `go test`. Every algorithm
+// on the round driver must recover exactly once; the exact policies must
+// reproduce the clean run's values and round count bit for bit, failover
+// moving at most two blocks, and best effort must account the block it lost.
 func TestChaosPolicyMatrix(t *testing.T) {
 	plan := chaosPlan()
 	if s := os.Getenv("CHAOS_SEED"); s != "" {
@@ -217,38 +304,38 @@ func TestChaosPolicyMatrix(t *testing.T) {
 		}
 		plan.Seed = v
 	}
-	pol := fault.PolicyRedistribute
+	pols := []fault.RecoveryPolicy{fault.PolicyRedistribute, fault.PolicyFailover, fault.PolicyBestEffort}
 	if s := os.Getenv("CHAOS_POLICY"); s != "" {
-		var err error
-		if pol, err = fault.ParseRecoveryPolicy(s); err != nil {
+		pol, err := fault.ParseRecoveryPolicy(s)
+		if err != nil {
 			t.Fatal(err)
 		}
+		pols = []fault.RecoveryPolicy{pol}
 	}
-	a0 := sparse.ErdosRenyi[int64](150, 5, 71)
-	clean := newRT(t, 6)
-	want, err := BFSDist(clean, dist.MatFromCSR(clean, a0), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chaotic := newRT(t, 6).WithFault(plan)
-	chaotic.Recovery = pol
-	m := dist.MatFromCSR(chaotic, a0)
-	if pol == fault.PolicyFailover {
-		dist.ReplicateMat(chaotic, m)
-	}
-	got, err := BFSDist(chaotic, m, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pol != fault.PolicyBestEffort {
-		for v := range want.Level {
-			if got.Level[v] != want.Level[v] {
-				t.Fatalf("seed %d policy %v: level[%d] = %d, want %d",
-					plan.Seed, pol, v, got.Level[v], want.Level[v])
-			}
+	for _, pol := range pols {
+		for _, c := range policyCases() {
+			t.Run(c.name+"/"+pol.String(), func(t *testing.T) {
+				clean := newRT(t, 6)
+				want, _ := c.run(t, clean, false)
+				chaotic := newRT(t, 6).WithFault(plan)
+				chaotic.Recovery = pol
+				got, maxBlock := c.run(t, chaotic, pol == fault.PolicyFailover)
+				checkChaos(t, clean, chaotic)
+				r := checkOneRecovery(t, chaotic, pol)
+				t.Logf("seed=%d mttr=%.0fns moved=%dB", plan.Seed, r.MTTRNS(), r.MovedBytes)
+				if pol == fault.PolicyBestEffort {
+					if r.RetainedNNZ >= r.TotalNNZ {
+						t.Errorf("retained %d of %d nnz: the lost block must be accounted", r.RetainedNNZ, r.TotalNNZ)
+					}
+					return
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("seed %d: values or round count differ from the clean run's", plan.Seed)
+				}
+				if moved := r.MovedBytes / dist.ReplicaElemBytes; pol == fault.PolicyFailover && moved > int64(2*maxBlock) {
+					t.Errorf("failover moved %d elements, want at most two blocks (%d)", moved, 2*maxBlock)
+				}
+			})
 		}
 	}
-	checkChaos(t, clean, chaotic)
-	r := checkOneRecovery(t, chaotic, pol)
-	t.Logf("seed=%d policy=%v mttr=%.0fns moved=%dB", plan.Seed, pol, r.MTTRNS(), r.MovedBytes)
 }

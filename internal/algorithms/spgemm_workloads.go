@@ -49,22 +49,6 @@ func distStructural[U, T semiring.Number](rt *locale.Runtime, a *dist.Mat[T]) *d
 	return out
 }
 
-// recoverOnce wraps one locale loss under the runtime's recovery policy:
-// it recovers m and reports whether the caller should retry the failed
-// SpGEMM. A second loss, or any non-loss error, propagates.
-func recoverOnce(rt *locale.Runtime, m *dist.Mat[int64], recovered *bool, err error) (*dist.Mat[int64], error) {
-	lost := lostLocale(err)
-	if lost < 0 || *recovered {
-		return nil, err
-	}
-	*recovered = true
-	nm, _, rerr := core.Recover(rt, m, lost)
-	if rerr != nil {
-		return nil, rerr
-	}
-	return nm, nil
-}
-
 // TriangleCountDist counts the triangles of a simple undirected graph whose
 // symmetric adjacency matrix is 2-D block-distributed, with the masked
 // distributed SUMMA formulation sum(A .* (A·A)) / 6. A locale lost
@@ -76,26 +60,20 @@ func TriangleCountDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T]) (i
 		return 0, fmt.Errorf("algorithms: TriangleCountDist: matrix must be square")
 	}
 	p := distStructural[int64](rt, a)
-	recovered := false
-	for {
-		if err := rt.Canceled(); err != nil {
-			return 0, fmt.Errorf("algorithms: TriangleCountDist: %w", err)
-		}
+	var total int64
+	_, err := runRounds(rt, "TriangleCountDist", &p, checkpoint{}, func(int) (bool, error) {
 		c, err := core.SpGEMMDistMasked(rt, p, p, p, semiring.PlusTimes[int64]())
 		if err != nil {
-			if p, err = recoverOnce(rt, p, &recovered, err); err != nil {
-				return 0, err
-			}
-			continue
+			return false, err
 		}
-		var total int64
 		for _, blk := range c.Blocks {
 			for _, v := range blk.Val {
 				total += v
 			}
 		}
-		return total / 6, nil
-	}
+		return true, nil
+	})
+	return total / 6, err
 }
 
 // KTrussDist computes the k-truss of a distributed symmetric adjacency
@@ -113,20 +91,11 @@ func KTrussDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], k int) (*
 	}
 	minSupport := int64(k - 2)
 	cur := distStructural[int64](rt, a)
-	recovered := false
-	rounds := 0
-	for {
-		if err := rt.Canceled(); err != nil {
-			return nil, 0, fmt.Errorf("algorithms: KTrussDist: %w", err)
-		}
-		rounds++
+	var out *dist.Mat[int64]
+	rounds, err := runRounds(rt, "KTrussDist", &cur, checkpoint{}, func(int) (bool, error) {
 		support, err := core.SpGEMMDistMasked(rt, cur, cur, cur, semiring.PlusTimes[int64]())
 		if err != nil {
-			if cur, err = recoverOnce(rt, cur, &recovered, err); err != nil {
-				return nil, 0, err
-			}
-			rounds--
-			continue
+			return false, err
 		}
 		// Block-local prune: keep edges whose support meets the threshold.
 		next := &dist.Mat[int64]{
@@ -161,10 +130,12 @@ func KTrussDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], k int) (*
 			dropped = true
 		}
 		if !dropped {
-			return support, rounds, nil
+			out = support
+			return true, nil
 		}
 		if next.NNZ() == 0 {
-			return next, rounds, nil
+			out = next
+			return true, nil
 		}
 		// Pattern for the next round carries 1s; supports are recomputed.
 		for _, nb := range next.Blocks {
@@ -173,7 +144,12 @@ func KTrussDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], k int) (*
 			}
 		}
 		cur = next
+		return false, nil
+	})
+	if err != nil {
+		return nil, 0, err
 	}
+	return out, rounds, nil
 }
 
 // MSBFSDist runs breadth-first search from every source at once as SpGEMM

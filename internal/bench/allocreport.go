@@ -107,8 +107,6 @@ func MeasureAllocs() (AllocReport, error) {
 	// Fused BFS push step: the SpMSpV product comes from the arena and the
 	// frontier is rebuilt in place, so a warm call allocates nothing. The
 	// traversal state rewinds between runs on its high-water buffers.
-	fusedCfg := cfg
-	fusedCfg.Fused = true
 	const fsrc = 3
 	frontier := sparse.NewVec[int64](5000)
 	visited := sparse.NewDense[int64](5000)
@@ -127,11 +125,11 @@ func MeasureAllocs() (AllocReport, error) {
 	}
 	for i := 0; i < allocWarmups; i++ {
 		fusedReset()
-		core.FusedPushStepShm(a, frontier, visited, 1, flv, fpar, fusedCfg)
+		core.FusedPushStepShm(a, frontier, visited, 1, flv, fpar, cfg)
 	}
 	add("spmspv_fused", func() {
 		fusedReset()
-		core.FusedPushStepShm(a, frontier, visited, 1, flv, fpar, fusedCfg)
+		core.FusedPushStepShm(a, frontier, visited, 1, flv, fpar, cfg)
 	})
 
 	// Fusion planner: descriptors in, regions out of a warm buffer.

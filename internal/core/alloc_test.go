@@ -174,7 +174,6 @@ func TestFusedPushStepShmZeroAllocSteadyState(t *testing.T) {
 		Sim:     rt.S,
 		Pool:    rt.WP,
 		Scratch: rt.Scratch,
-		Fused:   true,
 	}
 	frontier := sparse.NewVec[int64](n)
 	visited := sparse.NewDense[int64](n)

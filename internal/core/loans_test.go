@@ -44,7 +44,7 @@ func TestArenaLoansBalanceAfterEveryKernel(t *testing.T) {
 			"FusedSpMVUpdate":    func() { _ = FusedSpMVUpdate(rt, a, xd, sr, func(int, int, int64) {}) },
 			"FusedBFSRound": func() {
 				f := dist.SpVecFromVec(rt, x0)
-				FusedBFSRound(rt, a, f, mask, false, 1, levels, parents)
+				FusedBFSRound(rt, a, f, mask, 1, levels, parents)
 			},
 			"FusedSpMSpVMaskedAssign": func() { FusedSpMSpVMaskedAssign(rt, a, x, mask, dst) },
 			"FusedSpMSpVFilterAssign": func() { FusedSpMSpVFilterAssign(rt, a, x, mask, pred, dst) },

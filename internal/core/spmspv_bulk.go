@@ -65,7 +65,7 @@ func SpMSpVDistBulk[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *di
 
 	// Step 2: local multiply, with the engine the runtime selects.
 	rt.S.BeginPhase("Local Multiply")
-	lys := multiplyBlocks(rt, a, lxs, nil, false, &st)
+	lys := multiplyBlocks(rt, a, lxs, nil, &st)
 
 	// Step 3: scatter through the destination-owned merge collective.
 	rt.S.BeginPhase("Scatter Output")

@@ -26,9 +26,8 @@ type spmspvPlan struct {
 	comm inspect.Comm
 	// mask, when non-nil, is broadcast down the grid columns and filters every
 	// local product before the scatter: an entry at column j survives when
-	// (mask[j] != 0) == keep.
+	// mask[j] == 0 (the complemented mask).
 	mask *dist.DenseVec[int64]
-	keep bool
 }
 
 // spmspvRun is the paper's Listing 8, written once: every distributed
@@ -62,7 +61,7 @@ func spmspvRun[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.Sp
 	lxs := gatherRowBands(rt, a, x, bulk, st)
 
 	rt.S.BeginPhase("Local Multiply")
-	lys := multiplyBlocks(rt, a, lxs, bandMask, p.keep, st)
+	lys := multiplyBlocks(rt, a, lxs, bandMask, st)
 
 	rt.S.BeginPhase("Scatter Output")
 	spa := sparse.GetBucketSPA[int64](rt.Scratch, a.NCols, 1, 1)
@@ -240,10 +239,10 @@ func blockShmConfig(rt *locale.Runtime, l int) ShmConfig {
 // rewrites the discovered row ids to global vertex ids. When bandMask is
 // non-nil the replicated mask segment filters the local product before the
 // scatter (and is recycled afterwards): an entry at band-local position lj
-// survives when (seg[lj] != 0) == keep. The mask is position-only, so
+// survives when seg[lj] == 0. The mask is position-only, so
 // filtering before the first-wins scatter claims exactly the positions a
 // multiply-then-filter chain keeps, with the same winning values.
-func multiplyBlocks[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], lxs []*sparse.Vec[T], bandMask [][]int64, keep bool, st *DistStats) []*sparse.Vec[int64] {
+func multiplyBlocks[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], lxs []*sparse.Vec[T], bandMask [][]int64, st *DistStats) []*sparse.Vec[int64] {
 	g := rt.G
 	lys := make([]*sparse.Vec[int64], g.P)
 	for l := 0; l < g.P; l++ {
@@ -262,7 +261,7 @@ func multiplyBlocks[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], lxs [
 		candidates := ly.NNZ()
 		filtered := sparse.GetVec[int64](rt.Scratch, ly.N) // recycled by the scatter
 		for k, lj := range ly.Ind {
-			if (seg[lj] != 0) != keep {
+			if seg[lj] != 0 {
 				continue
 			}
 			filtered.Ind = append(filtered.Ind, lj)

@@ -127,29 +127,24 @@ func fusedApplyScanPar[T semiring.Number](rt *locale.Runtime, lx *sparse.Vec[T],
 // own spawn/barrier, and materializes two intermediate vectors this kernel
 // never builds.
 //
-// mask is the dense visited bookkeeping vector: an output position survives
-// when (mask[j] != 0) == keepNonzero (keepNonzero=true for BFSDist's
-// notVisited vector, false for BFSDistMasked's visited vector). Survivors
-// have levels[j] and parents[j] set, their mask slot flipped, and become the
-// next frontier, written into frontier in place (the gather has copied the
-// current frontier before the rewrite). Because the mask depends only on
-// position, filtering before the first-wins scatter is exact.
+// visited is the dense bookkeeping vector (1 = discovered): an output
+// position survives when visited[j] == 0. Survivors have levels[j] and
+// parents[j] set, their visited flag set, and become the next frontier,
+// written into frontier in place (the gather has copied the current frontier
+// before the rewrite). Because the mask depends only on position, filtering
+// before the first-wins scatter is exact.
 //
 // Returns the size of the new frontier; when it is zero no state is mutated
 // (the eager loop breaks before its updates in that case).
-func FusedBFSRound[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], frontier *dist.SpVec[T], mask *dist.DenseVec[int64], keepNonzero bool, level int64, levels, parents []int64) (int, DistStats) {
+func FusedBFSRound[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], frontier *dist.SpVec[T], visited *dist.DenseVec[int64], level int64, levels, parents []int64) (int, DistStats) {
 	defer rt.Span("FusedBFSRound",
 		trace.T("recipe", RecipeSpMSpVFrontier.String()),
 		trace.T("engine", Engine(rt.ShmEngine).String())).End()
 	var st DistStats
 	choice, est, dsp := spmspvCommChoice(rt, "FusedBFSRound", a, frontier)
 	defer dsp.End()
-	newMask := int64(0)
-	if !keepNonzero {
-		newMask = 1
-	}
 	found := 0
-	spmspvRun(rt, a, frontier, spmspvPlan{comm: choice, mask: mask, keep: keepNonzero}, &st, func(isthere []bool, value []int64, claimed int) {
+	spmspvRun(rt, a, frontier, spmspvPlan{comm: choice, mask: visited}, &st, func(isthere []bool, value []int64, claimed int) {
 		found = claimed
 		if claimed == 0 {
 			return // nothing is mutated: the eager loop breaks before its updates
@@ -164,8 +159,8 @@ func FusedBFSRound[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], fronti
 			lv := frontier.Loc[l]
 			lv.Ind = lv.Ind[:0]
 			lv.Val = lv.Val[:0]
-			seg := mask.Loc[l]
-			mbase := mask.Bounds[l]
+			seg := visited.Loc[l]
+			mbase := visited.Bounds[l]
 			for gj := bounds[l]; gj < bounds[l+1]; gj++ {
 				if !isthere[gj] {
 					continue
@@ -173,7 +168,7 @@ func FusedBFSRound[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], fronti
 				isthere[gj] = false
 				levels[gj] = level
 				parents[gj] = value[gj]
-				seg[gj-mbase] = newMask
+				seg[gj-mbase] = 1
 				lv.Ind = append(lv.Ind, gj)
 				lv.Val = append(lv.Val, T(1))
 			}
@@ -293,8 +288,8 @@ func chargeFusedInstall(rt *locale.Runtime, l, installed int, st *DistStats) {
 // update may overwrite x — SSSPDist and CCDist write their next changed set
 // there: spmvStages has released its gathered copy (in.release) before it emits.
 //
-// Collective errors surface before any update runs, so callers' restore /
-// resume recovery closures behave as with the eager SpMVDist.
+// Collective errors surface before any update runs, so a caller's recovery
+// (the algorithms' round loop) sees the state as the eager SpMVDist leaves it.
 func FusedSpMVUpdate[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.DenseVec[T], sr semiring.Semiring[T], update func(l, gi int, v T)) error {
 	defer rt.Span("FusedSpMVUpdate", trace.T("recipe", RecipeSpMVUpdate.String())).End()
 	if x.N != a.NRows {

@@ -11,8 +11,7 @@ func TestSpMSpVDistMaskedMatchesFilteredReference(t *testing.T) {
 	a0 := sparse.ErdosRenyi[int64](173, 6, 71)
 	x0 := sparse.RandomVec[int64](173, 25, 72)
 	mask0 := sparse.RandomBoolDense[int64](173, 0.5, 73)
-	keepZero := false
-	want := restrict(RefSpMSpVPattern(a0, x0), mask0.Data, &keepZero)
+	want := restrict(RefSpMSpVPattern(a0, x0), mask0.Data, true)
 	for _, p := range []int{1, 2, 4, 6, 9} {
 		rt := newRT(t, p, 24)
 		a := dist.MatFromCSR(rt, a0)

@@ -20,21 +20,21 @@ import (
 // deterministic — equal SpMSpVDist's output restricted the same way, bit for
 // bit. Every call must hand back all its arena loans.
 
-// pipelineVariant is one entry point under test. keep is nil for an unmasked
-// product; otherwise an entry at column j survives when (mask[j] != 0) ==
-// *keep. run returns the product and its stats.
+// pipelineVariant is one entry point under test. A masked variant keeps the
+// entries at columns j with mask[j] == 0, an unmasked one all of them. run
+// returns the product and its stats.
 type pipelineVariant struct {
-	name string
-	keep *bool
-	run  func(t *testing.T, rt *locale.Runtime, a *dist.Mat[int64], x *dist.SpVec[int64], mask *dist.DenseVec[int64]) (*sparse.Vec[int64], DistStats)
+	name   string
+	masked bool
+	run    func(t *testing.T, rt *locale.Runtime, a *dist.Mat[int64], x *dist.SpVec[int64], mask *dist.DenseVec[int64]) (*sparse.Vec[int64], DistStats)
 }
 
-// restrict keeps the entries of v that a variant with the given mask
-// polarity keeps (all of them when keep is nil).
-func restrict(v *sparse.Vec[int64], mask []int64, keep *bool) *sparse.Vec[int64] {
+// restrict keeps the entries of v that a variant keeps: those at columns the
+// mask leaves zero when masked, all of them otherwise.
+func restrict(v *sparse.Vec[int64], mask []int64, masked bool) *sparse.Vec[int64] {
 	out := sparse.NewVec[int64](v.N)
 	for k, j := range v.Ind {
-		if keep == nil || (mask[j] != 0) == *keep {
+		if !masked || mask[j] == 0 {
 			out.Ind = append(out.Ind, j)
 			out.Val = append(out.Val, v.Val[k])
 		}
@@ -43,70 +43,62 @@ func restrict(v *sparse.Vec[int64], mask []int64, keep *bool) *sparse.Vec[int64]
 }
 
 func pipelineVariants() []pipelineVariant {
-	keepZero, keepNonzero := false, true
-	bfsRound := func(keep bool) func(*testing.T, *locale.Runtime, *dist.Mat[int64], *dist.SpVec[int64], *dist.DenseVec[int64]) (*sparse.Vec[int64], DistStats) {
-		return func(t *testing.T, rt *locale.Runtime, a *dist.Mat[int64], x *dist.SpVec[int64], mask *dist.DenseVec[int64]) (*sparse.Vec[int64], DistStats) {
-			n := a.NCols
-			levels, parents := make([]int64, n), make([]int64, n)
-			for i := range levels {
-				levels[i], parents[i] = -1, -1
-			}
-			before := mask.ToDense().Data
-			found, st := FusedBFSRound(rt, a, x, mask, keep, 3, levels, parents)
-			// x is now the next frontier; its columns carry the parents.
-			next := x.ToVec()
-			if found != next.NNZ() {
-				t.Fatalf("FusedBFSRound reported %d survivors, frontier holds %d", found, next.NNZ())
-			}
-			out := sparse.NewVec[int64](n)
-			flipped := int64(1)
-			if keep {
-				flipped = 0
-			}
-			after := mask.ToDense().Data
-			for _, j := range next.Ind {
-				if levels[j] != 3 || after[j] != flipped {
-					t.Fatalf("survivor %d: level %d, mask %d; want 3, %d", j, levels[j], after[j], flipped)
-				}
-				out.Ind = append(out.Ind, j)
-				out.Val = append(out.Val, parents[j])
-			}
-			for j := range after {
-				if levels[j] != 3 && after[j] != before[j] {
-					t.Fatalf("non-survivor %d: mask changed %d -> %d", j, before[j], after[j])
-				}
-			}
-			return out, st
+	bfsRound := func(t *testing.T, rt *locale.Runtime, a *dist.Mat[int64], x *dist.SpVec[int64], mask *dist.DenseVec[int64]) (*sparse.Vec[int64], DistStats) {
+		n := a.NCols
+		levels, parents := make([]int64, n), make([]int64, n)
+		for i := range levels {
+			levels[i], parents[i] = -1, -1
 		}
+		before := mask.ToDense().Data
+		found, st := FusedBFSRound(rt, a, x, mask, 3, levels, parents)
+		// x is now the next frontier; its columns carry the parents.
+		next := x.ToVec()
+		if found != next.NNZ() {
+			t.Fatalf("FusedBFSRound reported %d survivors, frontier holds %d", found, next.NNZ())
+		}
+		out := sparse.NewVec[int64](n)
+		after := mask.ToDense().Data
+		for _, j := range next.Ind {
+			if levels[j] != 3 || after[j] != 1 {
+				t.Fatalf("survivor %d: level %d, mask %d; want 3, 1", j, levels[j], after[j])
+			}
+			out.Ind = append(out.Ind, j)
+			out.Val = append(out.Val, parents[j])
+		}
+		for j := range after {
+			if levels[j] != 3 && after[j] != before[j] {
+				t.Fatalf("non-survivor %d: mask changed %d -> %d", j, before[j], after[j])
+			}
+		}
+		return out, st
 	}
 	return []pipelineVariant{
-		{"SpMSpVDist", nil, func(t *testing.T, rt *locale.Runtime, a *dist.Mat[int64], x *dist.SpVec[int64], _ *dist.DenseVec[int64]) (*sparse.Vec[int64], DistStats) {
+		{"SpMSpVDist", false, func(t *testing.T, rt *locale.Runtime, a *dist.Mat[int64], x *dist.SpVec[int64], _ *dist.DenseVec[int64]) (*sparse.Vec[int64], DistStats) {
 			y, st := SpMSpVDist(rt, a, x)
 			return y.ToVec(), st
 		}},
-		{"SpMSpVDistMasked", &keepZero, func(t *testing.T, rt *locale.Runtime, a *dist.Mat[int64], x *dist.SpVec[int64], mask *dist.DenseVec[int64]) (*sparse.Vec[int64], DistStats) {
+		{"SpMSpVDistMasked", true, func(t *testing.T, rt *locale.Runtime, a *dist.Mat[int64], x *dist.SpVec[int64], mask *dist.DenseVec[int64]) (*sparse.Vec[int64], DistStats) {
 			y, st := SpMSpVDistMasked(rt, a, x, mask)
 			return y.ToVec(), st
 		}},
-		{"SpMSpVDistBulk", nil, func(t *testing.T, rt *locale.Runtime, a *dist.Mat[int64], x *dist.SpVec[int64], _ *dist.DenseVec[int64]) (*sparse.Vec[int64], DistStats) {
+		{"SpMSpVDistBulk", false, func(t *testing.T, rt *locale.Runtime, a *dist.Mat[int64], x *dist.SpVec[int64], _ *dist.DenseVec[int64]) (*sparse.Vec[int64], DistStats) {
 			y, st, err := SpMSpVDistBulk(rt, a, x)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return y.ToVec(), st
 		}},
-		{"SpMSpVDistAuto", nil, func(t *testing.T, rt *locale.Runtime, a *dist.Mat[int64], x *dist.SpVec[int64], _ *dist.DenseVec[int64]) (*sparse.Vec[int64], DistStats) {
+		{"SpMSpVDistAuto", false, func(t *testing.T, rt *locale.Runtime, a *dist.Mat[int64], x *dist.SpVec[int64], _ *dist.DenseVec[int64]) (*sparse.Vec[int64], DistStats) {
 			y, st := SpMSpVDistAuto(rt, a, x)
 			return y.ToVec(), st
 		}},
-		{"FusedBFSRound/keep-nonzero", &keepNonzero, bfsRound(true)},
-		{"FusedBFSRound/keep-zero", &keepZero, bfsRound(false)},
-		{"FusedSpMSpVMaskedAssign", &keepZero, func(t *testing.T, rt *locale.Runtime, a *dist.Mat[int64], x *dist.SpVec[int64], mask *dist.DenseVec[int64]) (*sparse.Vec[int64], DistStats) {
+		{"FusedBFSRound/keep-zero", true, bfsRound},
+		{"FusedSpMSpVMaskedAssign", true, func(t *testing.T, rt *locale.Runtime, a *dist.Mat[int64], x *dist.SpVec[int64], mask *dist.DenseVec[int64]) (*sparse.Vec[int64], DistStats) {
 			dst := dist.NewSpVec[int64](rt, a.NCols)
 			st := FusedSpMSpVMaskedAssign(rt, a, x, mask, dst)
 			return dst.ToVec(), st
 		}},
-		{"FusedSpMSpVFilterAssign", &keepZero, func(t *testing.T, rt *locale.Runtime, a *dist.Mat[int64], x *dist.SpVec[int64], mask *dist.DenseVec[int64]) (*sparse.Vec[int64], DistStats) {
+		{"FusedSpMSpVFilterAssign", true, func(t *testing.T, rt *locale.Runtime, a *dist.Mat[int64], x *dist.SpVec[int64], mask *dist.DenseVec[int64]) (*sparse.Vec[int64], DistStats) {
 			dst := dist.NewSpVec[int64](rt, a.NCols)
 			st := FusedSpMSpVFilterAssign(rt, a, x, mask, func(_, m int64) bool { return m == 0 }, dst)
 			return dst.ToVec(), st
@@ -140,7 +132,7 @@ func TestSpMSpVPipelineDifferential(t *testing.T) {
 					if err := got.Validate(); err != nil {
 						t.Fatal(err)
 					}
-					want := restrict(ref, mask0.Data, v.keep)
+					want := restrict(ref, mask0.Data, v.masked)
 					if len(got.Ind) != len(want.Ind) {
 						t.Fatalf("pattern size %d, want %d", len(got.Ind), len(want.Ind))
 					}
@@ -154,7 +146,7 @@ func TestSpMSpVPipelineDifferential(t *testing.T) {
 							t.Fatalf("column %d: discoverer %d has no edge to it", j, rid)
 						}
 					}
-					if !got.Equal(restrict(baseline, mask0.Data, v.keep)) {
+					if !got.Equal(restrict(baseline, mask0.Data, v.masked)) {
 						t.Fatal("entries differ from SpMSpVDist's at one worker")
 					}
 					if st.NnzOut != got.NNZ() || st.GatheredElems != bst.GatheredElems {

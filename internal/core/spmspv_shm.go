@@ -98,11 +98,6 @@ type ShmConfig struct {
 	// out of it, making steady-state calls allocation-free. Nil degrades
 	// every checkout to a plain allocation.
 	Scratch *sparse.ScratchPool
-	// Fused routes the shared-memory algorithm loops (BFSShm, the DOBFS push
-	// step) through the fused push-step kernel (FusedPushStepShm) instead of
-	// the eager SpMSpVMasked + update chain. Results are bitwise identical;
-	// the fused path skips the intermediate masked product.
-	Fused bool
 	// Insp is the optional inspector consulted by the direction-optimizing
 	// BFS to pick push vs pull per round (and by future shared-memory
 	// dispatch sites). Nil keeps the legacy alpha-threshold rule.
