@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/inspect"
 	"repro/internal/locale"
 	"repro/internal/semiring"
 	"repro/internal/sparse"
@@ -366,5 +367,138 @@ func TestArenaMixedTypesAndCollections(t *testing.T) {
 	}
 	if n := rt.Scratch.Outstanding(); n != 0 {
 		t.Errorf("%d arena loans outstanding", n)
+	}
+}
+
+// The tests below hold the pins the allocation report
+// (internal/bench/allocreport.go) records for its inspector, streaming and
+// distributed-round kernels, on the report's own inputs and at its values.
+
+// TestInspectorDispatchZeroAllocSteadyState: pricing both communication
+// variants, recording the decision and feeding back the observed cost all
+// run on the inspector's fixed ring and calibration arrays.
+func TestInspectorDispatchZeroAllocSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include race-runtime shadow allocations")
+	}
+	rt := newRT(t, 4, 24)
+	rt.Insp = inspect.New(inspect.Strategy{})
+	a := dist.MatFromCSR(rt, sparse.ErdosRenyi[int64](8000, 8, 7))
+	x := dist.SpVecFromVec(rt, sparse.RandomVec[int64](8000, 1500, 4))
+	dispatch := func() {
+		est := EstimateSpMSpVComm(rt, a, x)
+		choice := rt.Insp.DecideComm("SpMSpV", est.Fine, est.Bulk, ReasonSparseFrontier, ReasonDenseFrontier)
+		rt.Insp.Observe(inspect.AxisComm, uint8(choice), est.Fine, est.Fine)
+	}
+	for i := 0; i < warmups; i++ {
+		dispatch()
+	}
+	if avg := testing.AllocsPerRun(50, dispatch); avg != 0 {
+		t.Fatalf("an inspector dispatch allocates %.1f objects per steady-state call, want 0", avg)
+	}
+}
+
+// TestEpochIngestZeroAllocSteadyState: absorbing mutations appends into
+// retained delta buffers, and a steady-state epoch merge runs entirely on
+// recycled states, recycled block buffers and pooled scratch.
+func TestEpochIngestZeroAllocSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include race-runtime shadow allocations")
+	}
+	rt := newRT(t, 4, 24)
+	em := dist.NewEpochMat(dist.MatFromCSR(rt, sparse.ErdosRenyi[int64](2000, 8, 6)))
+	mutate := func() {
+		for k := 0; k < 64; k++ {
+			i, j := (k*7)%2000, (k*13+3)%2000
+			var err error
+			if k%8 == 0 {
+				err = em.Delete(i, j)
+			} else {
+				err = em.Update(i, j, int64(k))
+			}
+			if err != nil {
+				panic(err)
+			}
+		}
+	}
+	flush := func() {
+		if _, err := em.Flush(rt); err != nil {
+			panic(err)
+		}
+	}
+	mutate()
+	em.DiscardPending()
+	if avg := testing.AllocsPerRun(50, func() { mutate(); em.DiscardPending() }); avg != 0 {
+		t.Errorf("absorbing a mutation batch allocates %.1f objects per steady-state call, want 0", avg)
+	}
+	for i := 0; i < 2*dist.DefaultHistoryDepth+1; i++ {
+		mutate()
+		flush()
+	}
+	if avg := testing.AllocsPerRun(50, func() { mutate(); flush() }); avg != 0 {
+		t.Errorf("an epoch merge allocates %.1f objects per steady-state call, want 0", avg)
+	}
+}
+
+// spmvRoundPin is one SpMV round as SSSP, PageRank and CC run it, fused with
+// its update on a 2x2 grid whose inspector routes the input placement:
+// FusedSpMVUpdate's five objects (TestDistKernelAllocPins) and one more with
+// the inspector attached.
+const spmvRoundPin = 6
+
+func TestSpMVDistRoundAllocPin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include race-runtime shadow allocations")
+	}
+	rt := newRT(t, 4, 24)
+	rt.Insp = inspect.New(inspect.Strategy{})
+	sssp := semiring.MinPlus[float64]()
+	a := dist.MatFromCSR(rt, sparse.ErdosRenyi[float64](8000, 8, 11))
+	cur := dist.DenseVecFromDense(rt, sparse.NewDenseFill[float64](8000, 1.5))
+	var relaxed float64
+	round := func() {
+		if err := FusedSpMVUpdate(rt, a, cur, sssp, func(_, _ int, v float64) { relaxed += v }); err != nil {
+			panic(err)
+		}
+	}
+	for i := 0; i < warmups; i++ {
+		round()
+	}
+	if got := testing.AllocsPerRun(50, round); got > spmvRoundPin {
+		t.Fatalf("an SpMV round allocates %.0f objects per steady-state call, pinned at %d", got, spmvRoundPin)
+	}
+}
+
+// spgemmMixedPin is a float64 MxM and an int64 masked SpGEMM alternating on
+// one 2x2-grid runtime, a collection after each, on the allocation report's
+// 1500-vertex input: TestArenaMixedTypesAndCollections' 2 x spgemmPin, and
+// four more per call with an inspector choosing the broadcast placement.
+const spgemmMixedPin = 94
+
+func TestSpGEMMDistMixedAllocPin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include race-runtime shadow allocations")
+	}
+	rt := newRT(t, 4, 24)
+	rt.Insp = inspect.New(inspect.Strategy{})
+	srf, sri := semiring.PlusTimes[float64](), semiring.PlusTimes[int64]()
+	mf := dist.MatFromCSR(rt, sparse.ErdosRenyi[float64](1500, 6, 12))
+	mi := dist.MatFromCSR(rt, sparse.ErdosRenyi[int64](1500, 6, 12))
+	pair := func() {
+		if _, err := SpGEMMDist(rt, mf, mf, srf); err != nil {
+			panic(err)
+		}
+		runtime.GC()
+		if _, err := SpGEMMDistMasked(rt, mi, mi, mi, sri); err != nil {
+			panic(err)
+		}
+		runtime.GC()
+	}
+	for i := 0; i < warmups; i++ {
+		pair()
+	}
+	collections := testing.AllocsPerRun(20, func() { runtime.GC(); runtime.GC() })
+	if got := testing.AllocsPerRun(20, pair) - collections; got > spgemmMixedPin {
+		t.Fatalf("a float64/int64 pair of SUMMA calls allocates %.0f objects with a collection after each, pinned at %d", got, spgemmMixedPin)
 	}
 }

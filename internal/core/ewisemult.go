@@ -55,10 +55,13 @@ func EWiseMultSDInto[T semiring.Number](rt *locale.Runtime, x *dist.SpVec[T], y 
 		kept := 0
 		if rt.RealWorkers <= 1 {
 			// Sequential fast path: the "atomic" cursor degenerates to a plain
-			// counter and no closure is created.
+			// counter and no closure is created. Every position is written and
+			// the cursor advances only past survivors, so the predicate's
+			// outcome feeds a conditional add, not a mispredicted branch
+			// (kept <= k, so the write stays inside keepPos).
 			for k := 0; k < nnz; k++ {
+				keepPos[kept] = int32(k)
 				if pred(lx.Val[k], ly[lx.Ind[k]-base]) {
-					keepPos[kept] = int32(k)
 					kept++
 				}
 			}

@@ -12,23 +12,51 @@ import (
 // "true" (nonzero).
 func keepWhenTrue[T semiring.Number](_, y T) bool { return y != 0 }
 
+// TestEWiseMultSDMatchesReference drives the one-worker survivor cursor,
+// which writes at every position and advances only past survivors, through
+// predicates that keep everything, nothing, every other entry of x, and a
+// random half, plus an empty x.
 func TestEWiseMultSDMatchesReference(t *testing.T) {
 	x0 := sparse.RandomVec[int64](3000, 500, 13)
-	y0 := sparse.RandomBoolDense[int64](3000, 0.5, 14)
-	want := RefEWiseMultSD(x0, y0, keepWhenTrue[int64])
-	for _, p := range []int{1, 2, 4, 6, 9} {
-		rt := newRT(t, p, 24)
-		x := dist.SpVecFromVec(rt, x0)
-		y := dist.DenseVecFromDense(rt, y0)
-		z, err := EWiseMultSD(rt, x, y, keepWhenTrue[int64])
-		if err != nil {
-			t.Fatal(err)
+	// over marks y at the index of x's k-th entry when keep(k), so
+	// keepWhenTrue keeps exactly those entries.
+	over := func(keep func(k int) bool) *sparse.Dense[int64] {
+		y := sparse.NewDense[int64](x0.N)
+		for k, i := range x0.Ind {
+			if keep(k) {
+				y.Data[i] = 1
+			}
 		}
-		if err := z.Validate(); err != nil {
-			t.Fatalf("p=%d: %v", p, err)
-		}
-		if !z.ToVec().Equal(want) {
-			t.Fatalf("p=%d: EWiseMultSD differs from reference", p)
+		return y
+	}
+	random := sparse.RandomBoolDense[int64](3000, 0.5, 14)
+	for _, tc := range []struct {
+		name string
+		x    *sparse.Vec[int64]
+		y    *sparse.Dense[int64]
+	}{
+		{"all true", x0, over(func(int) bool { return true })},
+		{"all false", x0, over(func(int) bool { return false })},
+		{"alternating", x0, over(func(k int) bool { return k%2 == 1 })},
+		{"random half", x0, random},
+		{"empty x", sparse.NewVec[int64](3000), random},
+	} {
+		want := RefEWiseMultSD(tc.x, tc.y, keepWhenTrue[int64])
+		for _, p := range []int{1, 2, 4, 6, 9} {
+			rt := newRT(t, p, 24)
+			rt.RealWorkers = 1
+			x := dist.SpVecFromVec(rt, tc.x)
+			y := dist.DenseVecFromDense(rt, tc.y)
+			z, err := EWiseMultSD(rt, x, y, keepWhenTrue[int64])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := z.Validate(); err != nil {
+				t.Fatalf("%s, p=%d: %v", tc.name, p, err)
+			}
+			if !z.ToVec().Equal(want) {
+				t.Fatalf("%s, p=%d: EWiseMultSD differs from reference", tc.name, p)
+			}
 		}
 	}
 }

@@ -65,7 +65,6 @@ func spmspvBucket[T semiring.Number](a *sparse.CSR[T], x *sparse.Vec[T], cfg Shm
 		cfg.Sim.BeginPhase("Bucket Scatter")
 	}
 	spa := sparse.GetBucketSPA[int64](cfg.Scratch, a.NCols, workers, buckets)
-	claimed := 0
 	if workers <= 1 {
 		// One worker: append order is merge order, so claim straight into
 		// the dense scratch — first writer wins, as the merge would resolve
@@ -84,7 +83,6 @@ func spmspvBucket[T semiring.Number](a *sparse.CSR[T], x *sparse.Vec[T], cfg Shm
 				if !there[colid] {
 					there[colid] = true
 					val[colid] = int64(rid)
-					claimed++
 				}
 			}
 		}
@@ -115,7 +113,7 @@ func spmspvBucket[T semiring.Number](a *sparse.CSR[T], x *sparse.Vec[T], cfg Shm
 	y := sparse.GetVec[int64](cfg.Scratch, a.NCols)
 	var mst sparse.BucketMergeStats
 	if workers <= 1 {
-		y.Ind, y.Val, mst = spa.EmitDense(st.EntriesVisited, claimed, y.Ind, y.Val)
+		y.Ind, y.Val, mst = spa.EmitDense(st.EntriesVisited, y.Ind, y.Val)
 	} else {
 		y.Ind, y.Val, mst = spa.MergeInto(nil, cfg.Pool, workers, y.Ind, y.Val)
 	}
@@ -196,7 +194,6 @@ func spmspvBucketSemiring[T semiring.Number](a *sparse.CSR[T], x *sparse.Vec[T],
 		cfg.Sim.BeginPhase("Bucket Scatter")
 	}
 	spa := sparse.GetBucketSPA[T](cfg.Scratch, a.NCols, workers, buckets)
-	claimed := 0
 	if workers <= 1 {
 		// One worker: accumulate in append order straight into the dense
 		// scratch, as in spmspvBucket.
@@ -210,7 +207,7 @@ func spmspvBucketSemiring[T semiring.Number](a *sparse.CSR[T], x *sparse.Vec[T],
 			}
 			cols, vals := a.Row(rid)
 			seen += int64(len(cols))
-			claimed += rk.spaRow(val, there, cols, vals, x.Val[k], nil)
+			rk.spaRow(val, there, cols, vals, x.Val[k], nil)
 		}
 		st.EntriesVisited = seen
 	} else {
@@ -237,7 +234,7 @@ func spmspvBucketSemiring[T semiring.Number](a *sparse.CSR[T], x *sparse.Vec[T],
 	y := sparse.GetVec[T](cfg.Scratch, a.NCols)
 	var mst sparse.BucketMergeStats
 	if workers <= 1 {
-		y.Ind, y.Val, mst = spa.EmitDense(st.EntriesVisited, claimed, y.Ind, y.Val)
+		y.Ind, y.Val, mst = spa.EmitDense(st.EntriesVisited, y.Ind, y.Val)
 	} else {
 		y.Ind, y.Val, mst = spa.MergeInto(sr.Add.Op, cfg.Pool, workers, y.Ind, y.Val)
 	}

@@ -351,45 +351,48 @@ func sendSegment(rt *locale.Runtime, src, owner, segLen int, received []int64) {
 	}
 }
 
-// chargeBitmapScan charges locale l's pass over its items-long slice of the
-// global bitmap (the listing's denseToSparse scan, which every sink makes).
-func chargeBitmapScan(rt *locale.Runtime, l, items int) {
-	rt.S.Compute(l, rt.Threads, sim.Kernel{
-		Name:         "spmspv-densetosparse",
-		Items:        int64(items),
-		CPUPerItem:   costScanCPU,
-		BytesPerItem: 1,
-	})
+// harvestBitmap hands emit each locale's claimed positions of the global
+// bitmap, ascending, in locale order: one branch-free harvest of the
+// locale's owned range (bounds), which clears its flags and is charged as
+// that locale's pass over its slice (the listing's denseToSparse scan)
+// before emit runs. The positions buffer is an arena loan that emit must not
+// keep; the bitmap goes back to the arena clean.
+func harvestBitmap(rt *locale.Runtime, bounds []int, isthere []bool, emit func(l int, pos []int)) {
+	widest := 0
+	for l := 0; l < rt.G.P; l++ {
+		widest = max(widest, bounds[l+1]-bounds[l])
+	}
+	pos := sparse.GetSlice[int](rt.Scratch, widest)
+	for l := 0; l < rt.G.P; l++ {
+		lo, hi := bounds[l], bounds[l+1]
+		k := sparse.HarvestFlags(isthere[lo:hi], lo, pos)
+		rt.S.Compute(l, rt.Threads, sim.Kernel{
+			Name:         "spmspv-densetosparse",
+			Items:        int64(hi - lo),
+			CPUPerItem:   costScanCPU,
+			BytesPerItem: 1,
+		})
+		emit(l, pos[:k])
+	}
+	sparse.PutSlice(rt.Scratch, pos)
 }
 
 // denseToSparse converts the global SPA back to the block-distributed sparse
-// result (the listing's denseToSparse): each locale scans its owned range of
-// the bitmap, once to size its block and once to fill it, and clears the
-// flags behind it so the SPA goes back to the arena clean.
+// result (the listing's denseToSparse): each locale harvests its owned range
+// of the bitmap and copies the claimed positions and values into a block of
+// exactly that size.
 func denseToSparse[V semiring.Number](rt *locale.Runtime, n int, isthere []bool, value []V, st *DistStats) *dist.SpVec[V] {
-	g := rt.G
-	bounds := locale.BlockBounds(n, g.P)
-	y := &dist.SpVec[V]{G: g, N: n, Bounds: bounds, Loc: make([]*sparse.Vec[V], g.P)}
-	for l := 0; l < g.P; l++ {
-		lo, hi := bounds[l], bounds[l+1]
-		cnt := 0
-		for _, there := range isthere[lo:hi] {
-			if there {
-				cnt++
-			}
-		}
-		lv := &sparse.Vec[V]{N: n, Ind: make([]int, 0, cnt), Val: make([]V, 0, cnt)}
-		for gj := lo; gj < hi && len(lv.Ind) < cnt; gj++ {
-			if isthere[gj] {
-				isthere[gj] = false
-				lv.Ind = append(lv.Ind, gj)
-				lv.Val = append(lv.Val, value[gj])
-			}
+	bounds := locale.BlockBounds(n, rt.G.P)
+	y := &dist.SpVec[V]{G: rt.G, N: n, Bounds: bounds, Loc: make([]*sparse.Vec[V], rt.G.P)}
+	harvestBitmap(rt, bounds, isthere, func(l int, pos []int) {
+		lv := &sparse.Vec[V]{N: n, Ind: make([]int, len(pos)), Val: make([]V, len(pos))}
+		copy(lv.Ind, pos)
+		for k, gj := range pos {
+			lv.Val[k] = value[gj]
 		}
 		y.Loc[l] = lv
-		st.NnzOut += cnt
-		chargeBitmapScan(rt, l, hi-lo)
-	}
+		st.NnzOut += len(pos)
+	})
 	return y
 }
 

@@ -149,32 +149,26 @@ func FusedBFSRound[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], fronti
 		if claimed == 0 {
 			return // nothing is mutated: the eager loop breaks before its updates
 		}
-		// denseToSparse fused with the frontier update: each locale scans its
-		// owned range once, setting level/parent/mask and installing the
+		// denseToSparse fused with the frontier update: each locale harvests
+		// its owned range once, setting level/parent/mask and installing the
 		// survivor directly as the next frontier — the eager chain's separate
 		// EWiseMult scan and Assign rebuild collapse into this pass.
 		rt.S.BeginPhase("Frontier Update")
-		bounds := frontier.Bounds
-		for l := 0; l < rt.G.P; l++ {
+		harvestBitmap(rt, frontier.Bounds, isthere, func(l int, pos []int) {
 			lv := frontier.Loc[l]
 			lv.Ind = lv.Ind[:0]
 			lv.Val = lv.Val[:0]
 			seg := visited.Loc[l]
 			mbase := visited.Bounds[l]
-			for gj := bounds[l]; gj < bounds[l+1]; gj++ {
-				if !isthere[gj] {
-					continue
-				}
-				isthere[gj] = false
+			for _, gj := range pos {
 				levels[gj] = level
 				parents[gj] = value[gj]
 				seg[gj-mbase] = 1
 				lv.Ind = append(lv.Ind, gj)
 				lv.Val = append(lv.Val, T(1))
 			}
-			chargeBitmapScan(rt, l, bounds[l+1]-bounds[l])
 			chargeFusedInstall(rt, l, lv.NNZ(), &st)
-		}
+		})
 	})
 	est.observe(rt.Insp, choice, st)
 	return found, st
@@ -224,42 +218,34 @@ func FusedSpMSpVFilterAssign[T semiring.Number](rt *locale.Runtime, a *dist.Mat[
 	return st
 }
 
-// installInto is the assign recipes' sink: each locale scans its owned range
-// of the bitmap once and installs the claimed (position, value) pairs
+// installInto is the assign recipes' sink: each locale harvests its owned
+// range of the bitmap once and installs the claimed (position, value) pairs
 // straight into dst's local block, reusing its capacity. With a pred, only
-// the pairs for which pred(value, mask[j]) holds are installed, and the scan
-// also pays the eager EWiseMult's per-candidate charge.
+// the pairs for which pred(value, mask[j]) holds are installed, and the
+// harvest also pays the eager EWiseMult's per-candidate charge.
 func installInto(rt *locale.Runtime, dst *dist.SpVec[int64], isthere []bool, value []int64, mask *dist.DenseVec[int64], pred semiring.Pred[int64], st *DistStats) {
-	bounds := locale.BlockBounds(dst.N, rt.G.P)
-	for l := 0; l < rt.G.P; l++ {
+	harvestBitmap(rt, locale.BlockBounds(dst.N, rt.G.P), isthere, func(l int, pos []int) {
 		ld := dst.Loc[l]
 		ld.Ind = ld.Ind[:0]
 		ld.Val = ld.Val[:0]
-		candidates := 0
-		for gj := bounds[l]; gj < bounds[l+1]; gj++ {
-			if !isthere[gj] {
-				continue
-			}
-			isthere[gj] = false
-			candidates++
+		for _, gj := range pos {
 			if pred != nil && !pred(value[gj], mask.Loc[l][gj-mask.Bounds[l]]) {
 				continue
 			}
 			ld.Ind = append(ld.Ind, gj)
 			ld.Val = append(ld.Val, value[gj])
 		}
-		chargeBitmapScan(rt, l, bounds[l+1]-bounds[l])
 		if pred != nil {
 			rt.S.Compute(l, rt.Threads, sim.Kernel{
 				Name:           "ewisemult-scan",
-				Items:          int64(candidates),
+				Items:          int64(len(pos)),
 				CPUPerItem:     costEWiseCPU,
 				BytesPerItem:   costEWiseBytes,
 				AtomicsPerItem: costEWiseAtomics,
 			})
 		}
 		chargeFusedInstall(rt, l, ld.NNZ(), st)
-	}
+	})
 }
 
 // chargeFusedInstall charges locale l's direct install of installed

@@ -37,15 +37,74 @@ func appendChunked(s *BucketSPA[int64], inds []int, vals []int64) {
 // claim straight into the dense scratch, then one EmitDense scan.
 func emitDenseFirstWins(s *BucketSPA[int64], inds []int, vals []int64) ([]int, []int64, BucketMergeStats) {
 	val, there := s.Dense()
-	claimed := 0
 	for k, i := range inds {
 		if !there[i] {
 			there[i] = true
 			val[i] = vals[k]
-			claimed++
 		}
 	}
-	return s.EmitDense(int64(len(inds)), claimed, nil, nil)
+	return s.EmitDense(int64(len(inds)), nil, nil)
+}
+
+// naiveHarvest is the branching scan HarvestFlags replaces: base+i for every
+// set flags[i], ascending.
+func naiveHarvest(flags []bool, base int) []int {
+	var out []int
+	for i, f := range flags {
+		if f {
+			out = append(out, base+i)
+		}
+	}
+	return out
+}
+
+// checkHarvest runs HarvestFlags on a copy of flags and compares it with the
+// naive scan: same positions in the same order, same count, every flag
+// cleared afterwards.
+func checkHarvest(t *testing.T, flags []bool, base int) {
+	t.Helper()
+	want := naiveHarvest(flags, base)
+	got := slices.Clone(flags)
+	out := make([]int, len(flags))
+	k := HarvestFlags(got, base, out)
+	if k != len(want) || !slices.Equal(out[:k], want) {
+		t.Fatalf("HarvestFlags(len %d, base %d) = %v (count %d), want %v", len(flags), base, out[:k], k, want)
+	}
+	if i := slices.Index(got, true); i >= 0 {
+		t.Fatalf("HarvestFlags(len %d, base %d) left flag %d set", len(flags), base, i)
+	}
+}
+
+// TestHarvestFlagsEdges covers the harvest's boundary cases. The loop writes
+// every position, so only-last is the case where the final unconditional
+// write lands on the one slot that holds a result.
+func TestHarvestFlagsEdges(t *testing.T) {
+	only := func(n, i int) []bool {
+		f := make([]bool, n)
+		f[i] = true
+		return f
+	}
+	all := make([]bool, 9)
+	for i := range all {
+		all[i] = true
+	}
+	for _, tc := range []struct {
+		name  string
+		flags []bool
+	}{
+		{"empty", []bool{}},
+		{"none set", make([]bool, 9)},
+		{"all set", all},
+		{"only first", only(9, 0)},
+		{"only last", only(9, 8)},
+		{"single set", only(1, 0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, base := range []int{0, 1000} {
+				checkHarvest(t, tc.flags, base)
+			}
+		})
+	}
 }
 
 func TestBucketSPAFirstWins(t *testing.T) {

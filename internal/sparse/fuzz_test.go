@@ -73,7 +73,8 @@ func FuzzReadBinaryVec(f *testing.F) {
 // (n, nnz, workers, buckets) shapes and a seeded entry stream: the output
 // must always be sorted, duplicate-free, and bitwise identical to the
 // sequential SPA + merge-sort reference (the merge-sort engine's resolution
-// of the same stream).
+// of the same stream). The stream's claim bitmap, harvested at a non-zero
+// base, must match the naive scan.
 func FuzzBucketSPA(f *testing.F) {
 	f.Add(uint16(100), uint16(500), uint8(1), uint8(1), int64(1))
 	f.Add(uint16(1000), uint16(200), uint8(4), uint8(16), int64(2))
@@ -92,6 +93,12 @@ func FuzzBucketSPA(f *testing.F) {
 			vals[k] = r.Int63n(1 << 20)
 		}
 		wantInd, wantVal := bucketReference(n, inds, vals, true)
+
+		flags := make([]bool, n)
+		for _, i := range inds {
+			flags[i] = true
+		}
+		checkHarvest(t, flags, int(uint64(seed)%1000)+1)
 
 		s := NewBucketSPA[int64](n, workers, buckets)
 		appendChunked(s, inds, vals)
