@@ -4,7 +4,7 @@ GO ?= go
 # go test that fails when a -run pattern matches no test in a listed package.
 GOTEST_STRICT = GO="$(GO)" ./scripts/gotest_strict.sh
 
-.PHONY: all build vet test test-short race bench bench-smoke bench-gate bench-baseline bench-e2e bench-e2e-test fuzz-smoke chaos-matrix spgemm-accept serve-accept figures figures-check figures-paper ablations clean
+.PHONY: all build vet test test-short race bench bench-e2e bench-e2e-test fuzz-smoke chaos-matrix spgemm-accept serve-accept figures figures-check figures-paper ablations clean
 
 all: build vet test
 
@@ -45,36 +45,6 @@ figures-paper:
 
 ablations:
 	$(GO) run ./cmd/gbbench -figure ablgather,ablsort,ablatomic,ablgrid,ablengine,ablbulk -scale paper
-
-# The CI smoke benchmark: SpMSpV kernel microbenchmarks once each, plus the
-# Fig 7 / engine / bulk / fusion figures at small scale into BENCH_spmspv.json
-# and their trace spans into trace_smoke.json. -trace-expect fails the run if
-# any listed kernel stops reporting spans or the inspector stops tagging
-# dispatch decisions ('strategy='). The second run regenerates the fusion
-# ablation alone into BENCH_fusion.json (eager vs fused series per algorithm);
-# the third sweeps the inspector ablation (pins vs auto per dispatch axis)
-# into BENCH_inspector.json; the fourth writes the SUMMA figure (stage times and
-# the masked triangle count), which the gate reads beside BENCH_spmspv.json.
-bench-smoke:
-	$(GO) test -run '^$$' -bench SpMSpV -benchtime 1x ./...
-	$(GO) run ./cmd/gbbench -figure fig7,ablengine,ablbulk,ablfuse,ablinspect -scale small -json BENCH_spmspv.json -q \
-		-alloc-out BENCH_alloc.json \
-		-trace-out trace_smoke.json \
-		-trace-expect SpMSpVShm,SpMSpVDist,SpMSpVDistBulk,SparseRowAllGather,ColMergeScatter,FusedBFSRound,FusedSpMVUpdate,strategy=,reason=
-	$(GO) run ./cmd/gbbench -figure ablfuse -scale small -json BENCH_fusion.json -q
-	$(GO) run ./cmd/gbbench -figure ablinspect -scale small -json BENCH_inspector.json -q
-	$(GO) run ./cmd/gbbench -figure spgemm -scale small -json BENCH_spgemm.json -q \
-		-trace-out trace_spgemm.json \
-		-trace-expect SpGEMMDist,SUMMABroadcast,SUMMAMultiply,SUMMAMerge,op=spgemm,stage=broadcast,stage=multiply,stage=merge
-
-# Gate the fresh bench-smoke artifacts against the committed baseline: fail on
-# >20% modeled-time regression or ANY increase in steady-state allocs/op.
-bench-gate: bench-smoke
-	$(GO) run ./cmd/benchgate -baseline bench_baseline.json -bench BENCH_spmspv.json,BENCH_spgemm.json -alloc BENCH_alloc.json
-
-# Refresh the committed baseline after an intentional performance change.
-bench-baseline: bench-smoke
-	$(GO) run ./cmd/benchgate -write-baseline -baseline bench_baseline.json -bench BENCH_spmspv.json,BENCH_spgemm.json -alloc BENCH_alloc.json
 
 # The two-clock end-to-end benchmark (benchmark/README.md): host wall-clock
 # and CPU of the gb library and of gbserve over real HTTP, next to the modeled

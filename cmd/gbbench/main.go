@@ -65,9 +65,7 @@ func main() {
 		streamOut = flag.String("stream-out", "", "run the streaming ingest/query benchmark (epoch merges + incremental CC + streaming PageRank at -mutate-rate, under -chaos-seed and -chaos-policy) and write the report as JSON to this file")
 		jsonPath  = flag.String("json", "", "also write the figures (modeled points + wall-clock seconds per figure) as JSON to this file")
 		traceOut  = flag.String("trace-out", "", "write the trace spans of the whole run as JSON to this file")
-		traceWant = flag.String("trace-expect", "", "comma-separated span checks that must each match at least once: an op name, 'key=value' for an exact span tag, or 'key=' for any span carrying that tag (CI smoke check)")
 		traceHTTP = flag.String("trace-http", "", "serve Prometheus-style trace metrics on this address (e.g. :8080) while the run executes")
-		allocOut  = flag.String("alloc-out", "", "measure the steady-state allocs/op of the pooled hot kernels and write them as JSON to this file (the BENCH_alloc.json of the CI gate)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile (taken after the run, post-GC) to this file")
 	)
@@ -121,7 +119,7 @@ func main() {
 	}
 
 	var tr *trace.Tracer
-	if *traceOut != "" || *traceWant != "" || *traceHTTP != "" {
+	if *traceOut != "" || *traceHTTP != "" {
 		tr = bench.EnableTrace()
 	}
 	if *traceHTTP != "" {
@@ -309,32 +307,6 @@ func main() {
 				*streamOut, len(rep.Epochs), rep.WarmRounds, rep.ColdRounds)
 		}
 	}
-	if *allocOut != "" {
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "gbbench: measuring steady-state allocs/op of the pooled kernels...\n")
-		}
-		rep, err := bench.MeasureAllocs()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gbbench: -alloc-out: %v\n", err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*allocOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gbbench: creating %s: %v\n", *allocOut, err)
-			os.Exit(1)
-		}
-		if err := bench.WriteAllocJSON(f, rep); err != nil {
-			fmt.Fprintf(os.Stderr, "gbbench: writing %s: %v\n", *allocOut, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "gbbench: closing %s: %v\n", *allocOut, err)
-			os.Exit(1)
-		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "gbbench: wrote %s (%d kernels)\n", *allocOut, len(rep.Kernels))
-		}
-	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
@@ -353,54 +325,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "gbbench: wrote %s (%d root spans)\n", *traceOut, len(tr.Roots()))
 		}
 	}
-	if *traceWant != "" {
-		missing := 0
-		for _, op := range strings.Split(*traceWant, ",") {
-			op = strings.TrimSpace(op)
-			if op == "" {
-				continue
-			}
-			if n := countSpans(tr.Roots(), op); n == 0 {
-				fmt.Fprintf(os.Stderr, "gbbench: -trace-expect: op %q reported zero spans\n", op)
-				missing++
-			} else if !*quiet {
-				fmt.Fprintf(os.Stderr, "gbbench: -trace-expect: op %q reported %d span(s)\n", op, n)
-			}
-		}
-		if missing > 0 {
-			os.Exit(1)
-		}
-	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "gbbench: %d figure(s) failed\n", failed)
 		os.Exit(1)
 	}
-}
-
-// countSpans counts matching spans anywhere in the forest. A plain token
-// matches span names; a token containing '=' matches span tags — "k=v"
-// requires the exact tag, "k=" matches any span carrying tag key k (so
-// "strategy=" asserts that dispatch decisions were traced at all).
-func countSpans(spans []*trace.Span, want string) int {
-	key, val := "", ""
-	if i := strings.IndexByte(want, '='); i >= 0 {
-		key, val = want[:i], want[i+1:]
-	}
-	n := 0
-	for _, sp := range spans {
-		if key == "" {
-			if sp.Name == want {
-				n++
-			}
-		} else {
-			for _, tg := range sp.Tags {
-				if tg.Key == key && (val == "" || tg.Value == val) {
-					n++
-					break
-				}
-			}
-		}
-		n += countSpans(sp.Children, want)
-	}
-	return n
 }

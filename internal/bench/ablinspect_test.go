@@ -53,20 +53,3 @@ func TestAblInspectAutoCompetitive(t *testing.T) {
 		}
 	}
 }
-
-// TestInspectorDispatchAllocFree pins the dispatch hot path — estimate both
-// variants, decide, observe — at zero steady-state allocations, matching the
-// inspector_dispatch entry of bench_baseline.json.
-func TestInspectorDispatchAllocFree(t *testing.T) {
-	rep, err := MeasureAllocs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, ok := rep.Get("inspector_dispatch")
-	if !ok {
-		t.Fatal("inspector_dispatch missing from the alloc report")
-	}
-	if p.AllocsPerOp != 0 {
-		t.Errorf("inspector_dispatch = %.1f allocs/op, want 0", p.AllocsPerOp)
-	}
-}

@@ -175,14 +175,17 @@ func TestFig5Shape(t *testing.T) {
 
 func TestFig7Shape(t *testing.T) {
 	f := runFig(t, Fig7(0))
-	// Sorting dominates at every thread count (paper's main observation).
-	for _, th := range []int{1, 32} {
-		spa, _ := f.Get("SPA", th)
-		srt, _ := f.Get("Sorting", th)
-		out, _ := f.Get("Output", th)
-		if srt <= spa || srt <= out {
-			t.Errorf("th=%d: sorting (%.4fs) should dominate SPA (%.4fs) and Output (%.4fs)",
-				th, srt, spa, out)
+	// Sorting dominates at every thread count (paper's main observation) on
+	// both f=2% workloads.
+	for _, fig := range []Figure{f, runFig(t, Fig7(1))} {
+		for _, th := range []int{1, 32} {
+			spa, _ := fig.Get("SPA", th)
+			srt, _ := fig.Get("Sorting", th)
+			out, _ := fig.Get("Output", th)
+			if srt <= spa || srt <= out {
+				t.Errorf("%s th=%d: sorting (%.4fs) should dominate SPA (%.4fs) and Output (%.4fs)",
+					fig.ID, th, srt, spa, out)
+			}
 		}
 	}
 	// The denser-vector workload (f=20%) has more work than f=2%.
@@ -201,24 +204,36 @@ func TestFig8Shape(t *testing.T) {
 	if l1/l64 < 10 {
 		t.Errorf("local multiply 1->64 speedup = %.1f, want substantial (paper: 43x)", l1/l64)
 	}
-	g1, _ := f.Get("Gather Input", 1)
-	g64, _ := f.Get("Gather Input", 64)
-	if g64 < 100*g1 {
-		t.Errorf("gather should explode going multi-node: %.6fs -> %.4fs", g1, g64)
-	}
-	if g64 < l64 {
-		t.Errorf("gather (%.4fs) should dominate local multiply (%.4fs) at 64 nodes", g64, l64)
+	// Gather explodes going multi-node and dominates at 64 nodes on every
+	// workload of the figure.
+	for _, fig := range []Figure{f, runFig(t, Fig8(1)), runFig(t, Fig8(2))} {
+		g1, _ := fig.Get("Gather Input", 1)
+		g64, _ := fig.Get("Gather Input", 64)
+		l64, _ := fig.Get("Local Multiply", 64)
+		if g64 < 100*g1 {
+			t.Errorf("%s: gather should explode going multi-node: %.6fs -> %.4fs", fig.ID, g1, g64)
+		}
+		if g64 < l64 {
+			t.Errorf("%s: gather (%.4fs) should dominate local multiply (%.4fs) at 64 nodes", fig.ID, g64, l64)
+		}
 	}
 }
 
 func TestFig9Shape(t *testing.T) {
 	skipShort(t)
-	f := runFig(t, Fig9(1))
-	// Same qualitative story at the larger scale.
-	g64, _ := f.Get("Gather Input", 64)
-	l64, _ := f.Get("Local Multiply", 64)
-	if g64 < l64 {
-		t.Errorf("gather (%.4fs) should dominate local multiply (%.4fs)", g64, l64)
+	// Same qualitative story at the larger scale, on every workload. Under
+	// -race only the d=4 workload runs: the other two take the same code
+	// path, and at the race detector's speed they would add two minutes.
+	for i := range fig9Configs {
+		if raceEnabled && i != 1 {
+			continue
+		}
+		f := runFig(t, Fig9(i))
+		g64, _ := f.Get("Gather Input", 64)
+		l64, _ := f.Get("Local Multiply", 64)
+		if g64 < l64 {
+			t.Errorf("%s: gather (%.4fs) should dominate local multiply (%.4fs)", f.ID, g64, l64)
+		}
 	}
 }
 
@@ -379,7 +394,7 @@ func TestChaosModeSlowsFiguresDeterministically(t *testing.T) {
 	// transfer sequence (seed 1 happens to miss every draw — determinism cuts
 	// both ways).
 	EnableChaos(2)
-	defer DisableChaos()
+	defer func() { chaos = nil }()
 	chaotic := runFig(t, Fig8(0))
 	if total(chaotic) <= total(clean) {
 		t.Errorf("chaos figure total %.6fs should exceed fault-free %.6fs",

@@ -25,9 +25,6 @@ func EnableChaos(seed int64) {
 	chaos = &p
 }
 
-// DisableChaos returns figure runs to fault-free execution.
-func DisableChaos() { chaos = nil }
-
 // fusion, when true, routes every figure runtime through the fused
 // nonblocking paths (gbbench -fuse=on). The default keeps the paper-fidelity
 // eager kernels so figure baselines are unaffected; AblFuse sets the mode
@@ -83,12 +80,6 @@ func EnableTrace() *trace.Tracer {
 	tracer = trace.New()
 	return tracer
 }
-
-// DisableTrace returns figure runs to untraced execution.
-func DisableTrace() { tracer = nil }
-
-// ActiveTracer returns the tracer installed by EnableTrace, or nil.
-func ActiveTracer() *trace.Tracer { return tracer }
 
 // applyChaos installs the chaos plan and the bench tracer, if any, on a
 // freshly built runtime. (Every figure runtime goes through here, including

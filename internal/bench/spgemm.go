@@ -1,7 +1,6 @@
 package bench
 
-// The SUMMA SpGEMM figure the CI bench-smoke job emits as BENCH_spgemm.json:
-// per-stage modeled time (broadcast / local multiply / merge, summed from the
+// The SUMMA SpGEMM figure (gbbench -figure spgemm): per-stage modeled time (broadcast / local multiply / merge, summed from the
 // trace spans SpGEMMDist emits) over the locale sweep, plus the end-to-end
 // modeled time of the distributed triangle count on the same graph — the
 // workload figure of the SpGEMM layer.

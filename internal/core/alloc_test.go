@@ -20,6 +20,12 @@ import (
 
 func incr[T int64 | float64](v T) T { return v + 1 }
 
+// Where a test lists several seeds, the last input is shared across its
+// kernel family: the shared-memory SpMSpV pins all run on ErdosRenyi(5000, 8,
+// 1) × RandomVec(5000, 400, 2) (mask: density 0.3, seed 3), and the
+// distributed element-wise and inspector pins on RandomVec(8000, 1500, 4)
+// (dense operand: density 0.5, seed 5).
+
 // warmups is how many calls prime the arena before measuring. More than one:
 // the first calls size the pooled buffers, and buffers of several sizes
 // settle into their roles over a few rounds.
@@ -57,28 +63,30 @@ func TestSpMSpVShmBucketSemiringZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include race-runtime shadow allocations")
 	}
-	a := sparse.ErdosRenyi[int64](5000, 8, 3)
-	x := sparse.RandomVec[int64](5000, 400, 4)
 	sr := semiring.PlusTimes[int64]()
-	rt := newRT(t, 1, 24)
-	cfg := ShmConfig{
-		Threads: 24,
-		Workers: 1,
-		Engine:  EngineBucket,
-		Sim:     rt.S,
-		Pool:    rt.WP,
-		Scratch: rt.Scratch,
-	}
-	for i := 0; i < warmups; i++ {
-		y, _ := SpMSpVShmSemiring(a, x, sr, cfg)
-		sparse.PutVec(cfg.Scratch, y)
-	}
-	avg := testing.AllocsPerRun(50, func() {
-		y, _ := SpMSpVShmSemiring(a, x, sr, cfg)
-		sparse.PutVec(cfg.Scratch, y)
-	})
-	if avg != 0 {
-		t.Fatalf("SpMSpVShmSemiring (bucket engine) allocates %.1f objects per steady-state call, want 0", avg)
+	for _, seed := range []int64{3, 1} {
+		a := sparse.ErdosRenyi[int64](5000, 8, seed)
+		x := sparse.RandomVec[int64](5000, 400, seed+1)
+		rt := newRT(t, 1, 24)
+		cfg := ShmConfig{
+			Threads: 24,
+			Workers: 1,
+			Engine:  EngineBucket,
+			Sim:     rt.S,
+			Pool:    rt.WP,
+			Scratch: rt.Scratch,
+		}
+		for i := 0; i < warmups; i++ {
+			y, _ := SpMSpVShmSemiring(a, x, sr, cfg)
+			sparse.PutVec(cfg.Scratch, y)
+		}
+		avg := testing.AllocsPerRun(50, func() {
+			y, _ := SpMSpVShmSemiring(a, x, sr, cfg)
+			sparse.PutVec(cfg.Scratch, y)
+		})
+		if avg != 0 {
+			t.Errorf("seed %d: SpMSpVShmSemiring (bucket engine) allocates %.1f objects per steady-state call, want 0", seed, avg)
+		}
 	}
 }
 
@@ -86,24 +94,24 @@ func TestEWiseMultSDIntoZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include race-runtime shadow allocations")
 	}
-	x0 := sparse.RandomVec[int64](8000, 1500, 7)
-	y0 := sparse.RandomBoolDense[int64](8000, 0.5, 8)
-	rt := newRT(t, 4, 24)
-	x := dist.SpVecFromVec(rt, x0)
-	y := dist.DenseVecFromDense(rt, y0)
-	z := dist.NewSpVec[int64](rt, x.N)
-	for i := 0; i < warmups; i++ {
-		if err := EWiseMultSDInto(rt, x, y, keepWhenTrue[int64], z); err != nil {
-			t.Fatal(err)
+	for _, seed := range []int64{7, 4} {
+		rt := newRT(t, 4, 24)
+		x := dist.SpVecFromVec(rt, sparse.RandomVec[int64](8000, 1500, seed))
+		y := dist.DenseVecFromDense(rt, sparse.RandomBoolDense[int64](8000, 0.5, seed+1))
+		z := dist.NewSpVec[int64](rt, x.N)
+		for i := 0; i < warmups; i++ {
+			if err := EWiseMultSDInto(rt, x, y, keepWhenTrue[int64], z); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	avg := testing.AllocsPerRun(50, func() {
-		if err := EWiseMultSDInto(rt, x, y, keepWhenTrue[int64], z); err != nil {
-			panic(err)
+		avg := testing.AllocsPerRun(50, func() {
+			if err := EWiseMultSDInto(rt, x, y, keepWhenTrue[int64], z); err != nil {
+				panic(err)
+			}
+		})
+		if avg != 0 {
+			t.Errorf("seed %d: EWiseMultSDInto allocates %.1f objects per steady-state call, want 0", seed, avg)
 		}
-	})
-	if avg != 0 {
-		t.Fatalf("EWiseMultSDInto allocates %.1f objects per steady-state call, want 0", avg)
 	}
 }
 
@@ -111,17 +119,18 @@ func TestApply2ZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include race-runtime shadow allocations")
 	}
-	x0 := sparse.RandomVec[int64](8000, 1500, 9)
-	rt := newRT(t, 4, 24)
-	x := dist.SpVecFromVec(rt, x0)
-	for i := 0; i < warmups; i++ {
-		Apply2(rt, x, incr[int64])
-	}
-	avg := testing.AllocsPerRun(50, func() {
-		Apply2(rt, x, incr[int64])
-	})
-	if avg != 0 {
-		t.Fatalf("Apply2 allocates %.1f objects per steady-state call, want 0", avg)
+	for _, seed := range []int64{9, 4} {
+		rt := newRT(t, 4, 24)
+		x := dist.SpVecFromVec(rt, sparse.RandomVec[int64](8000, 1500, seed))
+		for i := 0; i < warmups; i++ {
+			Apply2(rt, x, incr[int64])
+		}
+		avg := testing.AllocsPerRun(50, func() {
+			Apply2(rt, x, incr[int64])
+		})
+		if avg != 0 {
+			t.Errorf("seed %d: Apply2 allocates %.1f objects per steady-state call, want 0", seed, avg)
+		}
 	}
 }
 
@@ -131,28 +140,30 @@ func TestSpMSpVMaskedZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include race-runtime shadow allocations")
 	}
-	a := sparse.ErdosRenyi[int64](5000, 8, 11)
-	x := sparse.RandomVec[int64](5000, 400, 12)
-	mask := sparse.RandomBoolDense[int64](5000, 0.3, 13)
-	rt := newRT(t, 1, 24)
-	cfg := ShmConfig{
-		Threads: 24,
-		Workers: 1,
-		Engine:  EngineBucket,
-		Sim:     rt.S,
-		Pool:    rt.WP,
-		Scratch: rt.Scratch,
-	}
-	for i := 0; i < warmups; i++ {
-		y, _ := SpMSpVMasked(a, x, mask, cfg)
-		sparse.PutVec(cfg.Scratch, y)
-	}
-	avg := testing.AllocsPerRun(50, func() {
-		y, _ := SpMSpVMasked(a, x, mask, cfg)
-		sparse.PutVec(cfg.Scratch, y)
-	})
-	if avg != 0 {
-		t.Fatalf("SpMSpVMasked allocates %.1f objects per steady-state call, want 0", avg)
+	for _, seed := range []int64{11, 1} {
+		a := sparse.ErdosRenyi[int64](5000, 8, seed)
+		x := sparse.RandomVec[int64](5000, 400, seed+1)
+		mask := sparse.RandomBoolDense[int64](5000, 0.3, seed+2)
+		rt := newRT(t, 1, 24)
+		cfg := ShmConfig{
+			Threads: 24,
+			Workers: 1,
+			Engine:  EngineBucket,
+			Sim:     rt.S,
+			Pool:    rt.WP,
+			Scratch: rt.Scratch,
+		}
+		for i := 0; i < warmups; i++ {
+			y, _ := SpMSpVMasked(a, x, mask, cfg)
+			sparse.PutVec(cfg.Scratch, y)
+		}
+		avg := testing.AllocsPerRun(50, func() {
+			y, _ := SpMSpVMasked(a, x, mask, cfg)
+			sparse.PutVec(cfg.Scratch, y)
+		})
+		if avg != 0 {
+			t.Errorf("seed %d: SpMSpVMasked allocates %.1f objects per steady-state call, want 0", seed, avg)
+		}
 	}
 }
 
@@ -166,41 +177,43 @@ func TestFusedPushStepShmZeroAllocSteadyState(t *testing.T) {
 		t.Skip("allocation counts include race-runtime shadow allocations")
 	}
 	const n, src = 5000, 3
-	a := sparse.ErdosRenyi[int64](n, 8, 17)
-	rt := newRT(t, 1, 24)
-	cfg := ShmConfig{
-		Threads: 24,
-		Workers: 1,
-		Engine:  EngineBucket,
-		Sim:     rt.S,
-		Pool:    rt.WP,
-		Scratch: rt.Scratch,
-	}
-	frontier := sparse.NewVec[int64](n)
-	visited := sparse.NewDense[int64](n)
-	levels := make([]int64, n)
-	parents := make([]int64, n)
-	reset := func() {
-		for i := range visited.Data {
-			visited.Data[i] = 0
-			levels[i] = -1
-			parents[i] = -1
+	for _, seed := range []int64{17, 1} {
+		a := sparse.ErdosRenyi[int64](n, 8, seed)
+		rt := newRT(t, 1, 24)
+		cfg := ShmConfig{
+			Threads: 24,
+			Workers: 1,
+			Engine:  EngineBucket,
+			Sim:     rt.S,
+			Pool:    rt.WP,
+			Scratch: rt.Scratch,
 		}
-		visited.Data[src] = 1
-		levels[src] = 0
-		frontier.Ind = append(frontier.Ind[:0], src)
-		frontier.Val = append(frontier.Val[:0], 1)
-	}
-	for i := 0; i < warmups; i++ {
-		reset()
-		FusedPushStepShm(a, frontier, visited, 1, levels, parents, cfg)
-	}
-	avg := testing.AllocsPerRun(50, func() {
-		reset()
-		FusedPushStepShm(a, frontier, visited, 1, levels, parents, cfg)
-	})
-	if avg != 0 {
-		t.Fatalf("FusedPushStepShm allocates %.1f objects per steady-state call, want 0", avg)
+		frontier := sparse.NewVec[int64](n)
+		visited := sparse.NewDense[int64](n)
+		levels := make([]int64, n)
+		parents := make([]int64, n)
+		reset := func() {
+			for i := range visited.Data {
+				visited.Data[i] = 0
+				levels[i] = -1
+				parents[i] = -1
+			}
+			visited.Data[src] = 1
+			levels[src] = 0
+			frontier.Ind = append(frontier.Ind[:0], src)
+			frontier.Val = append(frontier.Val[:0], 1)
+		}
+		for i := 0; i < warmups; i++ {
+			reset()
+			FusedPushStepShm(a, frontier, visited, 1, levels, parents, cfg)
+		}
+		avg := testing.AllocsPerRun(50, func() {
+			reset()
+			FusedPushStepShm(a, frontier, visited, 1, levels, parents, cfg)
+		})
+		if avg != 0 {
+			t.Errorf("seed %d: FusedPushStepShm allocates %.1f objects per steady-state call, want 0", seed, avg)
+		}
 	}
 }
 
@@ -213,20 +226,24 @@ func TestSpGEMMLocalZeroAllocSteadyState(t *testing.T) {
 	a := sparse.ErdosRenyi[int64](2000, 6, 31)
 	b := sparse.ErdosRenyi[int64](2000, 6, 32)
 	hs := sparse.ErdosRenyi[int64](2000, 0.4, 33) // hypersparse: DCSC walk
+	ga := sparse.ErdosRenyi[int64](3000, 6, 8)
+	gb := sparse.ErdosRenyi[int64](3000, 6, 9)
 	var out sparse.CSR[int64]
-	for i := 0; i < warmups; i++ {
-		SpGEMMLocalHash(scratch, a, b, sr, &out, nil)
-		SpGEMMLocalHeap(scratch, a, b, sr, &out, nil)
-		SpGEMMLocalHeap(scratch, hs, b, sr, &out, nil)
-	}
-	for _, tc := range []struct {
+	cases := []struct {
 		name string
 		f    func()
 	}{
 		{"hash", func() { SpGEMMLocalHash(scratch, a, b, sr, &out, nil) }},
 		{"heap", func() { SpGEMMLocalHeap(scratch, a, b, sr, &out, nil) }},
 		{"heap hypersparse (DCSC)", func() { SpGEMMLocalHeap(scratch, hs, b, sr, &out, nil) }},
-	} {
+		{"dispatch n=3000", func() { SpGEMMLocal(scratch, ga, gb, sr, &out) }},
+	}
+	for i := 0; i < warmups; i++ {
+		for _, tc := range cases {
+			tc.f()
+		}
+	}
+	for _, tc := range cases {
 		if avg := testing.AllocsPerRun(50, tc.f); avg != 0 {
 			t.Errorf("SpGEMMLocal %s allocates %.1f objects per steady-state call, want 0", tc.name, avg)
 		}
@@ -237,13 +254,17 @@ func TestDCSCConvertZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include race-runtime shadow allocations")
 	}
-	a := sparse.ErdosRenyi[int64](3000, 2, 34)
-	var d sparse.DCSC[int64]
-	for i := 0; i < warmups; i++ {
-		d.FromCSR(a)
-	}
-	if avg := testing.AllocsPerRun(50, func() { d.FromCSR(a) }); avg != 0 {
-		t.Fatalf("DCSC.FromCSR allocates %.1f objects per steady-state call, want 0", avg)
+	for _, a := range []*sparse.CSR[int64]{
+		sparse.ErdosRenyi[int64](3000, 2, 34),
+		sparse.ErdosRenyi[int64](4000, 0.2, 10), // nnz < nrows: hypersparse
+	} {
+		var d sparse.DCSC[int64]
+		for i := 0; i < warmups; i++ {
+			d.FromCSR(a)
+		}
+		if avg := testing.AllocsPerRun(50, func() { d.FromCSR(a) }); avg != 0 {
+			t.Errorf("%dx%d, nnz %d: DCSC.FromCSR allocates %.1f objects per steady-state call, want 0", a.NRows, a.NCols, a.NNZ(), avg)
+		}
 	}
 }
 
@@ -370,9 +391,8 @@ func TestArenaMixedTypesAndCollections(t *testing.T) {
 	}
 }
 
-// The tests below hold the pins the allocation report
-// (internal/bench/allocreport.go) records for its inspector, streaming and
-// distributed-round kernels, on the report's own inputs and at its values.
+// The tests below pin the inspector, streaming and distributed-round kernels
+// with an inspector attached where the round consults one.
 
 // TestInspectorDispatchZeroAllocSteadyState: pricing both communication
 // variants, recording the decision and feeding back the observed cost all
@@ -470,8 +490,7 @@ func TestSpMVDistRoundAllocPin(t *testing.T) {
 }
 
 // spgemmMixedPin is a float64 MxM and an int64 masked SpGEMM alternating on
-// one 2x2-grid runtime, a collection after each, on the allocation report's
-// 1500-vertex input: TestArenaMixedTypesAndCollections' 2 x spgemmPin, and
+// one 2x2-grid runtime, a collection after each, on a 1500-vertex input: TestArenaMixedTypesAndCollections' 2 x spgemmPin, and
 // four more per call with an inspector choosing the broadcast placement.
 const spgemmMixedPin = 94
 

@@ -171,11 +171,14 @@ func TestPlanFusionZeroAlloc(t *testing.T) {
 		{Op: OpSpMSpVMasked, In0: 5, In1: 3, Out: 6},
 		{Op: OpAssign, In0: 6, Out: 5},
 	}
-	regions := make([]Region, 0, 8)
-	avg := testing.AllocsPerRun(100, func() {
-		regions = PlanFusion(ops, regions)
-	})
-	if avg != 0 {
-		t.Fatalf("PlanFusion allocates %.1f objects per warm call, want 0", avg)
+	// The whole program, and its first five ops alone.
+	for _, prog := range [][]OpDesc{ops, ops[:5]} {
+		regions := make([]Region, 0, 8)
+		avg := testing.AllocsPerRun(100, func() {
+			regions = PlanFusion(prog, regions)
+		})
+		if avg != 0 {
+			t.Errorf("%d ops: PlanFusion allocates %.1f objects per warm call, want 0", len(prog), avg)
+		}
 	}
 }

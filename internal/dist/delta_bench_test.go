@@ -11,8 +11,8 @@ import (
 // The streaming microbenchmarks pin the zero-allocation claim of the ingest
 // path: absorbing a mutation is an append into retained delta buffers, and a
 // steady-state flush reuses recycled epoch states, recycled block buffers and
-// pooled scratch. benchgate enforces the corresponding allocs/op entries in
-// bench_baseline.json (epoch_absorb, delta_merge).
+// pooled scratch. core.TestEpochIngestZeroAllocSteadyState pins both at
+// zero allocs/op.
 
 func benchEpochMat(b *testing.B, p int) (*locale.Runtime, *EpochMat[float64]) {
 	b.Helper()
