@@ -71,6 +71,7 @@ bench-e2e-test:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBucketSPA -fuzztime 30s ./internal/sparse
 	$(GO) test -run '^$$' -fuzz FuzzScratchPool -fuzztime 30s ./internal/sparse
+	$(GO) test -run '^$$' -fuzz FuzzSortInts -fuzztime 30s ./internal/sparse
 	$(GO) test -run '^$$' -fuzz FuzzInjector -fuzztime 30s ./internal/fault
 	$(GO) test -run '^$$' -fuzz FuzzDeltaMerge -fuzztime 30s ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzFusionPlan -fuzztime 30s ./gb

@@ -13,6 +13,7 @@ package dist
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/locale"
 	"repro/internal/semiring"
@@ -143,12 +144,21 @@ func NewSpVec[T semiring.Number](rt *locale.Runtime, n int) *SpVec[T] {
 }
 
 // SpVecFromVec distributes a local sparse vector over the runtime's grid.
+// x's indices are sorted (a sparse.Vec invariant), so locale l's piece is
+// the run of them in [Bounds[l], Bounds[l+1]), found by binary search and
+// copied at its exact size: no piece aliases x.
 func SpVecFromVec[T semiring.Number](rt *locale.Runtime, x *sparse.Vec[T]) *SpVec[T] {
 	v := NewSpVec[T](rt, x.N)
-	for k, i := range x.Ind {
-		l := locale.OwnerOf(x.N, rt.G.P, i)
-		v.Loc[l].Ind = append(v.Loc[l].Ind, i)
-		v.Loc[l].Val = append(v.Loc[l].Val, x.Val[k])
+	lo := 0
+	for l, lv := range v.Loc {
+		hi := lo + sort.SearchInts(x.Ind[lo:], v.Bounds[l+1])
+		if hi > lo {
+			lv.Ind = make([]int, hi-lo)
+			copy(lv.Ind, x.Ind[lo:hi])
+			lv.Val = make([]T, hi-lo)
+			copy(lv.Val, x.Val[lo:hi])
+		}
+		lo = hi
 	}
 	return v
 }

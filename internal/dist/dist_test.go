@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/locale"
@@ -186,5 +187,69 @@ func TestDenseVec(t *testing.T) {
 			t.Fatalf("p=%d: a write through the view did not reach the data", p)
 		}
 		d0.Data[50] = 75
+	}
+}
+
+// TestSpVecFromVecSplit: the bounds split puts every element where the
+// per-element OwnerOf assignment does, on grids with empty pieces (n < P),
+// on an empty vector and on one held by a single locale; and no piece
+// aliases the input, which BFS's checkpoint restore relies on when it
+// rebuilds a frontier from its saved copy.
+func TestSpVecFromVecSplit(t *testing.T) {
+	cases := []struct {
+		name string
+		x    *sparse.Vec[float64]
+	}{
+		{"random", sparse.RandomVec[float64](1000, 80, 5)},
+		{"n<P", sparse.RandomVec[float64](5, 3, 6)},
+		{"full-n<P", sparse.RandomVec[float64](2, 2, 7)},
+		{"empty", sparse.NewVec[float64](100)},
+		{"capacity-0", sparse.NewVec[float64](0)},
+		{"one-locale", func() *sparse.Vec[float64] {
+			// 48..51 lie in one block of 64 on every grid below.
+			x, err := sparse.VecOf(64, []int{48, 49, 51}, []float64{1, 2, 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return x
+		}()},
+		{"ends", func() *sparse.Vec[float64] {
+			x, err := sparse.VecOf(97, []int{0, 96}, []float64{1, 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return x
+		}()},
+	}
+	for _, c := range cases {
+		for _, p := range []int{1, 3, 4, 7, 16} {
+			x := &sparse.Vec[float64]{N: c.x.N, Ind: slices.Clone(c.x.Ind), Val: slices.Clone(c.x.Val)}
+			v := SpVecFromVec(newRT(t, p), x)
+			want := make([]*sparse.Vec[float64], p)
+			for l := range want {
+				want[l] = sparse.NewVec[float64](x.N)
+			}
+			for k, i := range x.Ind {
+				l := locale.OwnerOf(x.N, p, i)
+				want[l].Ind = append(want[l].Ind, i)
+				want[l].Val = append(want[l].Val, x.Val[k])
+			}
+			if err := v.Validate(); err != nil {
+				t.Fatalf("%s p=%d: %v", c.name, p, err)
+			}
+			for l := range want {
+				if !v.Loc[l].Equal(want[l]) {
+					t.Fatalf("%s p=%d: locale %d holds %v, want %v", c.name, p, l, v.Loc[l].Ind, want[l].Ind)
+				}
+			}
+			for k := range x.Ind {
+				x.Ind[k], x.Val[k] = -1, -1
+			}
+			for l := range want {
+				if !v.Loc[l].Equal(want[l]) {
+					t.Fatalf("%s p=%d: locale %d changed when the input was overwritten", c.name, p, l)
+				}
+			}
+		}
 	}
 }

@@ -126,3 +126,60 @@ func FuzzBucketSPA(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSortInts checks RadixSortInts, RadixSortInts32 and MergeSortInts
+// (one to four workers) against slices.Sort on seeded inputs whose lengths
+// straddle the radix sorts' insertion cutoff and the merge sort's leaf size,
+// and whose maxima range from 0 to 2^40 (the int32 sort gets the inputs that
+// fit). Both radix sorts must report one pass per byte of the maximum,
+// whichever of their two sorts ran.
+func FuzzSortInts(f *testing.F) {
+	f.Add(uint16(0), uint8(0), uint8(0), int64(1))
+	f.Add(uint16(radixInsertionCutoff), uint8(17), uint8(1), int64(2))
+	f.Add(uint16(radixInsertionCutoff+1), uint8(17), uint8(2), int64(3))
+	f.Add(uint16(3000), uint8(41), uint8(3), int64(4))
+	f.Add(uint16(5), uint8(1), uint8(0), int64(5))
+	f.Fuzz(func(t *testing.T, n16 uint16, maxBits8, workers8 uint8, seed int64) {
+		n := int(n16) % 5000
+		hi := (int64(1) << (maxBits8 % 42)) >> 1 // 0, 1, 2, 4, ..., 2^40
+		workers := int(workers8)%4 + 1
+		r := rand.New(rand.NewSource(seed))
+		base := make([]int, n)
+		for k := range base {
+			base[k] = int(r.Int63n(hi + 1))
+		}
+		want := slices.Clone(base)
+		slices.Sort(want)
+		wantPasses := 0
+		if n >= 2 {
+			for m := want[n-1]; m > 0; m >>= 8 {
+				wantPasses++
+			}
+		}
+
+		xs := slices.Clone(base)
+		if p := RadixSortInts(xs); p != wantPasses || !slices.Equal(xs, want) {
+			t.Fatalf("RadixSortInts(n=%d, hi=%d): %d passes (want %d), sorted=%v", n, hi, p, wantPasses, slices.Equal(xs, want))
+		}
+		if hi <= 1<<31-1 {
+			xs32 := make([]int32, n)
+			for k, x := range base {
+				xs32[k] = int32(x)
+			}
+			p := RadixSortInts32(xs32)
+			for k := range xs32 {
+				if int(xs32[k]) != want[k] {
+					t.Fatalf("RadixSortInts32(n=%d, hi=%d): entry %d = %d, want %d", n, hi, k, xs32[k], want[k])
+				}
+			}
+			if p != wantPasses {
+				t.Fatalf("RadixSortInts32(n=%d, hi=%d): %d passes, want %d", n, hi, p, wantPasses)
+			}
+		}
+		xs = slices.Clone(base)
+		MergeSortInts(xs, workers)
+		if !slices.Equal(xs, want) {
+			t.Fatalf("MergeSortInts(n=%d, workers=%d) not sorted", n, workers)
+		}
+	})
+}

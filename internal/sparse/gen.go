@@ -15,7 +15,8 @@ import (
 // Rather than flipping n² coins, each row draws its nonzero count from the
 // Binomial(n, d/n) distribution (approximated by a normal for large n, exact
 // for small) and then samples that many distinct column ids — equivalent in
-// distribution and O(nnz) time.
+// distribution and O(nnz) time. The sample lands straight in ColIdx and is
+// sorted there.
 func ErdosRenyi[T semiring.Number](n int, d float64, seed int64) *CSR[T] {
 	rng := rand.New(rand.NewSource(seed))
 	a := NewCSR[T](n, n)
@@ -26,18 +27,13 @@ func ErdosRenyi[T semiring.Number](n int, d float64, seed int64) *CSR[T] {
 	if p > 1 {
 		p = 1
 	}
-	scratch := make(map[int]struct{}, int(d*2)+8)
-	var row []int
+	mark := make([]bool, n)
 	for i := 0; i < n; i++ {
 		k := binomial(rng, n, p)
-		sampleDistinct(rng, n, k, scratch)
-		row = row[:0]
-		for j := range scratch {
-			row = append(row, j)
-		}
-		RadixSortInts(row)
-		a.ColIdx = append(a.ColIdx, row...)
-		for range row {
+		start := len(a.ColIdx)
+		a.ColIdx = sampleDistinct(rng, n, k, mark, a.ColIdx)
+		RadixSortInts(a.ColIdx[start:])
+		for range a.ColIdx[start:] {
 			a.Val = append(a.Val, T(1+rng.Intn(99)))
 		}
 		a.RowPtr[i+1] = len(a.ColIdx)
@@ -77,26 +73,31 @@ func binomial(rng *rand.Rand, n int, p float64) int {
 	return k
 }
 
-// sampleDistinct fills out with k distinct integers in [0, n) using Floyd's
-// algorithm. out is cleared first.
-func sampleDistinct(rng *rand.Rand, n, k int, out map[int]struct{}) {
-	for j := range out {
-		delete(out, j)
-	}
+// sampleDistinct appends k distinct integers in [0, n) to row, in draw
+// order, using Floyd's algorithm: step j draws t from [0, j] and takes j
+// instead when t is already in the sample. Membership is a lookup in mark
+// (len n, all false), which is cleared again behind the sample before
+// returning, so one mark array serves every call of a generator.
+func sampleDistinct(rng *rand.Rand, n, k int, mark []bool, row []int) []int {
 	if k >= n {
 		for j := 0; j < n; j++ {
-			out[j] = struct{}{}
+			row = append(row, j)
 		}
-		return
+		return row
 	}
+	start := len(row)
 	for j := n - k; j < n; j++ {
 		t := rng.Intn(j + 1)
-		if _, dup := out[t]; dup {
-			out[j] = struct{}{}
-		} else {
-			out[t] = struct{}{}
+		if mark[t] {
+			t = j
 		}
+		mark[t] = true
+		row = append(row, t)
 	}
+	for _, t := range row[start:] {
+		mark[t] = false
+	}
+	return row
 }
 
 // RandomVec generates a sparse vector of capacity n with exactly nnz stored
@@ -124,11 +125,9 @@ func RandomVec[T semiring.Number](n, nnz int, seed int64) *Vec[T] {
 		copy(v.Ind, perm[:nnz])
 		RadixSortInts(v.Ind)
 	} else {
-		set := make(map[int]struct{}, nnz*2)
-		sampleDistinct(rng, n, nnz, set)
-		for i := range set {
-			v.Ind = append(v.Ind, i)
-		}
+		// Sparse regime: Floyd sampling over a mark array of n bytes, an
+		// eighth of the dense regime's permutation.
+		v.Ind = sampleDistinct(rng, n, nnz, make([]bool, n), v.Ind)
 		RadixSortInts(v.Ind)
 	}
 	for range v.Ind {
@@ -156,6 +155,12 @@ func RandomBoolDense[T semiring.Number](n int, keep float64, seed int64) *Dense[
 // the Graph500 parameters (a,b,c,d) = (0.57, 0.19, 0.19, 0.05). Duplicate
 // coordinates are summed. Useful as a skewed counterpart to Erdős–Rényi in
 // tests and examples.
+//
+// Each of the scale levels of an edge draws one uniform r and picks a
+// quadrant: [0, a) top-left, [a, a+b) top-right, [a+b, a+b+c) bottom-left,
+// the rest bottom-right. The pick is computed without branching: the row
+// bit is set from r >= a+b, the column bit from the parity of the three
+// threshold comparisons (odd exactly in the two right-hand quadrants).
 func RMAT[T semiring.Number](scale int, edgeFactor int, seed int64) (*CSR[T], error) {
 	n := 1 << scale
 	m := n * edgeFactor
@@ -166,17 +171,10 @@ func RMAT[T semiring.Number](scale int, edgeFactor int, seed int64) (*CSR[T], er
 		i, j := 0, 0
 		for bit := n >> 1; bit > 0; bit >>= 1 {
 			r := rng.Float64()
-			switch {
-			case r < a:
-				// top-left quadrant
-			case r < a+b:
-				j |= bit
-			case r < a+b+c:
-				i |= bit
-			default:
-				i |= bit
-				j |= bit
-			}
+			lower := b2i(r >= a+b)
+			right := b2i(r >= a) ^ lower ^ b2i(r >= a+b+c)
+			i |= bit & -lower
+			j |= bit & -right
 		}
 		coo.Append(i, j, 1)
 	}

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"slices"
 	"sort"
 	"sync"
 )
@@ -98,12 +99,20 @@ func MergeSortInts(xs []int, workers int) SortStats {
 		return parallelMergeSort(xs, nil, nil, 0)
 	}
 	buf := getSortInts(len(xs))
-	sem := getSortSem(workers)
+	// The caller is one of the workers, so the semaphore admits workers-1
+	// spawned halves beside it. At one worker it stays nil, which admits
+	// none: the whole sort runs on the caller's goroutine.
+	var sem chan struct{}
+	if workers > 1 {
+		sem = getSortSem(workers - 1)
+	}
 	st := parallelMergeSort(xs, buf, sem, 0)
 	putSortInts(buf)
-	// A pooled semaphore must come back empty; parallelMergeSort's spawns
-	// release their slot before reporting, so it is.
-	putSortSem(sem)
+	if sem != nil {
+		// A pooled semaphore must come back empty; parallelMergeSort's
+		// spawns release their slot before reporting, so it is.
+		putSortSem(sem)
+	}
 	return st
 }
 
@@ -191,46 +200,100 @@ func mergeInts(xs []int, mid int, buf []int) SortStats {
 // sort)" the paper expects to reduce the SpMSpV sorting cost. Returns the
 // number of counting passes performed, for cost accounting.
 func RadixSortInts(xs []int) int {
-	n := len(xs)
-	if n < 2 {
+	if len(xs) < 2 {
 		return 0
 	}
-	maxV := xs[0]
-	for _, x := range xs[1:] {
-		if x > maxV {
-			maxV = x
-		}
+	maxV := slices.Max(xs)
+	if len(xs) <= radixInsertionCutoff {
+		insertionSort(xs)
+		return bytePasses(maxV)
 	}
-	buf := getSortInts(n)
+	buf := getSortInts(len(xs))
+	passes := radixSort(xs, buf, maxV)
+	putSortInts(buf)
+	return passes
+}
+
+// RadixSortInts32 sorts non-negative int32 values ascending with the same LSD
+// radix approach as RadixSortInts; used for compacted position buffers.
+func RadixSortInts32(xs []int32) int {
+	if len(xs) < 2 {
+		return 0
+	}
+	maxV := slices.Max(xs)
+	if len(xs) <= radixInsertionCutoff {
+		insertionSort(xs)
+		return bytePasses(maxV)
+	}
+	buf := getSortInt32s(len(xs))
+	passes := radixSort(xs, buf, maxV)
+	putSortInt32s(buf)
+	return passes
+}
+
+// radixInsertionCutoff is the length at or below which the radix sorts
+// insertion-sort instead: a 256-bucket counting pass per byte costs more
+// than the quadratic sort on a row of a few dozen entries. Chosen by
+// measurement (BenchmarkRadixSortShortRows). The pass count returned is the
+// radix sort's either way, so what a caller charges does not depend on it.
+const radixInsertionCutoff = 48
+
+// bytePasses is the number of 8-bit digits of maxV: the counting passes an
+// LSD radix sort makes over keys whose maximum is maxV.
+func bytePasses[E int | int32](maxV E) int {
+	passes := 0
+	for shift := uint(0); maxV>>shift > 0; shift += 8 {
+		passes++
+	}
+	return passes
+}
+
+// insertionSort sorts xs ascending in place.
+func insertionSort[E int | int32](xs []E) {
+	for i := 1; i < len(xs); i++ {
+		x := xs[i]
+		j := i
+		for ; j > 0 && xs[j-1] > x; j-- {
+			xs[j] = xs[j-1]
+		}
+		xs[j] = x
+	}
+}
+
+// radixSort sorts non-negative xs, whose maximum is maxV, with 8-bit LSD
+// counting passes through buf (len(xs) long) and returns the pass count.
+func radixSort[E int | int32](xs, buf []E, maxV E) int {
 	src, dst := xs, buf
 	passes := 0
-	var count [256]int
 	for shift := uint(0); maxV>>shift > 0; shift += 8 {
-		for i := range count {
-			count[i] = 0
-		}
-		for _, x := range src {
-			count[(x>>shift)&0xFF]++
-		}
-		sum := 0
-		for i := range count {
-			c := count[i]
-			count[i] = sum
-			sum += c
-		}
-		for _, x := range src {
-			d := (x >> shift) & 0xFF
-			dst[count[d]] = x
-			count[d]++
-		}
+		countingPass(src, dst, shift)
 		src, dst = dst, src
 		passes++
 	}
 	if passes%2 == 1 {
 		copy(xs, src)
 	}
-	putSortInts(buf)
 	return passes
+}
+
+// countingPass stably scatters src into dst by the byte of each key at
+// shift. A function of its own so that its loops keep their few live values
+// in registers.
+func countingPass[E int | int32](src, dst []E, shift uint) {
+	var count [256]int
+	for _, x := range src {
+		count[(x>>shift)&0xFF]++
+	}
+	sum := 0
+	for i, c := range count {
+		count[i] = sum
+		sum += c
+	}
+	for _, x := range src {
+		d := (x >> shift) & 0xFF
+		dst[count[d]] = x
+		count[d]++
+	}
 }
 
 // log2int64 returns ceil(log2(n)) for n >= 1 (0 for n <= 1), as int64.
@@ -240,49 +303,4 @@ func log2int64(n int) int64 {
 		l++
 	}
 	return l
-}
-
-// RadixSortInts32 sorts non-negative int32 values ascending with the same LSD
-// radix approach as RadixSortInts; used for compacted position buffers.
-func RadixSortInts32(xs []int32) int {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	maxV := xs[0]
-	for _, x := range xs[1:] {
-		if x > maxV {
-			maxV = x
-		}
-	}
-	buf := getSortInt32s(n)
-	src, dst := xs, buf
-	passes := 0
-	var count [256]int
-	for shift := uint(0); maxV>>shift > 0; shift += 8 {
-		for i := range count {
-			count[i] = 0
-		}
-		for _, x := range src {
-			count[(x>>shift)&0xFF]++
-		}
-		sum := 0
-		for i := range count {
-			c := count[i]
-			count[i] = sum
-			sum += c
-		}
-		for _, x := range src {
-			d := (x >> shift) & 0xFF
-			dst[count[d]] = x
-			count[d]++
-		}
-		src, dst = dst, src
-		passes++
-	}
-	if passes%2 == 1 {
-		copy(xs, src)
-	}
-	putSortInt32s(buf)
-	return passes
 }

@@ -9,7 +9,9 @@ package sparse
 // a measured justification too.
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -81,6 +83,39 @@ func BenchmarkSpMSpVKernelBucketEmit(b *testing.B) {
 		ind, _, _ := s.Merge(nil, 4)
 		if len(ind) == 0 {
 			b.Fatal("empty emission")
+		}
+	}
+}
+
+// BenchmarkRadixSortShortRows times the two halves of RadixSortInts on rows
+// of the length an Erdős–Rényi row or a hash-SpGEMM output row has, keys in
+// [0, 2^17) (three byte passes): the insertion sort must win at and below
+// radixInsertionCutoff and the counting passes above it.
+func BenchmarkRadixSortShortRows(b *testing.B) {
+	const rows = 256
+	for _, n := range []int{8, 16, 32, 48, 64, 96, 128} {
+		r := rand.New(rand.NewSource(int64(n)))
+		base := make([]int, rows*n)
+		for k := range base {
+			base[k] = r.Intn(1 << 17)
+		}
+		xs := make([]int, len(base))
+		buf := make([]int, n)
+		for _, alg := range []struct {
+			name string
+			sort func(row []int)
+		}{
+			{"insertion", func(row []int) { insertionSort(row) }},
+			{"radix", func(row []int) { radixSort(row, buf, slices.Max(row)) }},
+		} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, alg.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					copy(xs, base)
+					for k := 0; k < rows; k++ {
+						alg.sort(xs[k*n : (k+1)*n])
+					}
+				}
+			})
 		}
 	}
 }

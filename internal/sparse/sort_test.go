@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -169,6 +170,45 @@ func TestLog2Int64(t *testing.T) {
 	for n, want := range cases {
 		if got := log2int64(n); got != want {
 			t.Errorf("log2(%d) = %d, want %d", n, got, want)
+		}
+	}
+}
+
+// TestMergeSortOneWorkerAllocatesNothing: at one worker the caller is the
+// only worker, so no half is spawned and a warm sort allocates nothing (no
+// goroutine, no result channel).
+func TestMergeSortOneWorkerAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	base := make([]int, 40000)
+	for i := range base {
+		base[i] = rng.Intn(1 << 30)
+	}
+	xs := make([]int, len(base))
+	if avg := testing.AllocsPerRun(20, func() {
+		copy(xs, base)
+		MergeSortInts(xs, 1)
+	}); avg != 0 {
+		t.Fatalf("MergeSortInts at one worker allocates %.1f objects per call, want 0", avg)
+	}
+}
+
+// TestMergeSortStatsIndependentOfWorkers: comparisons, moves and depth are
+// the same at every worker count (they are what the modeled clock charges),
+// and equal the counts the sort reported before its semaphore was resized.
+func TestMergeSortStatsIndependentOfWorkers(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	base := make([]int, 40000)
+	for i := range base {
+		base[i] = rng.Intn(1 << 30)
+	}
+	want := SortStats{Comparisons: 639934, Moves: 240000, Depth: 10}
+	for _, workers := range []int{1, 2, 4} {
+		xs := append([]int(nil), base...)
+		if got := MergeSortInts(xs, workers); got != want {
+			t.Errorf("workers=%d: stats %+v, want %+v", workers, got, want)
+		}
+		if !slices.IsSorted(xs) {
+			t.Errorf("workers=%d: not sorted", workers)
 		}
 	}
 }
