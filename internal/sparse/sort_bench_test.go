@@ -103,16 +103,17 @@ func BenchmarkRadixSortShortRows(b *testing.B) {
 		buf := make([]int, n)
 		for _, alg := range []struct {
 			name string
-			sort func(row []int)
+			sort func(row []int, maxV int)
 		}{
-			{"insertion", func(row []int) { insertionSort(row) }},
-			{"radix", func(row []int) { radixSort(row, buf, slices.Max(row)) }},
+			{"insertion", func(row []int, _ int) { insertionSort(row) }},
+			{"radix", func(row []int, maxV int) { radixSort(row, buf, maxV) }},
 		} {
 			b.Run(fmt.Sprintf("n=%d/%s", n, alg.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					copy(xs, base)
 					for k := 0; k < rows; k++ {
-						alg.sort(xs[k*n : (k+1)*n])
+						row := xs[k*n : (k+1)*n]
+						alg.sort(row, slices.Max(row))
 					}
 				}
 			})
