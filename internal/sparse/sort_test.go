@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"hash/fnv"
 	"math/rand"
 	"slices"
 	"sort"
@@ -209,6 +210,98 @@ func TestMergeSortStatsIndependentOfWorkers(t *testing.T) {
 		}
 		if !slices.IsSorted(xs) {
 			t.Errorf("workers=%d: not sorted", workers)
+		}
+	}
+}
+
+// mergeSortPinInput builds the keys of one TestMergeSortStatsPinned case.
+func mergeSortPinInput(kind string, n int) []int {
+	rng := rand.New(rand.NewSource(int64(n)))
+	xs := make([]int, n)
+	for i := range xs {
+		switch kind {
+		case "random":
+			xs[i] = rng.Intn(1 << 20)
+		case "ascending":
+			xs[i] = i
+		case "descending":
+			xs[i] = n - i
+		case "equal":
+			xs[i] = 5
+		case "7-valued":
+			xs[i] = rng.Intn(7)
+		}
+	}
+	return xs
+}
+
+// TestMergeSortStatsPinned pins what the modeled clock reads from the merge
+// sort — comparisons, moves and depth — and an FNV-64a hash of the sorted
+// output, on five key shapes at lengths on both sides of the radix sorts'
+// insertion cutoff (48) and of the merge sort's leaf (2048), at one, two
+// and four workers. The numbers were recorded from the pdqsort-leaf,
+// branching-merge sort; a rewrite of how the host sorts must pass unchanged.
+func TestMergeSortStatsPinned(t *testing.T) {
+	cases := []struct {
+		kind string
+		n    int
+		want SortStats
+		hash uint64
+	}{
+		{"random", 2, SortStats{2, 2, 0}, 0x2fd1d5f88d68d86e},
+		{"random", 47, SortStats{282, 47, 0}, 0xe15a1da1571f556f},
+		{"random", 48, SortStats{288, 48, 0}, 0xde93572eb9892165},
+		{"random", 49, SortStats{294, 49, 0}, 0xcadf5d5eb45762a8},
+		{"random", 2048, SortStats{22528, 2048, 0}, 0xd6c10d4103de56d3},
+		{"random", 2049, SortStats{23563, 4098, 2}, 0x0578f390f25a8d76},
+		{"random", 40000, SortStats{639946, 240000, 10}, 0x80de242024fe7e21},
+		{"random", 126000, SortStats{2141885, 882000, 12}, 0xab21822b88de0b42},
+		{"ascending", 2, SortStats{2, 2, 0}, 0x692558b056101a44},
+		{"ascending", 47, SortStats{282, 47, 0}, 0x7359e9f615abc3aa},
+		{"ascending", 48, SortStats{288, 48, 0}, 0xb3b77ea82cd3a625},
+		{"ascending", 49, SortStats{294, 49, 0}, 0xc6133874d4e57ab5},
+		{"ascending", 2048, SortStats{22528, 2048, 0}, 0x217a8ebb0efc9725},
+		{"ascending", 2049, SortStats{22539, 4098, 2}, 0xf3348b24f12c96ed},
+		{"ascending", 40000, SortStats{540000, 240000, 10}, 0x37ee5fb90dd11d25},
+		{"ascending", 126000, SortStats{1763984, 882000, 12}, 0xc58bc57dc6e3c1a5},
+		{"descending", 2, SortStats{2, 2, 0}, 0x7717980363c8e066},
+		{"descending", 47, SortStats{282, 47, 0}, 0xaa24e5d2aa9ca585},
+		{"descending", 48, SortStats{288, 48, 0}, 0x309b728e0c12ae55},
+		{"descending", 49, SortStats{294, 49, 0}, 0xaa1cb191ac2d62e4},
+		{"descending", 2048, SortStats{22528, 2048, 0}, 0x182d4ebc7b40e24d},
+		{"descending", 2049, SortStats{22540, 4098, 2}, 0xeb5e21557059baa4},
+		{"descending", 40000, SortStats{540000, 240000, 10}, 0x733bd70174a3acf1},
+		{"descending", 126000, SortStats{1764016, 882000, 12}, 0x5cecb7dc862bdd78},
+		{"equal", 2, SortStats{2, 2, 0}, 0x980f95fe38425dc5},
+		{"equal", 47, SortStats{282, 47, 0}, 0xb74bdfcb4efd5f80},
+		{"equal", 48, SortStats{288, 48, 0}, 0x096800fecb70c225},
+		{"equal", 49, SortStats{294, 49, 0}, 0x49a1d0a14d864620},
+		{"equal", 2048, SortStats{22528, 2048, 0}, 0x0b7408c2a1bca325},
+		{"equal", 2049, SortStats{22539, 4098, 2}, 0x2c335d72eb584720},
+		{"equal", 40000, SortStats{540000, 240000, 10}, 0xbca0e1d329a3b725},
+		{"equal", 126000, SortStats{1763984, 882000, 12}, 0x94104818aa8e8225},
+		{"7-valued", 2, SortStats{2, 2, 0}, 0xbd36edcd222d23a0},
+		{"7-valued", 47, SortStats{282, 47, 0}, 0x293a378812cc6364},
+		{"7-valued", 48, SortStats{288, 48, 0}, 0xcbc606be5bf01027},
+		{"7-valued", 49, SortStats{294, 49, 0}, 0xce0def90f0f8a363},
+		{"7-valued", 2048, SortStats{22528, 2048, 0}, 0x6f20c889c60649a4},
+		{"7-valued", 2049, SortStats{23414, 4098, 2}, 0xa0de13bc332b2243},
+		{"7-valued", 40000, SortStats{625849, 240000, 10}, 0x968ed89b9e3cf421},
+		{"7-valued", 126000, SortStats{2087919, 882000, 12}, 0x5cb43f0f66e1e221},
+	}
+	for _, c := range cases {
+		base := mergeSortPinInput(c.kind, c.n)
+		for _, workers := range []int{1, 2, 4} {
+			xs := slices.Clone(base)
+			got := MergeSortInts(xs, workers)
+			h := fnv.New64a()
+			hashInts64(h, xs)
+			if got != c.want {
+				t.Errorf("%s n=%d workers=%d: stats %+v, want %+v", c.kind, c.n, workers, got, c.want)
+			}
+			if h.Sum64() != c.hash {
+				t.Errorf("%s n=%d workers=%d: output hash %#016x, want %#016x", c.kind, c.n, workers, h.Sum64(), c.hash)
+			}
 		}
 	}
 }
