@@ -31,31 +31,35 @@ func incr[T int64 | float64](v T) T { return v + 1 }
 // settle into their roles over a few rounds.
 const warmups = 5
 
+// TestSpMSpVShmBucketZeroAllocSteadyState pins the bucket engine and, on the
+// same input, the paper's two sorting engines at one worker.
 func TestSpMSpVShmBucketZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include race-runtime shadow allocations")
 	}
 	a := sparse.ErdosRenyi[int64](5000, 8, 1)
 	x := sparse.RandomVec[int64](5000, 400, 2)
-	rt := newRT(t, 1, 24)
-	cfg := ShmConfig{
-		Threads: 24,
-		Workers: 1,
-		Engine:  EngineBucket,
-		Sim:     rt.S,
-		Pool:    rt.WP,
-		Scratch: rt.Scratch,
-	}
-	for i := 0; i < warmups; i++ {
-		y, _ := SpMSpVShm(a, x, cfg)
-		sparse.PutVec(cfg.Scratch, y)
-	}
-	avg := testing.AllocsPerRun(50, func() {
-		y, _ := SpMSpVShm(a, x, cfg)
-		sparse.PutVec(cfg.Scratch, y)
-	})
-	if avg != 0 {
-		t.Fatalf("SpMSpVShm (bucket engine) allocates %.1f objects per steady-state call, want 0", avg)
+	for _, engine := range []Engine{EngineBucket, EngineMergeSort, EngineRadixSort} {
+		rt := newRT(t, 1, 24)
+		cfg := ShmConfig{
+			Threads: 24,
+			Workers: 1,
+			Engine:  engine,
+			Sim:     rt.S,
+			Pool:    rt.WP,
+			Scratch: rt.Scratch,
+		}
+		for i := 0; i < warmups; i++ {
+			y, _ := SpMSpVShm(a, x, cfg)
+			sparse.PutVec(cfg.Scratch, y)
+		}
+		avg := testing.AllocsPerRun(50, func() {
+			y, _ := SpMSpVShm(a, x, cfg)
+			sparse.PutVec(cfg.Scratch, y)
+		})
+		if avg != 0 {
+			t.Errorf("SpMSpVShm (%s engine) allocates %.1f objects per steady-state call, want 0", engine, avg)
+		}
 	}
 }
 

@@ -179,7 +179,8 @@ func SpMSpVShm[T semiring.Number](a *sparse.CSR[T], x *sparse.Vec[T], cfg ShmCon
 			seen += int64(len(cols))
 			for _, colid := range cols {
 				// Only keeping the first index; keep row index as value.
-				if spa.TryClaim(colid) {
+				// The only writer claims without locked instructions.
+				if spa.Claim(colid) {
 					spa.LocalY[colid] = int64(rid)
 				}
 			}

@@ -31,14 +31,19 @@ func benchIndexStream() ([]int, []int32) {
 	return xs, xs32
 }
 
+// BenchmarkSpMSpVKernelMergeSort runs the merge sort at one worker, the
+// shape the end-to-end benchmark's lib-kernels workload runs, and at four.
 func BenchmarkSpMSpVKernelMergeSort(b *testing.B) {
 	base, _ := benchIndexStream()
 	buf := make([]int, len(base))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(buf, base)
-		MergeSortInts(buf, 4)
+	for _, workers := range []int{1, 4} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(buf, base)
+				MergeSortInts(buf, workers)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -66,11 +67,8 @@ func TestAtomicSPASequential(t *testing.T) {
 	if !s.TryClaim(3) {
 		t.Fatal("first claim failed")
 	}
-	if s.TryClaim(3) {
+	if s.TryClaim(3) || s.Claim(3) {
 		t.Fatal("second claim of same index succeeded")
-	}
-	if !s.Claimed(3) || s.Claimed(4) {
-		t.Fatal("Claimed wrong")
 	}
 	if !s.TryClaim(5) {
 		t.Fatal("claim of fresh index failed")
@@ -84,11 +82,87 @@ func TestAtomicSPASequential(t *testing.T) {
 		t.Fatalf("compact inds = %v", inds)
 	}
 	s.Reset()
-	if s.Claimed(3) || len(s.CompactInds()) != 0 {
+	if len(s.CompactInds()) != 0 {
 		t.Fatal("reset incomplete")
 	}
-	if !s.TryClaim(3) {
-		t.Fatal("claim after reset failed")
+
+	// The single-writer claim keeps discovery order and sees the atomic
+	// claims' flags, as they see its.
+	for _, i := range []int{6, 3, 0, 6, 3} {
+		s.Claim(i)
+	}
+	if got := s.CompactInds(); !slices.Equal(got, []int{6, 3, 0}) {
+		t.Fatalf("Claim compacted %v, want [6 3 0]", got)
+	}
+	if s.TryClaim(0) || !s.TryClaim(7) || s.Claim(7) {
+		t.Fatal("Claim and TryClaim disagree about claimed positions")
+	}
+	s.Reset()
+	if len(s.CompactInds()) != 0 {
+		t.Fatal("reset after Claim incomplete")
+	}
+	for i := 0; i < 8; i++ {
+		if !s.Claim(i) {
+			t.Fatalf("claim of %d after reset failed", i)
+		}
+	}
+	if got := s.CompactInds(); !slices.Equal(got, []int{0, 1, 2, 3, 4, 5, 6, 7}) {
+		t.Fatalf("full claim compacted %v", got)
+	}
+}
+
+// TestAtomicSPAClaimThenTryClaim runs a single-writer Claim phase, returns
+// the SPA to the arena, checks it out again and runs a concurrent TryClaim
+// phase on it. Under -race this checks that the plain accesses of the first
+// phase are ordered before the atomic ones of the second by the arena
+// hand-off, as the one-worker and many-worker SpMSpV calls sharing one
+// runtime rely on.
+func TestAtomicSPAClaimThenTryClaim(t *testing.T) {
+	const n = 1 << 10
+	p := NewScratchPool()
+	s := GetAtomicSPA[int64](p, n)
+	for i := 0; i < n; i += 3 {
+		s.Claim(i)
+	}
+	if got := len(s.CompactInds()); got != (n+2)/3 {
+		t.Fatalf("Claim phase compacted %d, want %d", got, (n+2)/3)
+	}
+	PutAtomicSPA(p, s)
+	s2 := GetAtomicSPA[int64](p, n)
+	if s2 != s {
+		t.Fatal("arena did not hand the SPA back")
+	}
+	const workers = 4
+	var wg sync.WaitGroup
+	wins := make([]int, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				if s2.TryClaim((i*5 + w) % n) {
+					wins[w]++
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	total := 0
+	for _, c := range wins {
+		total += c
+	}
+	inds := slices.Sorted(slices.Values(s2.CompactInds()))
+	if total != n || len(inds) != n {
+		t.Fatalf("%d wins, %d compacted; want %d each", total, len(inds), n)
+	}
+	for k, i := range inds {
+		if i != k {
+			t.Fatalf("compacted list is not a permutation of [0, %d): %d at %d", n, i, k)
+		}
+	}
+	PutAtomicSPA(p, s2)
+	if p.Outstanding() != 0 {
+		t.Fatal("arena loan leaked")
 	}
 }
 
