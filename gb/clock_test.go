@@ -2,6 +2,10 @@ package gb
 
 import (
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/sparse"
@@ -18,13 +22,90 @@ import (
 // on a gathered copy and has no cost model (ROADMAP item 4). The test pins
 // that too, so the exception cannot outlive a fix.
 func TestEveryCallAdvancesTheClock(t *testing.T) {
-	const n = 96
 	ctx, err := New(Locales(4), Threads(24))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A symmetric graph with triangles (so every algorithm has work), and the
-	// vectors the operations read; calls that write take a fresh copy.
+	const uncharged = "BetweennessCentrality"
+	for _, c := range clockCalls(t, ctx) {
+		before := ctx.Elapsed()
+		if err := c.run(); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if after := ctx.Elapsed(); (after > before) == (c.name == uncharged) {
+			t.Errorf("%s: modeled clock went %v s -> %v s", c.name, before, after)
+		}
+	}
+}
+
+// TestChargeLedgerGolden pins, bit for bit, what every call of the clock
+// table charges, once per shared-memory engine: the float64 bits of the
+// modeled Elapsed delta (ns), each locale's clock, the traffic counters and
+// the ns of every phase the call recorded. A host-side rewrite of a kernel
+// must leave testdata/charges.golden byte-identical; one that moves a charge
+// on purpose regenerates it with go test ./gb -run ChargeLedger -update.
+func TestChargeLedgerGolden(t *testing.T) {
+	var b strings.Builder
+	for _, e := range []struct {
+		name   string
+		engine Engine
+	}{{"mergesort", MergeSort}, {"radixsort", RadixSort}, {"bucket", Bucket}} {
+		ctx, err := New(Locales(4), Threads(24), e.engine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := ctx.rt.S
+		fmt.Fprintf(&b, "engine %s\n", e.name)
+		for _, c := range clockCalls(t, ctx) {
+			before, phases := s.Elapsed(), s.PhaseCount()
+			if err := c.run(); err != nil {
+				t.Fatalf("%s: %s: %v", e.name, c.name, err)
+			}
+			fmt.Fprintf(&b, "%s\n  delta %016x\n  clocks", c.name, math.Float64bits(s.Elapsed()-before))
+			for l := 0; l < s.P(); l++ {
+				fmt.Fprintf(&b, " %016x", math.Float64bits(s.Clock(l)))
+			}
+			fmt.Fprintf(&b, "\n  traffic %+v\n", s.Traffic())
+			for _, ph := range s.PhasesSince(phases) {
+				fmt.Fprintf(&b, "  phase %q %016x\n", ph.Name, math.Float64bits(ph.NS))
+			}
+		}
+	}
+	path := filepath.Join("testdata", "charges.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, wantLines := strings.Split(b.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range min(len(got), len(wantLines)) {
+		if got[i] != wantLines[i] {
+			t.Fatalf("charges drifted from %s at line %d (run with -update to regenerate):\ngot  %s\nwant %s", path, i+1, got[i], wantLines[i])
+		}
+	}
+	if len(got) != len(wantLines) {
+		t.Fatalf("%d ledger lines, want %d", len(got), len(wantLines))
+	}
+}
+
+// clockCall is one row of the clock tables: a public call on the context.
+type clockCall struct {
+	name string
+	run  func() error
+}
+
+// clockCalls is the table of public operations and algorithms the clock
+// tests run in order on ctx, a 4-locale context: a symmetric graph with
+// triangles (so every algorithm has work), and the vectors the operations
+// read; calls that write take a fresh copy.
+func clockCalls(t *testing.T, ctx *Context) []clockCall {
+	t.Helper()
+	const n = 96
 	g := MatrixFromCSR(ctx, symCSR(t, n, 8, 11))
 	vec := func() *Vector[int64] { return RandomVector[int64](ctx, n, 24, 12) }
 	dense := DenseVectorFromSlice(ctx, sparse.RandomBoolDense[int64](n, 0.5, 13).Data)
@@ -34,11 +115,7 @@ func TestEveryCallAdvancesTheClock(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const uncharged = "BetweennessCentrality"
-	calls := []struct {
-		name string
-		run  func() error
-	}{
+	return []clockCall{
 		{"Apply", func() error { Apply(vec(), double); return nil }},
 		{"ApplyNaive", func() error { ApplyNaive(vec(), double); return nil }},
 		{"ApplyMatrix", func() error { ApplyMatrix(g, func(int64) int64 { return 1 }); return nil }},
@@ -98,16 +175,6 @@ func TestEveryCallAdvancesTheClock(t *testing.T) {
 			_, err := stream.StreamingPageRank(0.85, 1e-6, 20, nil)
 			return err
 		}},
-	}
-	for _, c := range calls {
-		before := ctx.Elapsed()
-		if err := c.run(); err != nil {
-			t.Errorf("%s: %v", c.name, err)
-			continue
-		}
-		if after := ctx.Elapsed(); (after > before) == (c.name == uncharged) {
-			t.Errorf("%s: modeled clock went %v s -> %v s", c.name, before, after)
-		}
 	}
 }
 
