@@ -39,11 +39,14 @@ func SparseRowAllGather[T semiring.Number](rt *locale.Runtime, inds [][]int, val
 		team := g.RowLocales(r)
 		teamInds := make([][]int, 0, len(team))
 		teamVals := make([][]T, 0, len(team))
+		total := 0
 		for _, src := range team {
 			teamInds = append(teamInds, inds[src])
 			teamVals = append(teamVals, vals[src])
+			total += len(inds[src])
 		}
-		mergedInd, mergedVal := kwayMergeRuns(rt.Scratch, teamInds, teamVals)
+		// Every element is kept; ties resolve to the lowest source.
+		mergedInd, mergedVal := kwayMerge(rt.Scratch, teamInds, teamVals, false, nil, make([]int, 0, total), make([]T, 0, total))
 		for di, dst := range team {
 			for _, src := range team {
 				if src == dst || len(inds[src]) == 0 {
@@ -87,9 +90,11 @@ func SparseRowAllGather[T semiring.Number](rt *locale.Runtime, inds [][]int, val
 // incoming sorted segments in source-locale order. With op == nil the first
 // source to report an index wins — bitwise the resolution order of a global
 // atomic isthere bitmap visited in locale order, which this collective
-// replaces — otherwise duplicates are accumulated with op.
+// replaces — otherwise duplicates are accumulated with op. The runs must be
+// sorted and duplicate-free.
 //
-// Returns, per locale, the merged sorted duplicate-free run it owns.
+// Returns, per locale, the merged sorted duplicate-free run it owns: fresh,
+// or the input's segment, capped, when it was the only one.
 func ColMergeScatter[T semiring.Number](rt *locale.Runtime, n int, inds [][]int, vals [][]T, op semiring.BinaryOp[T]) ([][]int, [][]T, error) {
 	defer rt.Span("ColMergeScatter").End()
 	g := rt.G
@@ -109,8 +114,8 @@ func ColMergeScatter[T semiring.Number](rt *locale.Runtime, n int, inds [][]int,
 			if k == lo {
 				continue
 			}
-			segInd[dst] = append(segInd[dst], run[lo:k])
-			segVal[dst] = append(segVal[dst], vals[src][lo:k])
+			segInd[dst] = append(segInd[dst], run[lo:k:k])
+			segVal[dst] = append(segVal[dst], vals[src][lo:k:k])
 			if src != dst {
 				bytes := payloadBytes(k - lo)
 				intra := g.SameNode(src, dst)
@@ -132,7 +137,7 @@ func ColMergeScatter[T semiring.Number](rt *locale.Runtime, n int, inds [][]int,
 		for _, s := range segInd[dst] {
 			received += int64(len(s))
 		}
-		outInd[dst], outVal[dst] = kwayMergeDedup(rt.Scratch, segInd[dst], segVal[dst], op)
+		outInd[dst], outVal[dst] = KWayMergeDedup(rt.Scratch, segInd[dst], segVal[dst], op, nil, nil)
 		rt.S.Compute(dst, 1, sim.Kernel{
 			Name:       "colmerge-scatter-merge",
 			Items:      received,
@@ -142,57 +147,40 @@ func ColMergeScatter[T semiring.Number](rt *locale.Runtime, n int, inds [][]int,
 	return outInd, outVal, nil
 }
 
-// kwayMergeRuns merges sorted runs into one sorted run, keeping every
-// element; ties resolve to the lowest run index (stable in source order).
-// The cursor array is checked out of the scratch arena (nil-safe).
-func kwayMergeRuns[T semiring.Number](scratch *sparse.ScratchPool, runs [][]int, vals [][]T) ([]int, []T) {
-	total := 0
-	for _, r := range runs {
-		total += len(r)
-	}
-	outInd := make([]int, 0, total)
-	outVal := make([]T, 0, total)
-	pos := sparse.GetSlice[int](scratch, len(runs))
-	clear(pos)
-	defer sparse.PutSlice(scratch, pos)
-	for len(outInd) < total {
-		best := -1
-		for k, r := range runs {
-			if pos[k] >= len(r) {
-				continue
-			}
-			if best < 0 || r[pos[k]] < runs[best][pos[best]] {
-				best = k
-			}
+// KWayMergeDedup merges sorted, duplicate-free runs into one: duplicates
+// resolve first-wins in run order (the source-locale order callers
+// establish) when op is nil and accumulate with op otherwise. A single
+// nonempty run comes back as it is, uncopied; else the merge is appended to
+// outInd[:0] and outVal[:0], so lent buffers with room for every element
+// allocate nothing, and nil ones are allocated at the runs' total length.
+func KWayMergeDedup[T semiring.Number](scratch *sparse.ScratchPool, runs [][]int, vals [][]T, op semiring.BinaryOp[T], outInd []int, outVal []T) ([]int, []T) {
+	total, nonempty, only := 0, 0, 0
+	for k, r := range runs {
+		if len(r) > 0 {
+			total, nonempty, only = total+len(r), nonempty+1, k
 		}
-		outInd = append(outInd, runs[best][pos[best]])
-		outVal = append(outVal, vals[best][pos[best]])
-		pos[best]++
 	}
-	return outInd, outVal
+	if nonempty == 1 {
+		return runs[only], vals[only]
+	}
+	if outInd == nil {
+		outInd, outVal = make([]int, 0, total), make([]T, 0, total)
+	}
+	return kwayMerge(scratch, runs, vals, true, op, outInd[:0], outVal[:0])
 }
 
-// kwayMergeDedup merges sorted runs into one sorted duplicate-free run.
-// Duplicates resolve first-wins in run order when op is nil (run order = the
-// source-locale order the callers establish), and accumulate with op
-// otherwise.
-func kwayMergeDedup[T semiring.Number](scratch *sparse.ScratchPool, runs [][]int, vals [][]T, op semiring.BinaryOp[T]) ([]int, []T) {
-	total := 0
-	for _, r := range runs {
-		total += len(r)
-	}
-	outInd := make([]int, 0, total)
-	outVal := make([]T, 0, total)
+// kwayMerge appends the merge of sorted runs to outInd and outVal; ties
+// resolve to the lowest run index. With dedup an index is appended once,
+// keeping its first value or accumulating the others into it with op. The
+// cursor array is checked out of the scratch arena (nil-safe).
+func kwayMerge[T semiring.Number](scratch *sparse.ScratchPool, runs [][]int, vals [][]T, dedup bool, op semiring.BinaryOp[T], outInd []int, outVal []T) ([]int, []T) {
 	pos := sparse.GetSlice[int](scratch, len(runs))
 	clear(pos)
 	defer sparse.PutSlice(scratch, pos)
 	for {
 		best := -1
 		for k, r := range runs {
-			if pos[k] >= len(r) {
-				continue
-			}
-			if best < 0 || r[pos[k]] < runs[best][pos[best]] {
+			if pos[k] < len(r) && (best < 0 || r[pos[k]] < runs[best][pos[best]]) {
 				best = k
 			}
 		}
@@ -201,7 +189,7 @@ func kwayMergeDedup[T semiring.Number](scratch *sparse.ScratchPool, runs [][]int
 		}
 		i, v := runs[best][pos[best]], vals[best][pos[best]]
 		pos[best]++
-		if m := len(outInd); m > 0 && outInd[m-1] == i {
+		if m := len(outInd); dedup && m > 0 && outInd[m-1] == i {
 			if op != nil {
 				outVal[m-1] = op(outVal[m-1], v)
 			}

@@ -3,11 +3,13 @@ package comm
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/locale"
+	"repro/internal/sparse"
 )
 
 // randSortedRuns builds one sorted duplicate-free (ind, val) run per locale,
@@ -194,5 +196,56 @@ func TestSparseCollectivesUnderFaults(t *testing.T) {
 	crashed2 := newRT(t, 6).WithFault(fault.Plan{Seed: 1, CrashLocale: 2, CrashStep: 0})
 	if _, _, err := ColMergeScatter(crashed2, 300, inds, vals, nil); err == nil {
 		t.Error("scatter ignored a crashed locale")
+	}
+}
+
+// TestKWayMergeDedup covers the one first-wins merge the module has: a single
+// nonempty run is its own merge and comes back uncopied, empty runs merge to
+// nothing, ties across runs resolve to the lowest run (the lowest source
+// locale), and the caller-buffer form allocates nothing.
+func TestKWayMergeDedup(t *testing.T) {
+	scratch := sparse.NewScratchPool()
+	one := []int{2, 5, 9}
+	oneVal := []int64{20, 50, 90}
+	ind, val := KWayMergeDedup(scratch, [][]int{{}, one, nil}, [][]int64{{}, oneVal, nil}, nil, nil, nil)
+	if len(ind) != len(one) || &ind[0] != &one[0] || &val[0] != &oneVal[0] {
+		t.Errorf("one nonempty run came back as (%v, %v), not the run itself", ind, val)
+	}
+
+	for _, runs := range [][][]int{nil, {{}, {}, {}}} {
+		ind, val := KWayMergeDedup(scratch, runs, make([][]int64, len(runs)), nil, nil, nil)
+		if len(ind) != 0 || len(val) != 0 {
+			t.Errorf("%d empty runs merged to (%v, %v)", len(runs), ind, val)
+		}
+	}
+
+	// vals encode the source: 100*run + position.
+	runs := [][]int{{1, 4, 7}, {0, 4, 7, 9}, {4, 9, 12}}
+	vals := [][]int64{{0, 1, 2}, {100, 101, 102, 103}, {200, 201, 202}}
+	ind, val = KWayMergeDedup(scratch, runs, vals, nil, nil, nil)
+	wantInd := []int{0, 1, 4, 7, 9, 12}
+	wantVal := []int64{100, 0, 1, 2, 103, 202}
+	if !slices.Equal(ind, wantInd) || !slices.Equal(val, wantVal) {
+		t.Errorf("first-wins merge = (%v, %v), want (%v, %v)", ind, val, wantInd, wantVal)
+	}
+	ind, val = KWayMergeDedup(scratch, runs, vals, func(a, b int64) int64 { return a + b }, nil, nil)
+	if wantSum := []int64{100, 0, 1 + 101 + 200, 2 + 102, 103 + 201, 202}; !slices.Equal(ind, wantInd) || !slices.Equal(val, wantSum) {
+		t.Errorf("monoid merge = (%v, %v), want (%v, %v)", ind, val, wantInd, wantSum)
+	}
+
+	if outstanding := scratch.Outstanding(); outstanding != 0 {
+		t.Errorf("%d arena loans outstanding", outstanding)
+	}
+	if raceEnabled {
+		return // the race runtime allocates on its own
+	}
+	bufInd, bufVal := make([]int, 10), make([]int64, 10)
+	if allocs := testing.AllocsPerRun(100, func() {
+		ind, val = KWayMergeDedup(scratch, runs, vals, nil, bufInd, bufVal)
+	}); allocs != 0 {
+		t.Errorf("the caller-buffer merge allocates %.0f objects per call, want 0", allocs)
+	}
+	if &ind[0] != &bufInd[0] || !slices.Equal(val, wantVal) {
+		t.Errorf("the caller-buffer merge returned (%v, %v) outside the lent buffers", ind, val)
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/comm"
 	"repro/internal/dist"
 	"repro/internal/locale"
@@ -53,12 +55,11 @@ func SpMSpVDistBulk[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *di
 	for l := 0; l < g.P; l++ {
 		r, _ := g.Coords(l)
 		rowBase := a.RowBands[r]
-		lx := sparse.NewVec[T](a.RowBands[r+1] - rowBase)
-		lx.Ind = gInds[l]
-		lx.Val = gVals[l]
-		for k := range lx.Ind {
-			lx.Ind[k] -= rowBase // global row ids → block-local
+		lx := sparse.GetVec[T](rt.Scratch, a.RowBands[r+1]-rowBase) // multiplyBlocks puts it back
+		for _, gi := range gInds[l] {
+			lx.Ind = append(lx.Ind, gi-rowBase) // global row ids → block-local
 		}
+		lx.Val = append(lx.Val, gVals[l]...)
 		lxs[l] = lx
 		st.GatheredElems += int64(lx.NNZ())
 	}
@@ -67,30 +68,27 @@ func SpMSpVDistBulk[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *di
 	rt.S.BeginPhase("Local Multiply")
 	lys := multiplyBlocks(rt, a, lxs, nil, &st)
 
-	// Step 3: scatter through the destination-owned merge collective.
+	// Step 3: scatter through the destination-owned merge collective. It
+	// hands an owner reached by one segment that segment itself, so the runs
+	// are fresh copies and the local products go back to the arena.
 	rt.S.BeginPhase("Scatter Output")
 	outInds := make([][]int, g.P)
 	outVals := make([][]int64, g.P)
-	for l := 0; l < g.P; l++ {
+	for l, ly := range lys {
 		_, c := g.Coords(l)
-		colBase := a.ColBands[c]
-		ly := lys[l]
 		gi := make([]int, len(ly.Ind))
 		for k, lj := range ly.Ind {
-			gi[k] = colBase + lj // block-local column ids → global, still sorted
+			gi[k] = a.ColBands[c] + lj // block-local column ids → global, still sorted
 		}
-		outInds[l] = gi
-		outVals[l] = ly.Val
+		outInds[l], outVals[l] = gi, slices.Clone(ly.Val)
 		st.ScatteredMsgs += int64(ly.NNZ())
 	}
 	mInds, mVals, err := comm.ColMergeScatter[int64](rt, n, outInds, outVals, nil)
 	if err != nil {
 		return nil, st, err
 	}
-	// The merge copied everything out; the local products can be recycled.
-	for l := 0; l < g.P; l++ {
-		sparse.PutVec(rt.Scratch, lys[l])
-		lys[l] = nil
+	for _, ly := range lys {
+		sparse.PutVec(rt.Scratch, ly)
 	}
 	y := &dist.SpVec[int64]{G: g, N: n, Bounds: locale.BlockBounds(n, g.P), Loc: make([]*sparse.Vec[int64], g.P)}
 	for l := 0; l < g.P; l++ {

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"slices"
+
+	"repro/internal/comm"
 	"repro/internal/dist"
 	"repro/internal/inspect"
 	"repro/internal/locale"
@@ -41,14 +44,18 @@ type spmspvPlan struct {
 //     locales of processor row r.
 //  2. Local Multiply: each locale runs the shared-memory SpMSpV on its block,
 //     filtering the product against its mask band.
-//  3. Scatter Output: the local products are merged through a global
-//     first-wins isthere bitmap over the column space, in locale order.
+//  3. Scatter Output: each local product is cut into per-owner segments, and
+//     every owner merges its segments in locale order, first-wins — the
+//     resolution order of the listing's global isthere bitmap.
 //
-// and then hands the bitmap (the claimed flags, the discovering global row
-// ids, and the claimed count) to sink, still inside the scatter phase. The
-// sink must clear every flag it finds set, so the bitmap goes back to the
-// arena clean.
-func spmspvRun[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.SpVec[T], p spmspvPlan, st *DistStats, sink func(isthere []bool, value []int64, claimed int)) {
+// and then, still inside the scatter phase, asks start whether to emit with
+// the claimed count (a nil start always emits). If so, every owner hands emit
+// its merged run of (position, discovering global row) pairs, in locale
+// order, each after the owner's pass over its n/P slice of the output is
+// charged — the listing's denseToSparse scan, which the merge replaces on the
+// host but not in the model. The runs are the pipeline's: emit must not keep
+// them.
+func spmspvRun[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.SpVec[T], p spmspvPlan, st *DistStats, start func(claimed int) bool, emit func(l int, pos []int, val []int64)) {
 	rt.S.CoforallSpawn()
 	var bandMask [][]int64
 	if p.mask != nil {
@@ -64,11 +71,26 @@ func spmspvRun[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.Sp
 	lys := multiplyBlocks(rt, a, lxs, bandMask, st)
 
 	rt.S.BeginPhase("Scatter Output")
-	spa := sparse.GetBucketSPA[int64](rt.Scratch, a.NCols, 1, 1)
-	value, isthere := spa.Dense()
-	claimed := scatterFirstWins(rt, a.NCols, a.ColBands, lys, isthere, value, bulk, st)
-	sink(isthere, value, claimed)
-	sparse.PutBucketSPA(rt.Scratch, spa)
+	runs, claimed := scatterOwnerRuns(rt, a.NCols, a.ColBands, lys, bulk, st)
+	if start == nil || start(claimed) {
+		for l, run := range runs {
+			rt.S.Compute(l, rt.Threads, sim.Kernel{
+				Name:         "spmspv-densetosparse",
+				Items:        int64((l+1)*a.NCols/rt.G.P - l*a.NCols/rt.G.P),
+				CPUPerItem:   costScanCPU,
+				BytesPerItem: 1,
+			})
+			emit(l, run.pos, run.val)
+		}
+	}
+	// A merged run is a loan; the others aliased the local products.
+	for l, run := range runs {
+		if run.loan {
+			sparse.PutSlice(rt.Scratch, run.pos)
+			sparse.PutSlice(rt.Scratch, run.val)
+		}
+		sparse.PutVec(rt.Scratch, lys[l])
+	}
 	rt.S.EndPhase()
 	rt.S.Barrier()
 }
@@ -85,7 +107,8 @@ func spmspvRun[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.Sp
 //  3. Scatter: the local outputs are merged through a global (distributed)
 //     atomic isthere bitmap, one fine-grained remote update per element, and
 //     each locale then converts its slice of the bitmap back to sparse form
-//     (the listing's denseToSparse).
+//     (the listing's denseToSparse). The model charges that; the host merges
+//     each owner's sorted runs first-wins in locale order, to the same result.
 //
 // The result vector holds the discovering global row id of each reached
 // column, as in the shared-memory version.
@@ -112,27 +135,25 @@ func SpMSpVDistMasked[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *
 }
 
 // spmspvToVec runs the pipeline into the listing's own sink: denseToSparse
-// into a fresh result vector.
+// into a fresh result vector, each locale's block a copy of its run.
 func spmspvToVec[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.SpVec[T], p spmspvPlan) (*dist.SpVec[int64], DistStats) {
 	var st DistStats
-	var y *dist.SpVec[int64]
-	spmspvRun(rt, a, x, p, &st, func(isthere []bool, value []int64, _ int) {
-		y = denseToSparse(rt, a.NCols, isthere, value, &st)
+	n := a.NCols
+	y := &dist.SpVec[int64]{G: rt.G, N: n, Bounds: locale.BlockBounds(n, rt.G.P), Loc: make([]*sparse.Vec[int64], rt.G.P)}
+	spmspvRun(rt, a, x, p, &st, nil, func(l int, pos []int, val []int64) {
+		y.Loc[l] = &sparse.Vec[int64]{N: n, Ind: slices.Clone(pos), Val: slices.Clone(val)}
+		st.NnzOut += len(pos)
 	})
 	return y, st
 }
 
 // rowBandInput concatenates the pieces of x that team — the locales of
-// processor row r — own into one block-local input vector, allocated once at
-// its final size. Sources are visited in increasing order and own increasing
-// index ranges, so the concatenation of their sorted pieces stays sorted.
-func rowBandInput[T semiring.Number](a *dist.Mat[T], x *dist.SpVec[T], r int, team []int) *sparse.Vec[T] {
+// processor row r — own into one block-local input vector, an arena vector.
+// Sources are visited in increasing order and own increasing index ranges,
+// so the concatenation of their sorted pieces stays sorted.
+func rowBandInput[T semiring.Number](scratch *sparse.ScratchPool, a *dist.Mat[T], x *dist.SpVec[T], r int, team []int) *sparse.Vec[T] {
 	rowBase := a.RowBands[r]
-	total := 0
-	for _, src := range team {
-		total += x.Loc[src].NNZ()
-	}
-	lx := &sparse.Vec[T]{N: a.RowBands[r+1] - rowBase, Ind: make([]int, 0, total), Val: make([]T, 0, total)}
+	lx := sparse.GetVec[T](scratch, a.RowBands[r+1]-rowBase)
 	for _, src := range team {
 		sv := x.Loc[src]
 		for _, gi := range sv.Ind {
@@ -144,18 +165,18 @@ func rowBandInput[T semiring.Number](a *dist.Mat[T], x *dist.SpVec[T], r int, te
 }
 
 // gatherRowBands gives every locale the x pieces of its processor row (the
-// pipeline's gather). Fine charging is the listing's element-by-element copy;
-// bulk charging is comm.SparseRowAllGather's — one α+βn payload per (src,
-// dst) team pair plus a per-destination sorted merge. The gathered data is
-// the same either way (team order concatenates disjoint ascending ranges), so
-// only the modeled clock differs.
+// pipeline's gather) in arena vectors. Fine charging is the listing's
+// element-by-element copy; bulk charging is comm.SparseRowAllGather's — one
+// α+βn payload per (src, dst) team pair plus a per-destination sorted merge.
+// The gathered data is the same either way (team order concatenates disjoint
+// ascending ranges), so only the modeled clock differs.
 func gatherRowBands[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.SpVec[T], bulk bool, st *DistStats) []*sparse.Vec[T] {
 	g := rt.G
 	lxs := make([]*sparse.Vec[T], g.P)
 	for l := 0; l < g.P; l++ {
 		r, _ := g.Coords(l)
 		team := g.RowLocales(r)
-		lxs[l] = rowBandInput(a, x, r, team)
+		lxs[l] = rowBandInput(rt.Scratch, a, x, r, team)
 		st.GatheredElems += int64(lxs[l].NNZ())
 		var remoteElems int64
 		srcCount := 0
@@ -235,19 +256,21 @@ func blockShmConfig(rt *locale.Runtime, l int) ShmConfig {
 	}
 }
 
-// multiplyBlocks runs the per-block shared-memory SpMSpV on every locale and
-// rewrites the discovered row ids to global vertex ids. When bandMask is
-// non-nil the replicated mask segment filters the local product before the
+// multiplyBlocks runs the per-block shared-memory SpMSpV on every locale,
+// putting each arena input vector back once it is consumed, and rewrites the
+// discovered row ids to global vertex ids. When bandMask is non-nil the
+// replicated mask segment seg filters the local product in place before the
 // scatter (and is recycled afterwards): an entry at band-local position lj
-// survives when seg[lj] == 0. The mask is position-only, so
-// filtering before the first-wins scatter claims exactly the positions a
-// multiply-then-filter chain keeps, with the same winning values.
+// survives when seg[lj] == 0. The mask is position-only, so filtering before
+// the first-wins scatter claims exactly the positions a multiply-then-filter
+// chain keeps, with the same winning values.
 func multiplyBlocks[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], lxs []*sparse.Vec[T], bandMask [][]int64, st *DistStats) []*sparse.Vec[int64] {
 	g := rt.G
 	lys := make([]*sparse.Vec[int64], g.P)
 	for l := 0; l < g.P; l++ {
 		r, c := g.Coords(l)
 		ly, shmStats := SpMSpVShm(a.Blocks[l], lxs[l], blockShmConfig(rt, l))
+		sparse.PutVec(rt.Scratch, lxs[l])
 		st.LocalEntries += shmStats.EntriesVisited
 		rowBase := int64(a.RowBands[r])
 		if bandMask == nil {
@@ -257,24 +280,21 @@ func multiplyBlocks[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], lxs [
 			lys[l] = ly
 			continue
 		}
-		seg := bandMask[c]
-		candidates := ly.NNZ()
-		filtered := sparse.GetVec[int64](rt.Scratch, ly.N) // recycled by the scatter
-		for k, lj := range ly.Ind {
-			if seg[lj] != 0 {
-				continue
-			}
-			filtered.Ind = append(filtered.Ind, lj)
-			filtered.Val = append(filtered.Val, ly.Val[k]+rowBase)
-		}
-		sparse.PutVec(rt.Scratch, ly)
 		rt.S.Compute(l, rt.Threads, sim.Kernel{
 			Name:         "spmspv-mask-filter",
-			Items:        int64(candidates),
+			Items:        int64(ly.NNZ()),
 			CPUPerItem:   6,
 			BytesPerItem: 9,
 		})
-		lys[l] = filtered
+		kept := 0 // the survivors are compacted in place
+		for k, lj := range ly.Ind {
+			if bandMask[c][lj] == 0 {
+				ly.Ind[kept], ly.Val[kept] = lj, ly.Val[k]+rowBase
+				kept++
+			}
+		}
+		ly.Ind, ly.Val = ly.Ind[:kept], ly.Val[:kept]
+		lys[l] = ly
 	}
 	for _, seg := range bandMask {
 		sparse.PutSlice(rt.Scratch, seg)
@@ -282,82 +302,89 @@ func multiplyBlocks[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], lxs [
 	return lys
 }
 
-// scatterFirstWins merges the local products through the global first-wins
-// bitmap over the n columns, in locale order (the pipeline's scatter), and
-// returns the number of claimed positions. Fine charging is one remote update
-// per element owned elsewhere; bulk charging is comm.ColMergeScatter's — each
-// source's sorted run splits into per-owner segments, one α+βn payload per
-// remote segment, plus a per-owner merge. The bitmap is the same either way.
-// The local products are recycled into the scratch arena.
-func scatterFirstWins(rt *locale.Runtime, n int, colBands []int, lys []*sparse.Vec[int64], isthere []bool, value []int64, bulk bool, st *DistStats) int {
+// ownerRun is the sorted, duplicate-free (global column, discovering global
+// row) pairs one owner receives from the pipeline's scatter.
+type ownerRun struct {
+	pos  []int
+	val  []int64
+	loan bool // pos and val are arena loans: the merge of two or more segments
+}
+
+// scatterOwnerRuns is the pipeline's scatter; it returns every owner's run
+// and the claimed count. Each sorted local product is rewritten to global
+// column ids in place and cut at the output's block bounds; each owner merges
+// its segments in source-locale order, first-wins — the resolution order of a
+// global isthere bitmap visited in locale order. An owner reached by one
+// segment (every owner when Pr == 1) gets that segment itself, uncopied.
+// Fine charging is one remote update per element owned elsewhere; bulk
+// charging is comm.ColMergeScatter's — one α+βn payload per remote segment,
+// plus a per-owner merge. The runs are the same either way.
+func scatterOwnerRuns(rt *locale.Runtime, n int, colBands []int, lys []*sparse.Vec[int64], bulk bool, st *DistStats) ([]ownerRun, int) {
 	g := rt.G
-	claimed := 0
-	var received []int64 // bulk: elements each owner merges
-	if bulk {
-		received = make([]int64, g.P)
-	}
-	for l := 0; l < g.P; l++ {
-		_, c := g.Coords(l)
-		colBase := colBands[c]
-		ly := lys[l]
-		var remoteMsgs int64
-		segOwner, segLen := -1, 0
-		for k, lj := range ly.Ind {
-			gj := colBase + lj
-			if !isthere[gj] {
-				isthere[gj] = true
-				value[gj] = ly.Val[k]
-				claimed++
+	// Owner o's segment of lys[l] is [cuts[l*(P+1)+o], cuts[l*(P+1)+o+1]).
+	cuts := sparse.GetSlice[int](rt.Scratch, g.P*(g.P+1))
+	for l, ly := range lys {
+		if _, c := g.Coords(l); colBands[c] != 0 {
+			for k := range ly.Ind {
+				ly.Ind[k] += colBands[c] // block-local column ids → global, still sorted
 			}
-			owner := locale.OwnerOf(n, g.P, gj)
-			if owner != l {
-				remoteMsgs++
+		}
+		cut := cuts[l*(g.P+1):]
+		for o, k := 0, 0; o < g.P; o++ {
+			cut[o] = k
+			// A search only where a segment starts: a product spans the few
+			// owners of its column band.
+			if hi := (o + 1) * n / g.P; k < len(ly.Ind) && ly.Ind[k] < hi {
+				end, _ := slices.BinarySearch(ly.Ind[k:], hi)
+				if k += end; bulk && o != l {
+					rt.S.Bulk(o, sparsePayloadBytes(end), g.SameNode(l, o))
+				}
 			}
-			if bulk && owner != segOwner {
-				sendSegment(rt, l, segOwner, segLen, received)
-				segOwner, segLen = owner, 0
-			}
-			segLen++
+			cut[o+1] = k
 		}
 		st.ScatteredMsgs += int64(ly.NNZ())
-		if bulk {
-			sendSegment(rt, l, segOwner, segLen, received)
-		} else if remoteMsgs > 0 {
+		if remoteMsgs := int64(ly.NNZ() - (cut[l+1] - cut[l])); !bulk && remoteMsgs > 0 {
 			o := rt.FineLatencyOpts(l, pickRemote(l, g.P), remoteMsgs, bytesPerEntry, g.P)
 			rt.S.FineGrained(l, o)
 		}
-		// The local product was kernel scratch; recycle its backing arrays.
-		sparse.PutVec(rt.Scratch, ly)
-		lys[l] = nil
 	}
-	for l, items := range received {
-		if items > 0 {
-			rt.S.Compute(l, 1, sim.Kernel{
-				Name:       "colmerge-scatter-merge",
-				Items:      items,
-				CPUPerItem: estSparseMergeCPU,
-			})
+
+	runs, claimed := make([]ownerRun, g.P), 0
+	var indBuf [8][]int // a merge's segments in source order, on the stack up to Pr = 8
+	var valBuf [8][]int64
+	for o := range runs {
+		segInd, segVal, total := indBuf[:0], valBuf[:0], 0
+		for l, ly := range lys {
+			if lo, hi := cuts[l*(g.P+1)+o], cuts[l*(g.P+1)+o+1]; lo < hi {
+				segInd = append(segInd, ly.Ind[lo:hi:hi])
+				segVal = append(segVal, ly.Val[lo:hi:hi])
+				total += hi - lo
+			}
 		}
+		// What o receives: every segment but its own.
+		if received := total - (cuts[o*(g.P+1)+o+1] - cuts[o*(g.P+1)+o]); bulk && received > 0 {
+			rt.S.Compute(o, 1, sim.Kernel{Name: "colmerge-scatter-merge", Items: int64(received), CPUPerItem: estSparseMergeCPU})
+		}
+		run := &runs[o]
+		if run.loan = len(segInd) > 1; run.loan {
+			run.pos, run.val = sparse.GetSlice[int](rt.Scratch, total), sparse.GetSlice[int64](rt.Scratch, total)
+		}
+		run.pos, run.val = comm.KWayMergeDedup(rt.Scratch, segInd, segVal, nil, run.pos, run.val)
+		claimed += len(run.pos)
 	}
-	return claimed
+	sparse.PutSlice(rt.Scratch, cuts)
+	return runs, claimed
 }
 
-// sendSegment charges one bulk scatter segment of segLen elements from src to
-// owner; local and empty segments (and owner -1, no segment yet) move nothing.
-func sendSegment(rt *locale.Runtime, src, owner, segLen int, received []int64) {
-	if owner >= 0 && owner != src && segLen > 0 {
-		rt.S.Bulk(owner, sparsePayloadBytes(segLen), rt.G.SameNode(src, owner))
-		received[owner] += int64(segLen)
-	}
-}
-
-// harvestBitmap hands emit each locale's claimed positions of the global
-// bitmap, ascending, in locale order: one branch-free harvest of the
-// locale's owned range (bounds), which clears its flags and is charged as
-// that locale's pass over its slice (the listing's denseToSparse scan)
-// before emit runs. The positions buffer is an arena loan that emit must not
-// keep; the bitmap goes back to the arena clean.
-func harvestBitmap(rt *locale.Runtime, bounds []int, isthere []bool, emit func(l int, pos []int)) {
+// denseToSparse converts the global SPA back to the block-distributed sparse
+// result (the listing's denseToSparse): each locale harvests its owned range
+// of the bitmap once — clearing its flags, so the bitmap goes back to the
+// arena clean — and copies the claimed positions and values into a block of
+// exactly that size. Each harvest is charged as that locale's pass over its
+// slice.
+func denseToSparse[V semiring.Number](rt *locale.Runtime, n int, isthere []bool, value []V, st *DistStats) *dist.SpVec[V] {
+	bounds := locale.BlockBounds(n, rt.G.P)
+	y := &dist.SpVec[V]{G: rt.G, N: n, Bounds: bounds, Loc: make([]*sparse.Vec[V], rt.G.P)}
 	widest := 0
 	for l := 0; l < rt.G.P; l++ {
 		widest = max(widest, bounds[l+1]-bounds[l])
@@ -372,27 +399,15 @@ func harvestBitmap(rt *locale.Runtime, bounds []int, isthere []bool, emit func(l
 			CPUPerItem:   costScanCPU,
 			BytesPerItem: 1,
 		})
-		emit(l, pos[:k])
-	}
-	sparse.PutSlice(rt.Scratch, pos)
-}
-
-// denseToSparse converts the global SPA back to the block-distributed sparse
-// result (the listing's denseToSparse): each locale harvests its owned range
-// of the bitmap and copies the claimed positions and values into a block of
-// exactly that size.
-func denseToSparse[V semiring.Number](rt *locale.Runtime, n int, isthere []bool, value []V, st *DistStats) *dist.SpVec[V] {
-	bounds := locale.BlockBounds(n, rt.G.P)
-	y := &dist.SpVec[V]{G: rt.G, N: n, Bounds: bounds, Loc: make([]*sparse.Vec[V], rt.G.P)}
-	harvestBitmap(rt, bounds, isthere, func(l int, pos []int) {
-		lv := &sparse.Vec[V]{N: n, Ind: make([]int, len(pos)), Val: make([]V, len(pos))}
-		copy(lv.Ind, pos)
-		for k, gj := range pos {
-			lv.Val[k] = value[gj]
+		lv := &sparse.Vec[V]{N: n, Ind: make([]int, k), Val: make([]V, k)}
+		copy(lv.Ind, pos[:k])
+		for i, gj := range pos[:k] {
+			lv.Val[i] = value[gj]
 		}
 		y.Loc[l] = lv
-		st.NnzOut += len(pos)
-	})
+		st.NnzOut += k
+	}
+	sparse.PutSlice(rt.Scratch, pos)
 	return y
 }
 
@@ -416,6 +431,7 @@ func SpMSpVDistSemiring[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x
 		ly, shmStats := SpMSpVShmSemiring(a.Blocks[l], lxs[l], sr, blockShmConfig(rt, l))
 		lys[l] = ly
 		st.LocalEntries += shmStats.EntriesVisited
+		sparse.PutVec(rt.Scratch, lxs[l])
 	}
 
 	// The accumulator starts at the additive identity everywhere; a position

@@ -144,31 +144,30 @@ func FusedBFSRound[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], fronti
 	choice, est, dsp := spmspvCommChoice(rt, "FusedBFSRound", a, frontier)
 	defer dsp.End()
 	found := 0
-	spmspvRun(rt, a, frontier, spmspvPlan{comm: choice, mask: visited}, &st, func(isthere []bool, value []int64, claimed int) {
-		found = claimed
-		if claimed == 0 {
-			return // nothing is mutated: the eager loop breaks before its updates
+	// denseToSparse fused with the frontier update: each locale walks its run
+	// once, setting level/parent/mask and installing the survivor directly as
+	// the next frontier — the eager chain's separate EWiseMult scan and
+	// Assign rebuild collapse into this pass.
+	start := func(claimed int) bool {
+		if found = claimed; claimed == 0 {
+			return false // nothing is mutated: the eager loop breaks before its updates
 		}
-		// denseToSparse fused with the frontier update: each locale harvests
-		// its owned range once, setting level/parent/mask and installing the
-		// survivor directly as the next frontier — the eager chain's separate
-		// EWiseMult scan and Assign rebuild collapse into this pass.
 		rt.S.BeginPhase("Frontier Update")
-		harvestBitmap(rt, frontier.Bounds, isthere, func(l int, pos []int) {
-			lv := frontier.Loc[l]
-			lv.Ind = lv.Ind[:0]
-			lv.Val = lv.Val[:0]
-			seg := visited.Loc[l]
-			mbase := visited.Bounds[l]
-			for _, gj := range pos {
-				levels[gj] = level
-				parents[gj] = value[gj]
-				seg[gj-mbase] = 1
-				lv.Ind = append(lv.Ind, gj)
-				lv.Val = append(lv.Val, T(1))
-			}
-			chargeFusedInstall(rt, l, lv.NNZ(), &st)
-		})
+		return true
+	}
+	spmspvRun(rt, a, frontier, spmspvPlan{comm: choice, mask: visited}, &st, start, func(l int, pos []int, val []int64) {
+		lv := frontier.Loc[l]
+		lv.Ind = append(lv.Ind[:0], pos...)
+		lv.Val = lv.Val[:0]
+		seg := visited.Loc[l]
+		mbase := visited.Bounds[l]
+		for k, gj := range pos {
+			levels[gj] = level
+			parents[gj] = val[k]
+			seg[gj-mbase] = 1
+			lv.Val = append(lv.Val, T(1))
+		}
+		chargeFusedInstall(rt, l, lv.NNZ(), &st)
 	})
 	est.observe(rt.Insp, choice, st)
 	return found, st
@@ -188,8 +187,8 @@ func FusedSpMSpVMaskedAssign[T semiring.Number](rt *locale.Runtime, a *dist.Mat[
 	choice, est, dsp := spmspvCommChoice(rt, "FusedSpMSpVMaskedAssign", a, x)
 	defer dsp.End()
 	// Complemented mask semantics, as in SpMSpVDistMasked: mask != 0 suppresses.
-	spmspvRun(rt, a, x, spmspvPlan{comm: choice, mask: mask}, &st, func(isthere []bool, value []int64, _ int) {
-		installInto(rt, dst, isthere, value, nil, nil, &st)
+	spmspvRun(rt, a, x, spmspvPlan{comm: choice, mask: mask}, &st, nil, func(l int, pos []int, val []int64) {
+		installInto(rt, dst, nil, nil, &st, l, pos, val)
 	})
 	est.observe(rt.Insp, choice, st)
 	return st
@@ -211,41 +210,39 @@ func FusedSpMSpVFilterAssign[T semiring.Number](rt *locale.Runtime, a *dist.Mat[
 	var st DistStats
 	choice, est, dsp := spmspvCommChoice(rt, "FusedSpMSpVFilterAssign", a, x)
 	defer dsp.End()
-	spmspvRun(rt, a, x, spmspvPlan{comm: choice}, &st, func(isthere []bool, value []int64, _ int) {
-		installInto(rt, dst, isthere, value, mask, pred, &st)
+	spmspvRun(rt, a, x, spmspvPlan{comm: choice}, &st, nil, func(l int, pos []int, val []int64) {
+		installInto(rt, dst, mask, pred, &st, l, pos, val)
 	})
 	est.observe(rt.Insp, choice, st)
 	return st
 }
 
-// installInto is the assign recipes' sink: each locale harvests its owned
-// range of the bitmap once and installs the claimed (position, value) pairs
-// straight into dst's local block, reusing its capacity. With a pred, only
-// the pairs for which pred(value, mask[j]) holds are installed, and the
-// harvest also pays the eager EWiseMult's per-candidate charge.
-func installInto(rt *locale.Runtime, dst *dist.SpVec[int64], isthere []bool, value []int64, mask *dist.DenseVec[int64], pred semiring.Pred[int64], st *DistStats) {
-	harvestBitmap(rt, locale.BlockBounds(dst.N, rt.G.P), isthere, func(l int, pos []int) {
-		ld := dst.Loc[l]
-		ld.Ind = ld.Ind[:0]
-		ld.Val = ld.Val[:0]
-		for _, gj := range pos {
-			if pred != nil && !pred(value[gj], mask.Loc[l][gj-mask.Bounds[l]]) {
-				continue
-			}
-			ld.Ind = append(ld.Ind, gj)
-			ld.Val = append(ld.Val, value[gj])
+// installInto is the assign recipes' sink: locale l installs the (position,
+// value) pairs of its run straight into dst's local block, reusing its
+// capacity. With a pred, only the pairs for which pred(value, mask[j]) holds
+// are installed, and the walk also pays the eager EWiseMult's per-candidate
+// charge.
+func installInto(rt *locale.Runtime, dst *dist.SpVec[int64], mask *dist.DenseVec[int64], pred semiring.Pred[int64], st *DistStats, l int, pos []int, val []int64) {
+	ld := dst.Loc[l]
+	ld.Ind = ld.Ind[:0]
+	ld.Val = ld.Val[:0]
+	for k, gj := range pos {
+		if pred != nil && !pred(val[k], mask.Loc[l][gj-mask.Bounds[l]]) {
+			continue
 		}
-		if pred != nil {
-			rt.S.Compute(l, rt.Threads, sim.Kernel{
-				Name:           "ewisemult-scan",
-				Items:          int64(len(pos)),
-				CPUPerItem:     costEWiseCPU,
-				BytesPerItem:   costEWiseBytes,
-				AtomicsPerItem: costEWiseAtomics,
-			})
-		}
-		chargeFusedInstall(rt, l, ld.NNZ(), st)
-	})
+		ld.Ind = append(ld.Ind, gj)
+		ld.Val = append(ld.Val, val[k])
+	}
+	if pred != nil {
+		rt.S.Compute(l, rt.Threads, sim.Kernel{
+			Name:           "ewisemult-scan",
+			Items:          int64(len(pos)),
+			CPUPerItem:     costEWiseCPU,
+			BytesPerItem:   costEWiseBytes,
+			AtomicsPerItem: costEWiseAtomics,
+		})
+	}
+	chargeFusedInstall(rt, l, ld.NNZ(), st)
 }
 
 // chargeFusedInstall charges locale l's direct install of installed
