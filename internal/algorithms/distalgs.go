@@ -78,19 +78,22 @@ func ssspDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], source 
 			front.Load(ckptD)
 		},
 	}
+	changedFlags := make([]int64, rt.G.P)
 	rounds, err := runRounds(rt, "SSSPDist", &a, ck, func(iter int) (bool, error) {
-		changedFlags := make([]int64, rt.G.P)
+		clear(changedFlags)
 		// The relaxation (RecipeSpMVUpdate): the elementwise min folds into
 		// the SpMV's final distribution pass, so the relaxed vector is never
 		// materialized. Collective errors surface before any update, so
 		// recovery is exact.
-		err := core.FusedSpMVUpdate(rt, a, front, sr, func(l, gi int, v T) {
-			cur, next := dcur.Loc[l], front.Loc[l]
-			i := gi - dcur.Bounds[l]
-			next[i] = inf
-			if v < cur[i] {
-				cur[i], next[i] = v, v
-				changedFlags[l] = 1
+		err := core.FusedSpMVUpdate(rt, a, front, sr, func(l, lo int, vals []T) {
+			off := lo - dcur.Bounds[l]
+			cur, next := dcur.Loc[l][off:off+len(vals)], front.Loc[l][off:off+len(vals)]
+			for i, v := range vals {
+				next[i] = inf
+				if v < cur[i] {
+					cur[i], next[i] = v, v
+					changedFlags[l] = 1
+				}
 			}
 		})
 		if err != nil {
@@ -166,8 +169,11 @@ func prDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], d, tol fl
 		save:  func() { ckptR = append(ckptR[:0], r...) },
 		load:  func() { r = append(r[:0], ckptR...) },
 	}
+	danglingParts := make([]float64, rt.G.P)
+	deltaParts := make([]float64, rt.G.P)
 	iters, err := runRounds(rt, "PageRankDist", &pm, ck, func(iter int) (bool, error) {
-		danglingParts := make([]float64, rt.G.P)
+		clear(danglingParts)
+		clear(deltaParts)
 		for l, xl := range xd.Loc {
 			lo := xd.Bounds[l]
 			for i := range xl {
@@ -184,12 +190,16 @@ func prDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], d, tol fl
 			return false, err
 		}
 		base := (1-d)/float64(n) + d*dangling/float64(n)
-		deltaParts := make([]float64, rt.G.P)
-		// The rank update (RecipeSpMVUpdate) consumes the spread vector
-		// element by element as the SpMV distributes it.
-		err = core.FusedSpMVUpdate(rt, pm, xd, sr, func(l, gi int, v float64) {
-			next[gi] = base + d*v
-			deltaParts[l] += math.Abs(next[gi] - r[gi])
+		// The rank update (RecipeSpMVUpdate) consumes the spread vector run
+		// by run as the SpMV distributes it.
+		err = core.FusedSpMVUpdate(rt, pm, xd, sr, func(l, lo int, vals []float64) {
+			nx, cur := next[lo:lo+len(vals)], r[lo:lo+len(vals)]
+			delta := deltaParts[l]
+			for i, v := range vals {
+				nx[i] = base + d*v
+				delta += math.Abs(nx[i] - cur[i])
+			}
+			deltaParts[l] = delta
 		})
 		if err != nil {
 			return false, err
@@ -248,17 +258,21 @@ func ccDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], init []in
 			ld.Load(labels)
 		},
 	}
+	changedParts := make([]int64, rt.G.P)
 	rounds, err := runRounds(rt, "CCDist", &pm, ck, func(int) (bool, error) {
-		changedParts := make([]int64, rt.G.P)
+		clear(changedParts)
 		// Label propagation (RecipeSpMVUpdate): the min-label update consumes
 		// the propagated vector in place of building it, and writes the next
 		// round's input as it goes.
-		err := core.FusedSpMVUpdate(rt, pm, ld, sr, func(l, gi int, v int64) {
-			next := &ld.Loc[l][gi-ld.Bounds[l]]
-			*next = inf
-			if v != inf && v < labels[gi] {
-				labels[gi], *next = v, v
-				changedParts[l] = 1
+		err := core.FusedSpMVUpdate(rt, pm, ld, sr, func(l, lo int, vals []int64) {
+			off := lo - ld.Bounds[l]
+			next, cur := ld.Loc[l][off:off+len(vals)], labels[lo:lo+len(vals)]
+			for i, v := range vals {
+				next[i] = inf
+				if v != inf && v < cur[i] {
+					cur[i], next[i] = v, v
+					changedParts[l] = 1
+				}
 			}
 		})
 		if err != nil {

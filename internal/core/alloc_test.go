@@ -287,7 +287,7 @@ func TestDistKernelAllocPins(t *testing.T) {
 		t.Skip("allocation counts include race-runtime shadow allocations")
 	}
 	sr := semiring.PlusTimes[float64]()
-	const fusedPin = 5 // three per-locale header slices, the block bounds, the emit closure
+	const fusedPin = 5 // three per-locale header slices, the block bounds, the span's tag
 	for _, tc := range []struct {
 		locales, n   int
 		spmspv, spmv float64
@@ -301,7 +301,11 @@ func TestDistKernelAllocPins(t *testing.T) {
 		x := dist.SpVecFromVec(rt, sparse.RandomVec[float64](tc.n, 400, 42))
 		xd := dist.DenseVecFromDense(rt, sparse.NewDenseFill[float64](tc.n, 1.5))
 		var sink float64
-		update := func(_, _ int, v float64) { sink += v }
+		update := func(_, _ int, vals []float64) {
+			for _, v := range vals {
+				sink += v
+			}
+		}
 		for i := 0; i < warmups; i++ {
 			SpMSpVDist(rt, a, x)
 			if _, err := SpMVDist(rt, a, xd, sr); err != nil {
@@ -481,7 +485,11 @@ func TestSpMVDistRoundAllocPin(t *testing.T) {
 	cur := dist.DenseVecFromDense(rt, sparse.NewDenseFill[float64](8000, 1.5))
 	var relaxed float64
 	round := func() {
-		if err := FusedSpMVUpdate(rt, a, cur, sssp, func(_, _ int, v float64) { relaxed += v }); err != nil {
+		if err := FusedSpMVUpdate(rt, a, cur, sssp, func(_, _ int, vals []float64) {
+			for _, v := range vals {
+				relaxed += v
+			}
+		}); err != nil {
 			panic(err)
 		}
 	}

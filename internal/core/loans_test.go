@@ -41,7 +41,7 @@ func TestArenaLoansBalanceAfterEveryKernel(t *testing.T) {
 			"SpMSpVDistBulk":     func() { _, _, _ = SpMSpVDistBulk(rt, a, x) },
 			"SpMSpVDistAuto":     func() { SpMSpVDistAuto(rt, a, x) },
 			"SpMVDist":           func() { _, _ = SpMVDist(rt, a, xd, sr) },
-			"FusedSpMVUpdate":    func() { _ = FusedSpMVUpdate(rt, a, xd, sr, func(int, int, int64) {}) },
+			"FusedSpMVUpdate":    func() { _ = FusedSpMVUpdate(rt, a, xd, sr, func(int, int, []int64) {}) },
 			"FusedBFSRound": func() {
 				f := dist.SpVecFromVec(rt, x0)
 				FusedBFSRound(rt, a, f, mask, 1, levels, parents)
@@ -108,7 +108,7 @@ func TestArenaLoansReturnedWhenCollectivesFail(t *testing.T) {
 			return err
 		},
 		"FusedSpMVUpdate": func(rt *locale.Runtime, a *dist.Mat[float64], xd *dist.DenseVec[float64]) error {
-			return FusedSpMVUpdate(rt, a, xd, sr, func(int, int, float64) {})
+			return FusedSpMVUpdate(rt, a, xd, sr, func(int, int, []float64) {})
 		},
 		"SpGEMMDist": func(rt *locale.Runtime, a *dist.Mat[float64], _ *dist.DenseVec[float64]) error {
 			_, err := SpGEMMDist(rt, a, a, sr)

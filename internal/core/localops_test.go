@@ -386,50 +386,6 @@ func TestSelectDist(t *testing.T) {
 	}
 }
 
-func TestSpMVMasked(t *testing.T) {
-	a := sparse.ErdosRenyi[int64](60, 4, 93)
-	sr := semiring.PlusTimes[int64]()
-	x := make([]int64, 60)
-	x[5] = 1
-	full, err := SpMV(a, x, sr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mask := make([]bool, 60)
-	for j := 0; j < 30; j++ {
-		mask[j] = true
-	}
-	kept, err := SpMVMasked(a, x, sr, mask, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp, err := SpMVMasked(a, x, sr, mask, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < 60; j++ {
-		if j < 30 {
-			if kept[j] != full[j] || comp[j] != 0 {
-				t.Fatalf("masked values wrong at %d", j)
-			}
-		} else {
-			if kept[j] != 0 || comp[j] != full[j] {
-				t.Fatalf("complement values wrong at %d", j)
-			}
-		}
-	}
-	// Nil mask = unmasked.
-	nilMask, err := SpMVMasked(a, x, sr, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range full {
-		if nilMask[j] != full[j] {
-			t.Fatal("nil mask should be a no-op")
-		}
-	}
-}
-
 func TestReduceRowsDistMatchesLocal(t *testing.T) {
 	a0 := sparse.ErdosRenyi[int64](97, 5, 94)
 	want := ReduceRows(a0, semiring.PlusMonoid[int64]())

@@ -76,6 +76,26 @@ func viaOperators[T semiring.Number](sr semiring.Semiring[T]) semiring.Semiring[
 	return sr
 }
 
+// refSpmvBlock is spmvBlock's oracle, sharing none of its row walk: it takes
+// every row through CSR.Row, skips it only when its x entry is id, and folds
+// each product in through sr's function-valued operators.
+func refSpmvBlock[T semiring.Number](sr semiring.Semiring[T], a *sparse.CSR[T], x []T, id T, y []T) (visited int64) {
+	for j := range y {
+		y[j] = id
+	}
+	for i := 0; i < a.NRows; i++ {
+		if x[i] == id {
+			continue
+		}
+		cols, vals := a.Row(i)
+		visited += int64(len(cols))
+		for k, j := range cols {
+			y[j] = sr.Add.Op(y[j], sr.Mul(x[i], vals[k]))
+		}
+	}
+	return visited
+}
+
 // randBlock builds a valid rows×cols CSR block (sorted, duplicate-free rows of
 // at most maxRow entries) with values drawn from pick.
 func randBlock[T semiring.Number](r *rand.Rand, rows, cols, maxRow int, pick func() T) *sparse.CSR[T] {
@@ -100,8 +120,10 @@ func randBlock[T semiring.Number](r *rand.Rand, rows, cols, maxRow int, pick fun
 // checkRowKinds runs one seeded block through every kind-resolved loop twice
 // per semiring — with the semiring as constructed (inlined arithmetic) and
 // with its viaOperators twin (the function-valued loops) — and demands
-// identical results: spmvBlock (via SpMV, under the semiring's identity and
-// under another one, which is what reaches the hoisted xv == inf rows),
+// identical results: spmvBlock (under the semiring's identity and under
+// another one, which is what reaches the hoisted xv == inf rows; on the dense
+// block and on the hypersparse one, whose empty rows carry special values,
+// and against refSpmvBlock too, whose row walk is its own),
 // spaRow with and without recording, both local SpGEMM kernels, and the
 // column-team reduce over the additive monoid. Each SpGEMM kernel is also run
 // under a random mask (possibly empty, with empty rows, reaching outside the
@@ -170,13 +192,34 @@ func checkRowKinds[T semiring.Number](t *testing.T, rt *locale.Runtime, c rowCas
 		}
 
 		for _, id := range []T{sr.AddIdentity(), pick()} {
-			got, want := make([]T, m), make([]T, m)
-			gotN := rk.spmvBlock(a, x, id, got)
-			wantN := generic.spmvBlock(a, x, id, want)
-			if gotN != wantN {
-				t.Fatalf("%s/%s spmvBlock: visited %d inlined, %d through the operators", c.name, sr.Name, gotN, wantN)
+			// On the hypersparse block, id lands on some nonempty rows and
+			// the special values on the empty ones.
+			xhs := make([]T, hs.NRows)
+			for i := range xhs {
+				switch {
+				case hs.RowNNZ(i) == 0:
+					xhs[i] = c.specials[r.Intn(len(c.specials))]
+				case r.Intn(3) == 0:
+					xhs[i] = id
+				default:
+					xhs[i] = pick()
+				}
 			}
-			sameSlice("spmvBlock", sr.Name, got, want)
+			for _, in := range []struct {
+				what string
+				a    *sparse.CSR[T]
+				x    []T
+			}{{"spmvBlock", a, x}, {"spmvBlock/hypersparse", hs, xhs}} {
+				got, want, ref := make([]T, m), make([]T, m), make([]T, m)
+				gotN := rk.spmvBlock(in.a, in.x, id, got)
+				wantN := generic.spmvBlock(in.a, in.x, id, want)
+				refN := refSpmvBlock(sr, in.a, in.x, id, ref)
+				if gotN != refN || wantN != refN {
+					t.Fatalf("%s/%s %s: visited %d inlined, %d through the operators, %d row by row", c.name, sr.Name, in.what, gotN, wantN, refN)
+				}
+				sameSlice(in.what, sr.Name, got, want)
+				sameSlice(in.what+" (row-by-row reference)", sr.Name, got, ref)
+			}
 		}
 
 		for _, record := range []bool{false, true} {

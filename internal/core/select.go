@@ -72,27 +72,6 @@ func SelectDist[T semiring.Number](rt *locale.Runtime, x *dist.SpVec[T], pred Se
 	return out
 }
 
-// SpMVMasked computes y = xA over a semiring but only for output positions
-// marked in the mask (complement=false keeps marked positions; true keeps
-// unmarked). Unmasked positions hold the additive identity.
-func SpMVMasked[T semiring.Number](a *sparse.CSR[T], x []T, sr semiring.Semiring[T], mask []bool, complement bool) ([]T, error) {
-	y, err := SpMV(a, x, sr)
-	if err != nil {
-		return nil, err
-	}
-	if mask == nil {
-		return y, nil
-	}
-	id := sr.AddIdentity()
-	for j := range y {
-		marked := j < len(mask) && mask[j]
-		if marked == complement {
-			y[j] = id
-		}
-	}
-	return y, nil
-}
-
 // ReduceRowsDist reduces each row of a distributed matrix with a monoid,
 // producing a distributed sparse vector over the row index space: each
 // locale reduces its block rows, and grid-row teams combine their partials

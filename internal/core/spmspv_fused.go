@@ -257,32 +257,28 @@ func chargeFusedInstall(rt *locale.Runtime, l, installed int, st *DistStats) {
 	})
 }
 
-// FusedSpMVUpdate executes a distributed SpMV fused with the per-element
-// update that consumes it (RecipeSpMVUpdate): instead of materializing the
-// result vector and walking it in a second coforall, update(l, gi, v) is
-// invoked for every global index gi owned by locale l, with v the reduced
-// product value — in exactly the order the eager path builds and then reads
-// the vector (locale-major, gi ascending), so value-order-sensitive updates
-// (float accumulation, min races) stay bitwise identical. The region saves
-// one spawn/barrier per call and never builds y: the reduced product lives in
-// arena loans that go back when the call returns, and update is handed its
-// values one by one, never the buffer, so nothing it keeps can alias a loan.
+// FusedSpMVUpdate executes a distributed SpMV fused with the update that
+// consumes it (RecipeSpMVUpdate): instead of materializing the result vector
+// and walking it in a second coforall, update(l, lo, vals) is handed the
+// reduced product in runs — vals holds the values of global indices [lo,
+// lo+len(vals)), all owned by locale l — in exactly the order the eager path
+// builds and then reads the vector (locale-major, indices ascending), so
+// value-order-sensitive updates (float accumulation, min races) stay bitwise
+// identical. The region saves one spawn/barrier per call and never builds y:
+// vals is an arena loan, valid only during its call, so update must copy
+// what it keeps.
 //
 // update may overwrite x — SSSPDist and CCDist write their next changed set
 // there: spmvStages has released its gathered copy (in.release) before it emits.
 //
 // Collective errors surface before any update runs, so a caller's recovery
 // (the algorithms' round loop) sees the state as the eager SpMVDist leaves it.
-func FusedSpMVUpdate[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.DenseVec[T], sr semiring.Semiring[T], update func(l, gi int, v T)) error {
+func FusedSpMVUpdate[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.DenseVec[T], sr semiring.Semiring[T], update func(l, lo int, vals []T)) error {
 	defer rt.Span("FusedSpMVUpdate", trace.T("recipe", RecipeSpMVUpdate.String())).End()
 	if x.N != a.NRows {
 		return fmt.Errorf("core: FusedSpMVUpdate: x has %d entries for %d rows", x.N, a.NRows)
 	}
-	return spmvStages(rt, a, x, sr, "FusedSpMVUpdate", locale.BlockBounds(a.NCols, rt.G.P), func(l, lo int, src []T) {
-		for i, v := range src {
-			update(l, lo+i, v)
-		}
-	})
+	return spmvStages(rt, a, x, sr, "FusedSpMVUpdate", locale.BlockBounds(a.NCols, rt.G.P), update)
 }
 
 // FusedPushStepShm is the shared-memory analogue of FusedBFSRound: the masked
