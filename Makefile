@@ -99,7 +99,7 @@ chaos-matrix:
 # sequential reference on ER and R-MAT inputs over prime (1xp), square and
 # oversubscribed one-node grids; the per-stage message-count pin (O(sqrt P)
 # broadcasts, nnz-independent); the local heap/hash kernel cross-checks; and
-# the SpGEMM-powered workloads against their shared-memory references.
+# the SpGEMM-powered workloads against the sequential references.
 spgemm-accept:
 	$(GOTEST_STRICT) -run 'TestSpGEMMAccept|TestSUMMA|TestSpGEMMMasked|TestSpGEMMPlace|TestSpGEMMLocal|TestSpGEMMDist|TestDCSC' -v ./internal/core ./internal/sparse
 	$(GOTEST_STRICT) -run 'TestTriangleCountDist|TestKTrussDist|TestMSBFS|TestChaosSpGEMM' -v ./internal/algorithms

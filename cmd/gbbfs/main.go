@@ -1,8 +1,9 @@
 // gbbfs runs breadth-first search — the "hello world" of GraphBLAS — over a
 // graph, composed entirely from the library's GraphBLAS operations (SpMSpV,
 // eWiseMult, Assign). It reads a MatrixMarket file or generates an
-// Erdős–Rényi graph, runs both the shared-memory and the distributed BFS, and
-// reports levels, parents, and the modeled execution time.
+// Erdős–Rényi graph, runs the BFS on one locale and on a locale grid, and the
+// direction-optimizing BFS beside them, and reports levels, parents, and the
+// modeled execution time.
 //
 // Usage:
 //
@@ -16,6 +17,7 @@ import (
 	"os"
 	"strings"
 
+	"repro/gb"
 	"repro/internal/algorithms"
 	"repro/internal/core"
 	"repro/internal/dist"
@@ -71,13 +73,17 @@ func main() {
 	}
 	fmt.Printf("graph: %d vertices, %d edges\n", a.NRows, a.NNZ())
 
-	// Shared-memory BFS.
-	res, err := algorithms.BFSShm(a, *source, core.ShmConfig{Workers: 1})
+	// BFS on one locale.
+	ctx, err := gb.New()
+	if err != nil {
+		fatal(err)
+	}
+	res, err := gb.BFS(ctx, gb.MatrixFromCSR(ctx, a), *source)
 	if err != nil {
 		fatal(err)
 	}
 	reach, maxLevel := summarize(res)
-	fmt.Printf("shared-memory BFS: reached %d vertices in %d rounds (eccentricity %d)\n",
+	fmt.Printf("one-locale BFS: reached %d vertices in %d rounds (eccentricity %d)\n",
 		reach, res.Rounds, maxLevel)
 
 	// Direction-optimizing BFS under the selected strategy (alpha = 0: the
@@ -118,7 +124,7 @@ func main() {
 		rt.S.Elapsed()/1e6, rt.S.Traffic().Messages, rt.S.Traffic().Bytes)
 
 	if reach != dreach {
-		fatal(fmt.Errorf("shared and distributed BFS disagree: %d vs %d reached", reach, dreach))
+		fatal(fmt.Errorf("one-locale and distributed BFS disagree: %d vs %d reached", reach, dreach))
 	}
 	if *verbose {
 		for v := 0; v < a.NRows && v < 200; v++ {

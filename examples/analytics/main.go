@@ -1,7 +1,8 @@
 // Analytics example: a small end-to-end graph-analytics pipeline on one
-// synthetic social-style network — connected components, maximal independent
-// set, k-truss community cores, and betweenness centrality — all running on
-// the GraphBLAS primitives (structural SpMV, masked SpGEMM, SpMSpV sweeps).
+// synthetic social-style network — connected components, triangles, k-truss
+// community cores, betweenness centrality and two-hop path counts — all
+// through the gb library on a 2×2 locale grid (structural SpMV, masked
+// SpGEMM, SpMSpV sweeps).
 package main
 
 import (
@@ -9,7 +10,7 @@ import (
 	"log"
 	"sort"
 
-	"repro/internal/algorithms"
+	"repro/gb"
 	"repro/internal/sparse"
 )
 
@@ -43,16 +44,21 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("graph: %d vertices, %d undirected edges\n", n, a.NNZ()/2)
+	ctx, err := gb.New(gb.Locales(4))
+	if err != nil {
+		log.Fatal(err)
+	}
+	m := gb.MatrixFromCSR(ctx, a)
 
 	// --- Connected components -------------------------------------------
-	_, comps, err := algorithms.ConnectedComponents(a)
+	_, comps, err := gb.ConnectedComponents(m)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("connected components: %d (bridges join all cliques)\n", comps)
 
 	// --- Triangles and k-truss -------------------------------------------
-	tris, err := algorithms.TriangleCount(a)
+	tris, err := gb.TriangleCount(m)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,36 +66,19 @@ func main() {
 	fmt.Printf("triangles: %d (expect %d per clique x %d cliques = %d)\n",
 		tris, perClique, cliques, perClique*cliques)
 
-	truss, rounds, err := algorithms.KTruss(a, 5)
+	truss, rounds, err := gb.KTruss(m, 5)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("5-truss: %d edges survive after %d pruning rounds (bridges drop out)\n",
 		truss.NNZ()/2, rounds)
 
-	// --- Maximal independent set ------------------------------------------
-	mis, misRounds, err := algorithms.MaximalIndependentSet(a, 42)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := algorithms.ValidateIndependentSet(a, mis); err != nil {
-		log.Fatal(err)
-	}
-	size := 0
-	for _, in := range mis {
-		if in {
-			size++
-		}
-	}
-	fmt.Printf("maximal independent set: %d vertices in %d Luby rounds (~1 per clique)\n",
-		size, misRounds)
-
 	// --- Betweenness centrality ------------------------------------------
 	all := make([]int, n)
 	for i := range all {
 		all[i] = i
 	}
-	bc, err := algorithms.BetweennessCentrality(a, all)
+	bc, err := gb.BetweennessCentrality(m, all)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -109,10 +98,13 @@ func main() {
 	}
 
 	// --- The same machinery, different semiring ----------------------------
-	// Two-hop path counts via plus-times SpGEMM on the pattern.
-	two, err := algorithms.TwoHopCounts(a)
+	// Two-hop path counts: the plus-times square of the 0/1 adjacency matrix
+	// counts the paths between each pair; summing its rows, then the row
+	// sums, counts them all.
+	sq, err := gb.MxM(m, m, gb.PlusTimes[int64]())
 	if err != nil {
 		log.Fatal(err)
 	}
+	two := gb.Reduce(gb.ReduceRows(sq, gb.PlusMonoid[int64]()), gb.PlusMonoid[int64]())
 	fmt.Printf("two-hop directed paths: %d\n", two)
 }

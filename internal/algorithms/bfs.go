@@ -3,7 +3,11 @@
 // chosen such that they can be composed to implement an efficient
 // breadth-first search algorithm, which is often the 'hello world' example of
 // GraphBLAS"), plus the further classics (SSSP, connected components,
-// PageRank, triangle counting) that exercise the general semiring machinery.
+// PageRank, triangle counting, k-truss, multi-source BFS) that exercise the
+// general semiring machinery. Each is written once, on the 2-D
+// block-distributed matrix, and runs from one locale upward; ref.go holds the
+// sequential references the tests check them against. Direction-optimizing
+// BFS and betweenness centrality still run on a gathered sparse.CSR.
 package algorithms
 
 import (
@@ -25,49 +29,6 @@ type BFSResult struct {
 	Level  []int64
 	Parent []int64
 	Rounds int
-}
-
-// BFSShm runs breadth-first search from source over the adjacency matrix a
-// (row i holds the out-neighbors of vertex i), composed from the GraphBLAS
-// operations: each round multiplies the frontier with the matrix (SpMSpV,
-// which returns discovering parents), masks out already-visited vertices, and
-// assigns the surviving vertices as the next frontier. The three run as one
-// push step (core.FusedPushStepShm), which charges the same kernels as the
-// composition and never builds the masked product.
-func BFSShm[T semiring.Number](a *sparse.CSR[T], source int, cfg core.ShmConfig) (*BFSResult, error) {
-	defer cfg.Trace.Begin("BFSShm").End()
-	if a.NRows != a.NCols {
-		return nil, fmt.Errorf("algorithms: BFS: adjacency matrix must be square, got %dx%d", a.NRows, a.NCols)
-	}
-	n := a.NRows
-	if source < 0 || source >= n {
-		return nil, fmt.Errorf("algorithms: BFS: source %d out of range [0,%d)", source, n)
-	}
-	res := newBFSResult(source, n)
-	visited := sparse.NewDense[int64](n)
-
-	// Callers that leave the engine and sort knobs at their zero values get
-	// the sort-free bucket pipeline — BFS only needs the output pattern and
-	// parents, not the paper's exact sorting phase. An explicit Sort or Engine
-	// choice (e.g. the figure drivers reproducing Fig 7) is honored untouched.
-	if cfg.Engine == core.EngineAuto && cfg.Sort == core.MergeSort {
-		cfg.Engine = core.EngineBucket
-	}
-
-	frontier := sparse.NewVec[T](n)
-	frontier.Ind = []int{source}
-	frontier.Val = []T{1}
-	visited.Data[source] = 1
-
-	for level := int64(1); ; level++ {
-		if err := cfg.Canceled(); err != nil {
-			return nil, fmt.Errorf("algorithms: BFSShm: %w", err)
-		}
-		if nn, _ := core.FusedPushStepShm(a, frontier, visited, level, res.Level, res.Parent, cfg); nn == 0 {
-			return res, nil
-		}
-		res.Rounds++
-	}
 }
 
 // newBFSResult returns the result of a BFS from source over n vertices
@@ -201,28 +162,4 @@ func bfsDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], source int, 
 		return nil, err
 	}
 	return res, nil
-}
-
-// RefBFS is a plain queue-based BFS used as ground truth in tests: it returns
-// levels only (parents are not unique).
-func RefBFS[T semiring.Number](a *sparse.CSR[T], source int) []int64 {
-	n := a.NRows
-	level := make([]int64, n)
-	for i := range level {
-		level[i] = -1
-	}
-	level[source] = 0
-	queue := []int{source}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		cols, _ := a.Row(v)
-		for _, w := range cols {
-			if level[w] < 0 {
-				level[w] = level[v] + 1
-				queue = append(queue, w)
-			}
-		}
-	}
-	return level
 }

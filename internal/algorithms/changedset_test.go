@@ -237,10 +237,7 @@ func TestChangedSetRoundsMatchAllRows(t *testing.T) {
 		wantDist, wantRounds, _ := allRowsSSSP(in.a, in.source)
 		refDist := RefSSSP(in.a, in.source)
 		wantLabels, wantCCRounds := allRowsCC(in.a)
-		shmLabels, wantComp, err := ConnectedComponents(in.a)
-		if err != nil {
-			t.Fatal(err)
-		}
+		refLabels, wantComp := RefCC(in.a)
 		pin := pinned[in.name]
 		for _, shape := range [][2]int{{1, 1}, {2, 2}, {1, 5}, {4, 4}} {
 			for _, fused := range []bool{false, true} {
@@ -271,8 +268,8 @@ func TestChangedSetRoundsMatchAllRows(t *testing.T) {
 					t.Fatal(err)
 				}
 				for v := range labels {
-					if labels[v] != wantLabels[v] || labels[v] != shmLabels[v] {
-						fail("label[%d] = %d, all-rows %d, ConnectedComponents %d", v, labels[v], wantLabels[v], shmLabels[v])
+					if labels[v] != wantLabels[v] || labels[v] != refLabels[v] {
+						fail("label[%d] = %d, all-rows %d, RefCC %d", v, labels[v], wantLabels[v], refLabels[v])
 						break
 					}
 				}
@@ -284,25 +281,6 @@ func TestChangedSetRoundsMatchAllRows(t *testing.T) {
 				if n := rt.Scratch.Outstanding(); n != 0 {
 					fail("%d arena loans outstanding", n)
 				}
-			}
-		}
-	}
-}
-
-// The shared-memory SSSP is the same algorithm: same distances, same rounds.
-func TestChangedSetShmMatchesAllRows(t *testing.T) {
-	for _, in := range changedSetInputs(t) {
-		want, wantRounds, _ := allRowsSSSP(in.a, in.source)
-		got, rounds, err := SSSP(in.a, in.source)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rounds != wantRounds {
-			t.Errorf("%s: %d rounds, all-rows %d", in.name, rounds, wantRounds)
-		}
-		for v := range got {
-			if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
-				t.Fatalf("%s: dist[%d] = %v, all-rows %v", in.name, v, got[v], want[v])
 			}
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/inspect"
 	"repro/internal/locale"
 	"repro/internal/machine"
 	"repro/internal/sparse"
@@ -166,31 +167,49 @@ func bfsHash(r *BFSResult) uint64 {
 	return h.Sum64()
 }
 
-// TestFusedShmBitwise pins the shared-memory push step: BFSShm on every
-// engine and DOBFS at alpha=14 must reproduce the levels, parents and round
-// counts of the eager SpMSpVMasked + update chain the push step replaced. The
-// hashes were recorded from that chain.
+// pushBFS runs a BFS from source whose every round is one shared-memory push
+// step (core.FusedPushStepShm) on cfg's engine.
+func pushBFS(a *sparse.CSR[int64], source int, cfg core.ShmConfig) *BFSResult {
+	res := newBFSResult(source, a.NRows)
+	visited := sparse.NewDense[int64](a.NRows)
+	visited.Data[source] = 1
+	frontier, _ := sparse.VecOf(a.NRows, []int{source}, []int64{1})
+	for level := int64(1); ; level++ {
+		if nn, _ := core.FusedPushStepShm(a, frontier, visited, level, res.Level, res.Parent, cfg); nn == 0 {
+			return res
+		}
+		res.Rounds++
+	}
+}
+
+// TestFusedShmBitwise pins the shared-memory push step: FusedPushStepShm on
+// every engine, DOBFS pinned to push and DOBFS at alpha=14 must reproduce the
+// levels, parents and round counts of the eager SpMSpVMasked + update chain
+// the push step replaced. The hashes were recorded from that chain.
 func TestFusedShmBitwise(t *testing.T) {
 	want := map[string]uint64{"er": 0xed374422606593ee, "rmat": 0x4af64d16eef60925}
 	for name, a0 := range diffGraphs(t) {
 		for _, eng := range []core.Engine{core.EngineBucket, core.EngineMergeSort, core.EngineRadixSort} {
-			got, err := BFSShm(a0, 3, core.ShmConfig{Threads: 4, Engine: eng})
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := pushBFS(a0, 3, core.ShmConfig{Threads: 4, Engine: eng})
 			t.Run(name+"/"+eng.String(), func(t *testing.T) {
 				if h := bfsHash(got); h != want[name] {
 					t.Errorf("hash %#x, want %#x", h, want[name])
 				}
 			})
 		}
-		got, err := BFSDirectionOptimizingCfg(a0, 3, 14, core.ShmConfig{})
+		push, err := BFSDirectionOptimizingCfg(a0, 3, 0, core.ShmConfig{Insp: inspect.New(inspect.Strategy{Dir: inspect.DirPush})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mixed, err := BFSDirectionOptimizingCfg(a0, 3, 14, core.ShmConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Run(name+"/dobfs", func(t *testing.T) {
-			if h := bfsHash(got); h != want[name] {
-				t.Errorf("hash %#x, want %#x", h, want[name])
+			for _, got := range []*BFSResult{push, mixed} {
+				if h := bfsHash(got); h != want[name] {
+					t.Errorf("hash %#x, want %#x", h, want[name])
+				}
 			}
 		})
 	}

@@ -260,11 +260,7 @@ func TestConcurrentQueriesReadResidentBlocksInPlace(t *testing.T) {
 					t.Errorf("p=%d: PageRankDist: %v", p, err)
 					return false
 				}
-				want, _, err := PageRank(ref, 0.85, 1e-10, 100)
-				if err != nil {
-					t.Errorf("p=%d: PageRank: %v", p, err)
-					return false
-				}
+				want := RefPageRank(ref, 0.85, 1e-10, 100)
 				for v := range want {
 					if math.Abs(got[v]-want[v]) > 1e-9 {
 						t.Errorf("p=%d: rank[%d] = %v, want %v", p, v, got[v], want[v])
@@ -279,11 +275,7 @@ func TestConcurrentQueriesReadResidentBlocksInPlace(t *testing.T) {
 					t.Errorf("p=%d: CCDist: %v", p, err)
 					return false
 				}
-				wantLabels, wantCount, err := ConnectedComponents(ref)
-				if err != nil {
-					t.Errorf("p=%d: ConnectedComponents: %v", p, err)
-					return false
-				}
+				wantLabels, wantCount := RefCC(ref)
 				if count != wantCount {
 					t.Errorf("p=%d: %d components, want %d", p, count, wantCount)
 					return false

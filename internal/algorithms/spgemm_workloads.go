@@ -20,6 +20,21 @@ import (
 	"repro/internal/sparse"
 )
 
+// structural returns the pattern matrix of one block a — every stored entry
+// replaced by U(1) — for distStructural. It owns no storage: RowPtr and
+// ColIdx are a's own arrays and Val is the first nnz(a) entries of ones
+// (sparse.Ones), which is safe because nothing writes a structural operand in
+// place (DESIGN.md §15).
+func structural[U, T semiring.Number](a *sparse.CSR[T], ones []U) *sparse.CSR[U] {
+	return &sparse.CSR[U]{
+		NRows:  a.NRows,
+		NCols:  a.NCols,
+		RowPtr: a.RowPtr,
+		ColIdx: a.ColIdx,
+		Val:    ones[:a.NNZ():a.NNZ()],
+	}
+}
+
 // distStructural returns the pattern matrix of a — every stored entry
 // replaced by U(1) — block by block on a's own distribution: no global
 // rebuild and no new storage, each block sharing its source block's index

@@ -7,29 +7,17 @@ import (
 	"repro/internal/sparse"
 )
 
-// This file provides the local (single-locale) GraphBLAS primitives beyond
-// the paper's four operations — the pieces needed to write complete graph
-// algorithms against the library (reduce, extract, eWiseAdd/Mult on sparse
-// pairs, SpMV, SpGEMM, and masked variants; masks are the paper's stated
-// future work).
-
-// ApplyVec applies op in place to every stored value of a local vector.
-func ApplyVec[T semiring.Number](x *sparse.Vec[T], op semiring.UnaryOp[T]) {
-	for i := range x.Val {
-		x.Val[i] = op(x.Val[i])
-	}
-}
+// This file provides local (single-locale) GraphBLAS primitives beyond the
+// paper's four operations: the per-locale steps of the distributed ones
+// (eWiseAdd/Mult on sparse pairs), the shared-memory SpMV and masked SpMSpV,
+// and the local forms the distributed apply, row reduce and extract are
+// tested against.
 
 // ApplyCSR applies op in place to every stored value of a local matrix.
 func ApplyCSR[T semiring.Number](a *sparse.CSR[T], op semiring.UnaryOp[T]) {
 	for i := range a.Val {
 		a.Val[i] = op(a.Val[i])
 	}
-}
-
-// ReduceVec folds the stored values of x with a monoid.
-func ReduceVec[T semiring.Number](x *sparse.Vec[T], m semiring.Monoid[T]) T {
-	return m.Reduce(x.Val)
 }
 
 // ReduceRows reduces each row of a to a scalar with a monoid, producing a
@@ -116,26 +104,6 @@ func EWiseAddSS[T semiring.Number](x, y *sparse.Vec[T], op semiring.BinaryOp[T])
 	return out, nil
 }
 
-// Mask restricts x to the positions marked in mask: with complement false,
-// entries of x are kept where mask[i] is nonzero; with complement true, where
-// mask[i] is zero. This is the GraphBLAS mask the paper names as novel
-// future work ("efficient implementations of novel concepts in GraphBLAS,
-// such as masks, have not been attempted").
-func Mask[T semiring.Number, M semiring.Number](x *sparse.Vec[T], mask *sparse.Dense[M], complement bool) (*sparse.Vec[T], error) {
-	if x.N != mask.Len() {
-		return nil, fmt.Errorf("core: Mask: capacity mismatch %d vs %d", x.N, mask.Len())
-	}
-	out := sparse.NewVec[T](x.N)
-	for k, i := range x.Ind {
-		marked := mask.Data[i] != 0
-		if marked != complement {
-			out.Ind = append(out.Ind, i)
-			out.Val = append(out.Val, x.Val[k])
-		}
-	}
-	return out, nil
-}
-
 // SpMV computes the dense-vector product y = xA over a semiring; x has
 // length a.NRows, y length a.NCols, with absent contributions left at the
 // additive identity. Entries of x equal to the identity are skipped (they
@@ -170,31 +138,4 @@ func SpMSpVMasked[T semiring.Number](a *sparse.CSR[T], x *sparse.Vec[T], mask *s
 	sparse.PutVec(cfg.Scratch, y)
 	st.NnzOut = out.NNZ()
 	return out, st
-}
-
-// SpGEMM computes C = A·B over a semiring with the local SUMMA stage kernel
-// (SpGEMMLocal): O(flops) time.
-func SpGEMM[T semiring.Number](a, b *sparse.CSR[T], sr semiring.Semiring[T]) (*sparse.CSR[T], error) {
-	if a.NCols != b.NRows {
-		return nil, fmt.Errorf("core: SpGEMM: inner dimensions %d vs %d", a.NCols, b.NRows)
-	}
-	c := &sparse.CSR[T]{}
-	SpGEMMLocal(nil, a, b, sr, c)
-	return c, nil
-}
-
-// SpGEMMMasked computes C = M .* (A·B): only positions present in the
-// structural mask M are computed/kept. This is the masked multiply used by
-// triangle counting.
-func SpGEMMMasked[T semiring.Number](a, b, m *sparse.CSR[T], sr semiring.Semiring[T]) (*sparse.CSR[T], error) {
-	if a.NCols != b.NRows {
-		return nil, fmt.Errorf("core: SpGEMMMasked: inner dimensions %d vs %d", a.NCols, b.NRows)
-	}
-	if m.NRows != a.NRows || m.NCols != b.NCols {
-		return nil, fmt.Errorf("core: SpGEMMMasked: mask is %dx%d, want %dx%d",
-			m.NRows, m.NCols, a.NRows, b.NCols)
-	}
-	c := &sparse.CSR[T]{}
-	SpGEMMLocal(nil, a, b, sr, c, m)
-	return c, nil
 }

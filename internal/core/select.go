@@ -24,37 +24,6 @@ func SelectVec[T semiring.Number](x *sparse.Vec[T], pred SelectPred[T]) *sparse.
 	return out
 }
 
-// SelectCSR returns the entries of a satisfying pred, which receives the
-// row index, column index and value of each stored entry. Pattern filters
-// like "drop explicit zeros" or "keep one triangle" are the common uses.
-func SelectCSR[T semiring.Number](a *sparse.CSR[T], pred func(i, j int, v T) bool) *sparse.CSR[T] {
-	out := sparse.NewCSR[T](a.NRows, a.NCols)
-	out.ColIdx = make([]int, 0, a.NNZ())
-	out.Val = make([]T, 0, a.NNZ())
-	for i := 0; i < a.NRows; i++ {
-		cols, vals := a.Row(i)
-		for k, j := range cols {
-			if pred(i, j, vals[k]) {
-				out.ColIdx = append(out.ColIdx, j)
-				out.Val = append(out.Val, vals[k])
-			}
-		}
-		out.RowPtr[i+1] = len(out.ColIdx)
-	}
-	return out
-}
-
-// TriL keeps the strictly-lower-triangular entries of a (used by triangle
-// counting and k-truss preprocessing).
-func TriL[T semiring.Number](a *sparse.CSR[T]) *sparse.CSR[T] {
-	return SelectCSR(a, func(i, j int, _ T) bool { return j < i })
-}
-
-// TriU keeps the strictly-upper-triangular entries of a.
-func TriU[T semiring.Number](a *sparse.CSR[T]) *sparse.CSR[T] {
-	return SelectCSR(a, func(i, j int, _ T) bool { return j > i })
-}
-
 // SelectDist filters a distributed sparse vector in place per locale; no
 // communication (the distribution is index-based and unchanged).
 func SelectDist[T semiring.Number](rt *locale.Runtime, x *dist.SpVec[T], pred SelectPred[T]) *dist.SpVec[T] {

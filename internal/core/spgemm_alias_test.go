@@ -57,10 +57,7 @@ func TestSpGEMMDistLeavesOperandsUntouchedAndUnshared(t *testing.T) {
 	b0 := sparse.ErdosRenyi[int64](120, 4, 302)
 	m0 := sparse.ErdosRenyi[int64](120, 30, 303)
 	want := RefSpGEMM(a0, b0, sr)
-	wantMasked, err := SpGEMMMasked(a0, b0, m0, sr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantMasked := maskOf(want, m0)
 	// Square grids read whole blocks in place; 1×p and the rectangular 2×3 /
 	// 2×4 grids sweep partial bands, so B panels are views and A panels cuts.
 	for _, p := range []int{4, 9, 3, 7, 13, 6, 8} {

@@ -286,7 +286,7 @@ func SpGEMMDist[T semiring.Number](rt *locale.Runtime, a, b *dist.Mat[T], sr sem
 // stored in the mask are computed. Every stage multiply takes the locale's
 // mask block (the mask's blocks align with C's because both share the grid
 // and A's row / B's column bands), so no stage product or accumulator is ever
-// larger than that block — the distributed analogue of SpGEMMMasked.
+// larger than that block (the masked form of SpGEMMLocal).
 func SpGEMMDistMasked[T semiring.Number](rt *locale.Runtime, a, b, mask *dist.Mat[T], sr semiring.Semiring[T]) (*dist.Mat[T], error) {
 	if mask.NRows != a.NRows || mask.NCols != b.NCols {
 		return nil, fmt.Errorf("core: SpGEMMDistMasked: mask is %dx%d, product is %dx%d",

@@ -103,8 +103,8 @@ type ShmConfig struct {
 	// dispatch sites). Nil keeps the legacy alpha-threshold rule.
 	Insp *inspect.Inspector
 	// Cancel is an optional cooperative cancellation hook; the shared-memory
-	// algorithm loops (BFSShm, DOBFS) poll it at round boundaries and abort
-	// with its error. Nil means never canceled.
+	// direction-optimizing BFS polls it at round boundaries and aborts with
+	// its error. Nil means never canceled.
 	Cancel func() error
 }
 
