@@ -11,8 +11,8 @@ import (
 
 // strategyScenario builds a context from opts, loads the graph, and runs the
 // three algorithm families that exercise all three dispatch axes — BFS
-// (comm), direction-optimizing BFS (dir), SSSP (place) — returning the
-// inspector's decision table.
+// (comm), direction-optimizing BFS (dir), SSSP (place, which SpMV records as
+// its one gather) — returning the inspector's decision table.
 func strategyScenario(t *testing.T, g *sparse.CSR[int64], opts ...Option) string {
 	t.Helper()
 	ctx, err := New(opts...)
@@ -104,6 +104,7 @@ func TestStrategyFaultPlanReason(t *testing.T) {
 // bitwise-identical to every forced variant. Comm and place variants agree on
 // full results; push and pull agree on levels (the BFS tree itself is
 // direction-dependent — each direction discovers a different valid parent).
+// SpMV has one placement, so of the place pins only ForceGather runs here.
 func TestStrategyAutoMatchesForcedBitwise(t *testing.T) {
 	rmat, err := sparse.RMAT[int64](9, 8, 4)
 	if err != nil {
@@ -146,10 +147,8 @@ func TestStrategyAutoMatchesForcedBitwise(t *testing.T) {
 				{"fine", []StrategyOption{ForceFine}},
 				{"bulk", []StrategyOption{ForceBulk}},
 				{"gather", []StrategyOption{ForceGather}},
-				{"replicate", []StrategyOption{ForceReplicate}},
 				{"push", []StrategyOption{ForcePush}},
 				{"pull", []StrategyOption{ForcePull}},
-				{"bulk+replicate+pull", []StrategyOption{ForceBulk, ForceReplicate, ForcePull}},
 			}
 			for _, fc := range forced {
 				bfs, dist, dobfs := run(fc.opts...)

@@ -24,17 +24,19 @@ var inspectStrategies = []struct {
 }
 
 // AblInspect quantifies the inspector–executor layer (DESIGN.md §14): each
-// dispatch axis runs under both hand-picked pins and under the automatic
+// dispatch axis runs under its hand-picked pins and under the automatic
 // cost-model selection, on the same inputs. Results are bitwise identical
 // across strategies; the figure shows the modeled-time gap. The acceptance
 // contract (enforced by TestAblInspectAutoCompetitive) is that "auto" stays
-// within 5% of the best pin and strictly beats the worst on every input.
+// within 5% of the best pin and strictly beats the worst on every input of
+// the comm and dir axes, and equals the gather pin on the place axis.
 //
-//   - comm: distributed BFS — the frontier starts sparse (fine-grained wins)
-//     and peaks dense (bulk collectives win), so neither pin is best for the
-//     whole run.
-//   - place: SSSP's repeated SpMV — the row-team gather vs full replication
-//     of the input vector (the grids all have Pr > 1, so the two differ).
+//   - comm: distributed BFS — fine-grained element traffic vs the bulk
+//     collectives. On these inputs bulk wins every round, so "bfs auto"
+//     equals "bfs bulk" at every locale count.
+//   - place: SSSP's repeated SpMV. Its input is always gathered along row
+//     teams (replicating it never prices lower, DESIGN.md §14), so "sssp
+//     auto" equals the "sssp gather" pin.
 //   - dir: direction-optimizing BFS — push vs pull per round, the generalized
 //     alpha heuristic.
 func AblInspect(scale Scale) (Figure, error) {
@@ -62,14 +64,13 @@ func AblInspect(scale Scale) (Figure, error) {
 		}
 	}
 
-	// Place axis: gather vs replicate vs auto over SSSP's SpMV rounds.
+	// Place axis: the gather pin vs auto over SSSP's SpMV rounds.
 	for _, p := range []int{4, 8, 16, 32} {
 		for _, st := range []struct {
 			name string
 			s    inspect.Strategy
 		}{
 			{"gather", inspect.Strategy{Place: inspect.PlaceGather}},
-			{"replicate", inspect.Strategy{Place: inspect.PlaceReplicate}},
 			{"auto", inspect.Strategy{}},
 		} {
 			rt, err := newInspRT(p, 24, st.s)

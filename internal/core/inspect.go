@@ -17,7 +17,6 @@ import (
 	"repro/internal/locale"
 	"repro/internal/semiring"
 	"repro/internal/sim"
-	"repro/internal/sparse"
 	"repro/internal/trace"
 )
 
@@ -34,9 +33,6 @@ const (
 	// ReasonTeamGather: the row-team all-gather moves only each team's band
 	// over a team-depth tree.
 	ReasonTeamGather = "row-team-gather"
-	// ReasonReplicated: full replication of the vector priced below the
-	// team gathers (requires heavy row skew; see EstimateSpMVPlace).
-	ReasonReplicated = "replicated-vector"
 	// ReasonFrontierEdges: the frontier's out-edges are few enough that
 	// pushing them beats scanning the unvisited side.
 	ReasonFrontierEdges = "frontier-edges"
@@ -227,98 +223,29 @@ func SpMSpVDistAuto[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *di
 	return y, st
 }
 
-// EstimateSpMVPlace prices the two ways of handing every locale the input
-// band of a distributed SpMV: the row-team all-gather each team runs today,
-// vs replicating the whole vector to every locale over one P-deep tree. The
-// formulas mirror comm.RowAllGather's charging exactly, so with dense
-// (unskewed) bands the gather never loses — replication stays reachable only
-// through ForceReplicate, and the decision table says why.
-func EstimateSpMVPlace[T semiring.Number](rt *locale.Runtime, x *dist.DenseVec[T]) (gather, replicate float64) {
-	g := rt.G
-	for r := 0; r < g.Pr; r++ {
-		total := 0
-		for c := 0; c < g.Pc; c++ {
-			total += len(x.Loc[g.ID(r, c)])
-		}
-		if t := rt.S.BulkTime(int64(8*total), false) * estTreeDepth(g.Pc); t > gather {
-			gather = t
-		}
-	}
-	replicate = rt.S.BulkTime(int64(8*x.N), false) * estTreeDepth(g.P)
-	return gather, replicate
-}
-
-// spmvInput is every locale's x band for one distributed SpMV, read-only,
-// and the arena loans behind it: one gathered buffer per row team
-// (comm.RowAllGather), or one replica of x that every band slices.
-type spmvInput[T semiring.Number] struct {
-	bands   [][]T
-	replica []T // nil after a row-team gather
-}
-
-// release returns the loans; the bands must not be read afterwards.
-func (in spmvInput[T]) release(rt *locale.Runtime) {
-	if in.replica != nil {
-		sparse.PutSlice(rt.Scratch, in.replica)
-		return
-	}
-	comm.ReleaseRowGather(rt, in.bands)
-}
-
-// distributeSpMVInput gives every locale the x segment of its grid row,
-// routing between comm.RowAllGather and full replication through the
-// runtime's inspector. Both placements deliver identical band contents — the
-// vector's block bounds align with the matrix row bands (BlockBounds(n, P)
-// at index r·Pc equals BlockBounds(n, Pr) at r) — so downstream multiplies
-// are bitwise identical. A nil inspector keeps the historical all-gather.
-func distributeSpMVInput[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.DenseVec[T], op string) (spmvInput[T], error) {
-	in := rt.Insp
-	if in == nil {
-		return gatherSpMVInput(rt, x)
-	}
-	if rt.Fault != nil || rt.G.P == 1 {
-		reason := inspect.ReasonSingleLocale
-		if rt.Fault != nil {
+// gatherSpMVInput gives every locale the x segment of its grid row: each row
+// team all-gathers its members' parts (comm.RowAllGather). The vector's block
+// bounds align with the matrix row bands (BlockBounds(n, P) at index r·Pc
+// equals BlockBounds(n, Pr) at r), so a team's parts concatenate to its band.
+// The bands are arena loans, returned with comm.ReleaseRowGather.
+//
+// The gather is SpMV's one placement: replicating x to every locale moves
+// all n entries over a ⌈log2 P⌉-deep tree where a team moves n/Pr over a
+// ⌈log2 Pc⌉-deep one, so it never prices below the gather. An inspector
+// records the placement on its place axis with the signal it rests on.
+func gatherSpMVInput[T semiring.Number](rt *locale.Runtime, x *dist.DenseVec[T], op string) ([][]T, error) {
+	if in := rt.Insp; in != nil {
+		reason := ReasonTeamGather
+		switch {
+		case rt.Fault != nil:
 			reason = inspect.ReasonFaultPlan
+		case rt.G.P == 1:
+			reason = inspect.ReasonSingleLocale
 		}
 		in.Note(op, inspect.AxisPlace, "gather", reason)
 		defer dispatchSpan(rt, in).End()
-		return gatherSpMVInput(rt, x)
 	}
-	gc, rc := EstimateSpMVPlace(rt, x)
-	choice := in.DecidePlace(op, gc, rc, ReasonTeamGather, ReasonReplicated)
-	defer dispatchSpan(rt, in).End()
-	if choice == inspect.PlaceGather {
-		return gatherSpMVInput(rt, x)
-	}
-	return replicateSpMVInput(rt, a.RowBands, x), nil
-}
-
-// gatherSpMVInput is the row-team all-gather placement.
-func gatherSpMVInput[T semiring.Number](rt *locale.Runtime, x *dist.DenseVec[T]) (spmvInput[T], error) {
-	bands, err := comm.RowAllGather(rt, x.Loc)
-	return spmvInput[T]{bands: bands}, err
-}
-
-// replicateSpMVInput broadcasts the full vector to every locale (one tree of
-// depth ceil(log2 P), like comm.Broadcast) and slices each locale's row band
-// out of its replica. The bands are read-only inside the multiplies, so the
-// locales share one replica, on loan from the arena.
-func replicateSpMVInput[T semiring.Number](rt *locale.Runtime, rowBands []int, x *dist.DenseVec[T]) spmvInput[T] {
-	g := rt.G
-	defer rt.Span("VectorReplicate").End()
-	full := sparse.GetSlice[T](rt.Scratch, x.N)[:0]
-	for l := 0; l < g.P; l++ {
-		full = append(full, x.Loc[l]...)
-	}
-	base := rt.S.BulkTime(int64(8*x.N), false) * estTreeDepth(g.P)
-	bands := make([][]T, g.P)
-	for l := 0; l < g.P; l++ {
-		rt.S.Advance(l, base)
-		r, _ := g.Coords(l)
-		bands[l] = full[rowBands[r]:rowBands[r+1]]
-	}
-	return spmvInput[T]{bands: bands, replica: full}
+	return comm.RowAllGather(rt, x.Loc)
 }
 
 // EstimateBFSDir prices one direction-optimized BFS round. Push runs the

@@ -8,8 +8,8 @@ import (
 // rowKernel is a semiring resolved once per kernel call for the row loops:
 // for a built-in semiring (semiring.Kind) the loops below run its arithmetic
 // inline, for any other — a user's struct literal, a built-in with a
-// reassigned operator, a kind a loop has no case for — through the
-// function-valued operators.
+// reassigned operator, a min kind whose identity is not MaxValue, a kind a
+// loop has no case for — through the function-valued operators.
 //
 // The inlined arithmetic is bit-for-bit the built-in operator. Two rules keep
 // it so: a product is written T(x*v), because an explicit conversion rounds
@@ -26,7 +26,16 @@ type rowKernel[T semiring.Number] struct {
 
 func newRowKernel[T semiring.Number](sr semiring.Semiring[T]) rowKernel[T] {
 	inf := semiring.MaxValue[T]()
-	return rowKernel[T]{kind: sr.Kind(), add: sr.Add.Op, mul: sr.Mul, inf: inf}
+	kind := sr.Kind()
+	switch kind {
+	case semiring.KindMinPlus, semiring.KindMinSecond, semiring.KindMinFirst:
+		// The min loops skip a row whose x is the identity and rely on that
+		// identity being inf; a reassigned one runs the generic loop.
+		if sr.AddIdentity() != inf {
+			kind = semiring.KindGeneric
+		}
+	}
+	return rowKernel[T]{kind: kind, add: sr.Add.Op, mul: sr.Mul, inf: inf}
 }
 
 // spmvBlock computes the dense product y = xA of one CSR block into y (length
@@ -35,8 +44,9 @@ func newRowKernel[T semiring.Number](sr semiring.Semiring[T]) rowKernel[T] {
 // visited. Every kind walks RowPtr itself: a 2-D block is hypersparse, and a
 // skipped row costs a compare or two. Plus-times carries a row's start over
 // and tests emptiness before x; the other kinds test x first, as their x is
-// a changed set. The kind is resolved once per block; xv == inf, which makes
-// every product of a saturating multiply inf, once per row.
+// a changed set. The kind is resolved once per block. A min kind's identity
+// is inf, so skipping xv == id also skips the rows whose every product
+// would saturate to inf.
 func (rk *rowKernel[T]) spmvBlock(a *sparse.CSR[T], x []T, id T, y []T) (visited int64) {
 	for j := range y {
 		y[j] = id
@@ -68,10 +78,6 @@ func (rk *rowKernel[T]) spmvBlock(a *sparse.CSR[T], x []T, id T, y []T) (visited
 			}
 			lo, hi := rp[i], rp[i+1]
 			visited += int64(hi - lo)
-			if xv == inf {
-				minRow(y, cols[lo:hi], inf)
-				continue
-			}
 			for k := lo; k < hi; k++ {
 				j, v := cols[k], vals[k]
 				p := T(xv + v)
@@ -90,10 +96,6 @@ func (rk *rowKernel[T]) spmvBlock(a *sparse.CSR[T], x []T, id T, y []T) (visited
 			}
 			lo, hi := rp[i], rp[i+1]
 			visited += int64(hi - lo)
-			if xv == inf {
-				minRow(y, cols[lo:hi], inf)
-				continue
-			}
 			for k := lo; k < hi; k++ {
 				j := cols[k]
 				if p := vals[k]; !(y[j] < p) {
@@ -164,16 +166,6 @@ func (rk *rowKernel[T]) spmvBlock(a *sparse.CSR[T], x []T, id T, y []T) (visited
 		}
 	}
 	return visited
-}
-
-// minRow folds the constant p into y at cols with the min monoid's exact
-// comparison.
-func minRow[T semiring.Number](y []T, cols []int, p T) {
-	for _, j := range cols {
-		if !(y[j] < p) {
-			y[j] = p
-		}
-	}
 }
 
 // spaRow accumulates one matrix row into a first-touch dense accumulator

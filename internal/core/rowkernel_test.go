@@ -121,9 +121,10 @@ func randBlock[T semiring.Number](r *rand.Rand, rows, cols, maxRow int, pick fun
 // per semiring — with the semiring as constructed (inlined arithmetic) and
 // with its viaOperators twin (the function-valued loops) — and demands
 // identical results: spmvBlock (under the semiring's identity and under
-// another one, which is what reaches the hoisted xv == inf rows; on the dense
-// block and on the hypersparse one, whose empty rows carry special values,
-// and against refSpmvBlock too, whose row walk is its own),
+// another one, through a copy of the semiring that carries it — a min kind
+// then resolves to the generic loop; on the dense block and on the
+// hypersparse one, whose empty rows carry special values, and against
+// refSpmvBlock too, whose row walk is its own),
 // spaRow with and without recording, both local SpGEMM kernels, and the
 // column-team reduce over the additive monoid. Each SpGEMM kernel is also run
 // under a random mask (possibly empty, with empty rows, reaching outside the
@@ -192,6 +193,9 @@ func checkRowKinds[T semiring.Number](t *testing.T, rt *locale.Runtime, c rowCas
 		}
 
 		for _, id := range []T{sr.AddIdentity(), pick()} {
+			withID, refWithID := sr, ref
+			withID.Add.Identity, refWithID.Add.Identity = id, id
+			rk, generic := newRowKernel(withID), newRowKernel(refWithID)
 			// On the hypersparse block, id lands on some nonempty rows and
 			// the special values on the empty ones.
 			xhs := make([]T, hs.NRows)
