@@ -19,9 +19,7 @@ import (
 
 	"repro/gb"
 	"repro/internal/algorithms"
-	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/inspect"
 	"repro/internal/locale"
 	"repro/internal/machine"
 	"repro/internal/sparse"
@@ -42,15 +40,18 @@ func main() {
 	)
 	flag.Parse()
 
-	dirStrat := inspect.Strategy{PullThreshold: *pullThr}
+	var dirStrat []gb.StrategyOption
 	switch *strat {
 	case "auto":
 	case "push":
-		dirStrat.Dir = inspect.DirPush
+		dirStrat = append(dirStrat, gb.ForcePush)
 	case "pull":
-		dirStrat.Dir = inspect.DirPull
+		dirStrat = append(dirStrat, gb.ForcePull)
 	default:
 		fatal(fmt.Errorf("-strategy must be 'auto', 'push' or 'pull', got %q", *strat))
+	}
+	if *pullThr != 0 {
+		dirStrat = append(dirStrat, gb.PullThreshold(*pullThr))
 	}
 
 	var a *sparse.CSR[int64]
@@ -88,21 +89,17 @@ func main() {
 
 	// Direction-optimizing BFS under the selected strategy (alpha = 0: the
 	// per-round direction comes from the inspector, not a fixed threshold).
-	srt, err := locale.New(machine.Edison(), 1, *threads)
+	dctx, err := gb.New(gb.Threads(*threads), gb.WithStrategy(dirStrat...))
 	if err != nil {
 		fatal(err)
 	}
-	dres0, err := algorithms.BFSDirectionOptimizingCfg(a, *source, 0, core.ShmConfig{
-		Threads: *threads, Workers: 1, Engine: core.EngineBucket,
-		Sim: srt.S, Pool: srt.WP, Scratch: srt.Scratch,
-		Insp: inspect.New(dirStrat),
-	})
+	dres0, err := gb.BFSDirectionOptimizing(gb.MatrixFromCSR(dctx, a), *source, 0)
 	if err != nil {
 		fatal(err)
 	}
 	doReach, doMax := summarize(dres0)
 	fmt.Printf("direction-optimizing BFS (strategy=%s): reached %d vertices in %d rounds (eccentricity %d), modeled time %.3f ms\n",
-		*strat, doReach, dres0.Rounds, doMax, srt.S.Elapsed()/1e6)
+		*strat, doReach, dres0.Rounds, doMax, dctx.Elapsed()*1e3)
 	if reach != doReach {
 		fatal(fmt.Errorf("plain and direction-optimizing BFS disagree: %d vs %d reached", reach, doReach))
 	}

@@ -40,6 +40,10 @@ func TestWithCancelContextTyped(t *testing.T) {
 		}
 	}
 
+	if _, err := BFSDirectionOptimizing(a.WithContext(qc), 0, 0); !errors.Is(err, ErrQueryCanceled) || !errors.Is(err, context.Canceled) {
+		t.Errorf("DOBFS on a canceled context: got %v, want ErrQueryCanceled and context.Canceled", err)
+	}
+
 	// The base context is untouched: the same matrix still answers.
 	if res, err := BFS(base, a, 0); err != nil || res.Level[0] != 0 {
 		t.Fatalf("base context broken after canceled derived query: %v", err)
@@ -63,6 +67,7 @@ func TestModeledDeadlineTyped(t *testing.T) {
 		{"cc", func(_ *Context, m *Matrix[int64]) error { _, _, err := ConnectedComponents(m); return err }},
 		{"triangles", func(_ *Context, m *Matrix[int64]) error { _, err := TriangleCount(m); return err }},
 		{"msbfs", func(_ *Context, m *Matrix[int64]) error { _, _, err := MultiSourceBFS(m, []int{0, 1}); return err }},
+		{"dobfs", func(_ *Context, m *Matrix[int64]) error { _, err := BFSDirectionOptimizing(m, 0, 0); return err }},
 	} {
 		qc := base.WithModeledDeadline(1) // 1ns of modeled budget: expires within the first round
 		err := run.op(qc, a.WithContext(qc))

@@ -14,13 +14,13 @@ import (
 // TestEveryCallAdvancesTheClock is the accounting invariant of the modeled
 // clock: a public operation or algorithm that did work on a non-empty input
 // charged for it, so Context.Elapsed strictly increases across the call. A
-// call that forgets to hand its kernels the context's simulator (as
-// BFSDirectionOptimizing once did) reads as free in every modeled figure and
-// in gbserve's modeled_ms; one table entry here covers a new call.
+// call that forgets to hand its kernels the context's simulator reads as
+// free in every modeled figure and in gbserve's modeled_ms; one table entry
+// here covers a new call.
 //
-// BetweennessCentrality is the one known exception: it runs Brandes' sweeps
-// on a gathered copy and has no cost model (ROADMAP item 4). The test pins
-// that too, so the exception cannot outlive a fix.
+// BetweennessCentrality is the one known exception: it is the last algorithm
+// that runs on a gathered copy, Brandes' sweeps with no cost model (ROADMAP
+// item 10). The test pins that too, so the exception cannot outlive a fix.
 func TestEveryCallAdvancesTheClock(t *testing.T) {
 	ctx, err := New(Locales(4), Threads(24))
 	if err != nil {

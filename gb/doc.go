@@ -111,6 +111,7 @@
 // BFSDirectionOptimizing's alpha parameter folds into this layer: alpha > 0
 // replays the legacy threshold rule (gb.PullThreshold is the per-context
 // equivalent), alpha <= 0 defers each round's direction to the inspector.
+// Its push rounds are BFS's, on the context's engine and comm axis.
 //
 // # Deriving contexts and aliasing
 //

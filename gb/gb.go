@@ -648,29 +648,17 @@ func Transpose[T Number](a *Matrix[T]) (*Matrix[T], error) {
 	return &Matrix[T]{ctx: &Context{rt: trt, fusion: a.ctx.fusion}, m: at}, nil
 }
 
-// BFSDirectionOptimizing runs the push/pull BFS on a gathered copy of the
-// matrix (a shared-memory algorithm). alpha > 0 replays the legacy switch
-// rule (pull while nnz(frontier) > n/alpha); alpha <= 0 means Auto — the
-// context's inspector picks the direction per round from modeled push/pull
-// work, honoring any strategy pin (gb.ForcePush / gb.ForcePull) or
-// gb.PullThreshold. Its rounds are charged to locale 0 of the context's
-// modeled clock and traced like any other call.
+// BFSDirectionOptimizing runs the push/pull BFS on the context's grid:
+// each round either pushes, as BFS does, or pulls, every unvisited vertex
+// scanning its in-neighbours for a frontier member. alpha > 0 replays the
+// legacy switch rule (pull while nnz(frontier) > n/alpha); alpha <= 0 means
+// Auto — the context's inspector picks the direction per round from modeled
+// push/pull work, honoring any strategy pin (gb.ForcePush / gb.ForcePull) or
+// gb.PullThreshold. Its rounds are charged, traced, canceled and recovered
+// like BFS's.
 func BFSDirectionOptimizing[T Number](a *Matrix[T], source, alpha int) (*BFSResult, error) {
 	a.ctx.force()
-	csr, err := a.m.ToCSR()
-	if err != nil {
-		return nil, err
-	}
-	rt := a.ctx.rt
-	return algorithms.BFSDirectionOptimizingCfg(csr, source, alpha, core.ShmConfig{
-		Threads: rt.Threads,
-		Workers: rt.RealWorkers,
-		Sim:     rt.S,
-		Trace:   rt.Tr,
-		Pool:    rt.WP,
-		Scratch: rt.Scratch,
-		Insp:    rt.Insp,
-	})
+	return algorithms.BFSDirectionOptimizing(a.ctx.rt, a.m, source, alpha)
 }
 
 // BetweennessCentrality computes Brandes betweenness from the given source

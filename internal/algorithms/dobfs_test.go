@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/sparse"
 )
 
@@ -11,31 +12,34 @@ func TestDOBFSMatchesRefLevels(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		a := sparse.ErdosRenyi[int64](500, 6, seed)
 		want := RefBFS(a, 9)
-		for _, alpha := range []int{0, 2, 14, 1000000} { // always-pull .. never-pull
-			res, err := BFSDirectionOptimizing(a, 9, alpha)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for v := range want {
-				if res.Level[v] != want[v] {
-					t.Fatalf("seed=%d alpha=%d: level[%d] = %d, want %d",
-						seed, alpha, v, res.Level[v], want[v])
+		for _, p := range []int{1, 4} {
+			for _, alpha := range []int{0, 2, 14, 1000000} { // always-pull .. never-pull
+				rt := newRT(t, p)
+				res, err := BFSDirectionOptimizing(rt, dist.MatFromCSR(rt, a), 9, alpha)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			// Parent consistency.
-			for v := range want {
-				p := res.Parent[v]
-				if v == 9 || res.Level[v] < 0 {
-					if p != -1 {
-						t.Fatalf("vertex %d should have no parent", v)
+				for v := range want {
+					if res.Level[v] != want[v] {
+						t.Fatalf("seed=%d p=%d alpha=%d: level[%d] = %d, want %d",
+							seed, p, alpha, v, res.Level[v], want[v])
 					}
-					continue
 				}
-				if res.Level[int(p)] != res.Level[v]-1 {
-					t.Fatalf("alpha=%d: parent level wrong for %d", alpha, v)
-				}
-				if _, ok := a.Get(int(p), v); !ok {
-					t.Fatalf("alpha=%d: parent edge %d->%d missing", alpha, p, v)
+				// Parent consistency.
+				for v := range want {
+					q := res.Parent[v]
+					if v == 9 || res.Level[v] < 0 {
+						if q != -1 {
+							t.Fatalf("vertex %d should have no parent", v)
+						}
+						continue
+					}
+					if res.Level[int(q)] != res.Level[v]-1 {
+						t.Fatalf("p=%d alpha=%d: parent level wrong for %d", p, alpha, v)
+					}
+					if _, ok := a.Get(int(q), v); !ok {
+						t.Fatalf("p=%d alpha=%d: parent edge %d->%d missing", p, alpha, q, v)
+					}
 				}
 			}
 		}
@@ -55,23 +59,26 @@ func TestDOBFSUsesPullOnDenseFrontier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := BFSDirectionOptimizing(a, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 1; v < n; v++ {
-		if res.Level[v] != 1 || res.Parent[v] != 0 {
-			t.Fatalf("star vertex %d: level %d parent %d", v, res.Level[v], res.Parent[v])
+	for _, p := range []int{1, 4} {
+		rt := newRT(t, p)
+		res, err := BFSDirectionOptimizing(rt, dist.MatFromCSR(rt, a), 0, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := 1; v < n; v++ {
+			if res.Level[v] != 1 || res.Parent[v] != 0 {
+				t.Fatalf("p=%d: star vertex %d: level %d parent %d", p, v, res.Level[v], res.Parent[v])
+			}
 		}
 	}
 }
 
 func TestDOBFSErrors(t *testing.T) {
-	a := sparse.Ring[int64](5)
-	if _, err := BFSDirectionOptimizing(a, 9, 0); err == nil {
+	rt := newRT(t, 4)
+	if _, err := BFSDirectionOptimizing(rt, dist.MatFromCSR(rt, sparse.Ring[int64](5)), 9, 0); err == nil {
 		t.Error("bad source accepted")
 	}
-	if _, err := BFSDirectionOptimizing(sparse.NewCSR[int64](2, 3), 0, 0); err == nil {
+	if _, err := BFSDirectionOptimizing(rt, dist.MatFromCSR(rt, sparse.NewCSR[int64](2, 3)), 0, 0); err == nil {
 		t.Error("non-square accepted")
 	}
 }

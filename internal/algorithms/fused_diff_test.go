@@ -167,44 +167,35 @@ func bfsHash(r *BFSResult) uint64 {
 	return h.Sum64()
 }
 
-// pushBFS runs a BFS from source whose every round is one shared-memory push
-// step (core.FusedPushStepShm) on cfg's engine.
-func pushBFS(a *sparse.CSR[int64], source int, cfg core.ShmConfig) *BFSResult {
-	res := newBFSResult(source, a.NRows)
-	visited := sparse.NewDense[int64](a.NRows)
-	visited.Data[source] = 1
-	frontier, _ := sparse.VecOf(a.NRows, []int{source}, []int64{1})
-	for level := int64(1); ; level++ {
-		if nn, _ := core.FusedPushStepShm(a, frontier, visited, level, res.Level, res.Parent, cfg); nn == 0 {
-			return res
-		}
-		res.Rounds++
-	}
-}
-
-// TestFusedShmBitwise pins the shared-memory push step: FusedPushStepShm on
-// every engine, DOBFS pinned to push and DOBFS at alpha=14 must reproduce the
-// levels, parents and round counts of the eager SpMSpVMasked + update chain
-// the push step replaced. The hashes were recorded from that chain.
+// TestFusedShmBitwise pins the one-locale push round: on a 1×1 grid the
+// fused round (core.FusedBFSRound) is the shared-memory SpMSpV on the whole
+// matrix. DOBFS pinned to push on every engine, and DOBFS at alpha=14, must
+// reproduce the levels, parents and round counts of the eager SpMSpVMasked +
+// update chain the shared-memory push step once replaced. The hashes were
+// recorded from that chain.
 func TestFusedShmBitwise(t *testing.T) {
 	want := map[string]uint64{"er": 0xed374422606593ee, "rmat": 0x4af64d16eef60925}
+	dobfs := func(a0 *sparse.CSR[int64], eng core.Engine, in *inspect.Inspector, alpha int) *BFSResult {
+		rt := newRT(t, 1)
+		rt.Fusion, rt.ShmEngine, rt.Insp = true, int(eng), in
+		res, err := BFSDirectionOptimizing(rt, dist.MatFromCSR(rt, a0), 3, alpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	pushPin := func() *inspect.Inspector { return inspect.New(inspect.Strategy{Dir: inspect.DirPush}) }
 	for name, a0 := range diffGraphs(t) {
 		for _, eng := range []core.Engine{core.EngineBucket, core.EngineMergeSort, core.EngineRadixSort} {
-			got := pushBFS(a0, 3, core.ShmConfig{Threads: 4, Engine: eng})
+			got := dobfs(a0, eng, pushPin(), 0)
 			t.Run(name+"/"+eng.String(), func(t *testing.T) {
 				if h := bfsHash(got); h != want[name] {
 					t.Errorf("hash %#x, want %#x", h, want[name])
 				}
 			})
 		}
-		push, err := BFSDirectionOptimizingCfg(a0, 3, 0, core.ShmConfig{Insp: inspect.New(inspect.Strategy{Dir: inspect.DirPush})})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mixed, err := BFSDirectionOptimizingCfg(a0, 3, 14, core.ShmConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		push := dobfs(a0, core.EngineBucket, pushPin(), 0)
+		mixed := dobfs(a0, core.EngineBucket, nil, 14)
 		t.Run(name+"/dobfs", func(t *testing.T) {
 			for _, got := range []*BFSResult{push, mixed} {
 				if h := bfsHash(got); h != want[name] {

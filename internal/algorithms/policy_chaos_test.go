@@ -234,10 +234,10 @@ func distributeFor[T semiring.Number](rt *locale.Runtime, a0 *sparse.CSR[T], rep
 // policyCases covers every algorithm on the round driver, on the inputs of
 // the chaos acceptance tests.
 func policyCases() []policyCase {
-	bfs := func(masked bool, seed int64, source int) func(*testing.T, *locale.Runtime, bool) ([]uint64, int) {
+	bfs := func(mode bfsMode, alpha int, seed int64, source int) func(*testing.T, *locale.Runtime, bool) ([]uint64, int) {
 		return func(t *testing.T, rt *locale.Runtime, replicate bool) ([]uint64, int) {
 			m, maxBlock := distributeFor(rt, sparse.ErdosRenyi[int64](150, 5, seed), replicate)
-			res, err := bfsDist(rt, m, source, masked)
+			res, err := bfsDist(rt, m, source, mode, alpha)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -256,8 +256,11 @@ func policyCases() []policyCase {
 		return bits
 	}
 	return []policyCase{
-		{"bfs", bfs(false, 71, 3)},
-		{"bfs-masked", bfs(true, 73, 7)},
+		{"bfs", bfs(bfsPlain, 0, 71, 3)},
+		{"bfs-masked", bfs(bfsMasked, 0, 73, 7)},
+		// alpha = 14: the directions follow the frontier sizes alone, so
+		// the chaotic run pulls and pushes in the clean run's rounds.
+		{"dobfs", bfs(bfsDirOpt, 14, 81, 5)},
 		{"sssp", func(t *testing.T, rt *locale.Runtime, replicate bool) ([]uint64, int) {
 			m, maxBlock := distributeFor(rt, sparse.ErdosRenyi[float64](140, 5, 75), replicate)
 			d, rounds, err := SSSPDist(rt, m, 2)

@@ -67,15 +67,15 @@ func AblSort(scale Scale) (Figure, error) {
 	for _, th := range threadSweep {
 		for _, kind := range []struct {
 			name string
-			k    core.SortKind
-		}{{"merge sort", core.MergeSort}, {"radix sort", core.RadixSort}} {
+			e    core.Engine
+		}{{"merge sort", core.EngineMergeSort}, {"radix sort", core.EngineRadixSort}} {
 			rt, err := newRT(1, th)
 			if err != nil {
 				return fig, err
 			}
 			tr := ensureTracer(rt)
 			_, _ = core.SpMSpVShm(a, x, core.ShmConfig{
-				Threads: th, Sort: kind.k, Sim: rt.S, Loc: 0, Phased: true, Trace: tr,
+				Threads: th, Engine: kind.e, Sim: rt.S, Loc: 0, Phased: true, Trace: tr,
 			})
 			var sortNS float64
 			if sp := tr.Last("SpMSpVShm"); sp != nil {

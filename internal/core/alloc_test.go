@@ -171,56 +171,6 @@ func TestSpMSpVMaskedZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestFusedPushStepShmZeroAllocSteadyState covers the fused BFS push step:
-// the SpMSpV product comes from the arena, the frontier is rebuilt in place,
-// and the fused-region span is elided when tracing is off — so a warm call
-// allocates nothing. The graph state is rewound between runs without
-// allocating (the buffers keep their high-water capacity).
-func TestFusedPushStepShmZeroAllocSteadyState(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts include race-runtime shadow allocations")
-	}
-	const n, src = 5000, 3
-	for _, seed := range []int64{17, 1} {
-		a := sparse.ErdosRenyi[int64](n, 8, seed)
-		rt := newRT(t, 1, 24)
-		cfg := ShmConfig{
-			Threads: 24,
-			Workers: 1,
-			Engine:  EngineBucket,
-			Sim:     rt.S,
-			Pool:    rt.WP,
-			Scratch: rt.Scratch,
-		}
-		frontier := sparse.NewVec[int64](n)
-		visited := sparse.NewDense[int64](n)
-		levels := make([]int64, n)
-		parents := make([]int64, n)
-		reset := func() {
-			for i := range visited.Data {
-				visited.Data[i] = 0
-				levels[i] = -1
-				parents[i] = -1
-			}
-			visited.Data[src] = 1
-			levels[src] = 0
-			frontier.Ind = append(frontier.Ind[:0], src)
-			frontier.Val = append(frontier.Val[:0], 1)
-		}
-		for i := 0; i < warmups; i++ {
-			reset()
-			FusedPushStepShm(a, frontier, visited, 1, levels, parents, cfg)
-		}
-		avg := testing.AllocsPerRun(50, func() {
-			reset()
-			FusedPushStepShm(a, frontier, visited, 1, levels, parents, cfg)
-		})
-		if avg != 0 {
-			t.Errorf("seed %d: FusedPushStepShm allocates %.1f objects per steady-state call, want 0", seed, avg)
-		}
-	}
-}
-
 func TestSpGEMMLocalZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts include race-runtime shadow allocations")

@@ -248,62 +248,29 @@ func gatherSpMVInput[T semiring.Number](rt *locale.Runtime, x *dist.DenseVec[T],
 	return comm.RowAllGather(rt, x.Loc)
 }
 
-// EstimateBFSDir prices one direction-optimized BFS round. Push runs the
-// masked SpMSpV: every edge out of the frontier pays the per-entry SPA/bucket
-// machinery plus per-row setup and an output pass. Pull scans each unvisited
-// vertex's in-neighbors until it finds a frontier member — streaming access
-// with early exit after ~n/nnz(frontier) probes once the frontier covers that
-// fraction of the vertices. With a simulator in cfg, both sides are priced
-// through its ComputeTime on the kernels the round would actually charge, so
-// the estimates include spawn overheads and memory bandwidth at the config's
-// thread count; without one they fall back to raw work units (same crossover
-// at one thread).
-func EstimateBFSDir(cfg *ShmConfig, n, unvisited, frontierNNZ, frontierEdges, totalEdges int) (push, pull float64) {
-	fEdges, fNNZ := int64(frontierEdges), int64(frontierNNZ)
-	probes := 0.0
-	if frontierNNZ > 0 {
-		probes = float64(n) / float64(frontierNNZ)
-		if avgIn := float64(totalEdges) / float64(max(n, 1)); avgIn < probes {
-			probes = avgIn
-		}
-	}
-	scanned := int64(float64(unvisited) * probes)
-	if cfg == nil || cfg.Sim == nil {
-		push = float64(fEdges)*costSpaCPU + float64(fNNZ)*costSpaPerRow
-		if frontierNNZ == 0 {
-			return push, 0
-		}
-		return push, float64(unvisited)*costPullCheckCPU + float64(scanned)*costPullScanCPU
-	}
-	threads := cfg.Threads
-	if threads <= 0 {
-		threads = 1
-	}
-	push = cfg.Sim.ComputeTime(threads, sim.Kernel{Items: fEdges, CPUPerItem: costSpaCPU, BytesPerItem: costSpaBytes}) +
-		cfg.Sim.ComputeTime(threads, sim.Kernel{Items: fNNZ, CPUPerItem: costSpaPerRow}) +
-		cfg.Sim.ComputeTime(threads, sim.Kernel{Items: fEdges, CPUPerItem: costOutputCPU, BytesPerItem: costOutputBytes})
+// EstimateBFSDir prices one direction-optimized BFS round on rt's grid, per
+// locale. Push runs the masked SpMSpV: every edge out of the frontier pays
+// the per-entry SPA/bucket machinery plus per-row setup and an output pass.
+// Pull gathers the frontier ids along the row teams, scans each unvisited
+// column of its block until it meets a frontier member — about n/nnz(frontier)
+// probes, at most the block's share of the frontier's average degree — and
+// reduces the hits down the column teams. Both sides are priced through the
+// simulator's ComputeTime and BulkTime on the kernels and collectives the
+// round charges, at the runtime's thread count.
+func EstimateBFSDir(rt *locale.Runtime, n, unvisited, frontierNNZ, frontierEdges int) (push, pull float64) {
+	g, s, th := rt.G, rt.S, rt.Threads
+	per := func(items, parts int) int64 { return int64(float64(items) / float64(parts)) }
+	push = s.ComputeTime(th, sim.Kernel{Items: per(frontierEdges, g.P), CPUPerItem: costSpaCPU, BytesPerItem: costSpaBytes}) +
+		s.ComputeTime(th, sim.Kernel{Items: per(frontierNNZ, g.Pr), CPUPerItem: costSpaPerRow}) +
+		s.ComputeTime(th, sim.Kernel{Items: per(frontierEdges, g.P), CPUPerItem: costOutputCPU, BytesPerItem: costOutputBytes})
 	if frontierNNZ == 0 {
 		return push, 0
 	}
-	pull = cfg.Sim.ComputeTime(threads, sim.Kernel{Items: int64(unvisited), CPUPerItem: costPullCheckCPU, BytesPerItem: 1}) +
-		cfg.Sim.ComputeTime(threads, sim.Kernel{Items: scanned, CPUPerItem: costPullScanCPU, BytesPerItem: costPullScanBytes})
+	probes := min(float64(n)/float64(frontierNNZ), float64(frontierEdges)/float64(frontierNNZ)/float64(g.Pr))
+	checked := per(unvisited, g.Pc)
+	pull = s.ComputeTime(th, sim.Kernel{Items: checked, CPUPerItem: costPullCheckCPU, BytesPerItem: 1}) +
+		s.ComputeTime(th, sim.Kernel{Items: int64(float64(checked) * probes), CPUPerItem: costPullScanCPU, BytesPerItem: costPullScanBytes}) +
+		s.BulkTime(8*per(n, g.Pr), false)*estTreeDepth(g.Pc) +
+		s.BulkTime(8*per(n, g.Pc), false)*estTreeDepth(g.Pr)
 	return push, pull
-}
-
-// ChargeDOBFSPull records the modeled cost of one pull round against the
-// config's simulator — the unvisited vertices checked and the in-edges
-// actually scanned before early exit — and returns the charged nanoseconds
-// (the observed side of the dir-axis calibration). Nil Sim is a no-op,
-// matching the uncharged shared-memory paths.
-func ChargeDOBFSPull(cfg *ShmConfig, checked, scanned int64) float64 {
-	if cfg.Sim == nil {
-		return 0
-	}
-	threads := cfg.Threads
-	if threads <= 0 {
-		threads = 1
-	}
-	t := cfg.Sim.Compute(cfg.Loc, threads, sim.Kernel{Name: "dobfs-pull-check", Items: checked, CPUPerItem: costPullCheckCPU, BytesPerItem: 1})
-	t += cfg.Sim.Compute(cfg.Loc, threads, sim.Kernel{Name: "dobfs-pull-scan", Items: scanned, CPUPerItem: costPullScanCPU, BytesPerItem: costPullScanBytes})
-	return t
 }

@@ -53,22 +53,6 @@ const (
 	ReasonPanelPrefetch = "panel-prefetch"
 )
 
-// logDepth returns ceil(log2(p)) as a float for cost charging.
-func logDepth(p int) float64 {
-	d := 0.0
-	for v := 1; v < p; v <<= 1 {
-		d++
-	}
-	return d
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // summaStage is one band segment of the inner-dimension sweep: global
 // columns [lo, hi) of A (= rows of B), owned by A's column team ca and B's
 // row team rb.
@@ -123,13 +107,13 @@ func EstimateSpGEMMPlace[T semiring.Number](rt *locale.Runtime, a, b *dist.Mat[T
 	for _, st := range stages {
 		var worst float64
 		for r := 0; r < g.Pr; r++ {
-			nnz := a.Blocks[g.ID(r, st.ca)].NNZ() / maxInt(stagesInA[st.ca], 1)
+			nnz := a.Blocks[g.ID(r, st.ca)].NNZ() / max(stagesInA[st.ca], 1)
 			if t := rt.S.BulkTime(hdr+int64(16*nnz), false) * estTreeDepth(g.Pc); t > worst {
 				worst = t
 			}
 		}
 		for c := 0; c < g.Pc; c++ {
-			nnz := b.Blocks[g.ID(st.rb, c)].NNZ() / maxInt(stagesInB[st.rb], 1)
+			nnz := b.Blocks[g.ID(st.rb, c)].NNZ() / max(stagesInB[st.rb], 1)
 			if t := rt.S.BulkTime(hdr+int64(16*nnz), false) * estTreeDepth(g.Pr); t > worst {
 				worst = t
 			}

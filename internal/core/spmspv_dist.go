@@ -232,7 +232,7 @@ func maskBroadcast(rt *locale.Runtime, colBands []int, mask *dist.DenseVec[int64
 		}
 		bandMask[c] = seg
 		if g.Pr > 1 {
-			per := rt.S.BulkTime(int64(len(seg)), false) * logDepth(g.Pr)
+			per := rt.S.BulkTime(int64(len(seg)), false) * estTreeDepth(g.Pr)
 			for _, l := range g.ColLocales(c) {
 				rt.S.Advance(l, per)
 			}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/comm"
 	"repro/internal/dist"
 	"repro/internal/locale"
 	"repro/internal/semiring"
@@ -281,38 +282,113 @@ func FusedSpMVUpdate[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *d
 	return spmvStages(rt, a, x, sr, "FusedSpMVUpdate", locale.BlockBounds(a.NCols, rt.G.P), update)
 }
 
-// FusedPushStepShm is the shared-memory analogue of FusedBFSRound: the masked
-// SpMSpV push step plus the level/parent/visited updates and the next-frontier
-// construction, fused into one pass over the product. The new frontier is
-// written into frontier in place (the multiply has consumed it already);
-// steady-state calls allocate nothing — the product comes from and returns to
-// cfg.Scratch, and the frontier reuses its own capacity.
+// BFSPullRound executes one bottom-up BFS round on the 2-D block
+// distribution — the pull half of the direction-optimizing BFS, the way
+// Beamer, Buluç, Asanović and Patterson run it on the same decomposition —
+// from the pieces of the distributed SpMV round, between one spawn and one
+// barrier:
 //
-// Returns the new frontier size; on 0 the caller's loop terminates exactly as
-// the eager round would (the visited array makes the updates idempotent-free:
-// an empty masked product mutates nothing here either).
-func FusedPushStepShm[T semiring.Number](a *sparse.CSR[T], frontier *sparse.Vec[T], visited *sparse.Dense[int64], level int64, levels, parents []int64, cfg ShmConfig) (int, ShmStats) {
-	var sp *trace.Span
-	if cfg.Trace != nil {
-		sp = cfg.Trace.Begin("FusedPushStep",
-			trace.T("recipe", RecipeSpMSpVFrontier.String()),
-			trace.T("engine", cfg.resolveEngine().String()))
-	}
-	y, st := SpMSpVShm(a, frontier, cfg)
-	frontier.Ind = frontier.Ind[:0]
-	frontier.Val = frontier.Val[:0]
-	for k, i := range y.Ind {
-		if visited.Data[i] != 0 {
-			continue
+//  1. each locale encodes its slice of the frontier as ids (u where u is in
+//     the frontier, MaxValue elsewhere), and the row teams all-gather them;
+//  2. the visited flags are copied down the column teams (maskBroadcast);
+//  3. each locale scans the unvisited columns of its block, in cols[l] (the
+//     block in CSC form), walking rows in ascending order and stopping at
+//     the first frontier member;
+//  4. the column teams reduce the hits with min;
+//  5. the result is emitted in spmvAssemble order: every hit v gets level
+//     and its parent, its visited flag set, and becomes the next frontier,
+//     written into frontier in place.
+//
+// Each band's first hit is its smallest frontier in-neighbour, so the min
+// across the bands is the global smallest: the parent a sequential scan of
+// v's in-neighbours would pick. Returns the size of the new frontier; a
+// collective's error returns before any state is mutated.
+func BFSPullRound[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], cols []*sparse.CSC[T], frontier *dist.SpVec[T], visited *dist.DenseVec[int64], level int64, levels, parents []int64) (int, error) {
+	defer rt.Span("BFSPullRound").End()
+	g := rt.G
+	none := semiring.MaxValue[int64]()
+	rt.S.CoforallSpawn()
+
+	ids := make([][]int64, g.P)
+	for l := range ids {
+		lo, hi := frontier.Bounds[l], frontier.Bounds[l+1]
+		seg := sparse.GetSlice[int64](rt.Scratch, hi-lo)
+		for i := range seg {
+			seg[i] = none
 		}
-		levels[i] = level
-		parents[i] = y.Val[k]
-		visited.Data[i] = 1
-		frontier.Ind = append(frontier.Ind, i)
-		frontier.Val = append(frontier.Val, T(1))
+		for _, u := range frontier.Loc[l].Ind {
+			seg[u-lo] = int64(u)
+		}
+		ids[l] = seg
+		rt.S.Compute(l, rt.Threads, sim.Kernel{Name: "dobfs-pull-encode", Items: int64(hi - lo), CPUPerItem: costScanCPU, BytesPerItem: 8})
 	}
-	sparse.PutVec(cfg.Scratch, y)
-	st.NnzOut = frontier.NNZ()
-	sp.End()
-	return frontier.NNZ(), st
+	bands, err := comm.RowAllGather(rt, ids)
+	for _, seg := range ids {
+		sparse.PutSlice(rt.Scratch, seg)
+	}
+	if err != nil {
+		return 0, err
+	}
+	bandMask := maskBroadcast(rt, a.ColBands, visited)
+
+	partials := make([][]int64, g.P)
+	for l := 0; l < g.P; l++ {
+		_, c := g.Coords(l)
+		cc, x, seg := cols[l], bands[l], bandMask[c]
+		hits := sparse.GetSlice[int64](rt.Scratch, cc.NCols)
+		var checked, scanned int64
+		for j := range hits {
+			hits[j] = none
+			if seg[j] != 0 {
+				continue
+			}
+			checked++
+			for _, i := range cc.RowIdx[cc.ColPtr[j]:cc.ColPtr[j+1]] {
+				scanned++
+				if u := x[i]; u != none {
+					hits[j] = u
+					break
+				}
+			}
+		}
+		partials[l] = hits
+		rt.S.Compute(l, rt.Threads, sim.Kernel{Name: "dobfs-pull-check", Items: checked, CPUPerItem: costPullCheckCPU, BytesPerItem: 1})
+		rt.S.Compute(l, rt.Threads, sim.Kernel{Name: "dobfs-pull-scan", Items: scanned, CPUPerItem: costPullScanCPU, BytesPerItem: costPullScanBytes})
+	}
+	comm.ReleaseRowGather(rt, bands)
+	for _, seg := range bandMask {
+		sparse.PutSlice(rt.Scratch, seg)
+	}
+	reduced, err := comm.ColReduceScatter(rt, partials, semiring.MinMonoid[int64]())
+	for _, hits := range partials {
+		sparse.PutSlice(rt.Scratch, hits)
+	}
+	if err != nil {
+		return 0, err
+	}
+
+	for _, lv := range frontier.Loc {
+		lv.Ind, lv.Val = lv.Ind[:0], lv.Val[:0]
+	}
+	spmvAssemble(g, a.ColBands, visited.Bounds, reduced, func(l, lo int, src []int64) {
+		lv, seg, base := frontier.Loc[l], visited.Loc[l], visited.Bounds[l]
+		for k, u := range src {
+			if u == none {
+				continue
+			}
+			v := lo + k
+			levels[v], parents[v] = level, u
+			seg[v-base] = 1
+			lv.Ind = append(lv.Ind, v)
+			lv.Val = append(lv.Val, T(1))
+		}
+	})
+	comm.ReleaseColReduce(rt, reduced)
+	var st DistStats
+	for l, lv := range frontier.Loc {
+		rt.S.Compute(l, rt.Threads, sim.Kernel{Name: "spmspv-densetosparse", Items: int64(visited.Bounds[l+1] - visited.Bounds[l]), CPUPerItem: costScanCPU, BytesPerItem: 1})
+		chargeFusedInstall(rt, l, lv.NNZ(), &st)
+	}
+	rt.S.Barrier()
+	return st.NnzOut, nil
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"sync/atomic"
 
-	"repro/internal/inspect"
 	"repro/internal/semiring"
 	"repro/internal/sim"
 	"repro/internal/sparse"
@@ -11,28 +10,13 @@ import (
 	"repro/internal/workpool"
 )
 
-// SortKind selects the index-sorting algorithm inside SpMSpV.
-type SortKind int
-
-const (
-	// MergeSort is the paper's choice (Chapel's parallel merge sort).
-	MergeSort SortKind = iota
-	// RadixSort is the cheaper integer sort the paper expects to reduce the
-	// sorting cost ("a less expensive integer sorting algorithm (e.g., radix
-	// sort) is expected to reduce the sorting cost down").
-	RadixSort
-)
-
 // Engine selects the shared-memory SpMSpV pipeline.
 type Engine int
 
 const (
-	// EngineAuto resolves from ShmConfig.Sort: the paper's SPA → Sort →
-	// Output pipeline with the configured sorting algorithm. This keeps the
-	// zero-value ShmConfig on the paper's exact behavior (Fig 7).
-	EngineAuto Engine = iota
-	// EngineMergeSort is the paper's pipeline with parallel merge sort.
-	EngineMergeSort
+	// EngineMergeSort, the zero value, is the paper's SPA → Sort → Output
+	// pipeline with parallel merge sort (Fig 7).
+	EngineMergeSort Engine = iota
 	// EngineRadixSort is the paper's pipeline with the LSD radix sort the
 	// paper expects to cut the sorting cost.
 	EngineRadixSort
@@ -45,27 +29,13 @@ const (
 // String names the engine for trace tags and diagnostics.
 func (e Engine) String() string {
 	switch e {
-	case EngineMergeSort:
-		return "mergesort"
 	case EngineRadixSort:
 		return "radixsort"
 	case EngineBucket:
 		return "bucket"
 	default:
-		return "auto"
+		return "mergesort"
 	}
-}
-
-// resolveEngine maps the config to a concrete engine, honoring the legacy
-// Sort field when Engine is left at EngineAuto.
-func (cfg ShmConfig) resolveEngine() Engine {
-	if cfg.Engine == EngineAuto {
-		if cfg.Sort == RadixSort {
-			return EngineRadixSort
-		}
-		return EngineMergeSort
-	}
-	return cfg.Engine
 }
 
 // ShmConfig configures a shared-memory SpMSpV call.
@@ -74,10 +44,7 @@ type ShmConfig struct {
 	Threads int
 	// Workers is the number of real goroutines used.
 	Workers int
-	// Sort selects the sorting algorithm for the result indices.
-	Sort SortKind
-	// Engine selects the pipeline; EngineAuto (the zero value) derives the
-	// engine from Sort, preserving the paper's default.
+	// Engine selects the pipeline; the zero value is the paper's merge sort.
 	Engine Engine
 	// Sim, if non-nil, receives cost charges on locale Loc. When Phased is
 	// set the three components are recorded as the phases "SPA", "Sorting"
@@ -98,22 +65,6 @@ type ShmConfig struct {
 	// out of it, making steady-state calls allocation-free. Nil degrades
 	// every checkout to a plain allocation.
 	Scratch *sparse.ScratchPool
-	// Insp is the optional inspector consulted by the direction-optimizing
-	// BFS to pick push vs pull per round (and by future shared-memory
-	// dispatch sites). Nil keeps the legacy alpha-threshold rule.
-	Insp *inspect.Inspector
-	// Cancel is an optional cooperative cancellation hook; the shared-memory
-	// direction-optimizing BFS polls it at round boundaries and aborts with
-	// its error. Nil means never canceled.
-	Cancel func() error
-}
-
-// Canceled polls the config's cancellation hook (nil-hook safe).
-func (cfg *ShmConfig) Canceled() error {
-	if cfg.Cancel == nil {
-		return nil
-	}
-	return cfg.Cancel()
 }
 
 // ShmStats reports the work a SpMSpV call performed.
@@ -144,12 +95,12 @@ type ShmStats struct {
 // The returned vector's backing arrays come from cfg.Scratch (when set);
 // the caller owns it and may recycle it with sparse.PutVec once done.
 func SpMSpVShm[T semiring.Number](a *sparse.CSR[T], x *sparse.Vec[T], cfg ShmConfig) (*sparse.Vec[int64], ShmStats) {
-	if cfg.resolveEngine() == EngineBucket {
+	if cfg.Engine == EngineBucket {
 		return spmspvBucket(a, x, cfg)
 	}
 	var sp *trace.Span
 	if cfg.Trace != nil {
-		sp = cfg.Trace.Begin("SpMSpVShm", trace.T("engine", cfg.resolveEngine().String()))
+		sp = cfg.Trace.Begin("SpMSpVShm", trace.T("engine", cfg.Engine.String()))
 	}
 	defer sp.End()
 	if cfg.Threads < 1 {
@@ -277,7 +228,7 @@ func spaScatterPar[T semiring.Number](a *sparse.CSR[T], x *sparse.Vec[T], spa *s
 // chargeSort sorts nzinds in place with the configured algorithm and charges
 // the model for the work actually performed.
 func chargeSort(cfg ShmConfig, nzinds []int) {
-	switch cfg.resolveEngine() {
+	switch cfg.Engine {
 	case EngineRadixSort:
 		passes := sparse.RadixSortInts(nzinds)
 		if cfg.Sim != nil {
@@ -314,12 +265,12 @@ func chargeSort(cfg ShmConfig, nzinds []int) {
 // deterministic for commutative, associative monoids regardless of the
 // worker count.
 func SpMSpVShmSemiring[T semiring.Number](a *sparse.CSR[T], x *sparse.Vec[T], sr semiring.Semiring[T], cfg ShmConfig) (*sparse.Vec[T], ShmStats) {
-	if cfg.resolveEngine() == EngineBucket {
+	if cfg.Engine == EngineBucket {
 		return spmspvBucketSemiring(a, x, sr, cfg)
 	}
 	var sp *trace.Span
 	if cfg.Trace != nil {
-		sp = cfg.Trace.Begin("SpMSpVShmSemiring", trace.T("engine", cfg.resolveEngine().String()))
+		sp = cfg.Trace.Begin("SpMSpVShmSemiring", trace.T("engine", cfg.Engine.String()))
 	}
 	defer sp.End()
 	if cfg.Threads < 1 {

@@ -67,8 +67,8 @@ func TestSpMSpVShmDeterministicSingleWorker(t *testing.T) {
 func TestSpMSpVShmRadixMatchesMerge(t *testing.T) {
 	a := sparse.ErdosRenyi[int64](400, 10, 3)
 	x := sparse.RandomVec[int64](400, 50, 4)
-	ym, _ := SpMSpVShm(a, x, ShmConfig{Sort: MergeSort})
-	yr, _ := SpMSpVShm(a, x, ShmConfig{Sort: RadixSort})
+	ym, _ := SpMSpVShm(a, x, ShmConfig{Engine: EngineMergeSort})
+	yr, _ := SpMSpVShm(a, x, ShmConfig{Engine: EngineRadixSort})
 	if !ym.Equal(yr) {
 		t.Fatal("radix-sorted result differs from merge-sorted")
 	}
@@ -226,12 +226,12 @@ func TestSpMSpVModelRadixAblation(t *testing.T) {
 	n := 100_000
 	a := sparse.ErdosRenyi[int64](n, 16, 13)
 	x := sparse.RandomVec[int64](n, n/50, 14)
-	sortTime := func(kind SortKind) float64 {
+	sortTime := func(e Engine) float64 {
 		s := sim.New(machine.Edison(), 1)
-		_, _ = SpMSpVShm(a, x, ShmConfig{Threads: 24, Sort: kind, Sim: s, Loc: 0, Phased: true})
+		_, _ = SpMSpVShm(a, x, ShmConfig{Threads: 24, Engine: e, Sim: s, Loc: 0, Phased: true})
 		return s.PhaseNS("Sorting")
 	}
-	if m, r := sortTime(MergeSort), sortTime(RadixSort); r > m/4 {
+	if m, r := sortTime(EngineMergeSort), sortTime(EngineRadixSort); r > m/4 {
 		t.Errorf("radix sorting (%.2fms) should be <1/4 of merge sorting (%.2fms)", r/1e6, m/1e6)
 	}
 }

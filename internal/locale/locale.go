@@ -182,7 +182,7 @@ type Runtime struct {
 	RealWorkers int
 	// ShmEngine selects the shared-memory SpMSpV pipeline used by the local
 	// multiplies of distributed operations; the values are internal/core's
-	// Engine constants. 0 (EngineAuto) keeps the paper's default pipeline.
+	// Engine constants. 0 (EngineMergeSort) is the paper's merge-sort pipeline.
 	ShmEngine int
 	// Fault is the optional fault injector driving modeled failures; nil runs
 	// fault-free. Install with WithFault.

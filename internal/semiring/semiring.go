@@ -163,9 +163,6 @@ func builtin[T any](k Kind, s Semiring[T]) Semiring[T] {
 	return s
 }
 
-// AddOp returns the additive binary operator of the semiring.
-func (s Semiring[T]) AddOp() BinaryOp[T] { return s.Add.Op }
-
 // AddIdentity returns the additive identity ("zero") of the semiring.
 func (s Semiring[T]) AddIdentity() T { return s.Add.Identity }
 
@@ -241,11 +238,6 @@ func AddConst[T Number](c T) UnaryOp[T] {
 	return func(x T) T { return x + c }
 }
 
-// ScaleBy returns a UnaryOp multiplying its argument by c.
-func ScaleBy[T Number](c T) UnaryOp[T] {
-	return func(x T) T { return x * c }
-}
-
 // --- Standard binary operators ----------------------------------------------
 
 // Plus adds.
@@ -269,9 +261,6 @@ func Max[T Number](a, b T) T {
 	}
 	return b
 }
-
-// First returns its first argument.
-func First[T any](a, _ T) T { return a }
 
 // Second returns its second argument. (min, Second) is the classic BFS
 // semiring: the product of a frontier entry with a matrix entry is the
@@ -301,11 +290,6 @@ func PlusMonoid[T Number]() Monoid[T] {
 	return builtinMonoid(MonoidPlus, Monoid[T]{Name: "plus", Op: Plus[T], Identity: 0})
 }
 
-// TimesMonoid is the (×, 1) commutative monoid.
-func TimesMonoid[T Number]() Monoid[T] {
-	return Monoid[T]{Name: "times", Op: Times[T], Identity: 1}
-}
-
 // MinMonoid is the (min, +∞) commutative monoid.
 func MinMonoid[T Number]() Monoid[T] {
 	return builtinMonoid(MonoidMin, Monoid[T]{Name: "min", Op: Min[T], Identity: MaxValue[T]()})
@@ -319,11 +303,6 @@ func MaxMonoid[T Number]() Monoid[T] {
 // LOrMonoid is the (∨, 0) commutative monoid.
 func LOrMonoid[T Number]() Monoid[T] {
 	return Monoid[T]{Name: "lor", Op: LOr[T], Identity: 0}
-}
-
-// LAndMonoid is the (∧, 1) commutative monoid.
-func LAndMonoid[T Number]() Monoid[T] {
-	return Monoid[T]{Name: "land", Op: LAnd[T], Identity: 1}
 }
 
 // --- Standard semirings -------------------------------------------------------
@@ -381,7 +360,7 @@ func secondSaturating[T Number](a, b T) T {
 	return b
 }
 
-// firstSaturating behaves like First with absorbing "+∞".
+// firstSaturating returns its first argument, with absorbing "+∞".
 func firstSaturating[T Number](a, b T) T {
 	inf := MaxValue[T]()
 	if a == inf || b == inf {

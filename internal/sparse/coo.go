@@ -104,17 +104,3 @@ func CSRFromTriplets[T semiring.Number](nrows, ncols int, rows, cols []int, vals
 	c := &COO[T]{NRows: nrows, NCols: ncols, Rows: rows, Cols: cols, Vals: vals}
 	return c.ToCSR(semiring.Plus[T])
 }
-
-// ToCOO converts a CSR matrix back to triplets in row-major order.
-func (a *CSR[T]) ToCOO() *COO[T] {
-	c := NewCOO[T](a.NRows, a.NCols)
-	c.Rows = make([]int, 0, a.NNZ())
-	c.Cols = append([]int(nil), a.ColIdx...)
-	c.Vals = append([]T(nil), a.Val...)
-	for i := 0; i < a.NRows; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			c.Rows = append(c.Rows, i)
-		}
-	}
-	return c
-}

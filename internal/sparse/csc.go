@@ -35,9 +35,6 @@ func (a *CSC[T]) Col(j int) (rows []int, vals []T) {
 	return a.RowIdx[lo:hi], a.Val[lo:hi]
 }
 
-// ColNNZ returns the number of stored elements in column j.
-func (a *CSC[T]) ColNNZ(j int) int { return a.ColPtr[j+1] - a.ColPtr[j] }
-
 // Get returns the value at (i, j) by binary search within the column.
 func (a *CSC[T]) Get(i, j int) (T, bool) {
 	rows, vals := a.Col(j)
@@ -133,21 +130,6 @@ func Identity[T semiring.Number](n int) *CSR[T] {
 	for i := 0; i < n; i++ {
 		a.ColIdx[i] = i
 		a.Val[i] = 1
-		a.RowPtr[i+1] = i + 1
-	}
-	return a
-}
-
-// Diag returns the diagonal matrix with the given diagonal values (zeros are
-// stored as explicit entries, matching GraphBLAS semantics where storage is
-// pattern-driven).
-func Diag[T semiring.Number](d []T) *CSR[T] {
-	n := len(d)
-	a := NewCSR[T](n, n)
-	a.ColIdx = make([]int, n)
-	a.Val = append([]T(nil), d...)
-	for i := 0; i < n; i++ {
-		a.ColIdx[i] = i
 		a.RowPtr[i+1] = i + 1
 	}
 	return a

@@ -139,16 +139,6 @@ func (a *CSR[T]) Transpose() *CSR[T] {
 	return t
 }
 
-// ExtractRow returns row i as a sparse vector of capacity NCols.
-func (a *CSR[T]) ExtractRow(i int) *Vec[T] {
-	cols, vals := a.Row(i)
-	return &Vec[T]{
-		N:   a.NCols,
-		Ind: append([]int(nil), cols...),
-		Val: append([]T(nil), vals...),
-	}
-}
-
 // SubMatrix extracts the block with rows [r0, r1) and columns [c0, c1) as a
 // new CSR matrix with local (shifted) indices, sized exactly. It is the
 // primitive used to cut a global matrix into 2-D distributed blocks.

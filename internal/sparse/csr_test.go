@@ -111,24 +111,6 @@ func TestCSRTransposeRandom(t *testing.T) {
 	}
 }
 
-func TestCSRExtractRow(t *testing.T) {
-	a := smallCSR(t)
-	r := a.ExtractRow(0)
-	if err := r.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if r.N != 5 || r.NNZ() != 2 {
-		t.Fatal("ExtractRow dims wrong")
-	}
-	if v, ok := r.Get(2); !ok || v != 2 {
-		t.Fatal("ExtractRow value wrong")
-	}
-	empty := a.ExtractRow(2)
-	if empty.NNZ() != 0 {
-		t.Fatal("empty row extraction wrong")
-	}
-}
-
 func TestCSRSubMatrix(t *testing.T) {
 	a := smallCSR(t)
 	s := a.SubMatrix(0, 2, 0, 3)
@@ -233,7 +215,7 @@ func TestCOODuplicateCombining(t *testing.T) {
 	if v, _ := b.Get(0, 0); v != 6 {
 		t.Errorf("Second kept %d, want the last inserted, 6", v)
 	}
-	if b, err = c2.ToCSR(semiring.First[int]); err != nil {
+	if b, err = c2.ToCSR(func(a, _ int) int { return a }); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := b.Get(0, 0); v != 9 {
@@ -308,17 +290,6 @@ func TestCOOBoundsChecked(t *testing.T) {
 	c2.Append(0, -1, 1)
 	if _, err := c2.ToCSR(semiring.Plus[int]); err == nil {
 		t.Error("col out of range not detected")
-	}
-}
-
-func TestCOORoundTrip(t *testing.T) {
-	a := ErdosRenyi[int64](150, 6, 11)
-	back, err := a.ToCOO().ToCSR(semiring.Plus[int64])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Equal(back) {
-		t.Fatal("COO round trip differs")
 	}
 }
 
