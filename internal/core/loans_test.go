@@ -46,6 +46,10 @@ func TestArenaLoansBalanceAfterEveryKernel(t *testing.T) {
 				f := dist.SpVecFromVec(rt, x0)
 				FusedBFSRound(rt, a, f, mask, 1, levels, parents)
 			},
+			"BFSPullRound": func() {
+				f := dist.SpVecFromVec(rt, x0)
+				_, _ = BFSPullRound(rt, a, blockCSCs(a), f, mask, 1, levels, parents)
+			},
 			"FusedSpMSpVMaskedAssign": func() { FusedSpMSpVMaskedAssign(rt, a, x, mask, dst) },
 			"FusedSpMSpVFilterAssign": func() { FusedSpMSpVFilterAssign(rt, a, x, mask, pred, dst) },
 			"FusedApplyEWiseMult": func() {
@@ -114,6 +118,11 @@ func TestArenaLoansReturnedWhenCollectivesFail(t *testing.T) {
 			_, err := SpGEMMDist(rt, a, a, sr)
 			return err
 		},
+		"BFSPullRound": func(rt *locale.Runtime, a *dist.Mat[float64], _ *dist.DenseVec[float64]) error {
+			f := dist.SpVecFromVec(rt, sparse.RandomVec[float64](n, 30, 82))
+			_, err := BFSPullRound(rt, a, blockCSCs(a), f, dist.NewDenseVec[int64](rt, n), 1, make([]int64, n), make([]int64, n))
+			return err
+		},
 		"SpGEMMDistMasked": func(rt *locale.Runtime, a *dist.Mat[float64], _ *dist.DenseVec[float64]) error {
 			_, err := SpGEMMDistMasked(rt, a, a, a, sr)
 			return err
@@ -150,4 +159,13 @@ func TestArenaLoansReturnedWhenCollectivesFail(t *testing.T) {
 			t.Errorf("%s: %d runs failed and %d succeeded; the fault sweep does not straddle the kernel", name, failed, succeeded)
 		}
 	}
+}
+
+// blockCSCs is every block of a in CSC form, as BFSPullRound scans them.
+func blockCSCs[T semiring.Number](a *dist.Mat[T]) []*sparse.CSC[T] {
+	cols := make([]*sparse.CSC[T], len(a.Blocks))
+	for l, blk := range a.Blocks {
+		cols[l] = blk.ToCSC()
+	}
+	return cols
 }
