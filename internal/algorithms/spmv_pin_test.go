@@ -11,6 +11,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/locale"
+	"repro/internal/machine"
 	"repro/internal/semiring"
 	"repro/internal/sparse"
 )
@@ -44,7 +46,10 @@ func spmvPinInput(n int, id float64) *sparse.Dense[float64] {
 // semiring kind and one user semiring, and of what the three algorithms that
 // consume the round through FusedSpMVUpdate return — SSSPDist's distances,
 // PageRankDist's ranks (float bits) and CCDist's labels, with their round
-// counts — on ER and R-MAT inputs over 1 to 16 locales, eager and fused. The
+// counts — on ER and R-MAT inputs over 1 to 16 locales, eager and fused, on
+// NewGrid's squarest grids (Pr <= Pc) and on the explicit 1×4, 4×1, 3×1 and
+// 3×2 shapes (one-member column teams, one-member row teams, taller than
+// wide). The
 // hashes were recorded from the per-row walk that calls CSR.Row on every
 // block row and the per-element update, so a rewrite of either that keeps
 // the values and their order passes unchanged. Regenerate with go test
@@ -73,9 +78,9 @@ func TestSpMVRoundOutputPinned(t *testing.T) {
 
 	var b strings.Builder
 	for _, g := range graphs {
-		for _, p := range []int{1, 4, 6, 9, 16} {
+		for _, sh := range [][2]int{{1, 1}, {2, 2}, {2, 3}, {3, 3}, {4, 4}, {1, 4}, {4, 1}, {3, 1}, {3, 2}} {
 			for _, fused := range []bool{false, true} {
-				rt := newRT(t, p)
+				rt := newShapedRT(t, sh[0], sh[1])
 				rt.Fusion = fused
 				a := dist.MatFromCSR(rt, g.a)
 				record := func(entry string, rounds int, h uint64) {
@@ -133,4 +138,14 @@ func TestSpMVRoundOutputPinned(t *testing.T) {
 			t.Errorf("output drifted from %s:\ngot  %s\nwant %s", path, gotLines[i], wantLines[i])
 		}
 	}
+}
+
+// newShapedRT is newRT on an explicit pr×pc grid, one locale per node.
+func newShapedRT(t *testing.T, pr, pc int) *locale.Runtime {
+	t.Helper()
+	g, err := locale.NewGridShape(pr, pc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return locale.NewWithGrid(machine.Edison(), g, 24)
 }
