@@ -65,6 +65,8 @@ bench-e2e-test:
 # programs, fused vs eager bitwise identity), the strategy dispatcher
 # (random strategies, auto vs forced bitwise identity) and the inlined
 # built-in-semiring row loops (vs the function-valued operators, bitwise);
+# the min and max SpMV rounds on every grid shape (vs the sequential SpMV,
+# bitwise, NaN, ±0 and ±Inf included);
 # arbitrary bytes at gbserve's POST /query (typed replies only: never a
 # panic, never a 5xx other than the typed 504); and arbitrary bytes at its
 # POST /graphs/{name}/mutate (never a 5xx, and a refused batch stages nothing).
@@ -79,6 +81,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDCSC -fuzztime 30s ./internal/sparse
 	$(GO) test -run '^$$' -fuzz FuzzSpGEMMLocal -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzSpmvRowKinds -fuzztime 30s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzSpMVDistGridInvariant -fuzztime 30s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzQueryRequest -fuzztime 30s ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzMutateRequest -fuzztime 30s ./internal/serve
 

@@ -305,15 +305,15 @@ func ReleaseRowGather[T semiring.Number](rt *locale.Runtime, out [][]T) {
 // As with RowAllGather, the members of a team share one read-only buffer on
 // loan from the arena, returned with ReleaseColReduce, and the charges are
 // unchanged. The fold starts from the identity and takes the members in team
-// order; for the built-in plus, min and max monoids (Monoid.Kind) it runs
-// inline, bit for bit the operator.
+// order; for the built-in plus monoid (Monoid.Kind) it runs inline, bit for
+// bit the operator. A min or max reduction needs no fold: its members write
+// into one shared band in team order (LendColBands, ColReduceInPlace).
 func ColReduceScatter[T semiring.Number](rt *locale.Runtime, parts [][]T, m semiring.Monoid[T]) ([][]T, error) {
 	defer rt.Span("ColReduceScatter").End()
 	g := rt.G
 	kind := m.Kind()
 	out := make([][]T, g.P)
 	for c := 0; c < g.Pc; c++ {
-		leader := g.ID(0, c)
 		width := 0
 		for r := 0; r < g.Pr; r++ {
 			width = max(width, len(parts[g.ID(r, c)]))
@@ -324,8 +324,49 @@ func ColReduceScatter[T semiring.Number](rt *locale.Runtime, parts [][]T, m semi
 		}
 		for r := 0; r < g.Pr; r++ {
 			foldInto(acc, parts[g.ID(r, c)], m.Op, kind)
+			out[g.ID(r, c)] = acc
 		}
-		base := rt.S.BulkTime(bytesOf(width), false) * treeDepth(g.Pr)
+	}
+	if err := chargeColReduce(rt, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// LendColBands lends, for every grid column team c, one band of
+// bounds[c+1]-bounds[c] elements that its members share: out[l] is the band
+// of l's grid column. The members reduce into it in place, in team order,
+// and ColReduceInPlace charges the collective; ReleaseColReduce returns the
+// bands. Their contents are not cleared.
+func LendColBands[T semiring.Number](rt *locale.Runtime, bounds []int) [][]T {
+	g := rt.G
+	out := make([][]T, g.P)
+	for c := 0; c < g.Pc; c++ {
+		band := sparse.GetSlice[T](rt.Scratch, bounds[c+1]-bounds[c])
+		for r := 0; r < g.Pr; r++ {
+			out[g.ID(r, c)] = band
+		}
+	}
+	return out
+}
+
+// ColReduceInPlace is ColReduceScatter for bands the column teams have
+// already reduced into (LendColBands): it moves no data and charges exactly
+// what ColReduceScatter charges for slices of the bands' widths. On an error
+// the bands are returned to the arena.
+func ColReduceInPlace[T semiring.Number](rt *locale.Runtime, out [][]T) error {
+	defer rt.Span("ColReduceScatter").End()
+	return chargeColReduce(rt, out)
+}
+
+// chargeColReduce charges one column-team reduce per grid column: a tree of
+// depth log2(Pr) moving the team's slice out[leader], with every member but
+// the leader fault-checked. On an error it returns out's buffers.
+func chargeColReduce[T semiring.Number](rt *locale.Runtime, out [][]T) error {
+	g := rt.G
+	for c := 0; c < g.Pc; c++ {
+		leader := g.ID(0, c)
+		base := rt.S.BulkTime(bytesOf(len(out[leader])), false) * treeDepth(g.Pr)
 		for r := 0; r < g.Pr; r++ {
 			l := g.ID(r, c)
 			per := base
@@ -333,15 +374,14 @@ func ColReduceScatter[T semiring.Number](rt *locale.Runtime, parts [][]T, m semi
 				extra, err := retryExtra(rt, leader, l, base, "colreducescatter")
 				if err != nil {
 					ReleaseColReduce(rt, out)
-					return nil, err
+					return err
 				}
 				per += extra
 			}
 			rt.S.Advance(l, per)
-			out[l] = acc
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // ReleaseColReduce returns the team buffers of a ColReduceScatter result to
@@ -352,27 +392,13 @@ func ReleaseColReduce[T semiring.Number](rt *locale.Runtime, out [][]T) {
 	}
 }
 
-// foldInto accumulates acc[i] = acc[i] ⊕ part[i] over part's length. The
-// inlined operators keep the built-ins' exact comparison (`a < b ? a : b`),
-// so NaN and -0 resolve as through op.
+// foldInto accumulates acc[i] = acc[i] ⊕ part[i] over part's length.
 func foldInto[T semiring.Number](acc, part []T, op semiring.BinaryOp[T], kind semiring.MonoidKind) {
 	acc = acc[:len(part)]
 	switch kind {
 	case semiring.MonoidPlus:
 		for i, v := range part {
 			acc[i] += v
-		}
-	case semiring.MonoidMin:
-		for i, v := range part {
-			if !(acc[i] < v) {
-				acc[i] = v
-			}
-		}
-	case semiring.MonoidMax:
-		for i, v := range part {
-			if !(acc[i] > v) {
-				acc[i] = v
-			}
 		}
 	default:
 		for i, v := range part {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/locale"
 	"repro/internal/machine"
 	"repro/internal/semiring"
@@ -201,12 +202,13 @@ func TestColReduceScatter(t *testing.T) {
 	}
 }
 
-// TestColReduceScatterInlineFoldMatchesOperator: for every monoid the fold
-// inlines, over float64 and int64 inputs that include NaN, ±Inf, -0 and the
-// integer extremes, the reduced bands equal — bit for bit — those of a copy
-// of the monoid whose Op was reassigned to a closure around the same
-// operator, which reports MonoidGeneric and takes the function-valued loop.
-// Ragged parts (a member shorter than the band) are folded over their length.
+// TestColReduceScatterInlineFoldMatchesOperator: for the plus monoid, whose
+// fold is inlined, over float64 and int64 inputs that include NaN, ±Inf, -0
+// and the integer extremes, the reduced bands equal — bit for bit — those of
+// a copy of the monoid whose Op was reassigned to a closure around the same
+// operator, which reports MonoidGeneric and takes the function-valued loop;
+// min and max take that loop either way. Ragged parts (a member shorter than
+// the band) are folded over their length.
 func TestColReduceScatterInlineFoldMatchesOperator(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	fvals := []float64{0, negZero, 1, -1, 0.1, 1e308, -1e308, 5e-324, math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64}
@@ -229,7 +231,7 @@ func checkFold[T semiring.Number](t *testing.T, name string, specials []T, same 
 				parts[l][i] = specials[r.Intn(len(specials))]
 			}
 		}
-		for _, m := range []semiring.Monoid[T]{semiring.PlusMonoid[T](), semiring.MinMonoid[T](), semiring.MaxMonoid[T]()} {
+		for _, m := range []semiring.Monoid[T]{semiring.PlusMonoid[T]()} {
 			if m.Kind() == semiring.MonoidGeneric {
 				t.Fatalf("%s/%s: the constructor's monoid reports the generic kind", name, m.Name)
 			}
@@ -263,6 +265,72 @@ func checkFold[T semiring.Number](t *testing.T, name string, specials []T, same 
 	}
 	if got := rt.Scratch.Outstanding(); got != 0 {
 		t.Errorf("%s: %d loans outstanding", name, got)
+	}
+}
+
+// TestColReduceInPlaceChargesLikeScatter: reducing into lent column bands
+// charges what folding per-member parts of the bands' widths charges — every
+// locale's clock, the traffic and the retries, with and without dropped or
+// crashed transfers — and a failed reduce of either form returns its loans.
+func TestColReduceInPlaceChargesLikeScatter(t *testing.T) {
+	plans := []*fault.Plan{nil}
+	for seed := int64(1); seed <= 12; seed++ {
+		plans = append(plans,
+			&fault.Plan{Seed: seed, DropProb: 0.4, CrashLocale: -1},
+			&fault.Plan{Seed: seed, CrashLocale: int(seed) % 4, CrashStep: seed % 5})
+	}
+	for _, sh := range [][2]int{{2, 3}, {3, 2}, {4, 1}, {1, 4}, {3, 3}} {
+		g, err := locale.NewGridShape(sh[0], sh[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		bounds := locale.BlockBounds(37, sh[1])
+		for _, plan := range plans {
+			run := func(inPlace bool) (*locale.Runtime, error) {
+				rt := locale.NewWithGrid(machine.Edison(), g, 24)
+				if plan != nil {
+					rt = rt.WithFault(*plan)
+					rt.Retry = fault.RetryPolicy{MaxAttempts: 3}
+				}
+				if inPlace {
+					out := LendColBands[float64](rt, bounds)
+					if err := ColReduceInPlace(rt, out); err != nil {
+						return rt, err
+					}
+					ReleaseColReduce(rt, out)
+					return rt, nil
+				}
+				parts := make([][]float64, g.P)
+				for l := range parts {
+					_, c := g.Coords(l)
+					parts[l] = make([]float64, bounds[c+1]-bounds[c])
+				}
+				out, err := ColReduceScatter(rt, parts, semiring.MinMonoid[float64]())
+				if err != nil {
+					return rt, err
+				}
+				ReleaseColReduce(rt, out)
+				return rt, nil
+			}
+			folded, errF := run(false)
+			lent, errL := run(true)
+			if (errF == nil) != (errL == nil) || (errF != nil && errF.Error() != errL.Error()) {
+				t.Fatalf("%dx%d %+v: errors %v folded, %v in place", sh[0], sh[1], plan, errF, errL)
+			}
+			for l := 0; l < g.P; l++ {
+				if folded.S.Clock(l) != lent.S.Clock(l) {
+					t.Fatalf("%dx%d %+v: locale %d at %v folded, %v in place", sh[0], sh[1], plan, l, folded.S.Clock(l), lent.S.Clock(l))
+				}
+			}
+			if folded.S.Traffic() != lent.S.Traffic() {
+				t.Fatalf("%dx%d %+v: traffic %+v folded, %+v in place", sh[0], sh[1], plan, folded.S.Traffic(), lent.S.Traffic())
+			}
+			for _, rt := range []*locale.Runtime{folded, lent} {
+				if got := rt.Scratch.Outstanding(); got != 0 {
+					t.Fatalf("%dx%d %+v: %d loans outstanding", sh[0], sh[1], plan, got)
+				}
+			}
+		}
 	}
 }
 

@@ -418,11 +418,12 @@ func TestEpochIngestZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// spmvRoundPin is one SpMV round as SSSP, PageRank and CC run it, fused with
+// spmvRoundPin is one SpMV round as SSSP and CC run it, min-plus fused with
 // its update on a 2x2 grid whose inspector routes the input placement:
-// FusedSpMVUpdate's five objects (TestDistKernelAllocPins) and one more with
-// the inspector attached.
-const spmvRoundPin = 6
+// FusedSpMVUpdate's five objects under plus-times (TestDistKernelAllocPins),
+// less the header slice of the per-block partials that a min round does not
+// build, and one more with the inspector attached.
+const spmvRoundPin = 5
 
 func TestSpMVDistRoundAllocPin(t *testing.T) {
 	if raceEnabled {

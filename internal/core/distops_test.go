@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/dist"
@@ -68,6 +70,96 @@ func TestSpMVDistMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// gridInvariantShapes are the grids the min and max SpMV rounds must not
+// see: square, one-member column teams (1×4, and 1×5, the shape NewGrid gives
+// a prime locale count), one-member row teams (4×1) and non-square 2×3.
+var gridInvariantShapes = [][2]int{{1, 1}, {2, 2}, {3, 3}, {4, 4}, {1, 4}, {4, 1}, {2, 3}, {1, 5}}
+
+// checkSpMVGridInvariant builds a random rows×cols matrix and x whose
+// entries are special values (NaN, ±0, ±Inf, ±MaxFloat64, the identity) with
+// probability specialPct percent and small integers otherwise, and checks
+// that min-plus, min-first and max-plus SpMVDist equal the sequential SpMV
+// bit for bit on every grid of gridInvariantShapes.
+func checkSpMVGridInvariant(t *testing.T, seed int64, rows, cols, specialPct uint8) {
+	t.Helper()
+	nr, nc := 1+int(rows)%40, 1+int(cols)%40
+	rng := rand.New(rand.NewSource(seed))
+	specials := []float64{math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.MaxFloat64, -math.MaxFloat64}
+	draw := func(id float64) float64 {
+		if rng.Intn(100) < int(specialPct)%101 {
+			if k := rng.Intn(len(specials) + 1); k < len(specials) {
+				return specials[k]
+			}
+			return id
+		}
+		return float64(rng.Intn(7) - 3)
+	}
+	var ri, ci []int
+	var vals []float64
+	for i := 0; i < nr; i++ {
+		for j := 0; j < nc; j++ {
+			if rng.Intn(3) == 0 {
+				ri, ci, vals = append(ri, i), append(ci, j), append(vals, draw(0))
+			}
+		}
+	}
+	a0, err := sparse.CSRFromTriplets(nr, nc, ri, ci, vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sr := range []semiring.Semiring[float64]{
+		semiring.MinPlus[float64](), semiring.MinFirst[float64](), semiring.MaxPlus[float64](),
+	} {
+		x0 := make([]float64, nr)
+		for i := range x0 {
+			x0[i] = draw(sr.AddIdentity())
+		}
+		want, err := SpMV(a0, x0, sr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sh := range gridInvariantShapes {
+			g, err := locale.NewGridShape(sh[0], sh[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt := locale.NewWithGrid(machine.Edison(), g, 4)
+			a := dist.MatFromCSR(rt, a0)
+			x := dist.DenseVecFromDense(rt, &sparse.Dense[float64]{Data: x0})
+			y, err := SpMVDist(rt, a, x, sr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, v := range y.ToDense().Data {
+				if math.Float64bits(v) != math.Float64bits(want[j]) {
+					t.Fatalf("seed %d %dx%d %s on %dx%d: y[%d] = %v, sequential %v",
+						seed, nr, nc, sr.Name, sh[0], sh[1], j, v, want[j])
+				}
+			}
+		}
+	}
+}
+
+// TestSpMVDistGridInvariant: a min or max SpMV round reduces each grid
+// column in global row order, so its output is the sequential SpMV's, bit
+// for bit, whatever the grid — NaN, ±0 and ±Inf included, which a fold of
+// per-block partials resolves differently.
+func TestSpMVDistGridInvariant(t *testing.T) {
+	for seed := int64(0); seed < 60; seed++ {
+		checkSpMVGridInvariant(t, seed, uint8(seed*7), uint8(seed*11), uint8(seed*17))
+	}
+}
+
+// FuzzSpMVDistGridInvariant is TestSpMVDistGridInvariant over fuzzed seeds,
+// shapes and special-value shares.
+func FuzzSpMVDistGridInvariant(f *testing.F) {
+	f.Add(int64(1), uint8(12), uint8(9), uint8(40))
+	f.Add(int64(2), uint8(39), uint8(39), uint8(100))
+	f.Add(int64(3), uint8(0), uint8(30), uint8(0))
+	f.Fuzz(checkSpMVGridInvariant)
 }
 
 func TestSpMVDistDimensionCheck(t *testing.T) {

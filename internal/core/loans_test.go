@@ -101,11 +101,13 @@ func TestArenaLoansBalanceAfterEveryKernel(t *testing.T) {
 // step of the SpMV stages and of a SUMMA product, and drops transfers until
 // the retry budget runs out, on a 2x3 grid: the kernel fails mid-RowAllGather,
 // mid-ColReduceScatter or mid-broadcast, and whatever it had borrowed by then
-// is back in the arena.
+// is back in the arena. The SpMV stages run both reduce forms: plus-times
+// folds per-block partials, min-plus (and the pull round) reduces in place.
 func TestArenaLoansReturnedWhenCollectivesFail(t *testing.T) {
 	const n = 240
 	a0 := sparse.ErdosRenyi[float64](n, 5, 81)
 	sr := semiring.PlusTimes[float64]()
+	minPlus := semiring.MinPlus[float64]()
 	kernels := map[string]func(rt *locale.Runtime, a *dist.Mat[float64], xd *dist.DenseVec[float64]) error{
 		"SpMVDist": func(rt *locale.Runtime, a *dist.Mat[float64], xd *dist.DenseVec[float64]) error {
 			_, err := SpMVDist(rt, a, xd, sr)
@@ -113,6 +115,13 @@ func TestArenaLoansReturnedWhenCollectivesFail(t *testing.T) {
 		},
 		"FusedSpMVUpdate": func(rt *locale.Runtime, a *dist.Mat[float64], xd *dist.DenseVec[float64]) error {
 			return FusedSpMVUpdate(rt, a, xd, sr, func(int, int, []float64) {})
+		},
+		"SpMVDist/min-plus": func(rt *locale.Runtime, a *dist.Mat[float64], xd *dist.DenseVec[float64]) error {
+			_, err := SpMVDist(rt, a, xd, minPlus)
+			return err
+		},
+		"FusedSpMVUpdate/min-plus": func(rt *locale.Runtime, a *dist.Mat[float64], xd *dist.DenseVec[float64]) error {
+			return FusedSpMVUpdate(rt, a, xd, minPlus, func(int, int, []float64) {})
 		},
 		"SpGEMMDist": func(rt *locale.Runtime, a *dist.Mat[float64], _ *dist.DenseVec[float64]) error {
 			_, err := SpGEMMDist(rt, a, a, sr)
