@@ -228,7 +228,8 @@ func CCDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T]) ([]int64, int
 // fixpoint: any labeling where labels[i] names a vertex reachable from i
 // converges to the true component minima, so the streaming path seeds it with
 // the previous epoch's labels — valid whenever the epochs in between only
-// added edges (reachability never shrank).
+// added edges (reachability never shrank). A warm start holding a label that
+// is no vertex id is ignored.
 func ccDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], init []int64) ([]int64, int, int, error) {
 	if a.NRows != a.NCols {
 		return nil, 0, 0, fmt.Errorf("algorithms: CCDist: matrix must be square")
@@ -239,7 +240,7 @@ func ccDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], init []in
 	inf := sr.AddIdentity()
 
 	labels := make([]int64, n)
-	if len(init) == n {
+	if len(init) == n && allVertexIDs(init) {
 		copy(labels, init)
 	} else {
 		for i := range labels {
@@ -286,10 +287,25 @@ func ccDistInit[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], init []in
 	}
 	// A warm start can land on labels that are component-consistent but not
 	// the component minima (the minimum vertex never propagates to itself);
-	// components are counted over the distinct labels instead.
-	seen := make(map[int64]struct{}, 16)
+	// components are counted over the distinct labels instead. Labels are
+	// vertex ids, so a flag per vertex counts them.
+	seen := make([]bool, n)
+	comps := 0
 	for _, l := range labels {
-		seen[l] = struct{}{}
+		if !seen[l] {
+			seen[l] = true
+			comps++
+		}
 	}
-	return labels, len(seen), rounds, nil
+	return labels, comps, rounds, nil
+}
+
+// allVertexIDs reports whether every label is a vertex id, in [0, len(labels)).
+func allVertexIDs(labels []int64) bool {
+	for _, l := range labels {
+		if uint64(l) >= uint64(len(labels)) {
+			return false
+		}
+	}
+	return true
 }
