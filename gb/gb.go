@@ -657,6 +657,9 @@ func Transpose[T Number](a *Matrix[T]) (*Matrix[T], error) {
 // gb.PullThreshold. Its rounds are charged, traced, canceled and recovered
 // like BFS's.
 func BFSDirectionOptimizing[T Number](a *Matrix[T], source, alpha int) (*BFSResult, error) {
+	if err := checkGraphSource("BFSDirectionOptimizing", a, source); err != nil {
+		return nil, err
+	}
 	a.ctx.force()
 	return algorithms.BFSDirectionOptimizing(a.ctx.rt, a.m, source, alpha)
 }

@@ -1,6 +1,7 @@
 package gb
 
 import (
+	"errors"
 	"testing"
 )
 
@@ -392,15 +393,39 @@ func TestFacadeErrorPaths(t *testing.T) {
 	if _, err := MxM(a, b, PlusTimes[int64]()); err == nil {
 		t.Error("MxM dimension mismatch accepted")
 	}
-	// BFS errors.
-	if _, err := BFS(ctx2, a, -1); err == nil {
-		t.Error("bad BFS source accepted")
+	// The single-source graph calls reject an out-of-range source and a
+	// non-square matrix with the same typed errors.
+	rect, err := MatrixFromTriplets(ctx2, 10, 12, []int{0}, []int{11}, []int64{1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := BFSDirectionOptimizing(a, 99, 0); err == nil {
-		t.Error("bad DOBFS source accepted")
+	sourced := map[string]func(m *Matrix[int64], source int) error{
+		"BFS": func(m *Matrix[int64], source int) error {
+			_, err := BFS(ctx2, m, source)
+			return err
+		},
+		"BFSDirectionOptimizing": func(m *Matrix[int64], source int) error {
+			_, err := BFSDirectionOptimizing(m, source, 0)
+			return err
+		},
+		"SSSP": func(m *Matrix[int64], source int) error {
+			_, _, err := SSSP(m, source)
+			return err
+		},
+		"MultiSourceBFS": func(m *Matrix[int64], source int) error {
+			_, _, err := MultiSourceBFS(m, []int{0, source})
+			return err
+		},
 	}
-	if _, _, err := SSSP(a, 99); err == nil {
-		t.Error("bad SSSP source accepted")
+	for name, run := range sourced {
+		for _, source := range []int{-1, 10, 99} {
+			if err := run(a, source); !errors.Is(err, ErrIndexOutOfRange) {
+				t.Errorf("%s from source %d: %v, want ErrIndexOutOfRange", name, source, err)
+			}
+		}
+		if err := run(rect, 0); !errors.Is(err, ErrDimensionMismatch) {
+			t.Errorf("%s on a 10x12 matrix: %v, want ErrDimensionMismatch", name, err)
+		}
 	}
 	if _, err := BetweennessCentrality(a, []int{-3}); err == nil {
 		t.Error("bad BC source accepted")
