@@ -114,6 +114,44 @@ func TestIncrementalCCWarmStart(t *testing.T) {
 	}
 }
 
+// TestIncrementalCCIgnoresForeignLabels: a previous state whose labels were
+// rewritten to name no vertex warm-starts nothing; the refresh is the cold
+// one.
+func TestIncrementalCCIgnoresForeignLabels(t *testing.T) {
+	rt, em := streamingEM(t, 4)
+	st0, err := IncrementalCC(rt, em, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := em.Update(9, 10, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := em.Flush(rt); err != nil {
+		t.Fatal(err)
+	}
+	cold, err := IncrementalCC(rt, em, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []int64{-1, 20, math.MaxInt64} {
+		prev := *st0
+		prev.Labels = append([]int64(nil), st0.Labels...)
+		prev.Labels[3] = bad
+		got, err := IncrementalCC(rt, em, &prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Components != cold.Components || got.Rounds != cold.Rounds {
+			t.Fatalf("label %d: %d components in %d rounds, cold %d in %d", bad, got.Components, got.Rounds, cold.Components, cold.Rounds)
+		}
+		for v := range got.Labels {
+			if got.Labels[v] != cold.Labels[v] {
+				t.Fatalf("label %d: vertex %d labelled %d, cold %d", bad, v, got.Labels[v], cold.Labels[v])
+			}
+		}
+	}
+}
+
 func TestStreamingPageRankWarmStart(t *testing.T) {
 	rt, em := streamingEM(t, 4)
 
