@@ -115,7 +115,7 @@ func SpMV[T semiring.Number](a *sparse.CSR[T], x []T, sr semiring.Semiring[T]) (
 	}
 	rk := newRowKernel(sr)
 	y := make([]T, a.NCols)
-	rk.spmvBlock(a, x, sr.AddIdentity(), y)
+	rk.spmvBlock(a, x, sr.AddIdentity(), y, false)
 	return y, nil
 }
 

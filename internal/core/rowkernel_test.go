@@ -215,14 +215,18 @@ func checkRowKinds[T semiring.Number](t *testing.T, rt *locale.Runtime, c rowCas
 				x    []T
 			}{{"spmvBlock", a, x}, {"spmvBlock/hypersparse", hs, xhs}} {
 				got, want, ref := make([]T, m), make([]T, m), make([]T, m)
-				gotN := rk.spmvBlock(in.a, in.x, id, got)
-				wantN := generic.spmvBlock(in.a, in.x, id, want)
+				gotN := rk.spmvBlock(in.a, in.x, id, got, false)
+				wantN := generic.spmvBlock(in.a, in.x, id, want, false)
 				refN := refSpmvBlock(sr, in.a, in.x, id, ref)
 				if gotN != refN || wantN != refN {
 					t.Fatalf("%s/%s %s: visited %d inlined, %d through the operators, %d row by row", c.name, sr.Name, in.what, gotN, wantN, refN)
 				}
 				sameSlice(in.what, sr.Name, got, want)
 				sameSlice(in.what+" (row-by-row reference)", sr.Name, got, ref)
+				// Folding the block in once more starts from the product.
+				rk.spmvBlock(in.a, in.x, id, got, true)
+				generic.spmvBlock(in.a, in.x, id, want, true)
+				sameSlice(in.what+" folded", sr.Name, got, want)
 			}
 		}
 
