@@ -257,7 +257,13 @@ func TestBFSBatcherCanceledWaiter(t *testing.T) {
 		}
 	}
 
-	// A batch nobody is left in runs nothing.
+	// A batch nobody is left in runs nothing. The stayers' replies leave
+	// before the hand-off goroutine marks the graph idle, so wait for that
+	// first: on an idle graph the gone client leads its own batch.
+	waitFor(t, "the batcher to go idle", func() bool {
+		pending, running := g.batcherState()
+		return pending == 0 && !running
+	})
 	runs := metricValue(t, s, "gbserve_batch_runs_total")
 	if r := serveQuery(s, ctx, bfsBody("g", 7)); r.code != statusClientClosed {
 		t.Fatalf("BFS from a client already gone: status %d, want 499", r.code)
