@@ -96,7 +96,6 @@ func main() {
 		threads   = flag.Int("threads", 4, "modeled threads per locale")
 		policy    = flag.String("policy", "redistribute", "crash-recovery policy of chaos queries: redistribute|failover|besteffort")
 		replicate = flag.Bool("replicate", false, "keep chained-declustering block replicas (enables failover)")
-		history   = flag.Int("epoch-history", 8, "committed epochs kept pinnable while flushes advance")
 		maxConc   = flag.Int("max-concurrent", 8, "queries running at once")
 		maxQueue  = flag.Int("max-queue", 16, "admitted queries allowed to wait for a slot")
 		maxWait   = flag.Duration("max-wait", 250*time.Millisecond, "longest a queued query waits before shedding")
@@ -143,7 +142,6 @@ func main() {
 	srv := serve.New(serve.Config{
 		Locales: *locales, Threads: *threads,
 		Policy: pol, Replicate: *replicate,
-		EpochHistory:  *history,
 		MaxConcurrent: *maxConc, MaxQueue: *maxQueue, MaxWait: *maxWait,
 		TenantRate: *rate, TenantBurst: *burst,
 		DefaultTimeout: *timeout, DefaultBudgetNS: *budgetMS * 1e6,

@@ -26,19 +26,12 @@ type EpochPolicy struct {
 	// FlushEvery auto-commits an epoch whenever the pending mutation count
 	// reaches this threshold. Zero means manual Flush only.
 	FlushEvery int
-	// History is how many committed epochs stay pinnable (immutable) after
-	// their successor commits. Zero means the library default; see
-	// StreamingMatrix.Snapshot for the aliasing rule.
-	History int
 }
 
 // apply makes an EpochPolicy usable directly as a New option.
 func (p EpochPolicy) apply(o *options) error {
 	if p.FlushEvery < 0 {
 		return fmt.Errorf("gb: EpochPolicy.FlushEvery = %d, want >= 0", p.FlushEvery)
-	}
-	if p.History < 0 {
-		return fmt.Errorf("gb: EpochPolicy.History = %d, want >= 0", p.History)
 	}
 	o.epoch = &p
 	return nil
@@ -84,12 +77,7 @@ func StreamingMatrixFromCSR[T Number](ctx *Context, a *sparse.CSR[T]) *Streaming
 // matrix must not be used for further operations: its blocks are shared with
 // the committed epochs until rewritten.
 func (m *Matrix[T]) Streaming() *StreamingMatrix[T] {
-	em := dist.NewEpochMat(m.m)
-	pol := m.ctx.epoch
-	if pol.History > 0 {
-		em.SetHistoryDepth(pol.History)
-	}
-	return &StreamingMatrix[T]{ctx: m.ctx, em: em, pol: pol}
+	return &StreamingMatrix[T]{ctx: m.ctx, em: dist.NewEpochMat(m.m), pol: m.ctx.epoch}
 }
 
 // checkCoord validates one mutation coordinate against the matrix shape.
@@ -185,10 +173,10 @@ func (s *StreamingMatrix[T]) Stale() bool { return s.stale }
 // StaleServes returns how many flushes served a stale epoch so far.
 func (s *StreamingMatrix[T]) StaleServes() int { return s.staleServes }
 
-// Matrix pins the committed epoch as a read-only Matrix: one atomic load,
-// valid for GraphBLAS operations while the epoch stays in the history
-// window (EpochPolicy.History commits; the library default is 2). The
-// snapshot carries its epoch's stamp, which IncrementalSSSP reads.
+// Matrix pins the committed epoch as a read-only Matrix: one atomic load.
+// The snapshot stays immutable for as long as the caller holds it, however
+// many epochs commit meanwhile, and carries its epoch's stamp, which
+// IncrementalSSSP reads.
 func (s *StreamingMatrix[T]) Matrix() (*Matrix[T], uint64) {
 	m, stamp := s.em.Pinned()
 	return &Matrix[T]{ctx: s.ctx, m: m, pin: stamp}, stamp.Epoch

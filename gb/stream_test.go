@@ -65,8 +65,8 @@ func TestStreamingMatrixLifecycle(t *testing.T) {
 }
 
 func TestStreamingAutoFlushPolicy(t *testing.T) {
-	ctx := streamCtx(t, EpochPolicy{FlushEvery: 3, History: 3})
-	if got := ctx.EpochPolicy(); got.FlushEvery != 3 || got.History != 3 {
+	ctx := streamCtx(t, EpochPolicy{FlushEvery: 3})
+	if got := ctx.EpochPolicy(); got.FlushEvery != 3 {
 		t.Fatalf("policy = %+v", got)
 	}
 	s := StreamingMatrixFromCSR(ctx, sparse.ErdosRenyi[float64](32, 3, 5))
@@ -90,9 +90,6 @@ func TestStreamingAutoFlushPolicy(t *testing.T) {
 	// Invalid policies are rejected at New.
 	if _, err := New(EpochPolicy{FlushEvery: -1}); err == nil {
 		t.Fatal("negative FlushEvery accepted")
-	}
-	if _, err := New(EpochPolicy{History: -2}); err == nil {
-		t.Fatal("negative History accepted")
 	}
 }
 

@@ -204,9 +204,6 @@ func TestConcurrentQueriesReadResidentBlocksInPlace(t *testing.T) {
 		g0 := symGraph(n, 3, 601)
 		csr0 := structural(g0, sparse.Ones[float64](nil, g0.NNZ()))
 		em := dist.NewEpochMat(dist.MatFromCSR(base, csr0))
-		// Every epoch pinned during the run stays inside the history window,
-		// the lifetime a pin is promised (gbserve's -epoch-history).
-		em.SetHistoryDepth(epochs + 1)
 
 		done := make(chan struct{})
 		var answered atomic.Int64

@@ -12,15 +12,11 @@
 // published and the deltas pending.
 //
 // Copy-on-write: a merged epoch shares the CSR buffers of every clean block
-// with its predecessor; only dirty blocks get new storage. Retired epochs are
-// recycled once they fall out of the bounded history window, so steady-state
-// flushing reuses block storage instead of allocating.
-//
-// Aliasing rules (the streaming analogue of DESIGN.md §10): a snapshot
-// obtained from Snapshot or Committed stays immutable for as long as its
-// epoch is within the HistoryDepth most recent commits. A reader that holds a
-// snapshot across more commits than that must Clone what it needs; the
-// recycler will reuse the evicted epoch's private block buffers.
+// with its predecessor; only dirty blocks get new storage, and nothing is
+// ever written into a buffer a committed epoch holds. A snapshot obtained
+// from Snapshot, Committed or Pinned therefore stays immutable for as long as
+// anything holds it, however many epochs commit meanwhile; the garbage
+// collector retires an epoch once no reader and no newer epoch points at it.
 package dist
 
 import (
@@ -42,10 +38,6 @@ import (
 // indices plus the value, matching the 16-byte replica element with an extra
 // coordinate (mutations carry both row and column explicitly).
 const DeltaElemBytes = 24
-
-// DefaultHistoryDepth is how many committed epochs stay immutable before
-// their private block buffers are recycled.
-const DefaultHistoryDepth = 2
 
 // Merge cost model, per merged element (an element read from the old block,
 // plus every delta entry scanned and written): comparable to the apply-family
@@ -91,14 +83,11 @@ func (s *deltaSorter) Swap(a, b int) { s.perm[a], s.perm[b] = s.perm[b], s.perm[
 // epoch, and the cumulative counts of merged tombstones and of merged
 // overwrites that raised a stored value (so incremental algorithms can tell
 // whether an epoch interval was insert-only, or insert-and-lower-only).
-// foreign marks states whose mat was supplied from outside (the initial
-// matrix, a recovery rebuild); their buffers are never recycled.
 type epochState[T semiring.Number] struct {
 	epoch   uint64
 	mat     *Mat[T]
 	deletes uint64
 	raises  uint64
-	foreign bool
 }
 
 // Stamp names one committed epoch of one EpochMat together with the
@@ -136,52 +125,30 @@ type EpochMat[T semiring.Number] struct {
 	deltas         []blockDelta[T]
 	pending        int
 	pendingDeletes uint64
-
-	histDepth  int
-	history    []*epochState[T]
-	freeCSR    []*sparse.CSR[T]
-	freeMats   []*Mat[T]
-	freeStates []*epochState[T]
-	srt        deltaSorter
+	srt            deltaSorter
 }
 
 // NewEpochMat wraps m (the epoch-0 snapshot) for streaming mutation. The
 // matrix must not be mutated by the caller afterwards; its buffers are shared
 // with every epoch until the blocks they hold are rewritten.
 func NewEpochMat[T semiring.Number](m *Mat[T]) *EpochMat[T] {
-	em := &EpochMat[T]{
-		deltas:    make([]blockDelta[T], m.G.P),
-		histDepth: DefaultHistoryDepth,
-	}
-	st := &epochState[T]{mat: m, foreign: true}
-	em.committed.Store(st)
-	em.history = append(em.history, st)
+	em := &EpochMat[T]{deltas: make([]blockDelta[T], m.G.P)}
+	em.committed.Store(&epochState[T]{mat: m})
 	return em
 }
 
-// SetHistoryDepth sets how many committed epochs stay immutable before their
-// private buffers are recycled (minimum 1: the committed epoch itself).
-func (em *EpochMat[T]) SetHistoryDepth(d int) {
-	if d < 1 {
-		d = 1
-	}
-	em.mu.Lock()
-	em.histDepth = d
-	em.mu.Unlock()
-}
-
-// HistoryDepth returns the configured immutable-epoch window.
-func (em *EpochMat[T]) HistoryDepth() int {
-	em.mu.Lock()
-	defer em.mu.Unlock()
-	return em.histDepth
-}
+// SetHistoryDepth does nothing: committed epochs are retired by the garbage
+// collector, so no window bounds how long a snapshot stays immutable.
+//
+// Deprecated: kept only for the benchmark's flush ladder
+// (benchmark/ladder.go), which still calls it; it goes with that call.
+func (em *EpochMat[T]) SetHistoryDepth(int) {}
 
 // Epoch returns the committed epoch (0 before the first Flush).
 func (em *EpochMat[T]) Epoch() uint64 { return em.committed.Load().epoch }
 
-// Committed returns the matrix at the committed epoch. See the package
-// comment for how long the snapshot stays immutable.
+// Committed returns the matrix at the committed epoch; it stays immutable
+// for as long as the caller holds it.
 func (em *EpochMat[T]) Committed() *Mat[T] { return em.committed.Load().mat }
 
 // Snapshot atomically returns the committed matrix and its epoch.
@@ -280,11 +247,11 @@ func (em *EpochMat[T]) absorb(i, j int, v T, del bool) error {
 // coforall over the dirty blocks — each owner is charged the routed batch and
 // the merge kernel — with the block rows count/fill split across the worker
 // pool. On a locale loss (a planned mid-merge crash, or a step-counter crash
-// landing during the merge's transfers) the merge aborts wholesale: partial
-// blocks are recycled, the deltas stay pending, the committed pointer is
-// untouched and the loss is returned for the caller's recovery policy
-// (core.FlushEpoch). With nothing pending, Flush returns the committed epoch
-// unchanged.
+// landing during the merge's transfers) the merge aborts wholesale: the
+// half-built successor is dropped, the deltas stay pending, the committed
+// pointer is untouched and the loss is returned for the caller's recovery
+// policy (core.FlushEpoch). With nothing pending, Flush returns the committed
+// epoch unchanged.
 func (em *EpochMat[T]) Flush(rt *locale.Runtime) (uint64, error) {
 	em.mu.Lock()
 	defer em.mu.Unlock()
@@ -347,17 +314,14 @@ func (em *EpochMat[T]) Flush(rt *locale.Runtime) (uint64, error) {
 		}
 	}
 	if mergeErr != nil {
-		em.abortMerge(cur, next)
 		return cur.epoch, mergeErr
 	}
 	rt.S.Barrier()
 
 	// Publish: one atomic store, so readers see epoch N or epoch N+1 wholly.
 	em.committed.Store(next)
-	em.retire(next)
-	for l := 0; l < rt.G.P; l++ {
+	for l := range em.deltas {
 		em.deltas[l].reset()
-		rt.Health.NoteEpoch(l, target)
 	}
 	em.pending = 0
 	em.pendingDeletes = 0
@@ -371,8 +335,7 @@ func (em *EpochMat[T]) Flush(rt *locale.Runtime) (uint64, error) {
 // equal-content copy (the recovery path after an aborted merge: redistribute
 // rebuilds the blocks, failover promotes replicas in place). The epoch does
 // not advance; pending deltas are untouched and replay against the repaired
-// snapshot. The replaced state's buffers are not recycled — the repaired
-// matrix may alias them.
+// snapshot.
 func (em *EpochMat[T]) ReplaceCommitted(m *Mat[T]) {
 	em.mu.Lock()
 	defer em.mu.Unlock()
@@ -380,139 +343,28 @@ func (em *EpochMat[T]) ReplaceCommitted(m *Mat[T]) {
 	if cur.mat == m {
 		return
 	}
-	st := &epochState[T]{epoch: cur.epoch, mat: m, deletes: cur.deletes, raises: cur.raises, foreign: true}
-	em.committed.Store(st)
-	em.history[len(em.history)-1] = st
+	em.committed.Store(&epochState[T]{epoch: cur.epoch, mat: m, deletes: cur.deletes, raises: cur.raises})
 }
 
-// takeState builds the copy-on-write successor of cur: a state one epoch
-// ahead whose block (and replica) pointer slices start as copies of cur's.
-// Both the state and the Mat come from the recycler when possible.
+// takeState builds the copy-on-write successor of cur: a fresh state one
+// epoch ahead whose block (and replica) pointer slices start as copies of
+// cur's.
 func (em *EpochMat[T]) takeState(cur *epochState[T]) *epochState[T] {
-	var st *epochState[T]
-	if n := len(em.freeStates); n > 0 {
-		st, em.freeStates = em.freeStates[n-1], em.freeStates[:n-1]
-	} else {
-		st = &epochState[T]{}
-	}
-	var m *Mat[T]
-	if n := len(em.freeMats); n > 0 {
-		m, em.freeMats = em.freeMats[n-1], em.freeMats[:n-1]
-	} else {
-		m = &Mat[T]{}
-	}
 	src := cur.mat
-	m.G, m.NRows, m.NCols = src.G, src.NRows, src.NCols
-	m.RowBands, m.ColBands = src.RowBands, src.ColBands
-	m.Blocks = append(m.Blocks[:0], src.Blocks...)
+	m := &Mat[T]{
+		G: src.G, NRows: src.NRows, NCols: src.NCols,
+		RowBands: src.RowBands, ColBands: src.ColBands,
+		Blocks: append([]*sparse.CSR[T](nil), src.Blocks...),
+	}
 	if src.Replicated() {
-		m.Replicas = append(m.Replicas[:0], src.Replicas...)
-	} else {
-		m.Replicas = nil
+		m.Replicas = append([]*sparse.CSR[T](nil), src.Replicas...)
 	}
-	st.epoch = cur.epoch + 1
-	st.mat = m
-	st.deletes = cur.deletes + em.pendingDeletes
-	st.raises = cur.raises // Flush adds what each block merge counts
-	st.foreign = false
-	return st
-}
-
-// abortMerge unwinds a failed merge: every block the aborted state rewrote
-// is recycled, the state and its Mat go back to the recycler, and the deltas
-// stay pending for the post-recovery replay.
-func (em *EpochMat[T]) abortMerge(cur, next *epochState[T]) {
-	for l, b := range next.mat.Blocks {
-		if b != cur.mat.Blocks[l] {
-			em.freeCSR = append(em.freeCSR, b)
-		}
+	return &epochState[T]{
+		epoch:   cur.epoch + 1,
+		mat:     m,
+		deletes: cur.deletes + em.pendingDeletes,
+		raises:  cur.raises, // Flush adds what each block merge counts
 	}
-	if next.mat.Replicated() {
-		for l, rep := range next.mat.Replicas {
-			if rep != cur.mat.Replicas[l] {
-				em.freeCSR = append(em.freeCSR, rep)
-			}
-		}
-	}
-	em.putState(next)
-}
-
-// retire appends the committed state to the history window and recycles the
-// epochs that fall out of it.
-func (em *EpochMat[T]) retire(st *epochState[T]) {
-	em.history = append(em.history, st)
-	for len(em.history) > em.histDepth {
-		old := em.history[0]
-		copy(em.history, em.history[1:])
-		em.history = em.history[:len(em.history)-1]
-		em.recycle(old)
-	}
-}
-
-// recycle reclaims an evicted epoch's private buffers: a block (or replica)
-// buffer goes to the free list only if no retained epoch still shares it.
-// Foreign states (caller-supplied matrices) are dropped without reclaiming.
-func (em *EpochMat[T]) recycle(old *epochState[T]) {
-	if old.foreign {
-		return
-	}
-	for l, b := range old.mat.Blocks {
-		live := false
-		for _, st := range em.history {
-			if st.mat.Blocks[l] == b {
-				live = true
-				break
-			}
-		}
-		if !live {
-			em.freeCSR = append(em.freeCSR, b)
-		}
-	}
-	if old.mat.Replicated() {
-		for l, rep := range old.mat.Replicas {
-			live := false
-			for _, st := range em.history {
-				if st.mat.Replicated() && st.mat.Replicas[l] == rep {
-					live = true
-					break
-				}
-			}
-			if !live {
-				em.freeCSR = append(em.freeCSR, rep)
-			}
-		}
-	}
-	em.putState(old)
-}
-
-func (em *EpochMat[T]) putState(st *epochState[T]) {
-	m := st.mat
-	m.Blocks = m.Blocks[:0]
-	m.Replicas = m.Replicas[:0]
-	m.G = nil
-	st.mat = nil
-	em.freeMats = append(em.freeMats, m)
-	em.freeStates = append(em.freeStates, st)
-}
-
-// getCSR checks a block buffer out of the recycler (or allocates one) shaped
-// nrows×ncols with empty ColIdx/Val.
-func (em *EpochMat[T]) getCSR(nrows, ncols int) *sparse.CSR[T] {
-	var c *sparse.CSR[T]
-	if n := len(em.freeCSR); n > 0 {
-		c, em.freeCSR = em.freeCSR[n-1], em.freeCSR[:n-1]
-	} else {
-		c = &sparse.CSR[T]{}
-	}
-	c.NRows, c.NCols = nrows, ncols
-	if cap(c.RowPtr) >= nrows+1 {
-		c.RowPtr = c.RowPtr[:nrows+1]
-	} else {
-		c.RowPtr = make([]int, nrows+1)
-	}
-	c.ColIdx = c.ColIdx[:0]
-	c.Val = c.Val[:0]
-	return c
 }
 
 // mergeBlock merges one block's delta into a fresh CSR: sort the delta by
@@ -521,8 +373,8 @@ func (em *EpochMat[T]) getCSR(nrows, ncols int) *sparse.CSR[T] {
 // a matching coordinate is overwritten (or removed, for a tombstone), and
 // base-only entries are copied through. Count and fill passes both split the
 // rows across the worker pool; all transient scratch comes from the runtime's
-// ScratchPool and the output buffer from the block recycler, so steady-state
-// merging allocates nothing. It also returns how many overwrites raised a
+// ScratchPool, so the output block (its header and three arrays) is the only
+// allocation. It also returns how many overwrites raised a
 // stored value: the fill pass leaves each row's count in the per-row scratch
 // the count pass is done with.
 func (em *EpochMat[T]) mergeBlock(rt *locale.Runtime, b *sparse.CSR[T], d *blockDelta[T]) (*sparse.CSR[T], int) {
@@ -551,7 +403,7 @@ func (em *EpochMat[T]) mergeBlock(rt *locale.Runtime, b *sparse.CSR[T], d *block
 		rowPtrD[i+1] += rowPtrD[i]
 	}
 
-	out := em.getCSR(b.NRows, b.NCols)
+	out := &sparse.CSR[T]{NRows: b.NRows, NCols: b.NCols, RowPtr: make([]int, b.NRows+1)}
 	counts := sparse.GetSlice[int](scratch, b.NRows)
 	if rt.RealWorkers <= 1 {
 		for i := 0; i < b.NRows; i++ {
@@ -564,21 +416,12 @@ func (em *EpochMat[T]) mergeBlock(rt *locale.Runtime, b *sparse.CSR[T], d *block
 			}
 		})
 	}
-	out.RowPtr[0] = 0
 	for i := 0; i < b.NRows; i++ {
 		out.RowPtr[i+1] = out.RowPtr[i] + counts[i]
 	}
 	total := out.RowPtr[b.NRows]
-	if cap(out.ColIdx) >= total {
-		out.ColIdx = out.ColIdx[:total]
-	} else {
-		out.ColIdx = make([]int, total)
-	}
-	if cap(out.Val) >= total {
-		out.Val = out.Val[:total]
-	} else {
-		out.Val = make([]T, total)
-	}
+	out.ColIdx = make([]int, total)
+	out.Val = make([]T, total)
 	if rt.RealWorkers <= 1 {
 		for i := 0; i < b.NRows; i++ {
 			counts[i] = mergeRowFill(b, i, keys, perm, rowPtrD, d, out, out.RowPtr[i])

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/sparse"
@@ -225,16 +226,15 @@ func TestStampExtends(t *testing.T) {
 	}
 }
 
-func TestEpochMatManyEpochsRecycling(t *testing.T) {
+func TestEpochMatManyEpochsAgainstOracle(t *testing.T) {
 	const n = 53
 	a := sparse.ErdosRenyi[float64](n, 4, 5)
 	rt := newRT(t, 6)
 	em := NewEpochMat(MatFromCSR(rt, a))
 	oracle := oracleFromCSR(a)
 
-	// A deterministic mutation stream over many epochs: with HistoryDepth 2,
-	// epochs beyond the window recycle their buffers; every committed epoch
-	// must still match the from-scratch oracle.
+	// A deterministic mutation stream over many epochs: every committed epoch
+	// must match the from-scratch oracle.
 	seed := uint64(12345)
 	next := func(m uint64) int {
 		seed = seed*6364136223846793005 + 1442695040888963407
@@ -270,39 +270,97 @@ func TestEpochMatManyEpochsRecycling(t *testing.T) {
 	}
 }
 
+// blockCopy deep-copies every block of m, so a later comparison can tell
+// whether anything wrote into the snapshot's storage.
+func blockCopy(m *Mat[float64]) []*sparse.CSR[float64] {
+	out := make([]*sparse.CSR[float64], len(m.Blocks))
+	for l, b := range m.Blocks {
+		out[l] = b.Clone()
+	}
+	return out
+}
+
+// sameBlockBits reports whether m's blocks equal want's bit for bit: shape,
+// RowPtr, ColIdx and the bits of every value.
+func sameBlockBits(m *Mat[float64], want []*sparse.CSR[float64]) bool {
+	if len(m.Blocks) != len(want) {
+		return false
+	}
+	for l, b := range m.Blocks {
+		w := want[l]
+		if b.NRows != w.NRows || b.NCols != w.NCols || !slices.Equal(b.RowPtr, w.RowPtr) ||
+			!slices.Equal(b.ColIdx, w.ColIdx) || len(b.Val) != len(w.Val) {
+			return false
+		}
+		for k, v := range b.Val {
+			if math.Float64bits(v) != math.Float64bits(w.Val[k]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// touchEveryBlock absorbs, for flush f, one overwrite and one tombstone in
+// every block of m's grid, so the flush rewrites all of them.
+func touchEveryBlock(t *testing.T, em *EpochMat[float64], f int) {
+	t.Helper()
+	m := em.Committed()
+	for r := 0; r < m.G.Pr; r++ {
+		for c := 0; c < m.G.Pc; c++ {
+			i0, h := m.RowBands[r], m.RowBands[r+1]-m.RowBands[r]
+			j0, w := m.ColBands[c], m.ColBands[c+1]-m.ColBands[c]
+			if err := em.Update(i0+f%h, j0+(3*f)%w, float64(f)+0.5); err != nil {
+				t.Fatal(err)
+			}
+			if err := em.Delete(i0+(f+1)%h, j0+(5*f+2)%w); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 func TestEpochMatSnapshotIsolation(t *testing.T) {
 	const n = 31
 	a := sparse.ErdosRenyi[float64](n, 4, 7)
 	rt := newRT(t, 4)
 	em := NewEpochMat(MatFromCSR(rt, a))
 
-	snap, ep := em.Snapshot()
+	snap0, ep := em.Snapshot()
 	if ep != 0 {
 		t.Fatalf("snapshot epoch = %d, want 0", ep)
 	}
-	before, err := snap.ToCSR()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One commit later (within the default history window of 2) the pinned
-	// snapshot must be untouched, bit for bit.
-	for k := 0; k < 20; k++ {
-		if err := em.Update(k%n, (3*k)%n, float64(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	want0 := blockCopy(snap0)
+	touchEveryBlock(t, em, 0)
 	if _, err := em.Flush(rt); err != nil {
 		t.Fatal(err)
 	}
-	after, err := snap.ToCSR()
-	if err != nil {
-		t.Fatal(err)
+	snap1, ep := em.Snapshot()
+	if ep != 1 || snap1 == snap0 {
+		t.Fatalf("committed snapshot did not advance (epoch %d)", ep)
 	}
-	if !after.Equal(before) {
-		t.Fatal("pinned snapshot changed under a later commit")
+	want1 := blockCopy(snap1)
+
+	// Both pinned snapshots — the caller-supplied epoch 0 and the merged
+	// epoch 1 — must stay untouched, bit for bit, however many later commits
+	// rewrite every block.
+	for f := 1; f <= 12; f++ {
+		touchEveryBlock(t, em, f)
+		if _, err := em.Flush(rt); err != nil {
+			t.Fatal(err)
+		}
+		if !sameBlockBits(snap0, want0) {
+			t.Fatalf("held epoch-0 snapshot changed after flush %d", f+1)
+		}
+		if !sameBlockBits(snap1, want1) {
+			t.Fatalf("held epoch-1 snapshot changed after flush %d", f+1)
+		}
 	}
-	if cur, ep2 := em.Snapshot(); ep2 != 1 || cur == snap {
-		t.Fatalf("committed snapshot did not advance (epoch %d)", ep2)
+	if err := snap1.Validate(); err != nil {
+		t.Fatalf("held snapshot invalid: %v", err)
+	}
+	if got := em.Epoch(); got != 13 {
+		t.Fatalf("epoch = %d after 13 flushes", got)
 	}
 }
 

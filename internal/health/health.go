@@ -101,21 +101,19 @@ func (c Config) withDefaults() Config {
 type Detector struct {
 	cfg Config
 
-	mu        sync.Mutex
-	states    []State
-	lastBeat  []float64 // latest modeled heartbeat observed per locale
-	lastEpoch []uint64  // latest committed snapshot epoch acknowledged per locale
-	events    []Event
-	tr        *trace.Tracer
+	mu       sync.Mutex
+	states   []State
+	lastBeat []float64 // latest modeled heartbeat observed per locale
+	events   []Event
+	tr       *trace.Tracer
 }
 
 // New returns a detector over p locales. A zero Config means DefaultConfig.
 func New(cfg Config, p int) *Detector {
 	return &Detector{
-		cfg:       cfg.withDefaults(),
-		states:    make([]State, p),
-		lastBeat:  make([]float64, p),
-		lastEpoch: make([]uint64, p),
+		cfg:      cfg.withDefaults(),
+		states:   make([]State, p),
+		lastBeat: make([]float64, p),
 	}
 }
 
@@ -152,47 +150,6 @@ func (d *Detector) transitionLocked(l int, to State, atNS float64) func() {
 			trace.T("from", from.String()),
 			trace.T("to", to.String()))
 	}
-}
-
-// NoteEpoch records that locale l has acknowledged committed snapshot epoch
-// e. The epoch merge calls it for every participant when a commit publishes,
-// so the detector's view doubles as a staleness map: a locale whose last
-// acknowledged epoch trails the committed one is serving stale reads (the
-// PolicyBestEffort trade). Epochs are monotone; a late or duplicate note is
-// ignored.
-func (d *Detector) NoteEpoch(l int, e uint64) {
-	if d == nil || l < 0 {
-		return
-	}
-	d.mu.Lock()
-	if l < len(d.lastEpoch) && e > d.lastEpoch[l] {
-		d.lastEpoch[l] = e
-	}
-	d.mu.Unlock()
-}
-
-// LastEpoch returns the latest committed epoch locale l has acknowledged
-// (zero before any commit, for out-of-range ids and on a nil detector).
-func (d *Detector) LastEpoch(l int) uint64 {
-	if d == nil {
-		return 0
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if l < 0 || l >= len(d.lastEpoch) {
-		return 0
-	}
-	return d.lastEpoch[l]
-}
-
-// LastEpochs returns a copy of every locale's latest acknowledged epoch.
-func (d *Detector) LastEpochs() []uint64 {
-	if d == nil {
-		return nil
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]uint64(nil), d.lastEpoch...)
 }
 
 // Observe feeds the detector one poll of locale l at modeled time nowNS:

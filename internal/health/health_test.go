@@ -165,39 +165,3 @@ func TestConfigDefaults(t *testing.T) {
 		t.Errorf("partial config not default-filled: %+v", c)
 	}
 }
-
-func TestNoteEpochMonotonePerLocale(t *testing.T) {
-	d := New(Config{}, 3)
-	if got := d.LastEpochs(); len(got) != 3 || got[0] != 0 || got[2] != 0 {
-		t.Fatalf("initial epochs = %v, want zeros", got)
-	}
-	d.NoteEpoch(0, 2)
-	d.NoteEpoch(1, 5)
-	d.NoteEpoch(1, 3) // late ack: must not regress
-	d.NoteEpoch(2, 1)
-	if e := d.LastEpoch(0); e != 2 {
-		t.Errorf("locale 0 epoch = %d, want 2", e)
-	}
-	if e := d.LastEpoch(1); e != 5 {
-		t.Errorf("locale 1 epoch = %d, want 5 (late ack must be ignored)", e)
-	}
-	if got := d.LastEpochs(); got[0] != 2 || got[1] != 5 || got[2] != 1 {
-		t.Errorf("epochs = %v, want [2 5 1]", got)
-	}
-	// The returned slice is a copy: mutating it must not leak back.
-	d.LastEpochs()[1] = 99
-	if d.LastEpoch(1) != 5 {
-		t.Error("LastEpochs must return a copy")
-	}
-	// Out-of-range and nil receivers are inert.
-	d.NoteEpoch(-1, 9)
-	d.NoteEpoch(7, 9)
-	if d.LastEpoch(-1) != 0 || d.LastEpoch(7) != 0 {
-		t.Error("out-of-range locale must read as epoch 0")
-	}
-	var nilD *Detector
-	nilD.NoteEpoch(0, 1)
-	if nilD.LastEpoch(0) != 0 || nilD.LastEpochs() != nil {
-		t.Error("nil detector must be inert")
-	}
-}

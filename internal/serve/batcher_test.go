@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -402,40 +401,19 @@ func TestBFSBatcherSoak(t *testing.T) {
 		want[name] = byParity
 	}
 
-	// The writer commits an epoch on each graph per 16 answered queries, and
-	// only once every poster still posting has been answered since the last
-	// commit: a query pinned to a snapshot holds its poster's count still, so
-	// at most one commit lands under it — far fewer than EpochHistory, however
-	// much faster than it the reply-cache hits around it are answered.
+	// The writer commits an epoch on each graph per 16 answered queries.
 	var answered, bfs200, bfsHits, ssspWarm, ssspCold atomic.Int64
-	var progress [posters]atomic.Int64 // answers per poster; finishedPoster once it stops
-	const finishedPoster = math.MaxInt64
 	stop := make(chan struct{})
 	writerDone := make(chan error, 1)
 	go func() {
-		var seen [posters]int64
-		ready := func(next int64) bool {
-			if answered.Load() < next {
-				return false
-			}
-			for p := range progress {
-				if n := progress[p].Load(); n != finishedPoster && n == seen[p] {
-					return false
-				}
-			}
-			return true
-		}
 		for next := int64(16); ; next += 16 {
-			for !ready(next) {
+			for answered.Load() < next {
 				select {
 				case <-stop:
 					writerDone <- nil
 					return
 				case <-time.After(50 * time.Microsecond):
 				}
-			}
-			for p := range progress {
-				seen[p] = progress[p].Load()
 			}
 			for name := range csrs {
 				flushes[name]++
@@ -453,7 +431,6 @@ func TestBFSBatcherSoak(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			defer progress[p].Store(finishedPoster)
 			lastEpoch := map[string]float64{}
 			for i := 0; i < perPoster && !t.Failed(); i++ {
 				name, src, op := names[(p+i)%2], (p*perPoster+i)%nSources, opOf(p+i/2)
@@ -462,7 +439,6 @@ func TestBFSBatcherSoak(t *testing.T) {
 				}
 				r := serveQuery(s, context.Background(), map[string]any{"graph": name, "op": op, "source": src})
 				answered.Add(1)
-				progress[p].Add(1)
 				what := fmt.Sprintf("poster %d query %d (%s on %s from %d)", p, i, op, name, src)
 				if r.code != http.StatusOK {
 					t.Errorf("%s: status %d (%v)", what, r.code, r.body)

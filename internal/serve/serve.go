@@ -88,10 +88,6 @@ type Config struct {
 	// replicas, enabling Failover.
 	Policy    gb.RecoveryPolicy
 	Replicate bool
-	// EpochHistory is how many committed epochs stay pinnable while flushes
-	// advance (default 8 — deep enough that a long query's pinned snapshot
-	// survives the flushes that commit during it; see gb.EpochPolicy).
-	EpochHistory int
 	// MaxConcurrent bounds the queries running at once (default 8);
 	// MaxQueue bounds how many more may wait (default 16); MaxWait bounds
 	// how long each waits (default 250ms). Beyond that, requests shed.
@@ -120,9 +116,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Threads < 1 {
 		c.Threads = 4
-	}
-	if c.EpochHistory < 1 {
-		c.EpochHistory = 8
 	}
 	if c.MaxConcurrent < 1 {
 		c.MaxConcurrent = 8
@@ -238,7 +231,6 @@ func (s *Server) LoadGraph(name string, a *sparse.CSR[float64]) error {
 	}
 	opts := []gb.Option{
 		gb.Locales(s.cfg.Locales), gb.Threads(s.cfg.Threads),
-		gb.EpochPolicy{History: s.cfg.EpochHistory},
 		gb.WithRecoveryPolicy(s.cfg.Policy),
 	}
 	if s.cfg.Replicate {
