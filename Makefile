@@ -117,11 +117,14 @@ spgemm-accept:
 # store, its cap, the delete/raise rule in the library and in the service),
 # bounded request bodies, lock-free readiness, concurrent snapshot readers
 # racing recovery, the BFS soak ten times under the race detector (queries
-# pinned across any number of flushes), and an end-to-end boot ->
+# pinned across any number of flushes), the seeded model check under the race
+# detector (every reply against the sequential oracle at its epoch, queries
+# held across up to 12 flushes), and an end-to-end boot ->
 # concurrent-query -> SIGTERM-drain smoke of the binary.
 serve-accept:
 	$(GOTEST_STRICT) -run 'TestQueryEndpoints|TestChaosQueries|TestDeadlineAndTimeout|TestAdmissionShedding|TestTenantRateLimit|TestBFSBatcher|TestMutateFlush|TestDrain|TestCanceledClient|TestReplyCache|TestOversizeBody|TestReadyz|TestSSSPState' -v ./internal/serve
 	$(GOTEST_STRICT) -race -run TestBFSBatcherSoak -count=10 ./internal/serve
+	$(GOTEST_STRICT) -race -run TestServiceModelCheck -v ./internal/serve
 	$(GOTEST_STRICT) -run 'TestBuildGraphSpecs|TestParsePolicy' -v ./cmd/gbserve
 	$(GOTEST_STRICT) -run 'TestWithCancelContextTyped|TestModeledDeadlineTyped|TestCancelMidRunWithinOneRound|TestAbsorbCalibrationPersists|TestIncrementalSSSP' -v ./gb
 	$(GOTEST_STRICT) -run 'TestRetryBudgetCappedByDeadline|TestCancelHookStopsCollectives' -v ./internal/comm
