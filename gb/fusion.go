@@ -246,17 +246,23 @@ func SpMSpVMasked[T Number](a *Matrix[T], x *Vector[T], mask *DenseVector[int64]
 		q.nodes = append(q.nodes, &qnode{
 			desc: core.OpDesc{Op: core.OpSpMSpVMasked, In0: q.id(xv), In1: q.id(md), Out: q.id(ov)},
 			run: func() error {
-				y, _ := core.SpMSpVDistMasked(rt, am, xv, md)
+				y, _, err := core.SpMSpVDistMasked(rt, am, xv, md)
+				if err != nil {
+					return err
+				}
 				*ov = *y
 				return nil
 			},
 			maskedInto: func(dst *dist.SpVec[int64]) error {
-				core.FusedSpMSpVMaskedAssign(rt, am, xv, md, dst)
-				return nil
+				_, err := core.FusedSpMSpVMaskedAssign(rt, am, xv, md, dst)
+				return err
 			},
 		})
 		return out, nil
 	}
-	y, _ := core.SpMSpVDistMasked(c.rt, a.m, x.v, mask.d)
+	y, _, err := core.SpMSpVDistMasked(c.rt, a.m, x.v, mask.d)
+	if err != nil {
+		return nil, err
+	}
 	return &Vector[int64]{ctx: c, v: y}, nil
 }

@@ -437,18 +437,24 @@ func SpMSpV[T Number](a *Matrix[T], x *Vector[T]) (*Vector[int64], error) {
 		q.nodes = append(q.nodes, &qnode{
 			desc: core.OpDesc{Op: core.OpSpMSpV, In0: q.id(xv), Out: q.id(ov)},
 			run: func() error {
-				y, _ := core.SpMSpVDistAuto(rt, am, xv)
+				y, _, err := core.SpMSpVDistAuto(rt, am, xv)
+				if err != nil {
+					return err
+				}
 				*ov = *y
 				return nil
 			},
 			filterInto: func(pred Pred[int64], mask *dist.DenseVec[int64], dst *dist.SpVec[int64]) error {
-				core.FusedSpMSpVFilterAssign(rt, am, xv, mask, pred, dst)
-				return nil
+				_, err := core.FusedSpMSpVFilterAssign(rt, am, xv, mask, pred, dst)
+				return err
 			},
 		})
 		return out, nil
 	}
-	y, _ := core.SpMSpVDistAuto(c.rt, a.m, x.v)
+	y, _, err := core.SpMSpVDistAuto(c.rt, a.m, x.v)
+	if err != nil {
+		return nil, err
+	}
 	return &Vector[int64]{ctx: c, v: y}, nil
 }
 

@@ -176,7 +176,7 @@ func bfsDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], source int, 
 			// One region per round (RecipeSpMSpVFrontier): the masked multiply,
 			// level/parent/visited updates and frontier install between one
 			// spawn and one barrier.
-			found, _ = core.FusedBFSRound(rt, a, frontier, visited, level, res.Level, res.Parent)
+			found, _, err = core.FusedBFSRound(rt, a, frontier, visited, level, res.Level, res.Parent)
 		default:
 			found, err = bfsPushEager(rt, a, frontier, visited, level, res, mode != bfsPlain)
 		}
@@ -201,14 +201,17 @@ func bfsDist[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], source int, 
 // frontier and mutates nothing when that is zero.
 func bfsPushEager[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], frontier *dist.SpVec[T], visited *dist.DenseVec[int64], level int64, res *BFSResult, masked bool) (int, error) {
 	var fresh *dist.SpVec[int64]
+	var err error
 	if masked {
-		fresh, _ = core.SpMSpVDistMasked(rt, a, frontier, visited)
+		fresh, _, err = core.SpMSpVDistMasked(rt, a, frontier, visited)
 	} else {
-		y, _ := core.SpMSpVDistAuto(rt, a, frontier)
-		var err error
-		if fresh, err = core.EWiseMultSD(rt, y, visited, func(_, v int64) bool { return v == 0 }); err != nil {
-			return 0, err
+		var y *dist.SpVec[int64]
+		if y, _, err = core.SpMSpVDistAuto(rt, a, frontier); err == nil {
+			fresh, err = core.EWiseMultSD(rt, y, visited, func(_, v int64) bool { return v == 0 })
 		}
+	}
+	if err != nil {
+		return 0, err
 	}
 	found := fresh.NNZ()
 	if found == 0 {

@@ -78,49 +78,3 @@ func BetweennessCentrality[T semiring.Number](a *sparse.CSR[T], sources []int) (
 	}
 	return bc, nil
 }
-
-// RefBetweenness computes exact betweenness with a direct Brandes
-// implementation over adjacency lists, for testing.
-func RefBetweenness[T semiring.Number](a *sparse.CSR[T]) []float64 {
-	n := a.NRows
-	bc := make([]float64, n)
-	for s := 0; s < n; s++ {
-		var stack []int
-		pred := make([][]int, n)
-		sigma := make([]float64, n)
-		dist := make([]int, n)
-		for i := range dist {
-			dist[i] = -1
-		}
-		sigma[s] = 1
-		dist[s] = 0
-		queue := []int{s}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			stack = append(stack, v)
-			cols, _ := a.Row(v)
-			for _, w := range cols {
-				if dist[w] < 0 {
-					dist[w] = dist[v] + 1
-					queue = append(queue, w)
-				}
-				if dist[w] == dist[v]+1 {
-					sigma[w] += sigma[v]
-					pred[w] = append(pred[w], v)
-				}
-			}
-		}
-		delta := make([]float64, n)
-		for i := len(stack) - 1; i >= 0; i-- {
-			w := stack[i]
-			for _, v := range pred[w] {
-				delta[v] += sigma[v] / sigma[w] * (1 + delta[w])
-			}
-			if w != s {
-				bc[w] += delta[w]
-			}
-		}
-	}
-	return bc
-}

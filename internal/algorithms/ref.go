@@ -138,73 +138,3 @@ func RefPageRank[T semiring.Number](a *sparse.CSR[T], d, tol float64, maxIter in
 	}
 	return r
 }
-
-// RefTriangleCount counts triangles by brute force over vertex triples
-// reachable from the adjacency lists, for testing on small graphs.
-func RefTriangleCount[T semiring.Number](a *sparse.CSR[T]) int64 {
-	var count int64
-	n := a.NRows
-	for i := 0; i < n; i++ {
-		ci, _ := a.Row(i)
-		for _, j := range ci {
-			if j <= i {
-				continue
-			}
-			cj, _ := a.Row(j)
-			for _, k := range cj {
-				if k <= j {
-					continue
-				}
-				if _, ok := a.Get(i, k); ok {
-					count++
-				}
-			}
-		}
-	}
-	return count
-}
-
-// RefKTruss computes the k-truss by direct iteration over edge triangle
-// counts, for testing on small graphs. Returns the surviving edge count
-// (each undirected edge counted twice, as stored).
-func RefKTruss[T semiring.Number](a *sparse.CSR[T], k int) int {
-	// adjacency sets
-	n := a.NRows
-	adj := make([]map[int]bool, n)
-	for i := 0; i < n; i++ {
-		adj[i] = map[int]bool{}
-		cols, _ := a.Row(i)
-		for _, j := range cols {
-			if i != j {
-				adj[i][j] = true
-			}
-		}
-	}
-	for {
-		dropped := false
-		for i := 0; i < n; i++ {
-			for j := range adj[i] {
-				// count common neighbors
-				cnt := 0
-				for w := range adj[i] {
-					if w != j && adj[j][w] {
-						cnt++
-					}
-				}
-				if cnt < k-2 {
-					delete(adj[i], j)
-					delete(adj[j], i)
-					dropped = true
-				}
-			}
-		}
-		if !dropped {
-			break
-		}
-	}
-	edges := 0
-	for i := 0; i < n; i++ {
-		edges += len(adj[i])
-	}
-	return edges
-}

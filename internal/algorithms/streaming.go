@@ -120,13 +120,6 @@ type SSSPState[T semiring.Number] struct {
 // only inserted edges and lowered weights; a larger count is a later run.
 func (s *SSSPState[T]) Invalidations() uint64 { return s.stamp.Deletes + s.stamp.Raises }
 
-// IncrementalSSSP computes single-source shortest paths from source at em's
-// committed epoch, warm-started from prev when IncrementalSSSPAt allows it.
-func IncrementalSSSP[T semiring.Number](rt *locale.Runtime, em *dist.EpochMat[T], source int, prev *SSSPState[T]) (*SSSPState[T], error) {
-	mat, stamp := em.Pinned()
-	return IncrementalSSSPAt(rt, mat, stamp, source, prev)
-}
-
 // IncrementalSSSPAt is IncrementalSSSP on a snapshot pinned earlier together
 // with its stamp. It starts from prev's distances iff prev is from the same
 // source, and stamp extends prev's: same matrix, prev's epoch not newer, no

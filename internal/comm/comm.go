@@ -1,9 +1,13 @@
 // Package comm provides the collective communication operations the paper's
 // discussion asks for ("MPI provides functions for a number of team
 // collectives. Support for these operations is expected to improve the
-// productivity and performance of graph algorithms"): broadcast, gather,
-// all-gather, reduce and all-reduce over the locale grid, plus row/column
-// team variants matching the 2-D distribution.
+// productivity and performance of graph algorithms"): reduce and all-reduce
+// over the locale grid, the row/column team collectives matching the 2-D
+// distribution, and the sparse and team-broadcast collectives of SpMSpV and
+// SpGEMM. A collective whose cost code outside this package estimates
+// charges through the exported price the estimate calls (RowAllGatherTime,
+// ColReduceTime, SparseRowAllGatherTime, TeamBroadcastTime, and the sparse
+// message and merge prices), so a price and its charge cannot drift apart.
 //
 // Like everything else in this library, the collectives move real data and
 // charge the machine model for the communication structure: tree-based
@@ -120,77 +124,6 @@ func retryExtra(rt *locale.Runtime, src, dst int, resendNS float64, op string) (
 	}
 }
 
-// Broadcast copies the root locale's slice to every other locale; returns
-// one slice per locale (the root's own slice is shared, remote ones are
-// copies). Charges a log2(P)-depth broadcast tree, with per-destination
-// retries under faults.
-func Broadcast[T semiring.Number](rt *locale.Runtime, root int, data []T) ([][]T, error) {
-	defer rt.Span("Broadcast").End()
-	p := rt.G.P
-	out := make([][]T, p)
-	for l := 0; l < p; l++ {
-		if l == root {
-			out[l] = data
-			continue
-		}
-		out[l] = append([]T(nil), data...)
-	}
-	if p > 1 {
-		base := rt.S.BulkTime(bytesOf(len(data)), false) * treeDepth(p)
-		for l := 0; l < p; l++ {
-			per := base
-			if l != root {
-				extra, err := retryExtra(rt, root, l, base, "broadcast")
-				if err != nil {
-					return nil, err
-				}
-				per += extra
-			}
-			rt.S.Advance(l, per)
-		}
-	}
-	return out, nil
-}
-
-// Gather concatenates each locale's slice at the root, in locale order.
-// Charges one bulk transfer per non-root locale into the root, with retries.
-func Gather[T semiring.Number](rt *locale.Runtime, root int, parts [][]T) ([]T, error) {
-	defer rt.Span("Gather").End()
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]T, 0, total)
-	for l, part := range parts {
-		out = append(out, part...)
-		if l != root && len(part) > 0 {
-			intra := rt.G.SameNode(root, l)
-			extra, err := retryExtra(rt, l, root, rt.S.BulkTime(bytesOf(len(part)), intra), "gather")
-			if err != nil {
-				return nil, err
-			}
-			rt.S.Bulk(root, bytesOf(len(part)), intra)
-			if extra > 0 {
-				rt.S.Advance(root, extra)
-			}
-		}
-	}
-	rt.S.Barrier()
-	return out, nil
-}
-
-// AllGather concatenates every locale's slice on every locale. Charges a
-// gather followed by a broadcast (the standard tree implementation).
-func AllGather[T semiring.Number](rt *locale.Runtime, parts [][]T) ([][]T, error) {
-	defer rt.Span("AllGather").End()
-	root := 0
-	joined, err := Gather(rt, root, parts)
-	if err != nil {
-		return nil, err
-	}
-	return Broadcast(rt, root, joined)
-}
-
 // Reduce folds one value per locale into a single value at the root with a
 // monoid, charging a log2(P)-depth reduction tree of tiny messages.
 func Reduce[T semiring.Number](rt *locale.Runtime, root int, vals []T, m semiring.Monoid[T]) (T, error) {
@@ -271,7 +204,7 @@ func RowAllGather[T semiring.Number](rt *locale.Runtime, parts [][]T) ([][]T, er
 		}
 		// Tree all-gather within the team. The leader's entry is set before
 		// any transfer can fail, so the error path finds every loan in out.
-		base := rt.S.BulkTime(bytesOf(total), false) * treeDepth(g.Pc)
+		base := RowAllGatherTime(rt, total)
 		for c := 0; c < g.Pc; c++ {
 			l := g.ID(r, c)
 			per := base
@@ -288,6 +221,13 @@ func RowAllGather[T semiring.Number](rt *locale.Runtime, parts [][]T) ([][]T, er
 		}
 	}
 	return out, nil
+}
+
+// RowAllGatherTime is what RowAllGather charges every member of a row team
+// whose parts total n elements, fault-free: a tree of depth log2(Pc) moving
+// the team's concatenation.
+func RowAllGatherTime(rt *locale.Runtime, n int) float64 {
+	return rt.S.BulkTime(bytesOf(n), false) * treeDepth(rt.G.Pc)
 }
 
 // ReleaseRowGather returns the team buffers of a RowAllGather result to the
@@ -366,7 +306,7 @@ func chargeColReduce[T semiring.Number](rt *locale.Runtime, out [][]T) error {
 	g := rt.G
 	for c := 0; c < g.Pc; c++ {
 		leader := g.ID(0, c)
-		base := rt.S.BulkTime(bytesOf(len(out[leader])), false) * treeDepth(g.Pr)
+		base := ColReduceTime(rt, len(out[leader]))
 		for r := 0; r < g.Pr; r++ {
 			l := g.ID(r, c)
 			per := base
@@ -382,6 +322,13 @@ func chargeColReduce[T semiring.Number](rt *locale.Runtime, out [][]T) error {
 		}
 	}
 	return nil
+}
+
+// ColReduceTime is what ColReduceScatter (or ColReduceInPlace) charges
+// every member of a column team whose slice is n elements wide, fault-free:
+// a tree of depth log2(Pr) moving the slice.
+func ColReduceTime(rt *locale.Runtime, n int) float64 {
+	return rt.S.BulkTime(bytesOf(n), false) * treeDepth(rt.G.Pr)
 }
 
 // ReleaseColReduce returns the team buffers of a ColReduceScatter result to

@@ -354,3 +354,74 @@ func TestCollectiveCostsScaleWithTeam(t *testing.T) {
 		t.Errorf("64-locale broadcast (%.1fus) should be log-depth, not linear (2-locale %.1fus)", t64/1e3, t2/1e3)
 	}
 }
+
+// AllGather concatenates every locale's slice on every locale. Charges a
+// gather followed by a broadcast (the standard tree implementation).
+func AllGather[T semiring.Number](rt *locale.Runtime, parts [][]T) ([][]T, error) {
+	defer rt.Span("AllGather").End()
+	root := 0
+	joined, err := Gather(rt, root, parts)
+	if err != nil {
+		return nil, err
+	}
+	return Broadcast(rt, root, joined)
+}
+
+// Broadcast copies the root locale's slice to every other locale; returns
+// one slice per locale (the root's own slice is shared, remote ones are
+// copies). Charges a log2(P)-depth broadcast tree, with per-destination
+// retries under faults.
+func Broadcast[T semiring.Number](rt *locale.Runtime, root int, data []T) ([][]T, error) {
+	defer rt.Span("Broadcast").End()
+	p := rt.G.P
+	out := make([][]T, p)
+	for l := 0; l < p; l++ {
+		if l == root {
+			out[l] = data
+			continue
+		}
+		out[l] = append([]T(nil), data...)
+	}
+	if p > 1 {
+		base := rt.S.BulkTime(bytesOf(len(data)), false) * treeDepth(p)
+		for l := 0; l < p; l++ {
+			per := base
+			if l != root {
+				extra, err := retryExtra(rt, root, l, base, "broadcast")
+				if err != nil {
+					return nil, err
+				}
+				per += extra
+			}
+			rt.S.Advance(l, per)
+		}
+	}
+	return out, nil
+}
+
+// Gather concatenates each locale's slice at the root, in locale order.
+// Charges one bulk transfer per non-root locale into the root, with retries.
+func Gather[T semiring.Number](rt *locale.Runtime, root int, parts [][]T) ([]T, error) {
+	defer rt.Span("Gather").End()
+	total := 0
+	for _, p := range parts {
+		total += len(p)
+	}
+	out := make([]T, 0, total)
+	for l, part := range parts {
+		out = append(out, part...)
+		if l != root && len(part) > 0 {
+			intra := rt.G.SameNode(root, l)
+			extra, err := retryExtra(rt, l, root, rt.S.BulkTime(bytesOf(len(part)), intra), "gather")
+			if err != nil {
+				return nil, err
+			}
+			rt.S.Bulk(root, bytesOf(len(part)), intra)
+			if extra > 0 {
+				rt.S.Advance(root, extra)
+			}
+		}
+	}
+	rt.S.Barrier()
+	return out, nil
+}

@@ -92,7 +92,7 @@ func TestCollectiveErrorPathsCarryLostLocale(t *testing.T) {
 				t.Errorf("error %q should name the collective %q", err, c.op)
 			}
 			// The failed attempt must also have driven the failure detector.
-			if st := rt.Health.StateOf(lostLoc); st != health.Suspect {
+			if st := rt.Health.States()[lostLoc]; st != health.Suspect {
 				t.Errorf("detector state of lost locale = %v, want suspect", st)
 			}
 			// A collective that fails returns what it borrowed from the arena.

@@ -521,7 +521,7 @@ func TestFusedBFSRoundAllocPin(t *testing.T) {
 				frontier.Loc[l].Val = append(frontier.Loc[l].Val[:0], start.Loc[l].Val...)
 				copy(visited.Loc[l], seen0.Data[visited.Bounds[l]:visited.Bounds[l+1]])
 			}
-			if found, _ := FusedBFSRound(rt, a, frontier, visited, 1, levels, parents); found == 0 {
+			if found, _, err := FusedBFSRound(rt, a, frontier, visited, 1, levels, parents); err != nil || found == 0 {
 				t.Fatal("the round found nothing")
 			}
 		}

@@ -85,32 +85,6 @@ func applyLocal[T semiring.Number](rt *locale.Runtime, vals []T, op semiring.Una
 	})
 }
 
-// ApplyMat1 is Apply1 for a 2-D block-distributed matrix.
-func ApplyMat1[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], op semiring.UnaryOp[T]) {
-	defer rt.Span("ApplyMat1").End()
-	totalItems := int64(0)
-	remoteItems := int64(0)
-	for l, b := range a.Blocks {
-		n := b.NNZ()
-		totalItems += int64(n)
-		if l != 0 {
-			remoteItems += int64(n)
-		}
-		applyLocal(rt, b.Val, op)
-	}
-	rt.S.Compute(0, rt.Threads, sim.Kernel{
-		Name:         "applymat1",
-		Items:        totalItems,
-		CPUPerItem:   costApplyCPU,
-		BytesPerItem: costApplyBytes,
-	})
-	if remoteItems > 0 {
-		o := rt.FineLatencyOpts(0, 1, 2*remoteItems, bytesPerEntry, 1)
-		o.Overlap = 1
-		rt.S.FineGrained(0, o)
-	}
-}
-
 // ApplyMat2 is Apply2 for a 2-D block-distributed matrix.
 func ApplyMat2[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], op semiring.UnaryOp[T]) {
 	defer rt.Span("ApplyMat2").End()

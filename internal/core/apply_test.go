@@ -1,6 +1,8 @@
 package core
 
 import (
+	"repro/internal/semiring"
+	"repro/internal/sim"
 	"testing"
 
 	"repro/internal/dist"
@@ -131,4 +133,39 @@ func TestApplyModelSharedMemoryScaling(t *testing.T) {
 	if speedup < 12 || speedup > 26 {
 		t.Errorf("shared-memory Apply speedup at 24 threads = %.1f, want near-linear (~20)", speedup)
 	}
+}
+
+// ApplyMat1 is Apply1 for a 2-D block-distributed matrix.
+func ApplyMat1[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], op semiring.UnaryOp[T]) {
+	defer rt.Span("ApplyMat1").End()
+	totalItems := int64(0)
+	remoteItems := int64(0)
+	for l, b := range a.Blocks {
+		n := b.NNZ()
+		totalItems += int64(n)
+		if l != 0 {
+			remoteItems += int64(n)
+		}
+		applyLocal(rt, b.Val, op)
+	}
+	rt.S.Compute(0, rt.Threads, sim.Kernel{
+		Name:         "applymat1",
+		Items:        totalItems,
+		CPUPerItem:   costApplyCPU,
+		BytesPerItem: costApplyBytes,
+	})
+	if remoteItems > 0 {
+		o := rt.FineLatencyOpts(0, 1, 2*remoteItems, bytesPerEntry, 1)
+		o.Overlap = 1
+		rt.S.FineGrained(0, o)
+	}
+}
+
+// RefApply returns a copy of x with op applied to every stored value.
+func RefApply[T semiring.Number](x *sparse.Vec[T], op semiring.UnaryOp[T]) *sparse.Vec[T] {
+	out := x.Clone()
+	for i := range out.Val {
+		out.Val[i] = op(out.Val[i])
+	}
+	return out
 }

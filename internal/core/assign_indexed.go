@@ -17,68 +17,6 @@ import (
 // defers, citing its O((nnz(A)+nnz(B))/√p) communication — together with its
 // dual Extract in distributed form.
 
-// AssignIndexed performs a(I) = b on local vectors: position I[k] of a
-// receives b[k] when stored in b, and is cleared when absent from b (GraphBLAS
-// replace semantics restricted to the positions listed in I). Positions of a
-// outside I are untouched. I must contain distinct in-range indices, and b's
-// capacity must equal len(I).
-func AssignIndexed[T semiring.Number](a *sparse.Vec[T], indices []int, b *sparse.Vec[T]) error {
-	if b.N != len(indices) {
-		return fmt.Errorf("core: AssignIndexed: b has capacity %d for %d indices", b.N, len(indices))
-	}
-	seen := make(map[int]bool, len(indices))
-	for _, i := range indices {
-		if i < 0 || i >= a.N {
-			return fmt.Errorf("core: AssignIndexed: index %d out of range [0,%d)", i, a.N)
-		}
-		if seen[i] {
-			return fmt.Errorf("core: AssignIndexed: duplicate index %d", i)
-		}
-		seen[i] = true
-	}
-	// New value (or deletion) per targeted position.
-	newVal := make(map[int]T, b.NNZ())
-	for k, i := range indices {
-		if v, ok := b.Get(k); ok {
-			newVal[i] = v
-		}
-	}
-	out := sparse.NewVec[T](a.N)
-	// Merge: keep untargeted entries of a; insert/overwrite targeted ones.
-	bi := 0
-	targeted := make([]int, 0, len(newVal))
-	for i := range newVal {
-		targeted = append(targeted, i)
-	}
-	sparse.RadixSortInts(targeted)
-	ai := 0
-	for ai < len(a.Ind) || bi < len(targeted) {
-		switch {
-		case bi >= len(targeted) || (ai < len(a.Ind) && a.Ind[ai] < targeted[bi]):
-			i := a.Ind[ai]
-			if !seen[i] {
-				out.Ind = append(out.Ind, i)
-				out.Val = append(out.Val, a.Val[ai])
-			}
-			ai++
-		case ai >= len(a.Ind) || targeted[bi] < a.Ind[ai]:
-			i := targeted[bi]
-			out.Ind = append(out.Ind, i)
-			out.Val = append(out.Val, newVal[i])
-			bi++
-		default: // equal index: targeted value wins
-			i := targeted[bi]
-			out.Ind = append(out.Ind, i)
-			out.Val = append(out.Val, newVal[i])
-			ai++
-			bi++
-		}
-	}
-	a.Ind = out.Ind
-	a.Val = out.Val
-	return nil
-}
-
 // AssignIndexedDist performs a(I) = b on a distributed vector: the (index,
 // value) updates are routed to their owner locales in per-destination
 // batches — the O(nnz/√p)-style batched exchange the paper's complexity

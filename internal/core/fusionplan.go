@@ -19,8 +19,8 @@ package core
 type FusedOp int32
 
 const (
-	// OpNone is the zero descriptor.
-	OpNone FusedOp = iota
+	// opNone is the zero descriptor.
+	opNone FusedOp = iota
 	// OpApply is an in-place unary map over a sparse vector (In0 == Out).
 	OpApply
 	// OpEWiseMult is the sparse-dense filtering product (In0 sparse, In1

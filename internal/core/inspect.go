@@ -3,9 +3,10 @@ package core
 // The executor half of the inspector–executor layer (the inspector lives in
 // internal/inspect): before a distributed kernel runs, the functions here
 // sample the op's access pattern — frontier density, per-locale nnz, expected
-// products, team sizes — price each communication variant with the
-// simulator's non-mutating estimators under the exact charging formulas of
-// internal/comm, and let the runtime's inspector pick the cheaper side. A nil
+// products, team sizes — price each communication variant with the prices
+// internal/comm charges its collectives with (and the simulator's
+// non-mutating estimators for the kernels), and let the runtime's inspector
+// pick the cheaper side. A nil
 // inspector short-circuits every dispatch to the historical hardcoded
 // variant, so raw runtimes and existing benchmarks are byte-for-byte
 // unchanged.
@@ -41,75 +42,34 @@ const (
 	ReasonUnvisitedScan = "unvisited-scan"
 )
 
-// estTreeDepth mirrors comm's treeDepth: ceil(log2(p)), 0 for p <= 1.
-func estTreeDepth(p int) float64 {
-	d := 0
-	for v := 1; v < p; v <<= 1 {
-		d++
-	}
-	return float64(d)
-}
-
-// sparsePayloadBytes mirrors comm's sparse-collective payload: 16 bytes per
-// (index, value) element.
-func sparsePayloadBytes(n int) int64 { return int64(16 * n) }
-
-// estSparseMergeCPU mirrors comm's per-element sorted-merge cost.
-const estSparseMergeCPU = 6.0
-
 // SpMSpVCommCosts prices the communication phases of one distributed SpMSpV
-// under both shapes. The local multiply is identical either way and is
-// excluded. The gather halves are exact — per-locale frontier counts are
-// known before the run — while the scatter halves rest on a products
-// estimate, whose realized value is fed back through observe.
+// under both plans, through the prices internal/comm charges with. The local
+// multiply is identical either way and is excluded. The gather halves are
+// exact — per-locale frontier counts are known before the run — while the
+// scatter halves rest on a products estimate, whose realized value is fed
+// back through observe.
 type SpMSpVCommCosts struct {
-	// Fine prices SpMSpVDist's per-element exchange; Bulk prices
-	// SpMSpVDistBulk's sparse collectives.
+	// Fine prices the fine plan's per-element exchange; Bulk prices the bulk
+	// plan's sparse collectives.
 	Fine, Bulk               float64
+	fineGather, bulkGather   float64
 	fineScatter, bulkScatter float64
 	products                 float64
 }
 
 // EstimateSpMSpVComm samples x's per-locale frontier and prices the fine and
-// bulk communication shapes of y = A·x. It allocates nothing.
+// bulk communication plans of y = A·x. It allocates nothing.
 func EstimateSpMSpVComm[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.SpVec[T]) SpMSpVCommCosts {
 	g := rt.G
 	var e SpMSpVCommCosts
-	var fineGather, bulkGather float64
+	count := func(l int) int { return x.Loc[l].NNZ() }
 	nnzX := 0
-	for r := 0; r < g.Pr; r++ {
-		teamTotal := 0
-		for c := 0; c < g.Pc; c++ {
-			teamTotal += x.Loc[g.ID(r, c)].NNZ()
+	for l := 0; l < g.P; l++ {
+		nnzX += count(l)
+		if o, ok := fineGatherOpts(rt, x, l); ok {
+			e.fineGather = max(e.fineGather, rt.S.FineGrainedTime(o))
 		}
-		nnzX += teamTotal
-		for c := 0; c < g.Pc; c++ {
-			l := g.ID(r, c)
-			remote := int64(teamTotal - x.Loc[l].NNZ())
-			srcCount := 0
-			var tb float64
-			for c2 := 0; c2 < g.Pc; c2++ {
-				src := g.ID(r, c2)
-				if src == l {
-					continue
-				}
-				if sn := x.Loc[src].NNZ(); sn > 0 {
-					srcCount++
-					tb += rt.S.BulkTime(sparsePayloadBytes(sn), g.SameNode(src, l))
-				}
-			}
-			if remote > 0 {
-				o := rt.FineLatencyOpts(l, pickRemote(l, g.P), remote+int64(srcCount)*6, bytesPerEntry, g.P)
-				o.Overlap = 1
-				if t := rt.S.FineGrainedTime(o); t > fineGather {
-					fineGather = t
-				}
-			}
-			tb += rt.S.ComputeTime(1, sim.Kernel{Name: "sparse-allgather-merge", Items: int64(teamTotal), CPUPerItem: estSparseMergeCPU})
-			if tb > bulkGather {
-				bulkGather = tb
-			}
-		}
+		e.bulkGather = max(e.bulkGather, comm.SparseRowAllGatherTime(rt, count, l))
 	}
 
 	// Products: expected output entries across all locales, before the
@@ -141,13 +101,13 @@ func EstimateSpMSpVComm[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x
 		pairs := g.Pc - 1
 		recvRemote := perLoc * float64(pairs) / float64(g.Pc)
 		intra := g.SameNode(0, g.P-1)
-		bulkScatter = float64(pairs)*rt.S.BulkTime(sparsePayloadBytes(int(recvRemote)/pairs), intra) +
-			rt.S.ComputeTime(1, sim.Kernel{Name: "colmerge-scatter-merge", Items: int64(recvRemote), CPUPerItem: estSparseMergeCPU})
+		bulkScatter = float64(pairs)*comm.SparseMsgTime(rt, int(recvRemote)/pairs, intra) +
+			comm.SparseMergeTime(rt, int(recvRemote))
 	}
 
 	e.fineScatter, e.bulkScatter = fineScatter, bulkScatter
-	e.Fine = fineGather + fineScatter
-	e.Bulk = bulkGather + bulkScatter
+	e.Fine = e.fineGather + fineScatter
+	e.Bulk = e.bulkGather + bulkScatter
 	return e
 }
 
@@ -204,23 +164,24 @@ func spmspvCommChoice[T semiring.Number](rt *locale.Runtime, op string, a *dist.
 // SpMSpVDistAuto runs one distributed SpMSpV, dispatching between the
 // fine-grained element exchange (SpMSpVDist) and the bulk collectives
 // (SpMSpVDistBulk) through the runtime's inspector. A nil inspector keeps the
-// historical fine-grained kernel unconditionally. Both variants produce
+// historical fine-grained kernel unconditionally. Both plans produce
 // bitwise-identical results (the bulk owner-merge replays the fine path's
 // locale-order first-wins rule), so the choice is purely one of modeled cost.
-func SpMSpVDistAuto[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.SpVec[T]) (*dist.SpVec[int64], DistStats) {
+// The bulk plan's collectives check for a cancel; their error is returned.
+func SpMSpVDistAuto[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.SpVec[T]) (*dist.SpVec[int64], DistStats, error) {
 	choice, e, dsp := spmspvCommChoice(rt, "SpMSpV", a, x)
 	defer dsp.End()
-	if choice == inspect.CommBulk {
-		if y, st, err := SpMSpVDistBulk(rt, a, x); err == nil {
-			e.observe(rt.Insp, choice, st)
-			return y, st
-		}
-		// The bulk collectives only fail under an armed fault plan, which
-		// spmspvCommChoice routes to the fine path; fall through defensively.
+	if choice == inspect.CommFine {
+		y, st := SpMSpVDist(rt, a, x)
+		e.observe(rt.Insp, choice, st)
+		return y, st, nil
 	}
-	y, st := SpMSpVDist(rt, a, x)
-	e.observe(rt.Insp, inspect.CommFine, st)
-	return y, st
+	y, st, err := SpMSpVDistBulk(rt, a, x)
+	if err != nil {
+		return nil, st, err
+	}
+	e.observe(rt.Insp, choice, st)
+	return y, st, nil
 }
 
 // gatherSpMVInput gives every locale the x segment of its grid row: each row
@@ -254,9 +215,10 @@ func gatherSpMVInput[T semiring.Number](rt *locale.Runtime, x *dist.DenseVec[T],
 // Pull gathers the frontier ids along the row teams, scans each unvisited
 // column of its block until it meets a frontier member — about n/nnz(frontier)
 // probes, at most the block's share of the frontier's average degree — and
-// reduces the hits down the column teams. Both sides are priced through the
-// simulator's ComputeTime and BulkTime on the kernels and collectives the
-// round charges, at the runtime's thread count.
+// reduces the hits down the column teams. Both sides are priced on the
+// kernels the round charges, at the runtime's thread count, and pull's two
+// collectives at comm's prices. Both directions broadcast the visited mask
+// down the column teams at the same price, so neither side counts it.
 func EstimateBFSDir(rt *locale.Runtime, n, unvisited, frontierNNZ, frontierEdges int) (push, pull float64) {
 	g, s, th := rt.G, rt.S, rt.Threads
 	per := func(items, parts int) int64 { return int64(float64(items) / float64(parts)) }
@@ -268,9 +230,18 @@ func EstimateBFSDir(rt *locale.Runtime, n, unvisited, frontierNNZ, frontierEdges
 	}
 	probes := min(float64(n)/float64(frontierNNZ), float64(frontierEdges)/float64(frontierNNZ)/float64(g.Pr))
 	checked := per(unvisited, g.Pc)
+	gather, reduce := pullCommTime(rt, n)
 	pull = s.ComputeTime(th, sim.Kernel{Items: checked, CPUPerItem: costPullCheckCPU, BytesPerItem: 1}) +
 		s.ComputeTime(th, sim.Kernel{Items: int64(float64(checked) * probes), CPUPerItem: costPullScanCPU, BytesPerItem: costPullScanBytes}) +
-		s.BulkTime(8*per(n, g.Pr), false)*estTreeDepth(g.Pc) +
-		s.BulkTime(8*per(n, g.Pc), false)*estTreeDepth(g.Pr)
+		gather + reduce
 	return push, pull
+}
+
+// pullCommTime prices a pull round's two collectives on the mean band: the
+// row teams' all-gather of n/Pr frontier ids and the column teams' reduce of
+// n/Pc hits. Bands differ by at most one element, so this is every team's
+// charge when Pr and Pc divide n, and below it otherwise.
+func pullCommTime(rt *locale.Runtime, n int) (gather, reduce float64) {
+	g := rt.G
+	return comm.RowAllGatherTime(rt, int(float64(n)/float64(g.Pr))), comm.ColReduceTime(rt, int(float64(n)/float64(g.Pc)))
 }

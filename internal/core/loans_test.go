@@ -100,8 +100,9 @@ func TestArenaLoansBalanceAfterEveryKernel(t *testing.T) {
 // TestArenaLoansReturnedWhenCollectivesFail plants a crash at every transfer
 // step of the SpMV stages and of a SUMMA product, and drops transfers until
 // the retry budget runs out, on a 2x3 grid: the kernel fails mid-RowAllGather,
-// mid-ColReduceScatter or mid-broadcast, and whatever it had borrowed by then
-// is back in the arena. The SpMV stages run both reduce forms: plus-times
+// mid-ColReduceScatter or mid-broadcast (a SUMMA panel, or the SpMSpV
+// pipeline's mask), or mid-way through the bulk SpMSpV's sparse collectives,
+// and whatever it had borrowed by then is back in the arena. The SpMV stages run both reduce forms: plus-times
 // folds per-block partials, min-plus (and the pull round) reduces in place.
 func TestArenaLoansReturnedWhenCollectivesFail(t *testing.T) {
 	const n = 240
@@ -134,6 +135,20 @@ func TestArenaLoansReturnedWhenCollectivesFail(t *testing.T) {
 		},
 		"SpGEMMDistMasked": func(rt *locale.Runtime, a *dist.Mat[float64], _ *dist.DenseVec[float64]) error {
 			_, err := SpGEMMDistMasked(rt, a, a, a, sr)
+			return err
+		},
+		"SpMSpVDistMasked": func(rt *locale.Runtime, a *dist.Mat[float64], _ *dist.DenseVec[float64]) error {
+			x := dist.SpVecFromVec(rt, sparse.RandomVec[float64](n, 30, 82))
+			_, _, err := SpMSpVDistMasked(rt, a, x, dist.NewDenseVec[int64](rt, n))
+			return err
+		},
+		"SpMSpVDistBulk": func(rt *locale.Runtime, a *dist.Mat[float64], _ *dist.DenseVec[float64]) error {
+			_, _, err := SpMSpVDistBulk(rt, a, dist.SpVecFromVec(rt, sparse.RandomVec[float64](n, 30, 82)))
+			return err
+		},
+		"FusedBFSRound": func(rt *locale.Runtime, a *dist.Mat[float64], _ *dist.DenseVec[float64]) error {
+			f := dist.SpVecFromVec(rt, sparse.RandomVec[float64](n, 30, 82))
+			_, _, err := FusedBFSRound(rt, a, f, dist.NewDenseVec[int64](rt, n), 1, make([]int64, n), make([]int64, n))
 			return err
 		},
 	}

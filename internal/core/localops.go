@@ -13,44 +13,6 @@ import (
 // and the local forms the distributed apply, row reduce and extract are
 // tested against.
 
-// ApplyCSR applies op in place to every stored value of a local matrix.
-func ApplyCSR[T semiring.Number](a *sparse.CSR[T], op semiring.UnaryOp[T]) {
-	for i := range a.Val {
-		a.Val[i] = op(a.Val[i])
-	}
-}
-
-// ReduceRows reduces each row of a to a scalar with a monoid, producing a
-// sparse vector with one entry per nonempty row.
-func ReduceRows[T semiring.Number](a *sparse.CSR[T], m semiring.Monoid[T]) *sparse.Vec[T] {
-	out := sparse.NewVec[T](a.NRows)
-	for i := 0; i < a.NRows; i++ {
-		_, vals := a.Row(i)
-		if len(vals) == 0 {
-			continue
-		}
-		out.Ind = append(out.Ind, i)
-		out.Val = append(out.Val, m.Reduce(vals))
-	}
-	return out
-}
-
-// Extract returns the subvector x(indices) as a sparse vector of capacity
-// len(indices): output position k holds x[indices[k]] when stored.
-func Extract[T semiring.Number](x *sparse.Vec[T], indices []int) (*sparse.Vec[T], error) {
-	out := sparse.NewVec[T](len(indices))
-	for k, i := range indices {
-		if i < 0 || i >= x.N {
-			return nil, fmt.Errorf("core: Extract: index %d out of range [0,%d)", i, x.N)
-		}
-		if v, ok := x.Get(i); ok {
-			out.Ind = append(out.Ind, k)
-			out.Val = append(out.Val, v)
-		}
-	}
-	return out, nil
-}
-
 // EWiseMultSS multiplies two sparse vectors elementwise over the
 // intersection of their patterns ("the indices of the output are the
 // intersection of the indices of the inputs", combined with op).
@@ -117,25 +79,4 @@ func SpMV[T semiring.Number](a *sparse.CSR[T], x []T, sr semiring.Semiring[T]) (
 	y := make([]T, a.NCols)
 	rk.spmvBlock(a, x, sr.AddIdentity(), y, false)
 	return y, nil
-}
-
-// SpMSpVMasked runs the shared-memory SpMSpV and then removes every output
-// entry whose position is marked in the mask (complemented mask application,
-// the form BFS uses to drop already-visited vertices).
-func SpMSpVMasked[T semiring.Number](a *sparse.CSR[T], x *sparse.Vec[T], mask *sparse.Dense[int64], cfg ShmConfig) (*sparse.Vec[int64], ShmStats) {
-	y, st := SpMSpVShm(a, x, cfg)
-	if mask == nil {
-		return y, st
-	}
-	out := sparse.GetVec[int64](cfg.Scratch, y.N)
-	for k, i := range y.Ind {
-		if mask.Data[i] == 0 {
-			out.Ind = append(out.Ind, i)
-			out.Val = append(out.Val, y.Val[k])
-		}
-	}
-	// y was scratch of this call; recycle it for the next one.
-	sparse.PutVec(cfg.Scratch, y)
-	st.NnzOut = out.NNZ()
-	return out, st
 }

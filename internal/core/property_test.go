@@ -18,7 +18,7 @@ func genVec(n int, raw []uint16) *sparse.Vec[int64] {
 	for i, r := range raw {
 		d[i%n] = int64(r%9) - 4 // values in [-4, 4], many zeros
 	}
-	return sparse.VecFromDense(d, 0)
+	return denseToVec(d)
 }
 
 func TestPropertyApplyComposition(t *testing.T) {

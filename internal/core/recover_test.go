@@ -135,7 +135,7 @@ func TestRecoveryConfirmsDeathAndTimesDetection(t *testing.T) {
 	if _, _, err := Recover(rt, m, lost); err != nil {
 		t.Fatal(err)
 	}
-	if st := rt.Health.StateOf(lost); st != health.Dead {
+	if st := rt.Health.States()[lost]; st != health.Dead {
 		t.Errorf("detector state after recovery = %v, want dead", st)
 	}
 	r := rt.Recoveries[0]

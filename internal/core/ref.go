@@ -9,15 +9,6 @@ import (
 // every operation, used by the test suite as ground truth. None of them
 // charge the performance model.
 
-// RefApply returns a copy of x with op applied to every stored value.
-func RefApply[T semiring.Number](x *sparse.Vec[T], op semiring.UnaryOp[T]) *sparse.Vec[T] {
-	out := x.Clone()
-	for i := range out.Val {
-		out.Val[i] = op(out.Val[i])
-	}
-	return out
-}
-
 // RefEWiseMultSD returns the entries of x for which pred(x[i], y[i]) holds.
 func RefEWiseMultSD[T semiring.Number](x *sparse.Vec[T], y *sparse.Dense[T], pred semiring.Pred[T]) *sparse.Vec[T] {
 	out := sparse.NewVec[T](x.N)

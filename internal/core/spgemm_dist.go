@@ -12,7 +12,7 @@ package core
 //   - In stage k every locale (r, c) receives A's panel for the stage's
 //     band, tree-broadcast along its processor row, and B's panel broadcast
 //     along its processor column: O(team size) messages per panel per stage
-//     (comm.TeamBroadcastSparse), never O(nnz), each fault-checked and
+//     (comm.TeamBroadcast), never O(nnz), each fault-checked and
 //     retried so the chaos machinery applies mid-broadcast.
 //   - Local multiplies run the heap/hash Gustavson kernels of
 //     spgemm_local.go on the runtime's ScratchPool, switching to the DCSC
@@ -97,7 +97,8 @@ func summaStages(aColBands, bRowBands []int) []summaStage {
 // stages crossing it.
 func EstimateSpGEMMPlace[T semiring.Number](rt *locale.Runtime, a, b *dist.Mat[T], stages []summaStage) (stage, prefetch float64) {
 	g := rt.G
-	const hdr = 16
+	// A panel's tree broadcast, as its root pays it.
+	bcast := func(size, nnz int) float64 { return comm.TeamBroadcastTime(rt, 0, 0, size, comm.PanelBytes(nnz)) }
 	stagesInA := make([]int, g.Pc)
 	stagesInB := make([]int, g.Pr)
 	for _, st := range stages {
@@ -107,36 +108,26 @@ func EstimateSpGEMMPlace[T semiring.Number](rt *locale.Runtime, a, b *dist.Mat[T
 	for _, st := range stages {
 		var worst float64
 		for r := 0; r < g.Pr; r++ {
-			nnz := a.Blocks[g.ID(r, st.ca)].NNZ() / max(stagesInA[st.ca], 1)
-			if t := rt.S.BulkTime(hdr+int64(16*nnz), false) * estTreeDepth(g.Pc); t > worst {
-				worst = t
-			}
+			worst = max(worst, bcast(g.Pc, a.Blocks[g.ID(r, st.ca)].NNZ()/max(stagesInA[st.ca], 1)))
 		}
 		for c := 0; c < g.Pc; c++ {
-			nnz := b.Blocks[g.ID(st.rb, c)].NNZ() / max(stagesInB[st.rb], 1)
-			if t := rt.S.BulkTime(hdr+int64(16*nnz), false) * estTreeDepth(g.Pr); t > worst {
-				worst = t
-			}
+			worst = max(worst, bcast(g.Pr, b.Blocks[g.ID(st.rb, c)].NNZ()/max(stagesInB[st.rb], 1)))
 		}
 		stage += worst
 	}
 	for r := 0; r < g.Pr; r++ {
 		var team float64
 		for c := 0; c < g.Pc; c++ {
-			team += rt.S.BulkTime(hdr+int64(16*a.Blocks[g.ID(r, c)].NNZ()), false) * estTreeDepth(g.Pc)
+			team += bcast(g.Pc, a.Blocks[g.ID(r, c)].NNZ())
 		}
-		if team > prefetch {
-			prefetch = team
-		}
+		prefetch = max(prefetch, team)
 	}
 	for c := 0; c < g.Pc; c++ {
 		var team float64
 		for r := 0; r < g.Pr; r++ {
-			team += rt.S.BulkTime(hdr+int64(16*b.Blocks[g.ID(r, c)].NNZ()), false) * estTreeDepth(g.Pr)
+			team += bcast(g.Pr, b.Blocks[g.ID(r, c)].NNZ())
 		}
-		if team > prefetch {
-			prefetch = team
-		}
+		prefetch = max(prefetch, team)
 	}
 	return stage, prefetch
 }
@@ -309,11 +300,11 @@ func spgemmDist[T semiring.Number](rt *locale.Runtime, a, b, mask *dist.Mat[T], 
 		ps := rt.Span("SUMMAPrefetch", trace.T("op", "spgemm"), trace.T("stage", "broadcast"))
 		for l := 0; l < g.P; l++ {
 			r, cc := g.Coords(l)
-			if err := comm.TeamBroadcastSparse(rt, l, g.RowLocales(r), a.Blocks[l].NNZ(), "summa-prefetch-a"); err != nil {
+			if err := comm.TeamBroadcast(rt, l, g.RowLocales(r), comm.PanelBytes(a.Blocks[l].NNZ()), "summa-prefetch-a"); err != nil {
 				ps.End()
 				return nil, fmt.Errorf("core: SpGEMMDist prefetch: %w", err)
 			}
-			if err := comm.TeamBroadcastSparse(rt, l, g.ColLocales(cc), b.Blocks[l].NNZ(), "summa-prefetch-b"); err != nil {
+			if err := comm.TeamBroadcast(rt, l, g.ColLocales(cc), comm.PanelBytes(b.Blocks[l].NNZ()), "summa-prefetch-b"); err != nil {
 				ps.End()
 				return nil, fmt.Errorf("core: SpGEMMDist prefetch: %w", err)
 			}
@@ -339,7 +330,7 @@ func spgemmDist[T semiring.Number](rt *locale.Runtime, a, b, mask *dist.Mat[T], 
 			owner := g.ID(r, st.ca)
 			panels.setA(r, a.Blocks[owner], st.lo-a.ColBands[st.ca], st.hi-a.ColBands[st.ca])
 			if place == inspect.PlaceGather {
-				if err := comm.TeamBroadcastSparse(rt, owner, g.RowLocales(r), aPanels[r].NNZ(), "summa-bcast-a"); err != nil {
+				if err := comm.TeamBroadcast(rt, owner, g.RowLocales(r), comm.PanelBytes(aPanels[r].NNZ()), "summa-bcast-a"); err != nil {
 					bs.End()
 					return nil, fmt.Errorf("core: SpGEMMDist stage %d: %w", k, err)
 				}
@@ -349,7 +340,7 @@ func spgemmDist[T semiring.Number](rt *locale.Runtime, a, b, mask *dist.Mat[T], 
 			owner := g.ID(st.rb, cc)
 			panels.setB(cc, b.Blocks[owner], st.lo-b.RowBands[st.rb], st.hi-b.RowBands[st.rb])
 			if place == inspect.PlaceGather {
-				if err := comm.TeamBroadcastSparse(rt, owner, g.ColLocales(cc), bPanels[cc].NNZ(), "summa-bcast-b"); err != nil {
+				if err := comm.TeamBroadcast(rt, owner, g.ColLocales(cc), comm.PanelBytes(bPanels[cc].NNZ()), "summa-bcast-b"); err != nil {
 					bs.End()
 					return nil, fmt.Errorf("core: SpGEMMDist stage %d: %w", k, err)
 				}

@@ -168,7 +168,7 @@ func TestSpMSpVDistBulkGatherMessageCounts(t *testing.T) {
 	if fine := rtF.S.Traffic().FineOps; fine <= int64(2*p*p) {
 		t.Errorf("fine-grained path charged only %d element ops — workload too small to compare", fine)
 	}
-	gF, gB := rtF.S.PhaseNS("Gather Input"), rtB.S.PhaseNS("Gather Input")
+	gF, gB := phaseNS(rtF.S, "Gather Input"), phaseNS(rtB.S, "Gather Input")
 	if gB >= gF {
 		t.Errorf("bulk gather %.3fms not below fine-grained gather %.3fms", gB/1e6, gF/1e6)
 	}

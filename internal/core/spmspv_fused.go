@@ -136,8 +136,9 @@ func fusedApplyScanPar[T semiring.Number](rt *locale.Runtime, lx *sparse.Vec[T],
 // before the first-wins scatter is exact.
 //
 // Returns the size of the new frontier; when it is zero no state is mutated
-// (the eager loop breaks before its updates in that case).
-func FusedBFSRound[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], frontier *dist.SpVec[T], visited *dist.DenseVec[int64], level int64, levels, parents []int64) (int, DistStats) {
+// (the eager loop breaks before its updates in that case), and neither is it
+// when a fault-checked collective fails (its error is returned).
+func FusedBFSRound[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], frontier *dist.SpVec[T], visited *dist.DenseVec[int64], level int64, levels, parents []int64) (int, DistStats, error) {
 	defer rt.Span("FusedBFSRound",
 		trace.T("recipe", RecipeSpMSpVFrontier.String()),
 		trace.T("engine", Engine(rt.ShmEngine).String())).End()
@@ -156,7 +157,7 @@ func FusedBFSRound[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], fronti
 		rt.S.BeginPhase("Frontier Update")
 		return true
 	}
-	spmspvRun(rt, a, frontier, spmspvPlan{comm: choice, mask: visited}, &st, start, func(l int, pos []int, val []int64) {
+	err := spmspvRun(rt, a, frontier, spmspvPlan{comm: choice, mask: visited}, &st, start, func(l int, pos []int, val []int64) {
 		lv := frontier.Loc[l]
 		lv.Ind = append(lv.Ind[:0], pos...)
 		lv.Val = lv.Val[:0]
@@ -170,8 +171,11 @@ func FusedBFSRound[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], fronti
 		}
 		chargeFusedInstall(rt, l, lv.NNZ(), &st)
 	})
+	if err != nil {
+		return 0, st, err
+	}
 	est.observe(rt.Insp, choice, st)
-	return found, st
+	return found, st, nil
 }
 
 // FusedSpMSpVMaskedAssign executes y = SpMSpVMasked(A, x, mask) ; Assign(dst, y)
@@ -179,8 +183,9 @@ func FusedBFSRound[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], fronti
 // survivors straight into dst's local blocks (reusing their capacity), so y
 // is never materialized and the Assign's spawn/barrier and domain rebuild are
 // gone. dst must be block-distributed over the column space like the eager
-// product would be; dst == x is safe (the gather copies x first).
-func FusedSpMSpVMaskedAssign[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.SpVec[T], mask *dist.DenseVec[int64], dst *dist.SpVec[int64]) DistStats {
+// product would be; dst == x is safe (the gather copies x first). A failed
+// collective leaves dst untouched and returns its error.
+func FusedSpMSpVMaskedAssign[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.SpVec[T], mask *dist.DenseVec[int64], dst *dist.SpVec[int64]) (DistStats, error) {
 	defer rt.Span("FusedSpMSpVMaskedAssign",
 		trace.T("recipe", RecipeSpMSpVMaskedAssign.String()),
 		trace.T("engine", Engine(rt.ShmEngine).String())).End()
@@ -188,11 +193,13 @@ func FusedSpMSpVMaskedAssign[T semiring.Number](rt *locale.Runtime, a *dist.Mat[
 	choice, est, dsp := spmspvCommChoice(rt, "FusedSpMSpVMaskedAssign", a, x)
 	defer dsp.End()
 	// Complemented mask semantics, as in SpMSpVDistMasked: mask != 0 suppresses.
-	spmspvRun(rt, a, x, spmspvPlan{comm: choice, mask: mask}, &st, nil, func(l int, pos []int, val []int64) {
+	err := spmspvRun(rt, a, x, spmspvPlan{comm: choice, mask: mask}, &st, nil, func(l int, pos []int, val []int64) {
 		installInto(rt, dst, nil, nil, &st, l, pos, val)
 	})
-	est.observe(rt.Insp, choice, st)
-	return st
+	if err == nil {
+		est.observe(rt.Insp, choice, st)
+	}
+	return st, err
 }
 
 // FusedSpMSpVFilterAssign executes the generic three-op chain
@@ -203,19 +210,22 @@ func FusedSpMSpVMaskedAssign[T semiring.Number](rt *locale.Runtime, a *dist.Mat[
 // this kernel keeps the eager chain's full scatter and applies pred during
 // denseToSparse, on exactly the claimed (position, winning value) pairs the
 // eager EWiseMult would see. Survivors install straight into dst; the two
-// intermediates are never built.
-func FusedSpMSpVFilterAssign[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.SpVec[T], mask *dist.DenseVec[int64], pred semiring.Pred[int64], dst *dist.SpVec[int64]) DistStats {
+// intermediates are never built. A failed collective leaves dst untouched
+// and returns its error.
+func FusedSpMSpVFilterAssign[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], x *dist.SpVec[T], mask *dist.DenseVec[int64], pred semiring.Pred[int64], dst *dist.SpVec[int64]) (DistStats, error) {
 	defer rt.Span("FusedSpMSpVFilterAssign",
 		trace.T("recipe", RecipeSpMSpVFrontier.String()),
 		trace.T("engine", Engine(rt.ShmEngine).String())).End()
 	var st DistStats
 	choice, est, dsp := spmspvCommChoice(rt, "FusedSpMSpVFilterAssign", a, x)
 	defer dsp.End()
-	spmspvRun(rt, a, x, spmspvPlan{comm: choice}, &st, nil, func(l int, pos []int, val []int64) {
+	err := spmspvRun(rt, a, x, spmspvPlan{comm: choice}, &st, nil, func(l int, pos []int, val []int64) {
 		installInto(rt, dst, mask, pred, &st, l, pos, val)
 	})
-	est.observe(rt.Insp, choice, st)
-	return st
+	if err == nil {
+		est.observe(rt.Insp, choice, st)
+	}
+	return st, err
 }
 
 // installInto is the assign recipes' sink: locale l installs the (position,
@@ -330,7 +340,11 @@ func BFSPullRound[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], cols []
 	if err != nil {
 		return 0, err
 	}
-	bandMask := maskBroadcast(rt, a.ColBands, visited)
+	bandMask, err := maskBroadcast(rt, a.ColBands, visited)
+	if err != nil {
+		comm.ReleaseRowGather(rt, bands)
+		return 0, err
+	}
 
 	// Each grid column writes its hits into one band, grid row 0 first: the
 	// first hit a band receives is its column's smallest frontier member.
@@ -359,9 +373,7 @@ func BFSPullRound[T semiring.Number](rt *locale.Runtime, a *dist.Mat[T], cols []
 		rt.S.Compute(l, rt.Threads, sim.Kernel{Name: "dobfs-pull-scan", Items: scanned, CPUPerItem: costPullScanCPU, BytesPerItem: costPullScanBytes})
 	}
 	comm.ReleaseRowGather(rt, bands)
-	for _, seg := range bandMask {
-		sparse.PutSlice(rt.Scratch, seg)
-	}
+	putSlices(rt, bandMask)
 	if err := comm.ColReduceInPlace(rt, reduced); err != nil {
 		return 0, err
 	}

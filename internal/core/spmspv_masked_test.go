@@ -17,7 +17,7 @@ func TestSpMSpVDistMaskedMatchesFilteredReference(t *testing.T) {
 		a := dist.MatFromCSR(rt, a0)
 		x := dist.SpVecFromVec(rt, x0)
 		mask := dist.DenseVecFromDense(rt, mask0)
-		y, st := SpMSpVDistMasked(rt, a, x, mask)
+		y, st, _ := SpMSpVDistMasked(rt, a, x, mask)
 		if err := y.Validate(); err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -58,7 +58,7 @@ func TestSpMSpVDistMaskedEmptyAndFullMasks(t *testing.T) {
 	x := dist.SpVecFromVec(rt, x0)
 	// Empty mask (all zeros) = unmasked result.
 	zero := dist.DenseVecFromDense(rt, sparse.NewDense[int64](80))
-	y, _ := SpMSpVDistMasked(rt, a, x, zero)
+	y, _, _ := SpMSpVDistMasked(rt, a, x, zero)
 	rt2 := newRT(t, 4, 24)
 	a2 := dist.MatFromCSR(rt2, a0)
 	x2 := dist.SpVecFromVec(rt2, x0)
@@ -71,7 +71,7 @@ func TestSpMSpVDistMaskedEmptyAndFullMasks(t *testing.T) {
 	a3 := dist.MatFromCSR(rt3, a0)
 	x3 := dist.SpVecFromVec(rt3, x0)
 	ones := dist.DenseVecFromDense(rt3, sparse.NewDenseFill[int64](80, 1))
-	empty, _ := SpMSpVDistMasked(rt3, a3, x3, ones)
+	empty, _, _ := SpMSpVDistMasked(rt3, a3, x3, ones)
 	if empty.NNZ() != 0 {
 		t.Fatalf("full mask left %d entries", empty.NNZ())
 	}
@@ -88,7 +88,7 @@ func TestSpMSpVDistMaskedReducesScatterTraffic(t *testing.T) {
 	aM := dist.MatFromCSR(rtMasked, a0)
 	xM := dist.SpVecFromVec(rtMasked, x0)
 	mM := dist.DenseVecFromDense(rtMasked, mask0)
-	yM, stM := SpMSpVDistMasked(rtMasked, aM, xM, mM)
+	yM, stM, _ := SpMSpVDistMasked(rtMasked, aM, xM, mM)
 
 	rtPlain := newRT(t, 16, 24)
 	aP := dist.MatFromCSR(rtPlain, a0)
@@ -120,7 +120,7 @@ func TestSpMSpVDistMaskedClockMatchesFused(t *testing.T) {
 		FusedSpMSpVMaskedAssign(rtF, dist.MatFromCSR(rtF, a0), dist.SpVecFromVec(rtF, x0),
 			dist.DenseVecFromDense(rtF, mask0), dist.NewSpVec[int64](rtF, 5000))
 		for _, phase := range []string{"Mask Broadcast", "Gather Input", "Local Multiply"} {
-			if e, f := rtE.S.PhaseNS(phase), rtF.S.PhaseNS(phase); e != f || (e == 0 && phase == "Local Multiply") {
+			if e, f := phaseNS(rtE.S, phase), phaseNS(rtF.S, phase); e != f || (e == 0 && phase == "Local Multiply") {
 				t.Errorf("p=%d %s: eager %v ns, fused %v ns", p, phase, e, f)
 			}
 		}

@@ -54,7 +54,10 @@ func pipelineVariants() []pipelineVariant {
 			levels[i], parents[i] = -1, -1
 		}
 		before := mask.ToDense().Data
-		found, st := FusedBFSRound(rt, a, x, mask, 3, levels, parents)
+		found, st, err := FusedBFSRound(rt, a, x, mask, 3, levels, parents)
+		if err != nil {
+			t.Fatal(err)
+		}
 		// x is now the next frontier; its columns carry the parents.
 		next := x.ToVec()
 		if found != next.NNZ() {
@@ -82,7 +85,10 @@ func pipelineVariants() []pipelineVariant {
 			return y.ToVec(), st
 		}},
 		{"SpMSpVDistMasked", true, func(t *testing.T, rt *locale.Runtime, a *dist.Mat[int64], x *dist.SpVec[int64], mask *dist.DenseVec[int64]) (*sparse.Vec[int64], DistStats) {
-			y, st := SpMSpVDistMasked(rt, a, x, mask)
+			y, st, err := SpMSpVDistMasked(rt, a, x, mask)
+			if err != nil {
+				t.Fatal(err)
+			}
 			return y.ToVec(), st
 		}},
 		{"SpMSpVDistBulk", false, func(t *testing.T, rt *locale.Runtime, a *dist.Mat[int64], x *dist.SpVec[int64], _ *dist.DenseVec[int64]) (*sparse.Vec[int64], DistStats) {
@@ -93,18 +99,27 @@ func pipelineVariants() []pipelineVariant {
 			return y.ToVec(), st
 		}},
 		{"SpMSpVDistAuto", false, func(t *testing.T, rt *locale.Runtime, a *dist.Mat[int64], x *dist.SpVec[int64], _ *dist.DenseVec[int64]) (*sparse.Vec[int64], DistStats) {
-			y, st := SpMSpVDistAuto(rt, a, x)
+			y, st, err := SpMSpVDistAuto(rt, a, x)
+			if err != nil {
+				t.Fatal(err)
+			}
 			return y.ToVec(), st
 		}},
 		{"FusedBFSRound/keep-zero", true, bfsRound},
 		{"FusedSpMSpVMaskedAssign", true, func(t *testing.T, rt *locale.Runtime, a *dist.Mat[int64], x *dist.SpVec[int64], mask *dist.DenseVec[int64]) (*sparse.Vec[int64], DistStats) {
 			dst := dist.NewSpVec[int64](rt, a.NCols)
-			st := FusedSpMSpVMaskedAssign(rt, a, x, mask, dst)
+			st, err := FusedSpMSpVMaskedAssign(rt, a, x, mask, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
 			return dst.ToVec(), st
 		}},
 		{"FusedSpMSpVFilterAssign", true, func(t *testing.T, rt *locale.Runtime, a *dist.Mat[int64], x *dist.SpVec[int64], mask *dist.DenseVec[int64]) (*sparse.Vec[int64], DistStats) {
 			dst := dist.NewSpVec[int64](rt, a.NCols)
-			st := FusedSpMSpVFilterAssign(rt, a, x, mask, func(_, m int64) bool { return m == 0 }, dst)
+			st, err := FusedSpMSpVFilterAssign(rt, a, x, mask, func(_, m int64) bool { return m == 0 }, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
 			return dst.ToVec(), st
 		}},
 	}

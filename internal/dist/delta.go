@@ -157,16 +157,6 @@ func (em *EpochMat[T]) Snapshot() (*Mat[T], uint64) {
 	return st.mat, st.epoch
 }
 
-// CommittedDeletes returns the cumulative number of tombstones merged up to
-// the committed epoch; two equal values bracket an insert-only interval.
-func (em *EpochMat[T]) CommittedDeletes() uint64 { return em.committed.Load().deletes }
-
-// CommittedRaises returns the cumulative number of merged overwrites, up to
-// the committed epoch, whose new value is not <= the value it replaced (a NaN
-// on either side counts). Each coordinate is judged once per merge, by its
-// last write of the epoch against the committed value.
-func (em *EpochMat[T]) CommittedRaises() uint64 { return em.committed.Load().raises }
-
 // Pinned atomically returns the committed matrix and its Stamp.
 func (em *EpochMat[T]) Pinned() (*Mat[T], Stamp) {
 	st := em.committed.Load()

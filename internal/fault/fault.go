@@ -100,12 +100,6 @@ type Plan struct {
 	MergeCrashEpoch  int64
 }
 
-// Enabled reports whether the plan injects any fault at all.
-func (p Plan) Enabled() bool {
-	return p.DropProb > 0 || p.DelayProb > 0 || p.StallProb > 0 || p.CrashLocale >= 0 ||
-		p.MergeCrashEpoch > 0
-}
-
 // StandardChaos is the stock fault plan of the -chaos bench mode: 2% drops,
 // 5% delays of 250µs, 1% stalls of 2ms, no crash. Deterministic under seed.
 func StandardChaos(seed int64) Plan {

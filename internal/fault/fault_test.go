@@ -195,3 +195,9 @@ func TestRetryErrorMatching(t *testing.T) {
 		t.Error("errors.As should recover the RetryError")
 	}
 }
+
+// Enabled reports whether the plan injects any fault at all.
+func (p Plan) Enabled() bool {
+	return p.DropProb > 0 || p.DelayProb > 0 || p.StallProb > 0 || p.CrashLocale >= 0 ||
+		p.MergeCrashEpoch > 0
+}

@@ -202,20 +202,6 @@ func (d *Detector) Confirm(l int, nowNS float64) {
 	}
 }
 
-// StateOf returns locale l's current state (Alive for out-of-range ids and
-// on a nil detector).
-func (d *Detector) StateOf(l int) State {
-	if d == nil {
-		return Alive
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if l < 0 || l >= len(d.states) {
-		return Alive
-	}
-	return d.states[l]
-}
-
 // States returns a copy of every locale's current state.
 func (d *Detector) States() []State {
 	if d == nil {

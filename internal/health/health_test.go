@@ -9,8 +9,8 @@ import (
 func TestStateMachineAliveSuspectDead(t *testing.T) {
 	d := New(Config{}, 4)
 	for l := 0; l < 4; l++ {
-		if got := d.StateOf(l); got != Alive {
-			t.Fatalf("initial StateOf(%d) = %v, want alive", l, got)
+		if got := d.States()[l]; got != Alive {
+			t.Fatalf("initial States()[%d) = %v, want alive", l, got)
 		}
 	}
 
@@ -19,8 +19,8 @@ func TestStateMachineAliveSuspectDead(t *testing.T) {
 	// poll (early detection by a failing collective).
 	d.Observe(2, false, 7_200_000)
 	d.Observe(2, true, 7_500_000)
-	if got := d.StateOf(2); got != Suspect {
-		t.Fatalf("after Observe: StateOf(2) = %v, want suspect", got)
+	if got := d.States()[2]; got != Suspect {
+		t.Fatalf("after Observe: States()[2] = %v, want suspect", got)
 	}
 	ev := d.Events()
 	if len(ev) != 1 || ev[0].Locale != 2 || ev[0].From != Alive || ev[0].To != Suspect {
@@ -40,8 +40,8 @@ func TestStateMachineAliveSuspectDead(t *testing.T) {
 	}
 
 	d.Confirm(2, 13_000_000)
-	if got := d.StateOf(2); got != Dead {
-		t.Fatalf("after Confirm: StateOf(2) = %v, want dead", got)
+	if got := d.States()[2]; got != Dead {
+		t.Fatalf("after Confirm: States()[2] = %v, want dead", got)
 	}
 	ev = d.Events()
 	if len(ev) != 2 || ev[1].From != Suspect || ev[1].To != Dead || ev[1].AtNS != 13_000_000 {
@@ -59,7 +59,7 @@ func TestStateMachineAliveSuspectDead(t *testing.T) {
 func TestObserveAliveNeverTransitions(t *testing.T) {
 	d := New(Config{}, 3)
 	d.Observe(1, false, 5_000_000)
-	if d.StateOf(1) != Alive || len(d.Events()) != 0 {
+	if d.States()[1] != Alive || len(d.Events()) != 0 {
 		t.Error("observing an alive locale must not transition it")
 	}
 	// Out-of-range and negative ids are ignored.
@@ -114,7 +114,7 @@ func TestNilDetectorIsInert(t *testing.T) {
 	d.Observe(0, true, 1)
 	d.Confirm(0, 1)
 	d.SetTracer(nil)
-	if d.StateOf(0) != Alive || d.States() != nil || d.Events() != nil {
+	if d.States() != nil || d.Events() != nil {
 		t.Error("nil detector must report everything alive and empty")
 	}
 	if d.SuspectedAt(0) != -1 {

@@ -51,8 +51,8 @@ func (a Axis) String() string {
 type Comm uint8
 
 const (
-	// CommAuto defers the choice to the inspector (the zero value).
-	CommAuto Comm = iota
+	// commAuto defers the choice to the inspector (the zero value).
+	commAuto Comm = iota
 	// CommFine forces the fine-grained per-element paths (the paper's
 	// idiomatic Listings; SpMSpVDist).
 	CommFine
@@ -97,8 +97,8 @@ func (d Dir) String() string {
 type Place uint8
 
 const (
-	// PlaceAuto defers the choice to the inspector (the zero value).
-	PlaceAuto Place = iota
+	// placeAuto defers the choice to the inspector (the zero value).
+	placeAuto Place = iota
 	// PlaceGather forces the row-team all-gather of the input vector.
 	PlaceGather
 	// PlaceReplicate forces a full replication of the input vector on every
@@ -128,9 +128,6 @@ const (
 	ReasonSingleLocale = "single-locale"
 	// ReasonPullThreshold: the legacy nnz(frontier) > n/threshold rule chose.
 	ReasonPullThreshold = "pull-threshold"
-	// ReasonModeledCost is the generic cost-comparison reason; executors
-	// usually pass a more specific signal name instead.
-	ReasonModeledCost = "modeled-cost"
 )
 
 // Strategy fixes (or frees) each dispatch axis. The zero value is fully

@@ -14,13 +14,13 @@ func TestStrings(t *testing.T) {
 		{AxisDir.String(), "dir"},
 		{AxisPlace.String(), "place"},
 		{Axis(99).String(), "axis?"},
-		{CommAuto.String(), "auto"},
+		{commAuto.String(), "auto"},
 		{CommFine.String(), "fine"},
 		{CommBulk.String(), "bulk"},
 		{DirAuto.String(), "auto"},
 		{DirPush.String(), "push"},
 		{DirPull.String(), "pull"},
-		{PlaceAuto.String(), "auto"},
+		{placeAuto.String(), "auto"},
 		{PlaceGather.String(), "gather"},
 		{PlaceReplicate.String(), "replicate"},
 	}

@@ -52,7 +52,7 @@ func TestDegradePrimeAndOversubscribedGrids(t *testing.T) {
 			if rt.S.Elapsed() <= before {
 				t.Errorf("p=%d: degradation must charge the detection penalty", p)
 			}
-			if st := rt.Health.StateOf(dead); st != health.Dead {
+			if st := rt.Health.States()[dead]; st != health.Dead {
 				t.Errorf("p=%d: detector state of dead locale = %v, want dead", p, st)
 			}
 			// The oversubscribed grid keeps all locales on one node.

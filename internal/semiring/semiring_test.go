@@ -428,3 +428,23 @@ func TestMonoidKindTagCannotLie(t *testing.T) {
 		t.Error("integer instantiations or semiring components lost their kind")
 	}
 }
+
+// AInv returns the additive inverse (negation).
+func AInv[T Signed | Float](x T) T { return -x }
+
+// Abs returns the absolute value.
+func Abs[T Signed | Float](x T) T {
+	if x < 0 {
+		return -x
+	}
+	return x
+}
+
+// One returns the multiplicative identity regardless of its argument; useful
+// for structural computations (pattern-only semantics).
+func One[T Number](T) T { return 1 }
+
+// AddConst returns a UnaryOp adding c to its argument.
+func AddConst[T Number](c T) UnaryOp[T] {
+	return func(x T) T { return x + c }
+}

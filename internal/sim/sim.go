@@ -450,17 +450,6 @@ func (s *Sim) LocaleTraffic() []LocaleCounters {
 	return append([]LocaleCounters(nil), s.locCnt...)
 }
 
-// PhaseNS returns the total recorded time of all phases with the given name.
-func (s *Sim) PhaseNS(name string) float64 {
-	total := 0.0
-	for _, p := range s.Phases() {
-		if p.Name == name {
-			total += p.NS
-		}
-	}
-	return total
-}
-
 // Clock returns locale l's modeled clock, ns, resolved through the alias
 // table (a dead locale reads its adopter's clock).
 func (s *Sim) Clock(l int) float64 {

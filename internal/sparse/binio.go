@@ -197,42 +197,6 @@ func (v *Vec[T]) WriteBinary(w io.Writer) error {
 	return bw.w.Flush()
 }
 
-// ReadBinaryVec reads a vector written by Vec.WriteBinary and validates it.
-func ReadBinaryVec[T semiring.Number](r io.Reader) (*Vec[T], error) {
-	br := &binReader{r: bufio.NewReader(r)}
-	if m := br.u64(); m != binMagic {
-		return nil, fmt.Errorf("sparse: binio: bad magic %#x", m)
-	}
-	if ver := br.u64(); ver != binVersion {
-		return nil, fmt.Errorf("sparse: binio: unsupported version %d", ver)
-	}
-	if k := br.u64(); k != kindVector {
-		return nil, fmt.Errorf("sparse: binio: expected vector, found kind %d", k)
-	}
-	vk := br.u64()
-	if vk != valInt && vk != valFloat {
-		return nil, fmt.Errorf("sparse: binio: unknown value kind %d", vk)
-	}
-	n := int(br.u64())
-	nnz := int(br.u64())
-	if br.err != nil {
-		return nil, br.err
-	}
-	if n < 0 || nnz < 0 {
-		return nil, fmt.Errorf("sparse: binio: negative dimensions")
-	}
-	v := &Vec[T]{N: n}
-	v.Ind = br.ints(nnz)
-	v.Val = readVals[T](br, nnz, vk)
-	if br.err != nil {
-		return nil, br.err
-	}
-	if err := v.Validate(); err != nil {
-		return nil, fmt.Errorf("sparse: binio: corrupt vector: %w", err)
-	}
-	return v, nil
-}
-
 // readVals reads n values with the same incremental-growth discipline as
 // binReader.ints.
 func readVals[T semiring.Number](b *binReader, n int, kind uint64) []T {

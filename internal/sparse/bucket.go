@@ -130,12 +130,6 @@ func (s *BucketSPA[T]) Append(w, i int, v T) {
 	s.runs[r] = append(s.runs[r], bucketEntry[T]{i, v})
 }
 
-// Merge resolves every bucket and emits the result into fresh slices; see
-// MergeInto for the reusable-buffer form and the resolution rules.
-func (s *BucketSPA[T]) Merge(op semiring.BinaryOp[T], parallel int) (ind []int, val []T, st BucketMergeStats) {
-	return s.MergeInto(op, nil, parallel, nil, nil)
-}
-
 // MergeInto resolves every bucket and emits the result, appending into ind
 // and val (pass buffers with retained capacity for an allocation-free merge,
 // or nil for fresh slices). With op == nil the first appended entry of each

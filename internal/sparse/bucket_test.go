@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math/rand"
+	"repro/internal/semiring"
 	"slices"
 	"testing"
 )
@@ -202,4 +203,10 @@ func TestBucketSPAEmpty(t *testing.T) {
 			t.Fatalf("BucketOf(%d) = %d outside its range", i, b)
 		}
 	}
+}
+
+// Merge resolves every bucket and emits the result into fresh slices; see
+// MergeInto for the reusable-buffer form and the resolution rules.
+func (s *BucketSPA[T]) Merge(op semiring.BinaryOp[T], parallel int) (ind []int, val []T, st BucketMergeStats) {
+	return s.MergeInto(op, nil, parallel, nil, nil)
 }

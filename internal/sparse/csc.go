@@ -121,41 +121,3 @@ func (a *CSC[T]) ToCSR() *CSR[T] {
 	}
 	return r
 }
-
-// Identity returns the n×n identity matrix in CSR form.
-func Identity[T semiring.Number](n int) *CSR[T] {
-	a := NewCSR[T](n, n)
-	a.ColIdx = make([]int, n)
-	a.Val = make([]T, n)
-	for i := 0; i < n; i++ {
-		a.ColIdx[i] = i
-		a.Val[i] = 1
-		a.RowPtr[i+1] = i + 1
-	}
-	return a
-}
-
-// PermuteRows returns the matrix whose row i is a's row perm[i]. perm must be
-// a permutation of [0, NRows).
-func (a *CSR[T]) PermuteRows(perm []int) (*CSR[T], error) {
-	if len(perm) != a.NRows {
-		return nil, fmt.Errorf("sparse: PermuteRows: perm has %d entries for %d rows", len(perm), a.NRows)
-	}
-	seen := make([]bool, a.NRows)
-	for _, p := range perm {
-		if p < 0 || p >= a.NRows || seen[p] {
-			return nil, fmt.Errorf("sparse: PermuteRows: not a permutation")
-		}
-		seen[p] = true
-	}
-	out := NewCSR[T](a.NRows, a.NCols)
-	out.ColIdx = make([]int, 0, a.NNZ())
-	out.Val = make([]T, 0, a.NNZ())
-	for i := 0; i < a.NRows; i++ {
-		cols, vals := a.Row(perm[i])
-		out.ColIdx = append(out.ColIdx, cols...)
-		out.Val = append(out.Val, vals...)
-		out.RowPtr[i+1] = len(out.ColIdx)
-	}
-	return out, nil
-}

@@ -1,9 +1,14 @@
 package sparse
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/semiring"
 )
 
 func TestCSCConversionRoundTrip(t *testing.T) {
@@ -125,7 +130,7 @@ func TestBinaryVectorRoundTrip(t *testing.T) {
 	if err := v.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadBinaryVec[int64](&buf)
+	back, err := readBinaryVec[int64](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +145,7 @@ func TestBinaryFloatValuesExact(t *testing.T) {
 	if err := v.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadBinaryVec[float64](&buf)
+	back, err := readBinaryVec[float64](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +172,7 @@ func TestBinaryErrors(t *testing.T) {
 		t.Error("bad magic accepted")
 	}
 	// Matrix/vector kind confusion.
-	if _, err := ReadBinaryVec[int64](bytes.NewReader(full)); err == nil {
+	if _, err := readBinaryVec[int64](bytes.NewReader(full)); err == nil {
 		t.Error("matrix parsed as vector")
 	}
 	var vbuf bytes.Buffer
@@ -235,4 +240,78 @@ func TestBinaryCrossTypeRead(t *testing.T) {
 	if v, _ := asFloat.Get(0, 0); v != 7.0 {
 		t.Fatalf("cross-type value = %v, want 7", v)
 	}
+}
+
+// readBinaryVec reads a vector written by Vec.WriteBinary and validates it.
+func readBinaryVec[T semiring.Number](r io.Reader) (*Vec[T], error) {
+	br := &binReader{r: bufio.NewReader(r)}
+	if m := br.u64(); m != binMagic {
+		return nil, fmt.Errorf("sparse: binio: bad magic %#x", m)
+	}
+	if ver := br.u64(); ver != binVersion {
+		return nil, fmt.Errorf("sparse: binio: unsupported version %d", ver)
+	}
+	if k := br.u64(); k != kindVector {
+		return nil, fmt.Errorf("sparse: binio: expected vector, found kind %d", k)
+	}
+	vk := br.u64()
+	if vk != valInt && vk != valFloat {
+		return nil, fmt.Errorf("sparse: binio: unknown value kind %d", vk)
+	}
+	n := int(br.u64())
+	nnz := int(br.u64())
+	if br.err != nil {
+		return nil, br.err
+	}
+	if n < 0 || nnz < 0 {
+		return nil, fmt.Errorf("sparse: binio: negative dimensions")
+	}
+	v := &Vec[T]{N: n}
+	v.Ind = br.ints(nnz)
+	v.Val = readVals[T](br, nnz, vk)
+	if br.err != nil {
+		return nil, br.err
+	}
+	if err := v.Validate(); err != nil {
+		return nil, fmt.Errorf("sparse: binio: corrupt vector: %w", err)
+	}
+	return v, nil
+}
+
+// Identity returns the n×n identity matrix in CSR form.
+func Identity[T semiring.Number](n int) *CSR[T] {
+	a := NewCSR[T](n, n)
+	a.ColIdx = make([]int, n)
+	a.Val = make([]T, n)
+	for i := 0; i < n; i++ {
+		a.ColIdx[i] = i
+		a.Val[i] = 1
+		a.RowPtr[i+1] = i + 1
+	}
+	return a
+}
+
+// PermuteRows returns the matrix whose row i is a's row perm[i]. perm must be
+// a permutation of [0, NRows).
+func (a *CSR[T]) PermuteRows(perm []int) (*CSR[T], error) {
+	if len(perm) != a.NRows {
+		return nil, fmt.Errorf("sparse: PermuteRows: perm has %d entries for %d rows", len(perm), a.NRows)
+	}
+	seen := make([]bool, a.NRows)
+	for _, p := range perm {
+		if p < 0 || p >= a.NRows || seen[p] {
+			return nil, fmt.Errorf("sparse: PermuteRows: not a permutation")
+		}
+		seen[p] = true
+	}
+	out := NewCSR[T](a.NRows, a.NCols)
+	out.ColIdx = make([]int, 0, a.NNZ())
+	out.Val = make([]T, 0, a.NNZ())
+	for i := 0; i < a.NRows; i++ {
+		cols, vals := a.Row(perm[i])
+		out.ColIdx = append(out.ColIdx, cols...)
+		out.Val = append(out.Val, vals...)
+		out.RowPtr[i+1] = len(out.ColIdx)
+	}
+	return out, nil
 }

@@ -60,7 +60,7 @@ func FuzzReadBinaryVec(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte("GBLB garbage"))
 	f.Fuzz(func(t *testing.T, input []byte) {
-		w, err := ReadBinaryVec[float64](bytes.NewReader(input))
+		w, err := readBinaryVec[float64](bytes.NewReader(input))
 		if err != nil {
 			return
 		}

@@ -42,36 +42,8 @@ func (s *SPA[T]) Scatter(i int, v T, op semiring.BinaryOp[T]) {
 	s.Val[i] = op(s.Val[i], v)
 }
 
-// ScatterFirst records v at position i only if the position was untouched,
-// mirroring the paper's "only keeping the first index" logic.
-func (s *SPA[T]) ScatterFirst(i int, v T) {
-	if !s.IsThere[i] {
-		s.IsThere[i] = true
-		s.Val[i] = v
-		s.NzInds = append(s.NzInds, i)
-	}
-}
-
 // NNZ returns the number of touched positions.
 func (s *SPA[T]) NNZ() int { return len(s.NzInds) }
-
-// Gather produces the sparse result vector (capacity n = len(Val)) with
-// indices sorted, then resets the SPA for reuse. Sorting uses the supplied
-// sort function so callers can choose merge sort vs radix sort (the paper's
-// ablation).
-func (s *SPA[T]) Gather(sortFn func([]int)) *Vec[T] {
-	sortFn(s.NzInds)
-	out := &Vec[T]{
-		N:   len(s.Val),
-		Ind: append([]int(nil), s.NzInds...),
-		Val: make([]T, len(s.NzInds)),
-	}
-	for k, i := range out.Ind {
-		out.Val[k] = s.Val[i]
-	}
-	s.Reset()
-	return out
-}
 
 // Reset clears the touched positions in O(nnz) so the SPA can be reused
 // without reallocating its dense arrays.

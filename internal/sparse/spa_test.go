@@ -229,3 +229,31 @@ func TestSPAGatherWithRadix(t *testing.T) {
 		}
 	}
 }
+
+// ScatterFirst records v at position i only if the position was untouched,
+// mirroring the paper's "only keeping the first index" logic.
+func (s *SPA[T]) ScatterFirst(i int, v T) {
+	if !s.IsThere[i] {
+		s.IsThere[i] = true
+		s.Val[i] = v
+		s.NzInds = append(s.NzInds, i)
+	}
+}
+
+// Gather produces the sparse result vector (capacity n = len(Val)) with
+// indices sorted, then resets the SPA for reuse. Sorting uses the supplied
+// sort function so callers can choose merge sort vs radix sort (the paper's
+// ablation).
+func (s *SPA[T]) Gather(sortFn func([]int)) *Vec[T] {
+	sortFn(s.NzInds)
+	out := &Vec[T]{
+		N:   len(s.Val),
+		Ind: append([]int(nil), s.NzInds...),
+		Val: make([]T, len(s.NzInds)),
+	}
+	for k, i := range out.Ind {
+		out.Val[k] = s.Val[i]
+	}
+	s.Reset()
+	return out
+}

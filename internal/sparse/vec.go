@@ -64,17 +64,6 @@ func sortPairs[T any](ind []int, val []T) {
 // NNZ returns the number of stored elements.
 func (v *Vec[T]) NNZ() int { return len(v.Ind) }
 
-// Capacity returns the logical length N of the vector.
-func (v *Vec[T]) Capacity() int { return v.N }
-
-// Density returns nnz(x)/capacity(x), the f of the paper.
-func (v *Vec[T]) Density() float64 {
-	if v.N == 0 {
-		return 0
-	}
-	return float64(len(v.Ind)) / float64(v.N)
-}
-
 // Get returns the value at index i and whether it is stored. It uses binary
 // search over the sorted index list: O(log nnz), the cost that makes the
 // paper's Assign1 an order of magnitude slower than Assign2.
@@ -166,19 +155,6 @@ func (v *Vec[T]) ToDense(fill T) []T {
 		d[i] = v.Val[k]
 	}
 	return d
-}
-
-// VecFromDense gathers the entries of d that differ from fill into a sparse
-// vector of capacity len(d).
-func VecFromDense[T semiring.Number](d []T, fill T) *Vec[T] {
-	v := NewVec[T](len(d))
-	for i, x := range d {
-		if x != fill {
-			v.Ind = append(v.Ind, i)
-			v.Val = append(v.Val, x)
-		}
-	}
-	return v
 }
 
 // String renders small vectors for debugging.

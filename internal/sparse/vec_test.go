@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/semiring"
 )
 
 func TestVecBasics(t *testing.T) {
@@ -116,7 +118,7 @@ func TestVecDenseRoundTrip(t *testing.T) {
 	if len(d) != 8 || d[0] != 0 || d[1] != 10 || d[3] != 30 || d[6] != 60 {
 		t.Fatalf("ToDense wrong: %v", d)
 	}
-	back := VecFromDense(d, 0)
+	back := vecFromDense(d, 0)
 	if !v.Equal(back) {
 		t.Fatalf("round trip wrong: %v vs %v", v, back)
 	}
@@ -125,7 +127,7 @@ func TestVecDenseRoundTrip(t *testing.T) {
 	if df[0] != -1 || df[1] != 10 {
 		t.Fatalf("ToDense fill wrong: %v", df)
 	}
-	backf := VecFromDense(df, -1)
+	backf := vecFromDense(df, -1)
 	if !v.Equal(backf) {
 		t.Fatalf("round trip with fill wrong")
 	}
@@ -138,7 +140,7 @@ func TestVecDenseRoundTripQuick(t *testing.T) {
 		for i, r := range raw {
 			d[i%n] = int32(r % 5) // small value range forces zeros
 		}
-		v := VecFromDense(d, 0)
+		v := vecFromDense(d, 0)
 		if err := v.Validate(); err != nil {
 			return false
 		}
@@ -236,4 +238,28 @@ func TestVecGetRandomAgainstMap(t *testing.T) {
 			t.Fatalf("Get(%d) = %d,%v; want %d,%v", i, got, ok, want, wantOK)
 		}
 	}
+}
+
+// vecFromDense gathers the entries of d that differ from fill into a sparse
+// vector of capacity len(d).
+func vecFromDense[T semiring.Number](d []T, fill T) *Vec[T] {
+	v := NewVec[T](len(d))
+	for i, x := range d {
+		if x != fill {
+			v.Ind = append(v.Ind, i)
+			v.Val = append(v.Val, x)
+		}
+	}
+	return v
+}
+
+// Capacity returns the logical length N of the vector.
+func (v *Vec[T]) Capacity() int { return v.N }
+
+// Density returns nnz(x)/capacity(x), the f of the paper.
+func (v *Vec[T]) Density() float64 {
+	if v.N == 0 {
+		return 0
+	}
+	return float64(len(v.Ind)) / float64(v.N)
 }
